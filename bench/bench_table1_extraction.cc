@@ -1,16 +1,15 @@
 // Reproduces Table 1 (condensed C-DUP vs fully expanded EXP extraction)
-// and measures the extraction pipeline itself: the legacy serial
-// row-at-a-time interpreter versus the parallel columnar pipeline
-// (selection vectors, partitioned hash join, fused morsel-driven
-// join→DISTINCT, typed-key graph assembly), on the four evaluation
-// schemas. The columnar engine is additionally timed with the fused
-// join→DISTINCT pipeline forced on and forced off.
+// and measures the extraction pipeline itself (selection vectors,
+// partitioned hash join, fused morsel-driven join→DISTINCT, typed-key
+// graph assembly) on the four evaluation schemas: serially (one thread)
+// versus on all hardware threads. The parallel run is additionally timed
+// with the fused join→DISTINCT pipeline forced on and forced off.
 //
 // For every workload the harness also *proves* parity: the output of the
 // parallel pipeline — under the adaptive default, with fusion forced,
 // and with fusion disabled — must be bitwise-identical to the serial
-// baseline (node ids, condensed adjacency in stored order, properties),
-// else the process exits non-zero. In --smoke mode the harness further
+// run (node ids, condensed adjacency in stored order, properties), else
+// the process exits non-zero. In --smoke mode the harness further
 // fails if the forced-fused path regresses more than 20% (geomean) below
 // the unfused operator chain — the CI regression gate for optimized
 // builds.
@@ -53,7 +52,7 @@ struct WorkloadRow {
   uint64_t input_rows = 0;
   uint64_t condensed_edges = 0;
   uint64_t full_edges = 0;
-  bench::RepeatStats serial;    // row-at-a-time interpreter, 1 thread
+  bench::RepeatStats serial;    // columnar (adaptive fusion), 1 thread
   bench::RepeatStats parallel;  // columnar (adaptive fusion), hw threads
   bench::RepeatStats fused;     // columnar, join→DISTINCT fusion forced on
   bench::RepeatStats unfused;   // columnar, unfused operator chain
@@ -69,23 +68,21 @@ struct WorkloadRow {
   }
 };
 
-// Engine configurations measured per workload.
+// Pipeline configurations measured per workload.
 enum class Mode {
-  kSerial,    // row-at-a-time interpreter, 1 thread (the oracle)
+  kSerial,    // columnar, adaptive fusion, 1 thread (the parity baseline)
   kParallel,  // columnar, adaptive join→DISTINCT fusion (the default)
   kFused,     // columnar, fusion forced for any output size
   kUnfused,   // columnar, fusion disabled (classic operator chain)
 };
 
 // End-to-end extraction (both policies, like an analyst extracting the
-// condensed graph and the full graph) under one engine configuration.
+// condensed graph and the full graph) under one pipeline configuration.
 planner::ExtractOptions MakeOpts(double factor, Mode mode) {
   planner::ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.threads = mode == Mode::kSerial ? 1 : 0;
-  opts.engine = mode == Mode::kSerial ? query::ExecEngine::kRowAtATime
-                                      : query::ExecEngine::kColumnar;
   opts.fuse_join_distinct = mode != Mode::kUnfused;
   if (mode == Mode::kFused) opts.fuse_min_output_bytes = 0;
   return opts;
@@ -245,7 +242,7 @@ int main(int argc, char** argv) {
   const int iters = graphgen::bench::ParseRepeat(argc, argv, 3);
 
   graphgen::bench::PrintHeader(
-      "Table 1 extraction: serial row-at-a-time vs parallel columnar");
+      "Table 1 extraction: serial vs parallel columnar pipeline");
   std::printf(
       "(each timed run extracts both the condensed C-DUP graph and the\n"
       " fully expanded EXP graph; parity = bitwise-identical output;\n"
@@ -301,8 +298,8 @@ int main(int argc, char** argv) {
       "space explosion (dense co-purchase / co-enrollment cliques).\n");
 
   // Smoke regression gate: the forced-fused pipeline must stay within 20%
-  // of the unfused operator chain (geomean) — a divergence-from-oracle
-  // failure is caught by the parity checks above.
+  // of the unfused operator chain (geomean) — a divergence from the
+  // serial run is caught by the parity checks above.
   bool fuse_regressed = false;
   if (smoke && fuse_counted > 0 && fuse_geo < 1.0 / 1.2) {
     std::fprintf(stderr,
@@ -399,7 +396,8 @@ int main(int argc, char** argv) {
                  graphgen::DefaultThreadCount());
     std::fprintf(
         f,
-        "  \"serial\": \"row-at-a-time interpreter, 1 thread\",\n"
+        "  \"serial\": \"columnar pipeline (adaptive fused "
+        "join->DISTINCT, typed-key assembly), 1 thread\",\n"
         "  \"parallel\": \"columnar pipeline (adaptive fused "
         "join->DISTINCT, typed-key assembly), hardware threads\",\n");
     std::fprintf(f, "  \"repeat\": %d,\n", iters);

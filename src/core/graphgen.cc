@@ -61,9 +61,6 @@ Result<ExtractedGraph> GraphGen::Extract(std::string_view datalog,
   stats_copy.condensed_edges = extraction.condensed_edges;
   stats_copy.virtual_nodes = extraction.virtual_nodes;
   stats_copy.real_nodes = extraction.real_nodes;
-  stats_copy.nodes_seconds = extraction.nodes_seconds;
-  stats_copy.edges_seconds = extraction.edges_seconds;
-  stats_copy.preprocess_seconds = extraction.preprocess_seconds;
   stats_copy.profile = std::move(extraction.profile);
 
   GRAPHGEN_ASSIGN_OR_RETURN(
@@ -332,9 +329,6 @@ Result<PatchOutcome> GraphGen::PatchExtracted(
   stats_copy.condensed_edges = attempt.result.condensed_edges;
   stats_copy.virtual_nodes = attempt.result.virtual_nodes;
   stats_copy.real_nodes = attempt.result.real_nodes;
-  stats_copy.nodes_seconds = attempt.result.nodes_seconds;
-  stats_copy.edges_seconds = attempt.result.edges_seconds;
-  stats_copy.preprocess_seconds = attempt.result.preprocess_seconds;
 
   WallTimer timer;
   const auto* exp = dynamic_cast<const ExpandedGraph*>(cached.graph.get());

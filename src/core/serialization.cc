@@ -2,7 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
+#include <new>
 #include <vector>
+
+#include "common/faultpoints.h"
 
 namespace graphgen {
 
@@ -48,49 +52,79 @@ Status SerializeCondensed(const CondensedStorage& storage,
   return Status::OK();
 }
 
+// Hostile input fails cleanly: every index and reference is checked
+// against the header's counts before it touches the adjacency arrays, and
+// an allocation the header asks for but the process cannot satisfy is
+// ResourceExhausted rather than an escaping std::bad_alloc.
 Result<CondensedStorage> LoadCondensed(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
+  std::unique_ptr<FILE, int (*)(FILE*)> file(std::fopen(path.c_str(), "r"),
+                                             &std::fclose);
+  FILE* f = file.get();
   if (f == nullptr) {
     return Status::NotFound("cannot open " + path);
   }
+  auto bad = [&path](const std::string& what) {
+    return Status::ParseError(what + " in " + path);
+  };
   char magic[64];
   int version = 0;
   if (std::fscanf(f, "%63s %d", magic, &version) != 2 ||
       std::string(magic) != "graphgen-condensed" || version != 1) {
-    std::fclose(f);
     return Status::ParseError("not a graphgen condensed file: " + path);
   }
   size_t num_real = 0;
   size_t num_virtual = 0;
   if (std::fscanf(f, "%zu %zu", &num_real, &num_virtual) != 2) {
-    std::fclose(f);
-    return Status::ParseError("bad header in " + path);
+    return bad("bad header");
   }
-  CondensedStorage storage;
-  storage.AddRealNodes(num_real);
-  for (size_t v = 0; v < num_virtual; ++v) storage.AddVirtualNode();
+  if (num_real > NodeRef::kVirtualBit || num_virtual > NodeRef::kVirtualBit) {
+    return bad("node counts beyond the 31-bit NodeRef index range");
+  }
+  auto in_range = [&](NodeRef r) {
+    return r.index() < (r.is_virtual() ? num_virtual : num_real);
+  };
+  try {
+    GRAPHGEN_FAULT_POINT("core.load_condensed");
+    CondensedStorage storage;
+    storage.AddRealNodes(num_real);
+    for (size_t v = 0; v < num_virtual; ++v) storage.AddVirtualNode();
 
-  char kind = 0;
-  while (std::fscanf(f, " %c", &kind) == 1) {
-    uint32_t index = 0;
-    if (std::fscanf(f, "%" SCNu32, &index) != 1) break;
-    NodeRef from = kind == 'r' ? NodeRef::Real(index) : NodeRef::Virtual(index);
-    // Remainder of the line: optional D marker + raw refs.
-    int c = 0;
-    while ((c = std::fgetc(f)) != EOF && c != '\n') {
-      if (c == ' ') continue;
-      if (c == 'D') {
-        storage.DeleteRealNode(index);
-        continue;
+    char kind = 0;
+    while (std::fscanf(f, " %c", &kind) == 1) {
+      if (kind != 'r' && kind != 'v') return bad("unknown line kind");
+      uint32_t index = 0;
+      if (std::fscanf(f, "%" SCNu32, &index) != 1) {
+        return bad("missing node index");
       }
-      std::ungetc(c, f);
-      uint32_t raw = 0;
-      if (std::fscanf(f, "%" SCNu32, &raw) != 1) break;
-      storage.AddEdge(from, NodeRef::FromRaw(raw));
+      const NodeRef from =
+          kind == 'r' ? NodeRef::Real(index) : NodeRef::Virtual(index);
+      if (index >= NodeRef::kVirtualBit || !in_range(from)) {
+        return bad("node index out of range");
+      }
+      // Remainder of the line: optional D marker + raw refs.
+      int c = 0;
+      while ((c = std::fgetc(f)) != EOF && c != '\n') {
+        if (c == ' ') continue;
+        if (c == 'D') {
+          if (from.is_virtual()) return bad("deletion marker on virtual node");
+          storage.DeleteRealNode(index);
+          continue;
+        }
+        std::ungetc(c, f);
+        uint32_t raw = 0;
+        if (std::fscanf(f, "%" SCNu32, &raw) != 1) {
+          return bad("malformed edge reference");
+        }
+        if (!in_range(NodeRef::FromRaw(raw))) {
+          return bad("edge reference out of range");
+        }
+        storage.AddEdge(from, NodeRef::FromRaw(raw));
+      }
     }
+    return storage;
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("cannot allocate the graph in " + path);
   }
-  std::fclose(f);
-  return storage;
 }
 
 namespace {

@@ -62,8 +62,10 @@ struct Comparison {
 };
 
 /// `COUNT(Var) <op> N`: keep an edge only when the join produces at
-/// least/exactly/... N bindings of Var for the same (ID1, ID2) pair —
-/// the paper's "co-authored multiple papers together" motivation (§1).
+/// least/exactly/... N distinct non-NULL values of Var for the same
+/// (ID1, ID2) pair (SQL `COUNT(DISTINCT Var)`; a pair whose bindings all
+/// have a NULL Var counts 0) — the paper's "co-authored multiple papers
+/// together" motivation (§1).
 /// Aggregations put the rule in Case 2 of §3.3: the planner must execute
 /// the full join instead of condensing.
 struct AggregateConstraint {
@@ -75,6 +77,24 @@ struct AggregateConstraint {
 };
 
 /// One `Nodes(...) :- body.` or `Edges(...) :- body.` rule.
+///
+/// A rule denotes the conjunctive query over its body; any correct
+/// extraction reproduces these semantics, whatever plan it runs (the test
+/// suites check the planner against a naive evaluator of exactly this):
+///  * a constant argument keeps rows whose cell equals it; `_` binds
+///    nothing;
+///  * a variable occurring in several body positions is an equi-join, and
+///    NULL joins nothing (the chain planner plans one join variable per
+///    pair of adjacent atoms and rejects any other repetition as
+///    Unsupported rather than drop the equality);
+///  * comparisons use rel::Value semantics: equality never crosses
+///    int64/double/string, ordering is numeric across int64/double, and
+///    NULL sorts below every value (so `X < 5` and `X != 5` keep NULL);
+///  * Nodes rules apply their DISTINCT head tuples in row order, rules in
+///    program order: a key's first tuple creates the node, later tuples
+///    overwrite its properties; a NULL key makes no node;
+///  * an Edges binding whose ID1 or ID2 is NULL or names no node is
+///    dropped, and ID1 == ID2 is never an edge.
 struct Rule {
   enum class Kind { kNodes, kEdges };
   Kind kind = Kind::kNodes;

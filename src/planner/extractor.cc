@@ -46,7 +46,6 @@ std::vector<ExecOutput> RunPlans(
       (n <= 1 || options.threads == 1) ? 1 : std::min(n, budget);
   const query::Executor executor(
       &db, {.threads = std::max<size_t>(1, budget / fan_out),
-            .engine = options.engine,
             .fuse_join_distinct = options.fuse_join_distinct,
             .fuse_min_output_bytes = options.fuse_min_output_bytes,
             .ctx = options.ctx});
@@ -62,15 +61,9 @@ std::vector<ExecOutput> RunPlans(
         (profs != nullptr && i < profs->size()) ? (*profs)[i] : nullptr;
     obs::Span span(prof);
     try {
-      if (options.engine == query::ExecEngine::kColumnar) {
-        auto result = executor.ExecuteColumnar(*plans[i], prof);
-        outs[i].status = result.status();
-        if (result.ok()) outs[i].columnar = std::move(result).ValueOrDie();
-      } else {
-        auto result = executor.ExecuteRowAtATime(*plans[i], prof);
-        outs[i].status = result.status();
-        if (result.ok()) outs[i].rows = std::move(result).ValueOrDie();
-      }
+      auto result = executor.ExecuteColumnar(*plans[i], prof);
+      outs[i].status = result.status();
+      if (result.ok()) outs[i].rows = std::move(result).ValueOrDie();
     } catch (const std::exception& e) {
       outs[i].status = Status::ExecutionError(
           std::string("extraction query threw: ") + e.what());
@@ -112,6 +105,17 @@ Result<std::unique_ptr<query::PlanNode>> BuildNodesPlan(const dsl::Rule& rule,
         "view table or use a single atom");
   }
   const dsl::Atom& atom = rule.body[0];
+  // A scan has no way to state an equality between two of its columns.
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    for (size_t j = 0; j < i; ++j) {
+      if (atom.args[i].kind == dsl::Term::Kind::kVariable &&
+          atom.args[j].kind == dsl::Term::Kind::kVariable &&
+          atom.args[i].variable == atom.args[j].variable) {
+        return Status::Unsupported("variable " + atom.args[i].variable +
+                                   " repeats in a Nodes rule body");
+      }
+    }
+  }
 
   // Map head args to body columns.
   std::vector<size_t> columns;
@@ -176,7 +180,7 @@ namespace {
 // (phase 2); node-id assignment applies their results serially in rule
 // order (phase 3), so ids are deterministic. Key resolution is typed:
 // int64 keys probe the flat table, dictionary keys resolve once per
-// distinct code, and only mixed columns (or the row oracle) touch Values.
+// distinct code, and only mixed columns touch Values.
 // With `capture` set (and a single Nodes rule), every applied DISTINCT
 // tuple is also recorded so the incremental path can later skip delta
 // rows the basis already saw.
@@ -231,7 +235,7 @@ Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
       prop_cols.push_back(storage.properties().AddColumn(rule.head_args[i]));
     }
 
-    const query::RowsView rows = outs[r].View();
+    const query::RowIdResult& rows = outs[r].rows;
     EndpointColumn key_col(outs[r], 0);
     // Dictionary key columns memoize the resolved node id per code.
     std::vector<int64_t> code_cache;
@@ -372,10 +376,11 @@ Result<CountPlanParts> BuildCountConstraintPlan(
 }
 
 // GROUP BY (src, dst) HAVING COUNT(aggvar) <op> threshold over the
-// distinct (src, dst, aggvar) bindings; adds a direct edge per passing
-// pair ("co-authored multiple papers together", §1). Edges are emitted in
-// ascending (src, dst) order — the counting map iterates in hash-layout
-// order, which must never leak into the stored adjacency.
+// distinct (src, dst, aggvar) bindings, NULL aggvar values not counted;
+// adds a direct edge per passing pair ("co-authored multiple papers
+// together", §1). Edges are emitted in ascending (src, dst) order — the
+// counting map iterates in hash-layout order, which must never leak into
+// the stored adjacency.
 Status ApplyCountConstraint(const ExecOutput& out,
                             const dsl::AggregateConstraint& agg,
                             const TypedIdMap& node_ids, const ExecContext& ctx,
@@ -384,6 +389,7 @@ Status ApplyCountConstraint(const ExecOutput& out,
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
   EndpointColumn src_col(out, 0);
   EndpointColumn dst_col(out, 1);
+  EndpointColumn agg_col(out, 2);
   RealNodeResolver src(src_col, node_ids);
   RealNodeResolver dst(dst_col, node_ids);
   const size_t n = out.NumRows();
@@ -403,7 +409,9 @@ Status ApplyCountConstraint(const ExecOutput& out,
     NodeId d = 0;
     if (!src.Resolve(ri, &s) || !dst.Resolve(ri, &d)) continue;
     if (s == d) continue;  // self pairs never edges
-    ++counts[(static_cast<uint64_t>(s) << 32) | d];
+    // The pair is a group either way; COUNT skips a NULL binding.
+    int64_t& count = counts[(static_cast<uint64_t>(s) << 32) | d];
+    if (!agg_col.IsNull(ri)) ++count;
   }
   std::vector<uint64_t> passing;
   passing.reserve(counts.size());
@@ -454,19 +462,17 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
   obs::ProfileNode* nodes_stage =
       profiling ? result.profile.root.AddChild("nodes") : nullptr;
 
-  WallTimer timer;
   {
     obs::Span span(nodes_stage);
     GRAPHGEN_RETURN_NOT_OK(
         ExecuteNodesRules(db, program, options, result, node_ids, nodes_stage,
                           capture));
   }
-  result.nodes_seconds = timer.Seconds();
   if (nodes_stage != nullptr) {
     nodes_stage->rows = static_cast<int64_t>(result.real_nodes);
   }
 
-  timer.Restart();
+  WallTimer timer;
   obs::ProfileNode* edges_stage =
       profiling ? result.profile.root.AddChild("edges") : nullptr;
 
@@ -710,13 +716,12 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
     }
   }
 
-  result.edges_seconds = timer.Seconds();
   if (assembly_node != nullptr) {
     assembly_node->seconds = assembly_timer.Seconds();
     assembly_node->AddStat("rows_scanned_total",
                            static_cast<double>(result.rows_scanned));
   }
-  if (edges_stage != nullptr) edges_stage->seconds = result.edges_seconds;
+  if (edges_stage != nullptr) edges_stage->seconds = timer.Seconds();
 
   if (capture != nullptr) {
     // Snapshot the canonical pre-preprocess graph, the key tables, and
@@ -751,10 +756,8 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
         profiling ? result.profile.root.AddChild("preprocess") : nullptr;
     PreprocessResult pp =
         ExpandSmallVirtualNodes(result.storage, options.threads);
-    (void)pp;
-    result.preprocess_seconds = timer.Seconds();
     if (pp_node != nullptr) {
-      pp_node->seconds = result.preprocess_seconds;
+      pp_node->seconds = timer.Seconds();
       pp_node->AddStat("expanded_virtual_nodes",
                        static_cast<double>(pp.expanded_virtual_nodes));
       pp_node->AddStat("rounds", static_cast<double>(pp.rounds));

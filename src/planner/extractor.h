@@ -29,9 +29,6 @@ struct ExtractOptions {
   /// default, 1 = fully serial. Extraction output is identical for every
   /// value.
   size_t threads = 0;
-  /// Query engine: the parallel columnar pipeline (default) or the legacy
-  /// row-at-a-time interpreter kept as the correctness/benchmark baseline.
-  query::ExecEngine engine = query::ExecEngine::kColumnar;
   /// Optional shared worker pool for inter-rule parallelism (independent
   /// Nodes/Edges rules execute their queries concurrently). Not owned;
   /// typically the graph service's pool. When null and threads != 1, the
@@ -43,10 +40,10 @@ struct ExtractOptions {
   /// (the parity suite covers it); it shrinks join/DISTINCT inputs when
   /// the Nodes rules are selective. rows_scanned shrinks accordingly.
   bool semi_join_pushdown = false;
-  /// Fuse DISTINCT projections into the hash join beneath them on the
-  /// columnar engine (morsel-driven probe → first-occurrence set, no
-  /// intermediate tuple materialization). Output is identical either way;
-  /// off exposes the unfused operator chain for parity tests and benches.
+  /// Fuse DISTINCT projections into the hash join beneath them
+  /// (morsel-driven probe → first-occurrence set, no intermediate tuple
+  /// materialization). Output is identical either way; off exposes the
+  /// unfused operator chain for parity tests and benches.
   bool fuse_join_distinct = true;
   /// Minimum estimated join output size (bytes of row-id tuples) before
   /// the fused pipeline engages; smaller outputs materialize and run the
@@ -73,9 +70,6 @@ struct ExtractionResult {
   uint64_t condensed_edges = 0;
   size_t virtual_nodes = 0;
   size_t real_nodes = 0;
-  double nodes_seconds = 0.0;
-  double edges_seconds = 0.0;
-  double preprocess_seconds = 0.0;
   /// Per-stage flight record (EXPLAIN ANALYZE tree): the nodes/edges
   /// query subtrees the executor fills, planning, assembly, and
   /// virtual-node expansion. Empty when observability is disabled.
@@ -85,10 +79,10 @@ struct ExtractionResult {
 /// Runs the full §4.2 pipeline for a validated program: executes the
 /// Nodes queries, analyzes each Edges rule, executes the per-segment SQL
 /// (independent rules concurrently, each query on the parallel columnar
-/// engine), materializes virtual nodes for the postponed large-output
+/// executor), materializes virtual nodes for the postponed large-output
 /// joins, and optionally preprocesses. Graph assembly applies query
 /// results serially in rule order, so the result is deterministic —
-/// bitwise-identical for every thread count and engine.
+/// bitwise-identical for every thread count.
 Result<ExtractionResult> Extract(const rel::Database& db,
                                  const dsl::Program& program,
                                  const ExtractOptions& options = {});

@@ -27,71 +27,57 @@ inline bool NeedsCtxPoll(const ExecContext& ctx) {
   return ctx.cancel.cancellable() || ctx.has_deadline;
 }
 
-// Output of one executed extraction query, under either engine.
+// Output of one executed extraction query.
 struct ExecOutput {
   Status status = Status::OK();
-  std::optional<query::RowIdResult> columnar;
-  std::optional<query::ResultSet> rows;
+  query::RowIdResult rows;
 
-  query::RowsView View() const {
-    return columnar.has_value() ? query::RowsView(&*columnar)
-                                : query::RowsView(&*rows);
-  }
-  size_t NumRows() const {
-    if (columnar.has_value()) return columnar->NumRows();
-    return rows.has_value() ? rows->NumRows() : 0;
-  }
+  size_t NumRows() const { return rows.NumRows(); }
 };
 
 // One endpoint column of an executed query result, read without Value
 // construction whenever the storage is typed: raw int64 keys or raw
-// dictionary codes for the columnar engine, per-row Values only for mixed
-// columns and the row-at-a-time oracle.
+// dictionary codes, per-row Values only for mixed columns.
 class EndpointColumn {
  public:
   enum class Kind { kInt64, kDict, kValue };
 
   EndpointColumn(const ExecOutput& out, size_t col)
-      : view_(out.View()), col_(col) {
-    if (out.columnar.has_value()) {
-      cr_ = &*out.columnar;
-      b_ = cr_->Bind(col);
-      switch (b_.col->encoding()) {
-        case rel::ColumnVector::Encoding::kInt64:
-          kind_ = Kind::kInt64;
-          break;
-        case rel::ColumnVector::Encoding::kDictString:
-          kind_ = Kind::kDict;
-          break;
-        default:
-          kind_ = Kind::kValue;
-          break;
-      }
+      : rows_(&out.rows), b_(out.rows.Bind(col)) {
+    switch (b_.col->encoding()) {
+      case rel::ColumnVector::Encoding::kInt64:
+        kind_ = Kind::kInt64;
+        break;
+      case rel::ColumnVector::Encoding::kDictString:
+        kind_ = Kind::kDict;
+        break;
+      default:
+        kind_ = Kind::kValue;
+        break;
     }
   }
 
   Kind kind() const { return kind_; }
 
   bool IsNull(size_t row) const {
-    if (cr_ == nullptr) return view_.IsNullAt(row, col_);
     return b_.col->encoding() == rel::ColumnVector::Encoding::kEmpty ||
-           b_.col->IsNull(cr_->RowId(b_, row));
+           b_.col->IsNull(rows_->RowId(b_, row));
   }
   int64_t Int64(size_t row) const {
-    return b_.col->Int64At(cr_->RowId(b_, row));
+    return b_.col->Int64At(rows_->RowId(b_, row));
   }
   uint32_t Code(size_t row) const {
-    return b_.col->CodeAt(cr_->RowId(b_, row));
+    return b_.col->CodeAt(rows_->RowId(b_, row));
   }
   const rel::StringDictionary& dict() const { return b_.col->dict(); }
-  rel::Value ValueAt(size_t row) const { return view_.ValueAt(row, col_); }
+  rel::Value ValueAt(size_t row) const {
+    return b_.col->ValueAt(rows_->RowId(b_, row));
+  }
 
  private:
-  query::RowsView view_;
-  const query::RowIdResult* cr_ = nullptr;
-  query::BoundColumn b_{};
+  const query::RowIdResult* rows_;
+  query::BoundColumn b_;
   Kind kind_ = Kind::kValue;
-  size_t col_ = 0;
 };
 
 // Resolves endpoint keys of one result column against a const TypedIdMap
@@ -212,7 +198,7 @@ inline uint32_t RemapRaw(uint32_t raw, const std::vector<uint32_t>& perm) {
 // the basis extraction already applied (same DISTINCT semantics as the
 // fresh path: Value equality never crosses int64/double/string; doubles
 // encode their bit pattern so no two distinct values collide).
-inline std::string EncodeNodeTuple(const query::RowsView& rows, size_t ri,
+inline std::string EncodeNodeTuple(const query::RowIdResult& rows, size_t ri,
                                    size_t ncols) {
   auto append64 = [](std::string& s, uint64_t bits) {
     for (int b = 0; b < 8; ++b) {

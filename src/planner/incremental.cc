@@ -7,7 +7,6 @@
 
 #include "common/cancel.h"
 #include "common/faultpoints.h"
-#include "common/timer.h"
 #include "planner/extractor_internal.h"
 #include "planner/join_analysis.h"
 #include "planner/preprocess.h"
@@ -233,7 +232,6 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
   // ---- 3. Node delta: DISTINCT over appended key-table rows only; rows
   // whose tuple the basis already applied are skipped, new tuples assign
   // properties last-writer-wins and new keys become real nodes.
-  WallTimer timer;
   std::shared_ptr<query::KeyFilter> new_keys;
   bool node_tables_changed = false;
   for (const dsl::Rule& rule : program.nodes_rules) {
@@ -262,7 +260,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     for (size_t i = 1; i < rule.head_args.size(); ++i) {
       prop_cols.push_back(st.graph.properties().AddColumn(rule.head_args[i]));
     }
-    const query::RowsView rows = outs[0].View();
+    const query::RowIdResult& rows = outs[0].rows;
     EndpointColumn key_col(outs[0], 0);
     const bool poll = NeedsCtxPoll(options.ctx);
     for (size_t ri = 0; ri < rows.NumRows(); ++ri) {
@@ -307,12 +305,10 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     }
   }
   result.real_nodes = st.graph.NumRealNodes();
-  result.nodes_seconds = timer.Seconds();
 
   // ---- 4. Edge deltas per rule: one ranged pass per changed atom plus
   // full-range passes keyed to the new node keys (rows the basis skipped
   // as dangling). The per-(rule, segment) pair sets absorb all overlap.
-  timer.Restart();
   const bool have_new_nodes = new_keys != nullptr;
   std::shared_ptr<const query::KeyFilter> node_keys;
   if (options.semi_join_pushdown) {
@@ -489,18 +485,13 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       to = NodeRef::FromRaw(RemapRaw(to.raw(), perm));
     }
   }
-  result.edges_seconds = timer.Seconds();
 
   // ---- 6. Materialize the result like a fresh extraction would.
   result.rows_scanned += basis.rows_scanned;
   result.storage = st.graph;
   if (options.preprocess) {
     GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
-    timer.Restart();
-    PreprocessResult pp =
-        ExpandSmallVirtualNodes(result.storage, options.threads);
-    (void)pp;
-    result.preprocess_seconds = timer.Seconds();
+    ExpandSmallVirtualNodes(result.storage, options.threads);
   }
   result.condensed_edges = result.storage.CountCondensedEdges();
   result.virtual_nodes = result.storage.NumVirtualNodes();

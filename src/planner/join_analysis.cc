@@ -1,6 +1,7 @@
 #include "planner/join_analysis.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 
@@ -140,6 +141,28 @@ Result<JoinChain> AnalyzeEdgesRule(const dsl::Rule& rule,
           " (multi-attribute joins are not supported)");
     }
     join_vars.push_back(shared[0]);
+  }
+
+  // The chain plan joins adjacent atoms on their one join variable and
+  // nothing else, so any other occurrence of a variable in two positions
+  // (repeated within an atom, shared across non-adjacent atoms, or a head
+  // ID bound twice) states an equality the plan would silently drop.
+  std::map<std::string, std::vector<size_t>> positions;
+  for (size_t i = 0; i < chain.atoms.size(); ++i) {
+    for (const dsl::Term& t : chain.atoms[i].atom->args) {
+      if (t.kind == dsl::Term::Kind::kVariable) {
+        positions[t.variable].push_back(i);
+      }
+    }
+  }
+  for (const auto& [var, at] : positions) {
+    if (at.size() == 1) continue;
+    if (at.size() == 2 && at[1] == at[0] + 1 && join_vars[at[0]] == var) {
+      continue;
+    }
+    return Status::Unsupported("variable " + var +
+                               " joins body positions the join chain does "
+                               "not connect");
   }
 
   // in/out columns per atom.

@@ -50,7 +50,9 @@ struct JoinChain {
 
 /// Orders the body atoms of an acyclic Edges rule into a chain from the
 /// atom binding `ID1` to the atom binding `ID2` and classifies each join
-/// boundary as large-output or not using catalog statistics.
+/// boundary as large-output or not using catalog statistics. A body whose
+/// variables state any equality other than one join variable per pair of
+/// adjacent chain atoms is Unsupported: the chain plan cannot express it.
 /// `large_output_factor` is the constant 2 of the paper's formula;
 /// set to 0 to force every boundary large (always condense).
 Result<JoinChain> AnalyzeEdgesRule(const dsl::Rule& rule,

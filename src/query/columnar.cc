@@ -7,7 +7,6 @@ namespace graphgen::query {
 ResultSet RowIdResult::Materialize(size_t threads) const {
   ResultSet out;
   out.schema = schema;
-  out.origins = origins;
   const size_t n = NumRows();
   const size_t m = columns.size();
   std::vector<BoundColumn> bound;
@@ -30,14 +29,11 @@ ResultSet RowIdResult::Materialize(size_t threads) const {
   return out;
 }
 
-std::string RowsView::ToStringAt(size_t row, size_t col) const {
-  if (columnar_ == nullptr) return rows_->rows[row][col].ToString();
-  const BoundColumn b = columnar_->Bind(col);
-  const size_t id = columnar_->RowId(b, row);
+std::string RowIdResult::ToStringAt(size_t row, size_t col) const {
+  if (IsNullAt(row, col)) return "NULL";
+  const BoundColumn b = Bind(col);
+  const size_t id = RowId(b, row);
   using Encoding = rel::ColumnVector::Encoding;
-  if (b.col->IsNull(id) || b.col->encoding() == Encoding::kEmpty) {
-    return "NULL";
-  }
   switch (b.col->encoding()) {
     case Encoding::kInt64:
       return std::to_string(b.col->Int64At(id));

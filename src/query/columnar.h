@@ -63,46 +63,20 @@ struct RowIdResult {
     const BoundColumn b = Bind(col);
     return b.col->ValueAt(RowId(b, row));
   }
-
-  /// Copies the bound values out into a classic materialized ResultSet
-  /// (the one place the pipeline pays per-value copies).
-  ResultSet Materialize(size_t threads = 1) const;
-};
-
-/// Uniform read view over either executor output form, so downstream
-/// consumers (the extractor) are engine-agnostic.
-class RowsView {
- public:
-  explicit RowsView(const RowIdResult* columnar) : columnar_(columnar) {}
-  explicit RowsView(const ResultSet* rows) : rows_(rows) {}
-
-  size_t NumRows() const {
-    return columnar_ != nullptr ? columnar_->NumRows() : rows_->NumRows();
-  }
-  rel::Value ValueAt(size_t row, size_t col) const {
-    return columnar_ != nullptr ? columnar_->ValueAt(row, col)
-                                : rows_->rows[row][col];
-  }
   bool IsNullAt(size_t row, size_t col) const {
-    if (columnar_ == nullptr) return rows_->rows[row][col].is_null();
-    const BoundColumn b = columnar_->Bind(col);
-    const size_t id = columnar_->RowId(b, row);
-    return b.col->IsNull(id) ||
-           b.col->encoding() == rel::ColumnVector::Encoding::kEmpty;
+    const BoundColumn b = Bind(col);
+    return b.col->encoding() == rel::ColumnVector::Encoding::kEmpty ||
+           b.col->IsNull(RowId(b, row));
   }
   /// SQL-literal text of the cell, identical to ValueAt(row, col)
   /// .ToString() — but a dictionary-encoded string renders straight from
   /// the dictionary entry (one final string build, no intermediate Value
   /// copy). This is how the extractor materializes node properties.
   std::string ToStringAt(size_t row, size_t col) const;
-  size_t NumColumns() const {
-    return columnar_ != nullptr ? columnar_->columns.size()
-                                : rows_->schema.NumColumns();
-  }
 
- private:
-  const RowIdResult* columnar_ = nullptr;
-  const ResultSet* rows_ = nullptr;
+  /// Copies the bound values out into a classic materialized ResultSet
+  /// (the one place the pipeline pays per-value copies).
+  ResultSet Materialize(size_t threads = 1) const;
 };
 
 }  // namespace graphgen::query

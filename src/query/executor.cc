@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include <bit>
@@ -119,18 +118,6 @@ constexpr size_t kScanMorselRows = 1 << 11;
 // output is still never materialized.
 constexpr size_t kFusedMorselRows = 1 << 15;
 
-// Combines hashes of projected row values (FNV-style mix).
-struct RowHash {
-  size_t operator()(const rel::Row& r) const {
-    size_t h = 1469598103934665603ull;
-    for (const rel::Value& v : r) {
-      h ^= v.Hash();
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
 // Splits [0, n) into at most `parts` equal contiguous chunks.
 std::vector<IndexRange> EqualRanges(size_t n, size_t parts) {
   parts = std::max<size_t>(1, std::min(parts, n));
@@ -183,7 +170,7 @@ void JoinOutputSchema(const rel::Schema& left,
   *out_schema = rel::Schema(std::move(cols));
 }
 
-// Projection output schema shared by both engines.
+// Projection output schema (names, origins) of a ProjectNode.
 Status ProjectOutputSchema(const ProjectNode& node, const rel::Schema& child,
                            const std::vector<std::string>& child_origins,
                            rel::Schema* out_schema,
@@ -1729,9 +1716,6 @@ Executor::Executor(const rel::Database* db, ExecOptions options)
 
 Result<ResultSet> Executor::Execute(const PlanNode& plan,
                                     obs::ProfileNode* parent) const {
-  if (options_.engine == ExecEngine::kRowAtATime) {
-    return ExecuteRowAtATime(plan, parent);
-  }
   GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult result, ExecuteColumnar(plan, parent));
   GRAPHGEN_FAULT_POINT("query.materialize");
   GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
@@ -1756,19 +1740,6 @@ Result<RowIdResult> Executor::ExecuteColumnar(const PlanNode& plan,
       return JoinColumnar(static_cast<const HashJoinNode&>(plan), parent);
     case PlanNode::Kind::kProject:
       return ProjectColumnar(static_cast<const ProjectNode&>(plan), parent);
-  }
-  return Status::Internal("unknown plan node type");
-}
-
-Result<ResultSet> Executor::ExecuteRowAtATime(const PlanNode& plan,
-                                              obs::ProfileNode* parent) const {
-  switch (plan.kind()) {
-    case PlanNode::Kind::kScan:
-      return ScanRows(static_cast<const ScanNode&>(plan), parent);
-    case PlanNode::Kind::kHashJoin:
-      return JoinRows(static_cast<const HashJoinNode&>(plan), parent);
-    case PlanNode::Kind::kProject:
-      return ProjectRows(static_cast<const ProjectNode&>(plan), parent);
   }
   return Status::Internal("unknown plan node type");
 }
@@ -1901,8 +1872,8 @@ Result<RowIdResult> Executor::ScanColumnar(const ScanNode& node,
 namespace {
 
 // Shared setup of a hash join whose children have executed: validates the
-// key columns, picks the build side (smaller input — the same heuristic
-// as the row engine, so both engines emit identical row order), guards
+// key columns, picks the build side (the smaller input; ties build left,
+// so the emitted row order is a pure function of the inputs), guards
 // the int32 chain indices, and assembles the join's output metadata
 // (concatenated sources/bindings + qualified schema) into *joined with
 // tuples left empty. Used by the materializing join and the fused
@@ -2421,170 +2392,6 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
     prof->AddStat("distinct_in", static_cast<double>(n));
     prof->AddStat("distinct_partitions", static_cast<double>(partitions));
     prof->AddNote("simd", simd::TierName());
-  }
-  return out;
-}
-
-// ------------------------------------------------------------ row-at-a-time
-
-Result<ResultSet> Executor::ScanRows(const ScanNode& node,
-                                     obs::ProfileNode* parent) const {
-  GRAPHGEN_FAULT_POINT("query.row.scan");
-  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-  obs::ProfileNode* prof = OpNode(parent, "scan", node.table());
-  obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(const rel::Table* table,
-                            db_->GetTable(node.table()));
-  ResultSet out;
-  out.schema = table->schema();
-  out.origins.assign(table->NumColumns(), node.table());
-  for (const Predicate& p : node.predicates()) {
-    if (p.column >= table->NumColumns()) {
-      return Status::PlanError("predicate column out of range for table " +
-                               node.table());
-    }
-  }
-  for (const SemiJoin& sj : node.semi_joins()) {
-    if (sj.column >= table->NumColumns()) {
-      return Status::PlanError("semi-join column out of range for table " +
-                               node.table());
-    }
-  }
-  const size_t rb = std::min(node.row_begin(), table->NumRows());
-  const size_t re =
-      std::max(rb, std::min(node.row_end(), table->NumRows()));
-  const bool unfiltered =
-      node.predicates().empty() && node.semi_joins().empty();
-  out.rows.reserve(unfiltered ? re - rb : 0);
-  const bool poll = NeedsPoll(options_.ctx);
-  for (size_t i = rb; i < re; ++i) {
-    if (poll && i % kCancelStrideRows == 0) {
-      GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-    }
-    rel::Row row = table->row(i);
-    bool keep = true;
-    for (const Predicate& p : node.predicates()) {
-      if (!p.Matches(row)) {
-        keep = false;
-        break;
-      }
-    }
-    for (const SemiJoin& sj : node.semi_joins()) {
-      if (!keep) break;
-      if (!sj.keys->Contains(row[sj.column])) keep = false;
-    }
-    if (keep) out.rows.push_back(std::move(row));
-  }
-  if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(out.NumRows());
-    prof->AddStat("rows_in", static_cast<double>(re - rb));
-  }
-  return out;
-}
-
-Result<ResultSet> Executor::JoinRows(const HashJoinNode& node,
-                                     obs::ProfileNode* parent) const {
-  GRAPHGEN_FAULT_POINT("query.row.join");
-  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-  obs::ProfileNode* prof = OpNode(parent, "hash_join");
-  obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(ResultSet left,
-                            ExecuteRowAtATime(node.left(), prof));
-  GRAPHGEN_ASSIGN_OR_RETURN(ResultSet right,
-                            ExecuteRowAtATime(node.right(), prof));
-  if (node.left_col() >= left.schema.NumColumns() ||
-      node.right_col() >= right.schema.NumColumns()) {
-    return Status::PlanError("join column out of range");
-  }
-
-  // Build on the smaller side.
-  const bool build_left = left.NumRows() <= right.NumRows();
-  const ResultSet& build = build_left ? left : right;
-  const ResultSet& probe = build_left ? right : left;
-  const size_t build_col = build_left ? node.left_col() : node.right_col();
-  const size_t probe_col = build_left ? node.right_col() : node.left_col();
-
-  std::unordered_map<rel::Value, std::vector<size_t>, rel::ValueHash> ht;
-  ht.reserve(build.NumRows());
-  const bool build_poll = NeedsPoll(options_.ctx);
-  for (size_t i = 0; i < build.NumRows(); ++i) {
-    if (build_poll && i % kCancelStrideRows == 0) {
-      GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-    }
-    const rel::Value& key = build.rows[i][build_col];
-    if (key.is_null()) continue;  // SQL semantics: NULL joins nothing.
-    ht[key].push_back(i);
-  }
-
-  ResultSet out;
-  JoinOutputSchema(left.schema, left.origins, right.schema, right.origins,
-                   &out.schema, &out.origins);
-  const bool poll = NeedsPoll(options_.ctx);
-  size_t tick = kCancelStrideRows;
-  for (const rel::Row& prow : probe.rows) {
-    if (poll && --tick == 0) {
-      tick = kCancelStrideRows;
-      GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-    }
-    const rel::Value& key = prow[probe_col];
-    if (key.is_null()) continue;
-    auto it = ht.find(key);
-    if (it == ht.end()) continue;
-    for (size_t bi : it->second) {
-      const rel::Row& brow = build.rows[bi];
-      rel::Row joined;
-      joined.reserve(left.schema.NumColumns() + right.schema.NumColumns());
-      const rel::Row& lrow = build_left ? brow : prow;
-      const rel::Row& rrow = build_left ? prow : brow;
-      joined.insert(joined.end(), lrow.begin(), lrow.end());
-      joined.insert(joined.end(), rrow.begin(), rrow.end());
-      out.rows.push_back(std::move(joined));
-    }
-  }
-  if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(out.NumRows());
-    prof->AddStat("build_rows", static_cast<double>(build.NumRows()));
-    prof->AddStat("probe_rows", static_cast<double>(probe.NumRows()));
-  }
-  return out;
-}
-
-Result<ResultSet> Executor::ProjectRows(const ProjectNode& node,
-                                        obs::ProfileNode* parent) const {
-  GRAPHGEN_FAULT_POINT("query.row.project");
-  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-  obs::ProfileNode* prof =
-      OpNode(parent, node.distinct() ? "project_distinct" : "project");
-  obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(ResultSet child,
-                            ExecuteRowAtATime(node.child(), prof));
-  ResultSet out;
-  GRAPHGEN_RETURN_NOT_OK(ProjectOutputSchema(node, child.schema, child.origins,
-                                             &out.schema, &out.origins));
-
-  std::unordered_set<rel::Row, RowHash> seen;
-  if (node.distinct()) seen.reserve(child.NumRows());
-  out.rows.reserve(child.NumRows());
-  const bool poll = NeedsPoll(options_.ctx);
-  size_t tick = kCancelStrideRows;
-  for (const rel::Row& row : child.rows) {
-    if (poll && --tick == 0) {
-      tick = kCancelStrideRows;
-      GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-    }
-    rel::Row projected;
-    projected.reserve(node.columns().size());
-    for (size_t c : node.columns()) projected.push_back(row[c]);
-    if (node.distinct()) {
-      if (!seen.insert(projected).second) continue;
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(out.NumRows());
-    if (node.distinct()) {
-      prof->AddStat("distinct_in", static_cast<double>(child.NumRows()));
-    }
   }
   return out;
 }

@@ -10,23 +10,10 @@
 
 namespace graphgen::query {
 
-/// Which physical engine executes the plan.
-enum class ExecEngine {
-  /// The parallel columnar pipeline: scans emit selection vectors over the
-  /// base tables, joins are partitioned hash joins, projection is a lazy
-  /// column remap. Output is deterministic and identical to kRowAtATime
-  /// for every thread count.
-  kColumnar,
-  /// The original serial row-materializing interpreter, kept as the
-  /// correctness oracle and benchmark baseline.
-  kRowAtATime,
-};
-
 struct ExecOptions {
   /// Worker threads for intra-operator parallelism (0 = hardware default,
   /// 1 = fully serial). Results are identical for every value.
   size_t threads = 0;
-  ExecEngine engine = ExecEngine::kColumnar;
   /// Fuse DISTINCT projections directly into the hash join beneath them:
   /// probe matches feed the first-occurrence set per morsel instead of
   /// materializing the intermediate row-id tuple vector. Output is
@@ -50,11 +37,12 @@ struct ExecOptions {
   ExecContext ctx;
 };
 
-/// Executes plan trees against a Database. The columnar engine keeps
-/// intermediates as row-id tuples over the base tables (RowIdResult) and
-/// only materializes values at the final boundary; the row-at-a-time
-/// engine materializes every operator (the seed behavior). Both engines
-/// produce bitwise-identical results in identical row order.
+/// Executes plan trees against a Database on the parallel columnar
+/// pipeline: scans emit selection vectors over the base tables, joins are
+/// partitioned hash joins, projection is a lazy column remap.
+/// Intermediates stay row-id tuples over the base tables (RowIdResult);
+/// values are only materialized at the final boundary. Output is
+/// deterministic and identical in row order for every thread count.
 /// Executor is stateless and safe to share across threads.
 class Executor {
  public:
@@ -68,12 +56,8 @@ class Executor {
   Result<ResultSet> Execute(const PlanNode& plan,
                             obs::ProfileNode* parent = nullptr) const;
 
-  /// Runs the plan on the columnar engine without materializing values.
+  /// Runs the plan without materializing values.
   Result<RowIdResult> ExecuteColumnar(const PlanNode& plan,
-                                      obs::ProfileNode* parent = nullptr) const;
-
-  /// Runs the plan on the legacy row-at-a-time interpreter.
-  Result<ResultSet> ExecuteRowAtATime(const PlanNode& plan,
                                       obs::ProfileNode* parent = nullptr) const;
 
   const ExecOptions& options() const { return options_; }
@@ -101,13 +85,6 @@ class Executor {
   Result<RowIdResult> ProjectFromChild(const ProjectNode& node,
                                        RowIdResult child,
                                        obs::ProfileNode* prof) const;
-
-  Result<ResultSet> ScanRows(const ScanNode& node,
-                             obs::ProfileNode* parent) const;
-  Result<ResultSet> JoinRows(const HashJoinNode& node,
-                             obs::ProfileNode* parent) const;
-  Result<ResultSet> ProjectRows(const ProjectNode& node,
-                                obs::ProfileNode* parent) const;
 
   const rel::Database* db_;
   ExecOptions options_;

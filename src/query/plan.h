@@ -13,13 +13,9 @@
 
 namespace graphgen::query {
 
-/// A fully materialized intermediate or final query result.
+/// A fully materialized query result (Executor::Execute's output).
 struct ResultSet {
   rel::Schema schema;
-  /// Base table each output column physically comes from ("" when unknown,
-  /// e.g. hand-built test fixtures). Used to qualify ambiguous join
-  /// columns as "table.col".
-  std::vector<std::string> origins;
   std::vector<rel::Row> rows;
 
   size_t NumRows() const { return rows.size(); }
@@ -36,10 +32,6 @@ struct Predicate {
   CompareOp op = CompareOp::kEq;
   rel::Value constant;
 
-  /// Evaluates the predicate against a row.
-  bool Matches(const rel::Row& row) const {
-    return MatchesValue(row[column]);
-  }
   /// Evaluates the predicate against a single cell (Value semantics:
   /// equality never crosses int64/double, ordering is numeric).
   bool MatchesValue(const rel::Value& v) const;

@@ -128,12 +128,10 @@ const char* kCoEnrollment =
     "Nodes(ID, Name) :- Student(ID, Name).\n"
     "Edges(ID1, ID2) :- TookCourse(ID1, C), TookCourse(ID2, C).";
 
-planner::ExtractOptions PipelineOptions(query::ExecEngine engine,
-                                        bool fuse = true) {
+planner::ExtractOptions PipelineOptions(bool fuse = true) {
   planner::ExtractOptions o;
   o.large_output_factor = 0.0;
   o.preprocess = false;
-  o.engine = engine;
   o.fuse_join_distinct = fuse;
   o.fuse_min_output_bytes = 0;  // fusion (when on) for any size
   return o;
@@ -145,50 +143,37 @@ class PipelineCancelTest : public ::testing::Test {
   gen::GeneratedDatabase data_;
 };
 
-TEST_F(PipelineCancelTest, PreCancelledExtractionUnwindsOnEveryEngine) {
-  for (query::ExecEngine engine :
-       {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
-    planner::ExtractOptions options = PipelineOptions(engine);
-    options.ctx.cancel = CancelToken::Cancellable();
-    options.ctx.cancel.RequestCancel();
-    auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-  }
+TEST_F(PipelineCancelTest, PreCancelledExtractionUnwinds) {
+  planner::ExtractOptions options = PipelineOptions();
+  options.ctx.cancel = CancelToken::Cancellable();
+  options.ctx.cancel.RequestCancel();
+  auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-TEST_F(PipelineCancelTest, ExpiredDeadlineUnwindsOnEveryEngine) {
-  for (query::ExecEngine engine :
-       {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
-    planner::ExtractOptions options = PipelineOptions(engine);
-    options.ctx.SetDeadlineAfter(1e-9);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
+TEST_F(PipelineCancelTest, ExpiredDeadlineUnwinds) {
+  planner::ExtractOptions options = PipelineOptions();
+  options.ctx.SetDeadlineAfter(1e-9);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(PipelineCancelTest, MemoryCeilingSurfacesAsResourceExhausted) {
-  struct Variant {
-    query::ExecEngine engine;
-    bool fuse;
-  };
-  for (Variant v : {Variant{query::ExecEngine::kColumnar, true},
-                    Variant{query::ExecEngine::kColumnar, false},
-                    Variant{query::ExecEngine::kRowAtATime, true}}) {
-    planner::ExtractOptions options = PipelineOptions(v.engine, v.fuse);
+  for (bool fuse : {true, false}) {
+    planner::ExtractOptions options = PipelineOptions(fuse);
     options.ctx.budget = std::make_shared<MemoryBudget>(size_t{8} << 10);
     auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
-    ASSERT_FALSE(result.ok()) << "engine " << static_cast<int>(v.engine);
+    ASSERT_FALSE(result.ok()) << "fuse " << fuse;
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
         << result.status().ToString();
   }
 }
 
 TEST_F(PipelineCancelTest, GenerousBudgetSucceedsAndTracksPeak) {
-  planner::ExtractOptions options =
-      PipelineOptions(query::ExecEngine::kColumnar);
+  planner::ExtractOptions options = PipelineOptions();
   options.ctx.budget = std::make_shared<MemoryBudget>(size_t{4} << 30);
   auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -197,8 +182,8 @@ TEST_F(PipelineCancelTest, GenerousBudgetSucceedsAndTracksPeak) {
 
   // A budget never changes the extracted graph: compare against a run
   // without one.
-  auto plain = planner::ExtractFromQuery(
-      data_.db, kCoEnrollment, PipelineOptions(query::ExecEngine::kColumnar));
+  auto plain =
+      planner::ExtractFromQuery(data_.db, kCoEnrollment, PipelineOptions());
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(planner::DiffExtraction(*result, *plain), "");
 }
@@ -213,8 +198,7 @@ TEST(CancelLatencyTest, MidFlightCancellationUnwindsQuickly) {
   // candidates; runs for seconds uncancelled, so a 5ms cancel lands
   // mid-join.
   gen::GeneratedDatabase data = gen::MakeUniversity(10000, 40, 100, 40.0);
-  planner::ExtractOptions options =
-      PipelineOptions(query::ExecEngine::kColumnar);
+  planner::ExtractOptions options = PipelineOptions();
   options.ctx.cancel = CancelToken::Cancellable();
   CancelToken token = options.ctx.cancel;
 

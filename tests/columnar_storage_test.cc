@@ -2,12 +2,15 @@
 // bitmap semantics, dictionary interning, the mixed-type fallback, memory
 // accounting, and the binary columnar snapshot round-trip.
 
+#include "reference_extractor.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
 #include "core/serialization.h"
+#include "datalog/parser.h"
 #include "planner/extractor.h"
 #include "relational/csv_loader.h"
 #include "relational/database.h"
@@ -176,7 +179,7 @@ TEST(CsvColumnarTest, WidenedIdColumnKeepsExactText) {
 TEST(CsvColumnarTest, DictionaryRoundTripThroughExtraction) {
   // CSV with string keys -> dictionary-encoded columns -> extraction:
   // the dict join kernel and dict property materialization must produce
-  // the same graph the legacy row engine does.
+  // the graph the reference evaluator does.
   std::string dir = ::testing::TempDir();
   std::string people = dir + "/people.csv";
   std::string likes = dir + "/likes.csv";
@@ -205,13 +208,11 @@ TEST(CsvColumnarTest, DictionaryRoundTripThroughExtraction) {
   auto got = planner::ExtractFromQuery(db, program, columnar);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
-  planner::ExtractOptions legacy = columnar;
-  legacy.engine = query::ExecEngine::kRowAtATime;
-  legacy.threads = 1;
-  auto oracle = planner::ExtractFromQuery(db, program, legacy);
-  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
-
-  EXPECT_EQ(planner::DiffExtraction(*oracle, *got), "");
+  auto parsed = dsl::Parse(program);
+  ASSERT_TRUE(parsed.ok());
+  auto ref = testing::ReferenceExtract(db, *parsed);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(testing::DiffAgainstReference(got->storage, *ref), "");
   EXPECT_EQ(got->real_nodes, 3u);
   // alice-bob via jazz, bob-carol via go: 4 directed edges.
   EXPECT_EQ(got->storage.CountExpandedEdges(), 4u);

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/faultpoints.h"
 #include "core/graphgen.h"
 #include "core/representation_picker.h"
 #include "core/serialization.h"
@@ -222,6 +223,52 @@ TEST(SerializationTest, LoadRejectsGarbage) {
   fclose(f);
   EXPECT_FALSE(LoadCondensed(path).ok());
   EXPECT_FALSE(LoadCondensed("/no/such/file").ok());
+  std::remove(path.c_str());
+}
+
+// Hostile condensed files: each malformed shape is a clean ParseError,
+// never an out-of-bounds write, a throw or a silent misparse.
+TEST(SerializationTest, LoadRejectsMalformedShapes) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"node index beyond the header", "2 1\nr5 1\n"},
+      {"virtual index beyond the header", "2 1\nv1 0\n"},
+      {"real ref beyond the header", "2 1\nr0 7\n"},
+      {"virtual ref beyond the header", "2 1\nr0 2147483649\n"},
+      {"D marker on a virtual line", "2 1\nv0 D 0\n"},
+      {"unknown line kind", "2 1\nx0 1\n"},
+      {"malformed edge reference", "2 1\nr0 zz\n"},
+      {"real count beyond NodeRef range", "2147483649 0\n"},
+      {"virtual count beyond NodeRef range", "0 18446744073709551615\n"},
+  };
+  const std::string path = ::testing::TempDir() + "/hostile.cnd";
+  for (const auto& [label, body] : cases) {
+    FILE* f = fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    fputs("graphgen-condensed 1\n", f);
+    fputs(body, f);
+    fclose(f);
+    auto loaded = LoadCondensed(path);
+    ASSERT_FALSE(loaded.ok()) << label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << label << ": " << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, LoadAllocationFailureIsResourceExhausted) {
+  CondensedStorage g = MakeRandomSymmetric(10, 4, 3, 5);
+  const std::string path = ::testing::TempDir() + "/alloc.cnd";
+  ASSERT_TRUE(SerializeCondensed(g, path).ok());
+  fault::FaultSpec spec;
+  spec.action = fault::Action::kThrow;  // throws std::bad_alloc
+  spec.fire_on_hit = 1;
+  fault::FaultRegistry::Instance().Arm("core.load_condensed", spec);
+  auto loaded = LoadCondensed(path);
+  fault::FaultRegistry::Instance().DisarmAll();
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kResourceExhausted)
+      << loaded.status().ToString();
+  EXPECT_TRUE(LoadCondensed(path).ok());
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
 // Extraction parity fuzz: randomized schemas and datasets (seeded via
-// common/rng, fully reproducible) extracted under every engine × thread
-// count × semi-join pushdown × fused/unfused join→DISTINCT combination
-// and diffed bitwise against the serial row-at-a-time oracle. The
+// common/rng, fully reproducible) extracted under every thread count ×
+// semi-join pushdown × fused/unfused join→DISTINCT combination, diffed
+// bitwise against the serial unfused run and checked against the
+// planner-independent reference evaluator (reference_extractor.h). The
 // datasets deliberately include dangling src/dst keys (link rows whose
 // endpoint is not a node), NULL keys, duplicate link rows, heterogeneous
 // key types (int64 / dictionary strings / mixed columns), and chains long
@@ -16,6 +17,8 @@
 
 #include <memory>
 #include <utility>
+
+#include "reference_extractor.h"
 
 #include "common/rng.h"
 #include "common/simd.h"
@@ -157,13 +160,11 @@ enum class FuseMode { kNever, kAlways, kAuto };
 constexpr FuseMode kFuseModes[] = {FuseMode::kNever, FuseMode::kAlways,
                                    FuseMode::kAuto};
 
-ExtractionResult RunExtract(const FuzzCase& fc, double factor,
-                            query::ExecEngine engine, size_t threads,
+ExtractionResult RunExtract(const FuzzCase& fc, double factor, size_t threads,
                             bool pushdown, FuseMode fuse) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
-  opts.engine = engine;
   opts.threads = threads;
   opts.semi_join_pushdown = pushdown;
   opts.fuse_join_distinct = fuse != FuseMode::kNever;
@@ -173,47 +174,49 @@ ExtractionResult RunExtract(const FuzzCase& fc, double factor,
   return std::move(result).ValueOrDie();
 }
 
+// The planner-independent meaning of the fuzz case's program.
+testing::ReferenceGraph Reference(const FuzzCase& fc) {
+  auto program = dsl::Parse(fc.datalog);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  auto ref = testing::ReferenceExtract(fc.db, *program);
+  EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+  return std::move(ref).ValueOrDie();
+}
+
 TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
     SCOPED_TRACE("seed=" + std::to_string(seed) + " " + fc.description);
+    const testing::ReferenceGraph ref = Reference(fc);
     // 0.0 forces every boundary condensed (multi-segment + virtual
     // nodes), 1e18 forces full expansion, 2.0 lets the stats decide.
     for (double factor : {0.0, 2.0, 1e18}) {
-      const ExtractionResult oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false, FuseMode::kNever);
-      for (const FuseMode fuse : kFuseModes) {
-        for (const size_t threads : {size_t{1}, size_t{4}}) {
-          const ExtractionResult got =
-              RunExtract(fc, factor, query::ExecEngine::kColumnar, threads,
-                         /*pushdown=*/false, fuse);
-          EXPECT_EQ(DiffExtraction(oracle, got), "")
-              << "factor=" << factor << " threads=" << threads
-              << " fuse=" << static_cast<int>(fuse);
+      for (const bool pushdown : {false, true}) {
+        // The serial unfused chain is the bitwise baseline; the reference
+        // evaluator says what the graph must mean.
+        const ExtractionResult serial =
+            RunExtract(fc, factor, 1, pushdown, FuseMode::kNever);
+        EXPECT_EQ(testing::DiffAgainstReference(serial.storage, ref), "")
+            << "factor=" << factor << " pushdown=" << pushdown;
+        for (const FuseMode fuse : kFuseModes) {
+          for (const size_t threads : {size_t{1}, size_t{4}}) {
+            const ExtractionResult got =
+                RunExtract(fc, factor, threads, pushdown, fuse);
+            EXPECT_EQ(DiffExtraction(serial, got), "")
+                << "factor=" << factor << " pushdown=" << pushdown
+                << " threads=" << threads << " fuse=" << static_cast<int>(fuse);
+          }
         }
       }
       // Pushdown legitimately scans fewer rows; the graph must not move.
-      for (const FuseMode fuse : kFuseModes) {
-        const ExtractionResult got =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                       /*pushdown=*/true, fuse);
-        EXPECT_EQ(DiffExtraction(oracle, got, /*compare_scan_counts=*/false),
-                  "")
-            << "factor=" << factor << " pushdown fuse="
-            << static_cast<int>(fuse);
-        EXPECT_LE(got.rows_scanned, oracle.rows_scanned);
-      }
-      // The row engine with pushdown is the pushdown oracle for the
-      // columnar pushdown path, scan counts included.
-      const ExtractionResult push_oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/true, FuseMode::kNever);
-      const ExtractionResult push_col =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/true, FuseMode::kAuto);
-      EXPECT_EQ(DiffExtraction(push_oracle, push_col), "")
-          << "factor=" << factor << " pushdown scan-count parity";
+      const ExtractionResult plain =
+          RunExtract(fc, factor, 4, /*pushdown=*/false, FuseMode::kAuto);
+      const ExtractionResult pushed =
+          RunExtract(fc, factor, 4, /*pushdown=*/true, FuseMode::kAuto);
+      EXPECT_EQ(DiffExtraction(plain, pushed, /*compare_scan_counts=*/false),
+                "")
+          << "factor=" << factor << " pushdown vs plain";
+      EXPECT_LE(pushed.rows_scanned, plain.rows_scanned);
     }
   }
 }
@@ -222,14 +225,16 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
 // incremental state is captured there, the withheld rows (dangling keys,
 // NULLs, duplicates, mixed-typed cells included) are appended, and the
 // patched extraction must match a cold run over the grown database bit
-// for bit. This drives PatchExtraction through the same hostile data the
-// parity fuzz uses, across segmentation modes and pushdown.
+// for bit — and the reference graph of the grown database. This drives
+// PatchExtraction through the same hostile data the parity fuzz uses,
+// across segmentation modes and pushdown.
 TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
     SCOPED_TRACE("seed=" + std::to_string(seed) + " " + fc.description);
     auto parsed = dsl::Parse(fc.datalog);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    const testing::ReferenceGraph ref = Reference(fc);
     for (double factor : {0.0, 2.0, 1e18}) {
       for (const bool pushdown : {false, true}) {
         // Keep a 70% prefix of every table; withhold the tails.
@@ -253,7 +258,6 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
         ExtractOptions opts;
         opts.large_output_factor = factor;
         opts.preprocess = false;
-        opts.engine = query::ExecEngine::kColumnar;
         opts.threads = 4;
         opts.semi_join_pushdown = pushdown;
 
@@ -272,10 +276,12 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
             << " fell back: " << attempt->fallback_reason;
 
         const ExtractionResult fresh =
-            RunExtract(fc, factor, query::ExecEngine::kColumnar, 4, pushdown,
-                       FuseMode::kAuto);
+            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
         EXPECT_EQ(DiffExtraction(fresh, attempt->result,
                                  /*compare_scan_counts=*/false),
+                  "")
+            << "factor=" << factor << " pushdown=" << pushdown;
+        EXPECT_EQ(testing::DiffAgainstReference(attempt->result.storage, ref),
                   "")
             << "factor=" << factor << " pushdown=" << pushdown;
       }
@@ -284,10 +290,9 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
 }
 
 // Forced-SIMD-tier axis: the same randomized cases extracted with the
-// dispatch pinned to scalar (the GRAPHGEN_SIMD=off path) must match both
-// the row-at-a-time oracle and the vector-tier columnar run bit for bit —
-// the end-to-end guarantee behind the per-kernel parity tests in
-// simd_test.cc.
+// dispatch pinned to scalar (the GRAPHGEN_SIMD=off path) must match the
+// vector-tier run bit for bit and the reference graph — the end-to-end
+// guarantee behind the per-kernel parity tests in simd_test.cc.
 TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
   struct TierReset {
     ~TierReset() { simd::ResetTierForTesting(); }
@@ -295,23 +300,23 @@ TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
     SCOPED_TRACE("seed=" + std::to_string(seed) + " " + fc.description);
-    for (double factor : {0.0, 2.0}) {
-      simd::ResetTierForTesting();
-      const ExtractionResult oracle =
-          RunExtract(fc, factor, query::ExecEngine::kRowAtATime, 1,
-                     /*pushdown=*/false, FuseMode::kNever);
-      const ExtractionResult vec =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false, FuseMode::kAuto);
-      simd::SetTierForTesting(simd::Tier::kScalar);
-      const ExtractionResult scalar =
-          RunExtract(fc, factor, query::ExecEngine::kColumnar, 4,
-                     /*pushdown=*/false, FuseMode::kAuto);
-      EXPECT_EQ(DiffExtraction(oracle, scalar), "")
-          << "factor=" << factor << " scalar tier vs row oracle";
-      EXPECT_EQ(DiffExtraction(vec, scalar), "")
-          << "factor=" << factor << " scalar tier vs "
-          << (simd::Avx2Available() ? "avx2" : "scalar") << " tier";
+    const testing::ReferenceGraph ref = Reference(fc);
+    for (double factor : {0.0, 2.0, 1e18}) {
+      for (const bool pushdown : {false, true}) {
+        simd::ResetTierForTesting();
+        const ExtractionResult vec =
+            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
+        simd::SetTierForTesting(simd::Tier::kScalar);
+        const ExtractionResult scalar =
+            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
+        EXPECT_EQ(testing::DiffAgainstReference(scalar.storage, ref), "")
+            << "factor=" << factor << " pushdown=" << pushdown
+            << " scalar tier vs reference";
+        EXPECT_EQ(DiffExtraction(vec, scalar), "")
+            << "factor=" << factor << " pushdown=" << pushdown
+            << " scalar tier vs "
+            << (simd::Avx2Available() ? "avx2" : "scalar") << " tier";
+      }
     }
   }
 }

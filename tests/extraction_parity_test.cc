@@ -1,12 +1,18 @@
-// Extraction parity suite: the parallel columnar pipeline must produce
-// output bitwise-identical to the serial row-at-a-time baseline — same
-// node ids, same condensed adjacency in the same stored order, same
-// properties and external keys — across every generated dataset, every
-// large-output policy, every thread count, and the shared-pool path.
+// Extraction parity suite: every configuration of the columnar pipeline
+// must produce output bitwise-identical to the serial run — same node
+// ids, same condensed adjacency in the same stored order, same properties
+// and external keys — across every generated dataset, every large-output
+// policy, every thread count, and the shared-pool path. The serial run
+// itself must mean what the program says: its real nodes and expanded
+// edges are checked against the planner-independent reference evaluator
+// (reference_extractor.h).
+
+#include "reference_extractor.h"
 
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "datalog/parser.h"
 #include "gen/relational_generators.h"
 #include "planner/extractor.h"
 
@@ -21,31 +27,32 @@ enum class Fuse { kAuto, kForce, kOff };
 
 struct Config {
   const char* name;
-  query::ExecEngine engine;
   size_t threads;
   bool use_pool;
   Fuse fuse = Fuse::kAuto;
 };
 
-// The serial legacy interpreter is the oracle; every other configuration
-// must match it exactly — including the fused morsel-driven join→DISTINCT
+// The serial run is the bitwise baseline; every other configuration must
+// match it exactly — including the fused morsel-driven join→DISTINCT
 // pipeline against the unfused operator chain.
-const Config kBaseline{"row-at-a-time serial", query::ExecEngine::kRowAtATime,
-                       1, false};
+const Config kBaseline{"columnar serial", 1, false};
 const Config kConfigs[] = {
-    {"columnar serial", query::ExecEngine::kColumnar, 1, false},
-    {"columnar 4 threads", query::ExecEngine::kColumnar, 4, false},
-    {"columnar serial fused", query::ExecEngine::kColumnar, 1, false,
-     Fuse::kForce},
-    {"columnar 4 threads fused", query::ExecEngine::kColumnar, 4, false,
-     Fuse::kForce},
-    {"columnar serial unfused", query::ExecEngine::kColumnar, 1, false,
-     Fuse::kOff},
-    {"columnar 4 threads unfused", query::ExecEngine::kColumnar, 4, false,
-     Fuse::kOff},
-    {"columnar shared pool", query::ExecEngine::kColumnar, 4, true},
-    {"row-at-a-time pooled rules", query::ExecEngine::kRowAtATime, 4, true},
+    {"columnar 4 threads", 4, false},
+    {"columnar serial fused", 1, false, Fuse::kForce},
+    {"columnar 4 threads fused", 4, false, Fuse::kForce},
+    {"columnar serial unfused", 1, false, Fuse::kOff},
+    {"columnar 4 threads unfused", 4, false, Fuse::kOff},
+    {"columnar shared pool", 4, true},
 };
+
+testing::ReferenceGraph Reference(const rel::Database& db,
+                                  const std::string& datalog) {
+  auto program = dsl::Parse(datalog);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  auto ref = testing::ReferenceExtract(db, *program);
+  EXPECT_TRUE(ref.ok()) << ref.status().ToString();
+  return std::move(ref).ValueOrDie();
+}
 
 ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
                            const std::string& datalog, double factor,
@@ -54,7 +61,6 @@ ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
-  opts.engine = config.engine;
   opts.threads = config.threads;
   opts.pool = config.use_pool ? pool : nullptr;
   opts.semi_join_pushdown = semi_join_pushdown;
@@ -69,36 +75,41 @@ ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
 void ExpectParity(const gen::GeneratedDatabase& data,
                   const std::string& datalog, const char* dataset) {
   ThreadPool pool(3);
+  const testing::ReferenceGraph ref = Reference(data.db, datalog);
   // 0.0 forces every boundary condensed, 1e18 forces full expansion, 2.0
   // is the paper's policy — together they cover every segment shape.
   for (double factor : {0.0, 2.0, 1e18}) {
-    ExtractionResult oracle =
+    ExtractionResult baseline =
         RunConfig(data, datalog, factor, kBaseline, nullptr);
+    EXPECT_EQ(testing::DiffAgainstReference(baseline.storage, ref), "")
+        << dataset << " factor=" << factor;
     for (const Config& config : kConfigs) {
       ExtractionResult got = RunConfig(data, datalog, factor, config, &pool);
-      EXPECT_EQ(DiffExtraction(oracle, got), "")
+      EXPECT_EQ(DiffExtraction(baseline, got), "")
           << dataset << " factor=" << factor << " config=" << config.name;
-      EXPECT_EQ(got.sql, oracle.sql) << dataset << " " << config.name;
+      EXPECT_EQ(got.sql, baseline.sql) << dataset << " " << config.name;
     }
 
     // Semi-join pushdown: the extracted graph must be identical to the
-    // non-pushdown oracle (rows_scanned legitimately shrinks), and all
-    // engines/thread counts must agree bitwise among themselves.
-    ExtractionResult push_oracle =
+    // non-pushdown run (rows_scanned legitimately shrinks), and all
+    // thread counts and fusion modes must agree bitwise among themselves.
+    ExtractionResult push_baseline =
         RunConfig(data, datalog, factor, kBaseline, nullptr, true);
-    EXPECT_EQ(DiffExtraction(oracle, push_oracle,
+    EXPECT_EQ(testing::DiffAgainstReference(push_baseline.storage, ref), "")
+        << dataset << " factor=" << factor << " pushdown";
+    EXPECT_EQ(DiffExtraction(baseline, push_baseline,
                              /*compare_scan_counts=*/false),
               "")
-        << dataset << " factor=" << factor << " pushdown vs oracle";
-    EXPECT_LE(push_oracle.rows_scanned, oracle.rows_scanned)
+        << dataset << " factor=" << factor << " pushdown vs baseline";
+    EXPECT_LE(push_baseline.rows_scanned, baseline.rows_scanned)
         << dataset << " factor=" << factor;
     for (const Config& config : kConfigs) {
       ExtractionResult got =
           RunConfig(data, datalog, factor, config, &pool, true);
-      EXPECT_EQ(DiffExtraction(push_oracle, got), "")
+      EXPECT_EQ(DiffExtraction(push_baseline, got), "")
           << dataset << " factor=" << factor << " pushdown config="
           << config.name;
-      EXPECT_EQ(got.sql, push_oracle.sql)
+      EXPECT_EQ(got.sql, push_baseline.sql)
           << dataset << " pushdown " << config.name;
     }
   }
@@ -223,16 +234,18 @@ TEST(ExtractionParityTest, PreprocessKeepsParity) {
   serial.large_output_factor = 0.0;
   serial.preprocess = true;
   serial.threads = 1;
-  serial.engine = query::ExecEngine::kRowAtATime;
-  auto oracle = ExtractFromQuery(d.db, d.datalog, serial);
-  ASSERT_TRUE(oracle.ok());
+  auto baseline = ExtractFromQuery(d.db, d.datalog, serial);
+  ASSERT_TRUE(baseline.ok());
+  // Preprocessing rewires virtual nodes; the expanded graph must not move.
+  EXPECT_EQ(testing::DiffAgainstReference(baseline->storage,
+                                          Reference(d.db, d.datalog)),
+            "");
 
   ExtractOptions parallel = serial;
   parallel.threads = 4;
-  parallel.engine = query::ExecEngine::kColumnar;
   auto got = ExtractFromQuery(d.db, d.datalog, parallel);
   ASSERT_TRUE(got.ok());
-  EXPECT_EQ(DiffExtraction(*oracle, *got), "");
+  EXPECT_EQ(DiffExtraction(*baseline, *got), "");
 }
 
 TEST(ExtractionParityTest, DiffReportsDifferences) {

@@ -153,12 +153,6 @@ std::vector<SweepVariant> SweepVariants() {
     o.extract.fuse_join_distinct = false;
     variants.push_back({kCoEnrollment, o});
   }
-  // Row-at-a-time oracle engine.
-  {
-    GraphGenOptions o = base();
-    o.extract.engine = query::ExecEngine::kRowAtATime;
-    variants.push_back({kCoEnrollment, o});
-  }
   // COUNT-constrained rule (extract.edges.count).
   {
     GraphGenOptions o = base();

@@ -1,9 +1,12 @@
 // Incremental extraction suite: a graph patched forward from a captured
 // basis by PatchExtraction must be bitwise identical (DiffExtraction with
 // compare_scan_counts=false — only the delta rows are scanned) to a cold
-// extraction against the post-append database, across key types, engines,
+// extraction against the post-append database, and must hold exactly the
+// reference evaluator's graph of that database, across key types,
 // pushdown modes, preprocessing, dangling-key promotion, and repeated
 // patches. Non-append-safe situations must fall back softly.
+
+#include "reference_extractor.h"
 
 #include <gtest/gtest.h>
 
@@ -62,9 +65,19 @@ dsl::Program MustParse(const std::string& datalog) {
   return std::move(p).ValueOrDie();
 }
 
+// The patched graph must mean what the program says over `db`.
+void ExpectReference(const rel::Database& db, const dsl::Program& program,
+                     const ExtractionResult& patched,
+                     const std::string& label) {
+  auto ref = testing::ReferenceExtract(db, program);
+  ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+  EXPECT_EQ(testing::DiffAgainstReference(patched.storage, *ref), "")
+      << label << " vs reference";
+}
+
 // Captures on the truncated db, appends the withheld rows in `waves`
 // batches patching after each, and checks every patched result against a
-// cold extraction of the then-current database.
+// cold extraction and the reference graph of the then-current database.
 void ExpectPatchParity(const rel::Database& full_db, const std::string& datalog,
                        double keep_fraction, const ExtractOptions& opts,
                        const char* label, int waves = 1,
@@ -95,6 +108,8 @@ void ExpectPatchParity(const rel::Database& full_db, const std::string& datalog,
                              /*compare_scan_counts=*/false),
               "")
         << label << " wave " << wave;
+    ExpectReference(split.db, program, attempt->result,
+                    std::string(label) + " wave " + std::to_string(wave));
     // A large delta (or one that promotes many dangling keys, forcing
     // full-range new-node passes) can legitimately scan more than a cold
     // run; callers only assert the saving for small appends.
@@ -118,18 +133,12 @@ TEST(IncrementalTest, DblpAppendParityAcrossConfigs) {
   gen::GeneratedDatabase d = gen::MakeDblpLike(300, 600, 4.0);
   for (double factor : {0.0, 2.0, 1e18}) {
     for (bool pushdown : {false, true}) {
-      for (query::ExecEngine engine :
-           {query::ExecEngine::kColumnar, query::ExecEngine::kRowAtATime}) {
-        ExtractOptions opts = BaseOptions();
-        opts.large_output_factor = factor;
-        opts.semi_join_pushdown = pushdown;
-        opts.engine = engine;
-        const std::string label =
-            "DBLP factor=" + std::to_string(factor) +
-            " pushdown=" + std::to_string(pushdown) +
-            " engine=" + std::to_string(static_cast<int>(engine));
-        ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
-      }
+      ExtractOptions opts = BaseOptions();
+      opts.large_output_factor = factor;
+      opts.semi_join_pushdown = pushdown;
+      const std::string label = "DBLP factor=" + std::to_string(factor) +
+                                " pushdown=" + std::to_string(pushdown);
+      ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
     }
   }
 }
@@ -254,6 +263,7 @@ TEST(IncrementalTest, PropertyReplayIsLastWriterWins) {
   EXPECT_EQ(
       DiffExtraction(*fresh, attempt->result, /*compare_scan_counts=*/false),
       "");
+  ExpectReference(db, program, attempt->result, "last writer wins");
 }
 
 TEST(IncrementalTest, NoChangePatchIsIdentity) {
@@ -267,6 +277,7 @@ TEST(IncrementalTest, NoChangePatchIsIdentity) {
   ASSERT_TRUE(attempt.ok());
   ASSERT_TRUE(attempt->patched);
   EXPECT_EQ(DiffExtraction(*base, attempt->result), "");
+  ExpectReference(d.db, program, attempt->result, "no change");
 }
 
 TEST(IncrementalTest, MultiNodesRuleNodeDeltaFallsBack) {
@@ -349,6 +360,7 @@ TEST(IncrementalTest, StateMemoryBytesIsPositiveAndGrows) {
   auto attempt = PatchExtraction(split.db, captured, opts);
   ASSERT_TRUE(attempt.ok());
   ASSERT_TRUE(attempt->patched) << attempt->fallback_reason;
+  ExpectReference(split.db, program, attempt->result, "state growth");
   EXPECT_GT(attempt->state->MemoryBytes(), before);
 }
 

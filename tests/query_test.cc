@@ -190,46 +190,48 @@ TEST(ExecutorTest, ThreeWaySelfJoinStaysUnambiguous) {
   }
 }
 
-// Both engines, at any thread count, must produce bitwise-identical
-// results in identical row order.
-TEST(ExecutorTest, ColumnarMatchesRowAtATimeOnLargeJoin) {
+// At any thread count the join emits in probe order (the right input
+// here, the larger side) with build matches in ascending row order, and
+// DISTINCT keeps first occurrences — checked against a per-key loop.
+TEST(ExecutorTest, LargeJoinMatchesPerKeyExpectation) {
   Database db;
   Table t("R", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
   // 30k rows, keys with skewed multiplicity, some NULLs — big enough to
   // cross every parallel threshold.
-  for (int64_t i = 0; i < 30000; ++i) {
-    t.AppendUnchecked({i % 7 == 0 ? Value() : Value(i % 997),
-                       Value(i)});
-  }
+  auto key = [](int64_t i) { return i % 7 == 0 ? Value() : Value(i % 997); };
+  for (int64_t i = 0; i < 30000; ++i) t.AppendUnchecked({key(i), Value(i)});
   db.PutTable(std::move(t));
 
-  auto make_plan = [] {
-    auto join = std::make_unique<HashJoinNode>(
-        std::make_unique<ScanNode>("R", std::vector<Predicate>{
-                                            {1, CompareOp::kLt,
-                                             Value(int64_t{20000})}}),
-        std::make_unique<ScanNode>("R"), 0, 0);
-    return std::make_unique<ProjectNode>(
-        std::move(join), std::vector<size_t>{0, 3},
-        std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-  };
-  auto plan = make_plan();
+  auto join = std::make_unique<HashJoinNode>(
+      std::make_unique<ScanNode>("R", std::vector<Predicate>{
+                                          {1, CompareOp::kLt,
+                                           Value(int64_t{20000})}}),
+      std::make_unique<ScanNode>("R"), 0, 0);
+  ProjectNode plan(std::move(join), std::vector<size_t>{0, 3},
+                   std::vector<std::string>{"a", "b"}, /*distinct=*/true);
 
-  Executor reference(&db, {.threads = 1, .engine = ExecEngine::kRowAtATime});
-  auto oracle = reference.Execute(*plan);
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_GT(oracle->NumRows(), 0u);
+  // Every left row with key k projects to the same (k, v_right) pair, so
+  // each right row whose key occurs on the left survives exactly once.
+  std::unordered_set<int64_t> left_keys;
+  for (int64_t i = 0; i < 20000; ++i) {
+    if (!key(i).is_null()) left_keys.insert(key(i).AsInt64());
+  }
+  std::vector<rel::Row> want;
+  for (int64_t j = 0; j < 30000; ++j) {
+    if (!key(j).is_null() && left_keys.contains(key(j).AsInt64())) {
+      want.push_back({key(j), Value(j)});
+    }
+  }
+  ASSERT_GT(want.size(), 0u);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    Executor columnar(&db, {.threads = threads});
-    auto rs = columnar.Execute(*plan);
+    Executor ex(&db, {.threads = threads});
+    auto rs = ex.Execute(plan);
     ASSERT_TRUE(rs.ok());
-    EXPECT_EQ(rs->schema.columns().size(), oracle->schema.columns().size());
-    for (size_t c = 0; c < rs->schema.NumColumns(); ++c) {
-      EXPECT_EQ(rs->schema.column(c).name, oracle->schema.column(c).name);
-    }
-    ASSERT_EQ(rs->NumRows(), oracle->NumRows()) << "threads=" << threads;
-    EXPECT_EQ(rs->rows, oracle->rows) << "threads=" << threads;
+    ASSERT_EQ(rs->schema.NumColumns(), 2u);
+    EXPECT_EQ(rs->schema.column(0).name, "a");
+    EXPECT_EQ(rs->schema.column(1).name, "b");
+    EXPECT_EQ(rs->rows, want) << "threads=" << threads;
   }
 }
 
@@ -250,21 +252,19 @@ TEST(ExecutorTest, ExecuteColumnarIsLazyUntilMaterialize) {
   EXPECT_EQ(rs.schema.column(0).name, "pid");
 }
 
-// Runs `plan` on both engines and expects bitwise-identical results.
-ResultSet ExpectEngineParity(const Database& db, const PlanNode& plan) {
-  Executor reference(&db, {.threads = 1, .engine = ExecEngine::kRowAtATime});
-  auto oracle = reference.Execute(plan);
-  EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+// Runs `plan` serially and on 4 threads; both must return exactly `want`,
+// in order.
+void ExpectRows(const Database& db, const PlanNode& plan,
+                const std::vector<rel::Row>& want) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    Executor columnar(&db, {.threads = threads});
-    auto rs = columnar.Execute(plan);
-    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
-    EXPECT_EQ(rs->rows, oracle->rows) << "threads=" << threads;
+    Executor ex(&db, {.threads = threads});
+    auto rs = ex.Execute(plan);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->rows, want) << "threads=" << threads;
   }
-  return std::move(oracle).ValueOrDie();
 }
 
-TEST(ExecutorTest, DictStringJoinMatchesRowEngine) {
+TEST(ExecutorTest, DictStringJoinMatchesOnInternedKeys) {
   Database db;
   Table people("P", Schema({{"id", ValueType::kString},
                             {"city", ValueType::kString}}));
@@ -284,8 +284,9 @@ TEST(ExecutorTest, DictStringJoinMatchesRowEngine) {
   // Dictionary join kernel: probe codes translate into the build dict.
   HashJoinNode join(std::make_unique<ScanNode>("P"),
                     std::make_unique<ScanNode>("V"), 0, 0);
-  ResultSet rs = ExpectEngineParity(db, join);
-  EXPECT_EQ(rs.NumRows(), 2u);
+  ExpectRows(db, join,
+             {{Value("bob"), Value("sfo"), Value("bob"), Value(int64_t{1})},
+              {Value("ann"), Value("nyc"), Value("ann"), Value(int64_t{2})}});
 }
 
 TEST(ExecutorTest, CrossTypeKeyColumnsJoinEmpty) {
@@ -305,8 +306,8 @@ TEST(ExecutorTest, CrossTypeKeyColumnsJoinEmpty) {
   for (const char* right : {"S", "D"}) {
     HashJoinNode join(std::make_unique<ScanNode>("I"),
                       std::make_unique<ScanNode>(right), 0, 0);
-    ResultSet rs = ExpectEngineParity(db, join);
-    EXPECT_EQ(rs.NumRows(), 0u) << right;
+    SCOPED_TRACE(right);
+    ExpectRows(db, join, {});
   }
 }
 
@@ -328,8 +329,7 @@ TEST(ExecutorTest, MixedKeyColumnFallsBackToGenericJoin) {
 
   HashJoinNode join(std::make_unique<ScanNode>("M"),
                     std::make_unique<ScanNode>("I"), 0, 0);
-  ResultSet rs = ExpectEngineParity(db, join);
-  EXPECT_EQ(rs.NumRows(), 1u);  // only int 1 matches
+  ExpectRows(db, join, {{Value(int64_t{1}), Value(int64_t{1})}});
 }
 
 TEST(ExecutorTest, NullBitmapRespectedInFiltersAndJoins) {
@@ -342,32 +342,33 @@ TEST(ExecutorTest, NullBitmapRespectedInFiltersAndJoins) {
 
   // NULL < int in the total order, so kLt matches NULL rows; kEq and kGt
   // do not.
+  auto key = [](int64_t i) { return i % 3 == 0 ? Value() : Value(i % 5); };
+  std::vector<rel::Row> lt_rows;
+  std::vector<rel::Row> eq_rows;
+  for (int64_t i = 0; i < 100; ++i) {
+    if (key(i).is_null() || key(i).AsInt64() < 2) {
+      lt_rows.push_back({key(i), Value(i)});
+    }
+    if (key(i) == Value(int64_t{2})) eq_rows.push_back({key(i), Value(i)});
+  }
   ScanNode lt("T", {{0, CompareOp::kLt, Value(int64_t{2})}});
   ScanNode eq("T", {{0, CompareOp::kEq, Value(int64_t{2})}});
-  ResultSet lt_rs = ExpectEngineParity(db, lt);
-  ResultSet eq_rs = ExpectEngineParity(db, eq);
-  size_t nulls = 0;
-  size_t eq2 = 0;
-  size_t lt2 = 0;
-  for (int64_t i = 0; i < 100; ++i) {
-    if (i % 3 == 0) {
-      ++nulls;
-    } else if (i % 5 == 2) {
-      ++eq2;
-    } else if (i % 5 < 2) {
-      ++lt2;
+  ExpectRows(db, lt, lt_rows);
+  ExpectRows(db, eq, eq_rows);
+
+  // Self-join drops every NULL key on both sides: probe rows in order,
+  // each with its build matches in ascending row order.
+  std::vector<rel::Row> join_rows;
+  for (int64_t j = 0; j < 100; ++j) {
+    for (int64_t i = 0; i < 100; ++i) {
+      if (!key(j).is_null() && key(i) == key(j)) {
+        join_rows.push_back({key(i), Value(i), key(j), Value(j)});
+      }
     }
   }
-  EXPECT_EQ(lt_rs.NumRows(), nulls + lt2);
-  EXPECT_EQ(eq_rs.NumRows(), eq2);
-
-  // Self-join drops every NULL key on both sides.
   HashJoinNode join(std::make_unique<ScanNode>("T"),
                     std::make_unique<ScanNode>("T"), 0, 0);
-  ResultSet join_rs = ExpectEngineParity(db, join);
-  for (const auto& row : join_rs.rows) {
-    EXPECT_FALSE(row[0].is_null());
-  }
+  ExpectRows(db, join, join_rows);
 }
 
 TEST(ExecutorTest, SemiJoinFilterDropsNonMembers) {
@@ -376,11 +377,11 @@ TEST(ExecutorTest, SemiJoinFilterDropsNonMembers) {
   keys->ints = {1, 3};
   auto scan = std::make_unique<ScanNode>("AuthorPub");
   scan->AddSemiJoin(0, keys);
-  ResultSet rs = ExpectEngineParity(db, *scan);
-  EXPECT_EQ(rs.NumRows(), 3u);  // aid 2 rows dropped
-  for (const auto& row : rs.rows) {
-    EXPECT_NE(row[0].AsInt64(), 2);
-  }
+  // aid 2 rows dropped.
+  ExpectRows(db, *scan,
+             {{Value(int64_t{1}), Value(int64_t{10})},
+              {Value(int64_t{3}), Value(int64_t{20})},
+              {Value(int64_t{3}), Value(int64_t{30})}});
   EXPECT_NE(scan->ToSql().find("IN (SELECT key FROM Nodes)"),
             std::string::npos);
 }
@@ -397,8 +398,7 @@ TEST(ExecutorTest, SemiJoinFilterOnDictColumn) {
   keys->strings = {"ann", "cat"};
   auto scan = std::make_unique<ScanNode>("T");
   scan->AddSemiJoin(0, keys);
-  ResultSet rs = ExpectEngineParity(db, *scan);
-  EXPECT_EQ(rs.NumRows(), 3u);
+  ExpectRows(db, *scan, {{Value("ann")}, {Value("ann")}, {Value("cat")}});
 }
 
 // The fused morsel pipeline (DISTINCT directly above a hash join) must be
