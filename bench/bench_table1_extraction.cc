@@ -2,22 +2,19 @@
 // and measures the extraction pipeline itself (selection vectors,
 // partitioned hash join, fused morsel-driven join→DISTINCT, typed-key
 // graph assembly) on the four evaluation schemas: serially (one thread)
-// versus on all hardware threads. The parallel run is additionally timed
-// with the fused join→DISTINCT pipeline forced on and forced off.
+// versus on all hardware threads.
 //
 // For every workload the harness also *proves* parity: the output of the
-// parallel pipeline — under the adaptive default, with fusion forced,
-// and with fusion disabled — must be bitwise-identical to the serial
-// run (node ids, condensed adjacency in stored order, properties), else
-// the process exits non-zero. In --smoke mode the harness further
-// fails if the forced-fused path regresses more than 20% (geomean) below
-// the unfused operator chain — the CI regression gate for optimized
-// builds.
+// parallel pipeline must be bitwise-identical to the serial run (node
+// ids, condensed adjacency in stored order, properties), else the
+// process exits non-zero.
 //
 // Writes a JSON summary (default BENCH_extraction.json, override with
-// --out=<path>). --smoke shrinks the datasets and runs one iteration,
-// and additionally gates the robustness plumbing (cancellation polls,
-// deadline checks, disarmed fault points) at < 1% overhead.
+// --out=<path>). --smoke shrinks the datasets and additionally gates the
+// instrumentation (< 3% + 1ms) and the robustness plumbing (cancellation
+// polls, deadline checks, disarmed fault points; < 1% + 1ms) on the fused
+// join→DISTINCT branch, using an input whose join output crosses the
+// fusion threshold; it fails if that branch did not run.
 // --cancel-at-ms=N skips the benchmark and probes mid-flight
 // cancellation latency instead.
 
@@ -52,10 +49,8 @@ struct WorkloadRow {
   uint64_t input_rows = 0;
   uint64_t condensed_edges = 0;
   uint64_t full_edges = 0;
-  bench::RepeatStats serial;    // columnar (adaptive fusion), 1 thread
-  bench::RepeatStats parallel;  // columnar (adaptive fusion), hw threads
-  bench::RepeatStats fused;     // columnar, join→DISTINCT fusion forced on
-  bench::RepeatStats unfused;   // columnar, unfused operator chain
+  bench::RepeatStats serial;    // columnar, 1 thread
+  bench::RepeatStats parallel;  // columnar, hw threads
   // Top-level extraction stages (nodes/edges/preprocess) of one profiled
   // parallel run, from the flight recorder's QueryProfile.
   std::vector<std::pair<std::string, double>> stage_ms;
@@ -63,17 +58,12 @@ struct WorkloadRow {
   double Speedup() const {
     return parallel.median_ms > 0 ? serial.median_ms / parallel.median_ms : 0;
   }
-  double FusedVsUnfused() const {
-    return fused.median_ms > 0 ? unfused.median_ms / fused.median_ms : 0;
-  }
 };
 
 // Pipeline configurations measured per workload.
 enum class Mode {
-  kSerial,    // columnar, adaptive fusion, 1 thread (the parity baseline)
-  kParallel,  // columnar, adaptive join→DISTINCT fusion (the default)
-  kFused,     // columnar, fusion forced for any output size
-  kUnfused,   // columnar, fusion disabled (classic operator chain)
+  kSerial,    // columnar, 1 thread (the parity baseline)
+  kParallel,  // columnar, hardware threads (the default)
 };
 
 // End-to-end extraction (both policies, like an analyst extracting the
@@ -83,8 +73,6 @@ planner::ExtractOptions MakeOpts(double factor, Mode mode) {
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.threads = mode == Mode::kSerial ? 1 : 0;
-  opts.fuse_join_distinct = mode != Mode::kUnfused;
-  if (mode == Mode::kFused) opts.fuse_min_output_bytes = 0;
   return opts;
 }
 
@@ -96,8 +84,7 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
     row.input_rows += data.db.GetTable(t).ValueOrDie()->NumRows();
   }
 
-  // Parity first (also warms caches): every policy, serial vs every
-  // columnar fusion mode — the fused pipeline must be indistinguishable.
+  // Parity first (also warms caches): every policy, serial vs parallel.
   for (double factor : {0.0, 1e18}) {
     auto serial = planner::ExtractFromQuery(data.db, data.datalog,
                                             MakeOpts(factor, Mode::kSerial));
@@ -106,21 +93,18 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
                   serial.status().ToString().c_str());
       return false;
     }
-    for (Mode mode : {Mode::kParallel, Mode::kFused, Mode::kUnfused}) {
-      auto got = planner::ExtractFromQuery(data.db, data.datalog,
-                                           MakeOpts(factor, mode));
-      if (!got.ok()) {
-        std::printf("%-8s extraction failed: %s\n", name.c_str(),
-                    got.status().ToString().c_str());
-        return false;
-      }
-      std::string diff = planner::DiffExtraction(*serial, *got);
-      if (!diff.empty()) {
-        std::printf("%-8s PARITY FAILURE (factor %g, mode %d): %s\n",
-                    name.c_str(), factor, static_cast<int>(mode),
-                    diff.c_str());
-        row.parity = false;
-      }
+    auto got = planner::ExtractFromQuery(data.db, data.datalog,
+                                         MakeOpts(factor, Mode::kParallel));
+    if (!got.ok()) {
+      std::printf("%-8s extraction failed: %s\n", name.c_str(),
+                  got.status().ToString().c_str());
+      return false;
+    }
+    std::string diff = planner::DiffExtraction(*serial, *got);
+    if (!diff.empty()) {
+      std::printf("%-8s PARITY FAILURE (factor %g): %s\n", name.c_str(),
+                  factor, diff.c_str());
+      row.parity = false;
     }
     if (factor == 0.0) {
       row.condensed_edges = serial->condensed_edges;
@@ -138,8 +122,6 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
   };
   row.serial = bench::Repeat(iters, [&] { run_both(Mode::kSerial); });
   row.parallel = bench::Repeat(iters, [&] { run_both(Mode::kParallel); });
-  row.fused = bench::Repeat(iters, [&] { run_both(Mode::kFused); });
-  row.unfused = bench::Repeat(iters, [&] { run_both(Mode::kUnfused); });
 
   // One profiled run feeds the per-stage breakdown in the JSON summary.
   if (obs::Enabled()) {
@@ -153,12 +135,10 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
   }
 
   std::printf("%-8s %9" PRIu64 " rows | C-DUP %10" PRIu64 " e | EXP %11" PRIu64
-              " e | serial %9.1fms | parallel %9.1fms | %5.2fx | fused %9.1fms"
-              " | unfused %9.1fms | %s\n",
+              " e | serial %9.1fms | parallel %9.1fms | %5.2fx | %s\n",
               name.c_str(), row.input_rows, row.condensed_edges,
               row.full_edges, row.serial.median_ms, row.parallel.median_ms,
-              row.Speedup(), row.fused.median_ms, row.unfused.median_ms,
-              row.parity ? "ok" : "PARITY FAIL");
+              row.Speedup(), row.parity ? "ok" : "PARITY FAIL");
   bool ok = row.parity;
   rows.push_back(std::move(row));
   return ok;
@@ -172,7 +152,7 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
 int RunCancelProbe(double cancel_at_ms) {
   std::printf("cancellation-latency probe (cancel at %.1fms)\n", cancel_at_ms);
   gen::GeneratedDatabase data = gen::MakeUniversity(10000, 40, 100, 40.0);
-  planner::ExtractOptions opts = MakeOpts(0.0, Mode::kFused);
+  planner::ExtractOptions opts = MakeOpts(0.0, Mode::kParallel);
   opts.ctx.cancel = CancelToken::Cancellable();
   CancelToken token = opts.ctx.cancel;
 
@@ -216,6 +196,148 @@ int RunCancelProbe(double cancel_at_ms) {
   return 0;
 }
 
+// One overhead gate's measurement: the base side's median sample and the
+// median over iterations of (other side / base side) for the samples
+// taken back to back in that iteration.
+struct PairedTiming {
+  double base_ms = 0;
+  double ratio = 0;
+  double OtherMs() const { return base_ms * ratio; }
+};
+
+// Times `base` and `other` once per iteration, alternating which runs
+// first so neither side always inherits the other's cache state. On a
+// shared machine, host-load spells last far longer than one pair, so they
+// scale both samples of a pair alike and cancel in its ratio; the median
+// ratio then ignores the pairs a spell straddled. (Comparing each side's
+// independent min-of-N instead swung ±10% in A/A runs on a 4-vCPU VM.)
+PairedTiming TimePairs(int iters, const std::function<void()>& base,
+                       const std::function<void()>& other) {
+  std::vector<double> base_ms;
+  std::vector<double> ratios;
+  for (int i = 0; i < iters; ++i) {
+    double b = 0;
+    double o = 0;
+    if (i % 2 == 0) {
+      b = bench::MinMs(1, base);
+      o = bench::MinMs(1, other);
+    } else {
+      o = bench::MinMs(1, other);
+      b = bench::MinMs(1, base);
+    }
+    base_ms.push_back(b);
+    ratios.push_back(o / b);
+  }
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  return {median(base_ms), median(ratios)};
+}
+
+// --smoke gates on the fused join→DISTINCT branch, which engages only once
+// a join's output crosses the executor's 32 MB threshold. A DBLP-like input
+// with ~100 authors per paper, expanded in the database, crosses it (~5M
+// co-author matches, ~60 ms per extraction on 4 threads). Each gate runs
+// kGateIters pairs (see TimePairs); in A/A runs (both sides identical) on
+// a shared 4-vCPU VM its ratio landed within -1.0%..+1.6% over 10
+// invocations. The absolute slack keeps a gate meaningful when its
+// percentage of a short run is below the timer's jitter floor. Returns
+// false (after printing why) if a gate exceeds its bound or a gate run did
+// not take the fused branch.
+bool RunSmokeGates() {
+  const gen::GeneratedDatabase data = gen::MakeDblpLike(200, 400, 100.0);
+  const planner::ExtractOptions plain = MakeOpts(1e18, Mode::kParallel);
+  auto extract = [&](const planner::ExtractOptions& opts) {
+    (void)planner::ExtractFromQuery(data.db, data.datalog, opts);
+  };
+  obs::Counter* fused_runs =
+      obs::MetricsRegistry::Global().GetCounter("query.fused_pipelines");
+  const uint64_t fused_before = fused_runs->Value();
+  constexpr int kGateIters = 151;
+  bool ok = true;
+
+  // Observability: the flight recorder (spans, histograms, profile trees)
+  // must cost < 3% + 1ms. Counters always record, so the toggle isolates
+  // exactly the instrumentation that GRAPHGEN_OBS_OFF disables.
+  const bool was_enabled = obs::Enabled();
+  const PairedTiming obs_gate = TimePairs(
+      kGateIters,
+      [&] {
+        obs::SetEnabled(false);
+        extract(plain);
+      },
+      [&] {
+        obs::SetEnabled(true);
+        extract(plain);
+      });
+  obs::SetEnabled(was_enabled);
+  const double obs_limit = obs_gate.base_ms * 1.03 + 1.0;
+  std::printf(
+      "\nobservability overhead (fused path, %d pairs): off %.2fms, on "
+      "%.2fms (median ratio %+.2f%%), limit %.2fms\n",
+      kGateIters, obs_gate.base_ms, obs_gate.OtherMs(),
+      (obs_gate.ratio - 1) * 100, obs_limit);
+  if (obs_gate.OtherMs() > obs_limit) {
+    std::fprintf(stderr,
+                 "FAIL: instrumentation overhead %.2fms (on) vs %.2fms "
+                 "(off) exceeds the 3%%+1ms gate\n",
+                 obs_gate.OtherMs(), obs_gate.base_ms);
+    ok = false;
+  }
+
+  // Robustness: the cancellation/deadline/budget plumbing and the disarmed
+  // fault points must together cost < 1% + 1ms. "Armed" is the worst
+  // no-fault case: every registered point armed at a probability that
+  // rounds to zero ppm (Fire() runs, nothing fires) plus a live cancel
+  // token and a far deadline, so every strided poll executes Check().
+  fault::FaultRegistry& faults = fault::FaultRegistry::Instance();
+  fault::FaultSpec never_fires;
+  never_fires.probability = 1e-9;  // armed; rounds to 0 ppm
+  planner::ExtractOptions armed = plain;
+  armed.ctx.cancel = CancelToken::Cancellable();
+  const PairedTiming robust_gate = TimePairs(
+      kGateIters, [&] { extract(plain); },
+      [&] {
+        // Arming ~30 points costs microseconds, a rounding error on the
+        // timed extraction (and it counts against the armed side).
+        for (const std::string& name : faults.Names()) {
+          faults.Arm(name, never_fires);
+        }
+        armed.ctx.SetDeadlineAfter(3600.0);
+        extract(armed);
+        faults.DisarmAll();
+      });
+  const double robust_limit = robust_gate.base_ms * 1.01 + 1.0;
+  std::printf(
+      "robustness overhead (fused path, %d pairs): plain %.2fms, "
+      "armed+ctx %.2fms (median ratio %+.2f%%), limit %.2fms\n",
+      kGateIters, robust_gate.base_ms, robust_gate.OtherMs(),
+      (robust_gate.ratio - 1) * 100, robust_limit);
+  if (robust_gate.OtherMs() > robust_limit) {
+    std::fprintf(stderr,
+                 "FAIL: robustness plumbing overhead %.2fms (armed) vs "
+                 "%.2fms (plain) exceeds the 1%%+1ms gate\n",
+                 robust_gate.OtherMs(), robust_gate.base_ms);
+    ok = false;
+  }
+
+  // The gates only mean something if they timed the fused branch.
+  const uint64_t runs = 4 * kGateIters;
+  const uint64_t fused = fused_runs->Value() - fused_before;
+  std::printf("fused pipelines during the gates: %" PRIu64 " of %" PRIu64
+              " runs\n",
+              fused, runs);
+  if (fused < runs) {
+    std::fprintf(stderr,
+                 "FAIL: the gate input no longer crosses the fusion "
+                 "threshold (%" PRIu64 " fused of %" PRIu64 " runs)\n",
+                 fused, runs);
+    ok = false;
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace graphgen
 
@@ -237,8 +359,8 @@ int main(int argc, char** argv) {
   }
   if (cancel_at_ms >= 0) return graphgen::RunCancelProbe(cancel_at_ms);
   const double s = smoke ? 0.05 : graphgen::bench::BenchScale();
-  // Smoke runs are sub-50ms per mode, so the repeat-of-3 default that
-  // stabilizes the fused-vs-unfused regression gate costs almost nothing.
+  // Smoke runs are sub-50ms per mode, so the repeat-of-3 default costs
+  // almost nothing.
   const int iters = graphgen::bench::ParseRepeat(argc, argv, 3);
 
   graphgen::bench::PrintHeader(
@@ -251,10 +373,11 @@ int main(int argc, char** argv) {
 
   std::vector<graphgen::WorkloadRow> rows;
   bool all_ok = true;
-  const graphgen::gen::GeneratedDatabase dblp =
+  all_ok &= graphgen::RunWorkload(
+      "DBLP",
       MakeDblpLike(static_cast<size_t>(16000 * s),
-                   static_cast<size_t>(30000 * s), 5.0);
-  all_ok &= graphgen::RunWorkload("DBLP", dblp, iters, rows);
+                   static_cast<size_t>(30000 * s), 5.0),
+      iters, rows);
   all_ok &= graphgen::RunWorkload(
       "IMDB",
       MakeImdbLike(static_cast<size_t>(9000 * s),
@@ -273,121 +396,21 @@ int main(int argc, char** argv) {
       iters, rows);
 
   double geo = 1.0;
-  double fuse_geo = 1.0;
   size_t counted = 0;
-  size_t fuse_counted = 0;
   for (const auto& r : rows) {
     if (r.Speedup() > 0) {
       geo *= r.Speedup();
       ++counted;
     }
-    if (r.FusedVsUnfused() > 0) {
-      fuse_geo *= r.FusedVsUnfused();
-      ++fuse_counted;
-    }
   }
   geo = counted > 0 ? std::pow(geo, 1.0 / static_cast<double>(counted)) : 0.0;
-  fuse_geo = fuse_counted > 0
-                 ? std::pow(fuse_geo, 1.0 / static_cast<double>(fuse_counted))
-                 : 0.0;
   std::printf("\ngeometric-mean extraction speedup: %.2fx (%zu workloads)\n",
               geo, counted);
-  std::printf("geometric-mean fused vs unfused: %.2fx\n", fuse_geo);
   std::printf(
       "Paper shape check: EXP >> C-DUP everywhere; TPCH/UNIV show the\n"
       "space explosion (dense co-purchase / co-enrollment cliques).\n");
 
-  // Smoke regression gate: the forced-fused pipeline must stay within 20%
-  // of the unfused operator chain (geomean) — a divergence from the
-  // serial run is caught by the parity checks above.
-  bool fuse_regressed = false;
-  if (smoke && fuse_counted > 0 && fuse_geo < 1.0 / 1.2) {
-    std::fprintf(stderr,
-                 "FAIL: fused join->DISTINCT geomean %.2fx is more than 20%% "
-                 "slower than the unfused chain on the smoke workloads\n",
-                 fuse_geo);
-    fuse_regressed = true;
-  }
-
-  // Smoke observability gate: the flight recorder (spans, histograms,
-  // profile trees) must cost < 3% on the fused extraction path. Counters
-  // always record, so the toggle isolates exactly the instrumentation
-  // that GRAPHGEN_OBS_OFF disables. Min-of-N on both sides rejects
-  // scheduler noise; the absolute slack keeps the gate meaningful when 3%
-  // of a sub-10ms smoke run is below the timer's jitter floor.
-  bool obs_regressed = false;
-  if (smoke) {
-    const int gate_iters = 15;
-    auto fused_once = [&] {
-      (void)graphgen::planner::ExtractFromQuery(
-          dblp.db, dblp.datalog,
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused));
-    };
-    const bool was_enabled = graphgen::obs::Enabled();
-    graphgen::obs::SetEnabled(true);
-    const double min_on = graphgen::bench::MinMs(gate_iters, fused_once);
-    graphgen::obs::SetEnabled(false);
-    const double min_off = graphgen::bench::MinMs(gate_iters, fused_once);
-    graphgen::obs::SetEnabled(was_enabled);
-    const double limit = min_off * 1.03 + 1.0;
-    std::printf(
-        "\nobservability overhead (fused path, min of %d): on %.2fms, "
-        "off %.2fms, limit %.2fms\n",
-        gate_iters, min_on, min_off, limit);
-    if (min_on > limit) {
-      std::fprintf(stderr,
-                   "FAIL: instrumentation overhead %.2fms (on) vs %.2fms "
-                   "(off) exceeds the 3%%+1ms gate\n",
-                   min_on, min_off);
-      obs_regressed = true;
-    }
-  }
-
-  // Smoke robustness gate: the cancellation/deadline/budget plumbing and
-  // the disarmed fault points must together cost < 1% on the fused path.
-  // "Armed" here means the worst no-fault case: every registered point
-  // armed at a probability that rounds to zero ppm (Fire() runs, nothing
-  // fires) plus a live cancel token and a far deadline, so every strided
-  // poll actually executes Check(). Min-of-N on both sides rejects
-  // scheduler noise; the 1ms absolute slack keeps the gate meaningful when
-  // 1% of a sub-10ms smoke run is below the timer's jitter floor.
-  bool robust_regressed = false;
-  if (smoke) {
-    const int gate_iters = 15;
-    graphgen::fault::FaultRegistry& faults =
-        graphgen::fault::FaultRegistry::Instance();
-    faults.DisarmAll();
-    const double min_plain = graphgen::bench::MinMs(gate_iters, [&] {
-      (void)graphgen::planner::ExtractFromQuery(
-          dblp.db, dblp.datalog,
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused));
-    });
-    graphgen::fault::FaultSpec never_fires;
-    never_fires.probability = 1e-9;  // armed; rounds to 0 ppm
-    for (const std::string& name : faults.Names()) {
-      faults.Arm(name, never_fires);
-    }
-    const double min_armed = graphgen::bench::MinMs(gate_iters, [&] {
-      graphgen::planner::ExtractOptions opts =
-          graphgen::MakeOpts(1e18, graphgen::Mode::kFused);
-      opts.ctx.cancel = graphgen::CancelToken::Cancellable();
-      opts.ctx.SetDeadlineAfter(3600.0);
-      (void)graphgen::planner::ExtractFromQuery(dblp.db, dblp.datalog, opts);
-    });
-    faults.DisarmAll();
-    const double limit = min_plain * 1.01 + 1.0;
-    std::printf(
-        "robustness overhead (fused path, min of %d): plain %.2fms, "
-        "armed+ctx %.2fms, limit %.2fms\n",
-        gate_iters, min_plain, min_armed, limit);
-    if (min_armed > limit) {
-      std::fprintf(stderr,
-                   "FAIL: robustness plumbing overhead %.2fms (armed) vs "
-                   "%.2fms (plain) exceeds the 1%%+1ms gate\n",
-                   min_armed, min_plain);
-      robust_regressed = true;
-    }
-  }
+  const bool gates_ok = !smoke || graphgen::RunSmokeGates();
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f != nullptr) {
@@ -396,10 +419,10 @@ int main(int argc, char** argv) {
                  graphgen::DefaultThreadCount());
     std::fprintf(
         f,
-        "  \"serial\": \"columnar pipeline (adaptive fused "
-        "join->DISTINCT, typed-key assembly), 1 thread\",\n"
-        "  \"parallel\": \"columnar pipeline (adaptive fused "
-        "join->DISTINCT, typed-key assembly), hardware threads\",\n");
+        "  \"serial\": \"columnar pipeline (fused join->DISTINCT past "
+        "32 MB of join output, typed-key assembly), 1 thread\",\n"
+        "  \"parallel\": \"columnar pipeline (fused join->DISTINCT past "
+        "32 MB of join output, typed-key assembly), hardware threads\",\n");
     std::fprintf(f, "  \"repeat\": %d,\n", iters);
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
@@ -408,16 +431,13 @@ int main(int argc, char** argv) {
                    "    {\"name\": \"%s\", \"input_rows\": %" PRIu64
                    ", \"condensed_edges\": %" PRIu64 ", \"full_edges\": %" PRIu64
                    ", \"serial_ms\": %.2f, \"parallel_ms\": %.2f, "
-                   "\"speedup\": %.2f, \"fused_ms\": %.2f, "
-                   "\"unfused_ms\": %.2f,\n     \"serial_min_ms\": %.2f, "
-                   "\"parallel_min_ms\": %.2f, \"fused_min_ms\": %.2f, "
-                   "\"unfused_min_ms\": %.2f, \"parity\": %s,\n"
+                   "\"speedup\": %.2f,\n     \"serial_min_ms\": %.2f, "
+                   "\"parallel_min_ms\": %.2f, \"parity\": %s,\n"
                    "     \"profile_stages_ms\": {",
                    r.name.c_str(), r.input_rows, r.condensed_edges,
                    r.full_edges, r.serial.median_ms, r.parallel.median_ms,
-                   r.Speedup(), r.fused.median_ms, r.unfused.median_ms,
-                   r.serial.min_ms, r.parallel.min_ms, r.fused.min_ms,
-                   r.unfused.min_ms, r.parity ? "true" : "false");
+                   r.Speedup(), r.serial.min_ms, r.parallel.min_ms,
+                   r.parity ? "true" : "false");
       for (size_t k = 0; k < r.stage_ms.size(); ++k) {
         std::fprintf(f, "%s\"%s\": %.3f", k > 0 ? ", " : "",
                      r.stage_ms[k].first.c_str(), r.stage_ms[k].second);
@@ -425,18 +445,16 @@ int main(int argc, char** argv) {
       std::fprintf(f, "}}%s\n", i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"geomean_speedup\": %.2f,\n"
-                 "  \"geomean_fused_vs_unfused\": %.2f\n}\n",
-                 geo, fuse_geo);
+                 "  ],\n  \"geomean_speedup\": %.2f\n}\n", geo);
     std::fclose(f);
     std::printf("JSON written to %s\n", out_path.c_str());
   }
 
-  if (!all_ok || fuse_regressed || obs_regressed || robust_regressed) {
+  if (!all_ok || !gates_ok) {
     std::fprintf(stderr,
-                 "FAIL: extraction error, parity mismatch, fused-path, "
-                 "instrumentation, or robustness-plumbing regression (see "
-                 "lines above)\n");
+                 "FAIL: extraction error, parity mismatch, instrumentation "
+                 "or robustness-plumbing regression, or an unfused gate "
+                 "input (see lines above)\n");
     return 1;
   }
   return 0;

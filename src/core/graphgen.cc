@@ -81,6 +81,12 @@ Result<ExtractedGraph> GraphGen::Extract(std::string_view datalog,
 
 namespace {
 
+// Fraction of vertices an EXP patch may touch before the overlay stops
+// paying: a delta touching more skips the copy-on-write overlay for the
+// flat merge below, and an overlay that has accumulated patch entries on
+// more than this fraction is re-flattened (ExpandedGraph::Compact).
+constexpr double kExpCompactThreshold = 0.05;
+
 // Advances an EXP basis by the patch's new condensed edges, returning the
 // patched graph. The expanded delta is computed exactly: each new
 // condensed edge (a -> b) contributes the pairs R_src(a) × R_dst(b),
@@ -212,7 +218,7 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
 
   if (static_cast<double>(touched) <=
-      options.exp_compact_threshold * static_cast<double>(n)) {
+      kExpCompactThreshold * static_cast<double>(n)) {
     // Small delta: copy the basis and merge into its COW overlay.
     auto exp = std::make_unique<ExpandedGraph>(basis);
     while (exp->NumVertices() < n) exp->AddVertex();
@@ -229,7 +235,7 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     // Repeated small patches accumulate overlay; fold once past the
     // threshold so long-lived cache entries stay flat.
     if (static_cast<double>(exp->PatchedVertices()) >
-        options.exp_compact_threshold * static_cast<double>(exp->NumVertices())) {
+        kExpCompactThreshold * static_cast<double>(exp->NumVertices())) {
       exp->Compact();
     }
     return exp;

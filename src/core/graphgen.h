@@ -51,10 +51,6 @@ struct GraphGenOptions {
   /// so later table appends can be advanced by PatchExtracted instead of
   /// a cold run. Costs memory — FootprintBytes() includes it.
   bool capture_incremental = false;
-  /// When PatchExtracted advances an EXP graph through its copy-on-write
-  /// overlay, the overlay is re-flattened (ExpandedGraph::Compact) once
-  /// more than this fraction of vertices carries patch entries.
-  double exp_compact_threshold = 0.05;
 };
 
 /// The product of an extraction: a ready-to-analyze Graph in the chosen

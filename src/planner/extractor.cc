@@ -46,8 +46,6 @@ std::vector<ExecOutput> RunPlans(
       (n <= 1 || options.threads == 1) ? 1 : std::min(n, budget);
   const query::Executor executor(
       &db, {.threads = std::max<size_t>(1, budget / fan_out),
-            .fuse_join_distinct = options.fuse_join_distinct,
-            .fuse_min_output_bytes = options.fuse_min_output_bytes,
             .ctx = options.ctx});
   std::vector<ExecOutput> outs(plans.size());
   // Per-plan profile slots are pre-created by the caller (deque children:
@@ -313,12 +311,9 @@ struct CountPlanParts {
 
 // Case 2 of §3.3: a COUNT aggregate forces the full join. Builds the
 // whole-chain plan projecting DISTINCT (src, dst, aggvar) so each
-// binding counts once per pair. `node_keys` (optional) pushes the Nodes
-// filter into the endpoint scans — safe here because ApplyCountConstraint
-// skips rows with a dangling src or dst before counting.
+// binding counts once per pair.
 Result<CountPlanParts> BuildCountConstraintPlan(
-    const JoinChain& chain, const dsl::AggregateConstraint& agg,
-    const std::shared_ptr<const query::KeyFilter>& node_keys) {
+    const JoinChain& chain, const dsl::AggregateConstraint& agg) {
   // Column offsets of each atom in the concatenated join output.
   std::vector<size_t> offsets(chain.atoms.size(), 0);
   for (size_t i = 1; i < chain.atoms.size(); ++i) {
@@ -343,20 +338,11 @@ Result<CountPlanParts> BuildCountConstraintPlan(
   }
 
   // Full left-deep join over the entire chain.
-  const size_t last = chain.atoms.size() - 1;
-  auto first_scan = std::make_unique<query::ScanNode>(
+  std::unique_ptr<query::PlanNode> plan = std::make_unique<query::ScanNode>(
       chain.atoms[0].atom->relation, chain.atoms[0].predicates);
-  if (node_keys != nullptr) {
-    first_scan->AddSemiJoin(chain.atoms[0].in_col, node_keys);
-    if (last == 0) first_scan->AddSemiJoin(chain.atoms[0].out_col, node_keys);
-  }
-  std::unique_ptr<query::PlanNode> plan = std::move(first_scan);
   for (size_t k = 1; k < chain.atoms.size(); ++k) {
     auto right = std::make_unique<query::ScanNode>(
         chain.atoms[k].atom->relation, chain.atoms[k].predicates);
-    if (node_keys != nullptr && k == last) {
-      right->AddSemiJoin(chain.atoms[k].out_col, node_keys);
-    }
     size_t left_col = offsets[k - 1] + chain.atoms[k - 1].out_col;
     plan = std::make_unique<query::HashJoinNode>(
         std::move(plan), std::move(right), left_col, chain.atoms[k].in_col);
@@ -476,25 +462,6 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
   obs::ProfileNode* edges_stage =
       profiling ? result.profile.root.AddChild("edges") : nullptr;
 
-  // Optional semi-join pushdown: bucket the node keys once; edge-rule
-  // endpoint scans then drop dangling rows inside the query. The typed
-  // table is already bucketed the way KeyFilter wants it.
-  std::shared_ptr<const query::KeyFilter> node_keys;
-  if (options.semi_join_pushdown) {
-    auto filter = std::make_shared<query::KeyFilter>();
-    node_ids.ints.ForEach(
-        [&](int64_t k, uint32_t) { filter->ints.insert(k); });
-    for (const auto& [s, id] : node_ids.strings) {
-      (void)id;
-      filter->strings.insert(s);
-    }
-    for (const auto& [v, id] : node_ids.others) {
-      (void)id;
-      filter->others.insert(v);
-    }
-    node_keys = std::move(filter);
-  }
-
   // Phase 1: analyze every Edges rule and collect all query units.
   std::vector<EdgeRuleWork> works;
   std::vector<const query::PlanNode*> units;
@@ -517,8 +484,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
       if (rule.count_constraint.has_value()) {
         GRAPHGEN_ASSIGN_OR_RETURN(
             CountPlanParts parts,
-            BuildCountConstraintPlan(chain, *rule.count_constraint,
-                                     node_keys));
+            BuildCountConstraintPlan(chain, *rule.count_constraint));
         result.sql.push_back(parts.sql);
         work.count_plan = std::move(parts.plan);
         units.push_back(work.count_plan.get());
@@ -531,15 +497,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
           capture->edge_rules[rule_idx].patchable = false;
         }
       } else {
-        // dst-side pushdown is only sound on a single-segment chain: with
-        // multiple segments the assembly loop allocates the src boundary's
-        // virtual node before checking dst, so early dst filtering would
-        // drop boundary values whose rows never produce an edge.
-        const bool single_segment = !chain.HasLargeOutputJoin();
-        GRAPHGEN_ASSIGN_OR_RETURN(
-            work.segments,
-            BuildSegments(chain, node_keys,
-                          single_segment ? node_keys : nullptr));
+        GRAPHGEN_ASSIGN_OR_RETURN(work.segments, BuildSegments(chain));
         for (const Segment& seg : work.segments) {
           result.sql.push_back(seg.sql);
           units.push_back(seg.plan.get());

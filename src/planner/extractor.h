@@ -34,23 +34,6 @@ struct ExtractOptions {
   /// typically the graph service's pool. When null and threads != 1, the
   /// extractor fans rules out on scoped threads instead.
   ThreadPool* pool = nullptr;
-  /// Semi-join pushdown of the Nodes filter: edge-rule scans that bind
-  /// ID1/ID2 drop rows whose key is not a real node *inside the query*
-  /// instead of during graph assembly. Never changes the extracted graph
-  /// (the parity suite covers it); it shrinks join/DISTINCT inputs when
-  /// the Nodes rules are selective. rows_scanned shrinks accordingly.
-  bool semi_join_pushdown = false;
-  /// Fuse DISTINCT projections into the hash join beneath them
-  /// (morsel-driven probe → first-occurrence set, no intermediate tuple
-  /// materialization). Output is identical either way; off exposes the
-  /// unfused operator chain for parity tests and benches.
-  bool fuse_join_distinct = true;
-  /// Minimum estimated join output size (bytes of row-id tuples) before
-  /// the fused pipeline engages; smaller outputs materialize and run the
-  /// classic cache-resident DISTINCT. 0 forces fusion for any size
-  /// (tests exercise the morsel path on small data that way). See
-  /// query::ExecOptions::fuse_min_output_bytes.
-  size_t fuse_min_output_bytes = size_t{32} << 20;
   /// Request lifecycle context threaded into every executed query and
   /// checked at rule/assembly stage boundaries: cooperative cancel flag,
   /// absolute deadline, and per-request transient-memory budget. A
@@ -101,8 +84,8 @@ Result<ExtractionResult> ExtractFromQuery(const rel::Database& db,
 /// when identical, else a description of the first difference. The
 /// parity suite and bench gate use this to prove the parallel pipeline
 /// reproduces the serial output bit for bit. `compare_scan_counts`
-/// disables the rows_scanned check — semi-join pushdown legitimately
-/// scans fewer rows while producing the identical graph.
+/// disables the rows_scanned check for delta patches, which scan only the
+/// appended rows yet must produce the identical graph.
 std::string DiffExtraction(const ExtractionResult& a,
                            const ExtractionResult& b,
                            bool compare_scan_counts = true);

@@ -310,21 +310,6 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
   // full-range passes keyed to the new node keys (rows the basis skipped
   // as dangling). The per-(rule, segment) pair sets absorb all overlap.
   const bool have_new_nodes = new_keys != nullptr;
-  std::shared_ptr<const query::KeyFilter> node_keys;
-  if (options.semi_join_pushdown) {
-    auto filter = std::make_shared<query::KeyFilter>();
-    st.node_ids.ints.ForEach(
-        [&](int64_t k, uint32_t) { filter->ints.insert(k); });
-    for (const auto& [s, id] : st.node_ids.strings) {
-      (void)id;
-      filter->strings.insert(s);
-    }
-    for (const auto& [v, id] : st.node_ids.others) {
-      (void)id;
-      filter->others.insert(v);
-    }
-    node_keys = std::move(filter);
-  }
 
   for (size_t r = 0; r < program.edges_rules.size(); ++r) {
     const dsl::Rule& rule = program.edges_rules[r];
@@ -354,16 +339,13 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       const auto [fa, la] = ers.segment_shape[si];
       const bool is_first = si == 0;
       const bool is_last = si + 1 == nseg;
-      const bool single = nseg == 1;
-      const auto src_filter = is_first ? node_keys : nullptr;
-      const auto dst_filter = (is_last && single) ? node_keys : nullptr;
       for (size_t a = fa; a <= la; ++a) {
         auto it = deltas.find(chain.atoms[a].atom->relation);
         if (it == deltas.end()) continue;
         GRAPHGEN_ASSIGN_OR_RETURN(
             Segment seg,
             BuildSegmentVariant(
-                chain, fa, la, src_filter, dst_filter,
+                chain, fa, la, /*src_keys=*/nullptr, /*dst_keys=*/nullptr,
                 {{a, it->second.first, it->second.second}},
                 ReductionFilters(db, chain, fa, la, a, it->second.first,
                                  it->second.second, nullptr, nullptr)));
@@ -372,7 +354,8 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       if (have_new_nodes && is_first) {
         GRAPHGEN_ASSIGN_OR_RETURN(
             Segment seg,
-            BuildSegmentVariant(chain, fa, la, new_keys, dst_filter, {},
+            BuildSegmentVariant(chain, fa, la, new_keys, /*dst_keys=*/nullptr,
+                                {},
                                 ReductionFilters(db, chain, fa, la, fa, 0,
                                                  SIZE_MAX, new_keys.get(),
                                                  nullptr)));
@@ -381,8 +364,8 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       if (have_new_nodes && is_last) {
         GRAPHGEN_ASSIGN_OR_RETURN(
             Segment seg,
-            BuildSegmentVariant(chain, fa, la, single ? src_filter : nullptr,
-                                new_keys, {},
+            BuildSegmentVariant(chain, fa, la, /*src_keys=*/nullptr, new_keys,
+                                {},
                                 ReductionFilters(db, chain, fa, la, la, 0,
                                                  SIZE_MAX, nullptr,
                                                  new_keys.get())));

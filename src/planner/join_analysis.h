@@ -39,13 +39,6 @@ struct JoinBoundary {
 struct JoinChain {
   std::vector<ChainAtom> atoms;
   std::vector<JoinBoundary> boundaries;  // size = atoms.size() - 1
-
-  bool HasLargeOutputJoin() const {
-    for (const auto& b : boundaries) {
-      if (b.large_output) return true;
-    }
-    return false;
-  }
 };
 
 /// Orders the body atoms of an acyclic Edges rule into a chain from the

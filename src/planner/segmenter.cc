@@ -76,23 +76,16 @@ std::vector<std::pair<size_t, size_t>> SegmentShapes(const JoinChain& chain) {
   return shapes;
 }
 
-Result<std::vector<Segment>> BuildSegments(
-    const JoinChain& chain,
-    std::shared_ptr<const query::KeyFilter> src_keys,
-    std::shared_ptr<const query::KeyFilter> dst_keys) {
+Result<std::vector<Segment>> BuildSegments(const JoinChain& chain) {
   const std::vector<std::pair<size_t, size_t>> shapes = SegmentShapes(chain);
   std::vector<Segment> segments;
   segments.reserve(shapes.size());
-  for (size_t s = 0; s < shapes.size(); ++s) {
-    const bool is_first_segment = s == 0;
-    const bool is_last_segment = s + 1 == shapes.size();
+  for (const auto& [first, last] : shapes) {
     Segment seg;
-    seg.first_atom = shapes[s].first;
-    seg.last_atom = shapes[s].second;
-    seg.plan = BuildSegmentPlan(chain, seg.first_atom, seg.last_atom,
-                                is_first_segment ? src_keys : nullptr,
-                                is_last_segment ? dst_keys : nullptr,
-                                /*ranges=*/nullptr);
+    seg.first_atom = first;
+    seg.last_atom = last;
+    seg.plan = BuildSegmentPlan(chain, first, last, /*src_keys=*/nullptr,
+                                /*dst_keys=*/nullptr, /*ranges=*/nullptr);
     seg.sql = seg.plan->ToSql();
     segments.push_back(std::move(seg));
   }

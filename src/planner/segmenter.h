@@ -25,20 +25,7 @@ struct Segment {
 /// DISTINCT-projecting query plan per segment. A chain with no
 /// large-output joins yields a single segment computing (ID1, ID2)
 /// directly (the "expand via the database" case).
-///
-/// `src_keys` / `dst_keys` are optional semi-join pushdowns of the Nodes
-/// filter: when set, the first segment's ID1-binding scan drops rows
-/// whose key is not a real node, and likewise the last segment's
-/// ID2-binding scan. The extractor only passes `dst_keys` for
-/// single-segment chains — on a multi-segment chain the assembly loop
-/// allocates a virtual node for the boundary value *before* it checks the
-/// dst key, so filtering dst rows early would change virtual-node
-/// numbering (src-side pushdown is always safe: a dangling src row is
-/// skipped before any side effect).
-Result<std::vector<Segment>> BuildSegments(
-    const JoinChain& chain,
-    std::shared_ptr<const query::KeyFilter> src_keys = nullptr,
-    std::shared_ptr<const query::KeyFilter> dst_keys = nullptr);
+Result<std::vector<Segment>> BuildSegments(const JoinChain& chain);
 
 /// The (first_atom, last_atom) pairs BuildSegments would produce, without
 /// building plans. The incremental patch path compares this against the
@@ -73,9 +60,9 @@ struct AtomSemiJoin {
 /// delta passes: one pass per changed atom (that atom's scan ranged past
 /// the basis watermark, the others full), plus new-node passes where
 /// `src_keys`/`dst_keys` carry only the keys that just became real nodes.
-/// Unlike BuildSegments, `dst_keys` attaches regardless of segment
-/// position — sound for patching because every boundary virtual node a
-/// filtered-out row would have allocated already exists in the basis.
+/// `dst_keys` attaches regardless of segment position — sound for
+/// patching because every boundary virtual node a filtered-out row would
+/// have allocated already exists in the basis.
 Result<Segment> BuildSegmentVariant(
     const JoinChain& chain, size_t first_atom, size_t last_atom,
     std::shared_ptr<const query::KeyFilter> src_keys,

@@ -117,6 +117,12 @@ constexpr size_t kScanMorselRows = 1 << 11;
 // pass pipelines like the unfused operator's, while the join's full
 // output is still never materialized.
 constexpr size_t kFusedMorselRows = 1 << 15;
+// A DISTINCT directly above a hash join takes the fused pipeline once the
+// join's exact output (known from the count pass before any tuple is
+// emitted) reaches this many bytes of row-id tuples. Below it the
+// materialized output stays cache-resident and the classic DISTINCT is
+// faster; above it streaming dedup beats materialize→rehash→re-read.
+constexpr size_t kFuseMinOutputBytes = size_t{32} << 20;
 
 // Splits [0, n) into at most `parts` equal contiguous chunks.
 std::vector<IndexRange> EqualRanges(size_t n, size_t parts) {
@@ -170,31 +176,34 @@ void JoinOutputSchema(const rel::Schema& left,
   *out_schema = rel::Schema(std::move(cols));
 }
 
-// Projection output schema (names, origins) of a ProjectNode.
-Status ProjectOutputSchema(const ProjectNode& node, const rel::Schema& child,
-                           const std::vector<std::string>& child_origins,
-                           rel::Schema* out_schema,
-                           std::vector<std::string>* out_origins) {
+// The metadata of `node`'s projection over `child` into *out: output
+// schema (names, origins), sources and column bindings, with tuples left
+// empty. Shared by the projection tail and the fused join→DISTINCT.
+Status ProjectMetadata(const ProjectNode& node, const RowIdResult& child,
+                       RowIdResult* out) {
   for (size_t c : node.columns()) {
-    if (c >= child.NumColumns()) {
+    if (c >= child.schema.NumColumns()) {
       return Status::PlanError("projection column out of range");
     }
   }
   std::vector<rel::ColumnDef> cols;
   cols.reserve(node.columns().size());
-  out_origins->clear();
-  out_origins->reserve(node.columns().size());
+  out->origins.clear();
+  out->origins.reserve(node.columns().size());
+  out->columns.reserve(node.columns().size());
   for (size_t i = 0; i < node.columns().size(); ++i) {
     const size_t src = node.columns()[i];
-    rel::ColumnDef def = child.column(src);
+    rel::ColumnDef def = child.schema.column(src);
     if (i < node.output_names().size() && !node.output_names()[i].empty()) {
       def.name = node.output_names()[i];
     }
     cols.push_back(std::move(def));
-    out_origins->push_back(src < child_origins.size() ? child_origins[src]
+    out->origins.push_back(src < child.origins.size() ? child.origins[src]
                                                       : "");
+    out->columns.push_back(child.columns[src]);
   }
-  *out_schema = rel::Schema(std::move(cols));
+  out->schema = rel::Schema(std::move(cols));
+  out->sources = child.sources;
   return Status::OK();
 }
 
@@ -1161,11 +1170,14 @@ class FusedDistinctSet {
   std::unique_ptr<uint64_t[]> hashes_;  // survivor projected-key hashes
 };
 
-// The build phase of the partitioned hash join, shared by the
+// The build and count phases of the partitioned hash join, shared by the
 // materializing join and the fused join→DISTINCT pipeline: typed keys and
 // hashes are precomputed in parallel, then P flat per-partition tables are
 // built over build rows in ascending order (per-key chains stay ascending,
-// which is what makes probe output order the serial order).
+// which is what makes probe output order the serial order). The probe
+// side is split into contiguous ranges, and a counting pass over them
+// gives every range its exact match count — and therefore the join's
+// exact output size — before a single tuple is emitted.
 template <typename Key>
 struct JoinBuild {
   std::vector<uint64_t> bhash;
@@ -1174,15 +1186,34 @@ struct JoinBuild {
   std::vector<int32_t> chain_next;
   std::vector<FlatChainTable<Key>> tables;
   size_t partitions = 1;
+  std::vector<IndexRange> ranges;  // probe ranges, in probe order
+  std::vector<size_t> counts;      // exact matches per probe range
+  size_t matches = 0;
   /// Build-side scratch charged against the request's memory budget,
   /// refunded when the build dies at the end of the operator.
   ScopedCharge charge;
 };
 
-template <typename Key, typename HashFn, typename BuildKeyFn>
-JoinBuild<Key> BuildJoinTables(size_t bn, size_t threads, HashFn hash,
-                               BuildKeyFn bkey, const ExecContext& ctx,
-                               AbortSlot& slot) {
+// Total number of join matches a probe range will emit, from the build
+// chains' cached lengths — O(range rows), no chain walking.
+template <typename Key, typename HashFn, typename ProbeKeyFn>
+size_t CountJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
+                      ProbeKeyFn pkey) {
+  size_t expected = 0;
+  for (size_t pr = range.begin; pr < range.end; ++pr) {
+    Key k{};
+    if (!pkey(pr, &k)) continue;
+    const uint64_t h = hash(k);
+    expected += jb.tables[h % jb.partitions].CountFor(k, h);
+  }
+  return expected;
+}
+
+template <typename Key, typename HashFn, typename BuildKeyFn,
+          typename ProbeKeyFn>
+JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
+                                 HashFn hash, BuildKeyFn bkey, ProbeKeyFn pkey,
+                                 const ExecContext& ctx, AbortSlot& slot) {
   JoinBuild<Key> jb;
   // Key/hash/null/chain arrays are the first of the join's two big
   // allocations; the per-partition slot arrays are priced below once the
@@ -1258,22 +1289,20 @@ JoinBuild<Key> BuildJoinTables(size_t bn, size_t threads, HashFn hash,
       }
     });
   });
-  return jb;
-}
+  if (slot.Failed()) return jb;
 
-// Total number of join matches a probe range will emit, from the build
-// chains' cached lengths — O(range rows), no chain walking.
-template <typename Key, typename HashFn, typename ProbeKeyFn>
-size_t CountJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
-                      ProbeKeyFn pkey) {
-  size_t expected = 0;
-  for (size_t pr = range.begin; pr < range.end; ++pr) {
-    Key k{};
-    if (!pkey(pr, &k)) continue;
-    const uint64_t h = hash(k);
-    expected += jb.tables[h % jb.partitions].CountFor(k, h);
-  }
-  return expected;
+  const size_t probe_ways =
+      (threads > 1 && pn >= kParallelProbeThreshold) ? threads : 1;
+  jb.ranges = EqualRanges(pn, probe_ways);
+  jb.counts.assign(jb.ranges.size(), 0);
+  ParallelInvoke(jb.ranges.size(), [&](size_t t) {
+    StridedRun(ctx, slot, poll, jb.ranges[t].begin, jb.ranges[t].end,
+               [&](size_t b, size_t e) {
+                 jb.counts[t] += CountJoinRange(jb, {b, e}, hash, pkey);
+               });
+  });
+  for (size_t c : jb.counts) jb.matches += c;
+  return jb;
 }
 
 // Materializes one probe range's matches as concatenated (left, right)
@@ -1308,7 +1337,7 @@ uint32_t* EmitJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
 }
 
 // One probe range of the fused join→DISTINCT pipeline: walks the range's
-// chains exactly like ProbeJoinRange, buffers matches in a bounded morsel
+// chains exactly like EmitJoinRange, buffers matches in a bounded morsel
 // (flushed at probe-row boundaries so the chain walk carries no extra
 // branch), and batch-hashes + batch-offers each morsel to the range-local
 // first-occurrence set. A free function so `hash`/`pkey` land in
@@ -1459,70 +1488,191 @@ void FillJoinProfInfo(const JoinBuild<Key>& jb, size_t bn,
   }
 }
 
-// Partitioned hash join over typed keys. `bkey`/`pkey` extract the key of
-// a build/probe row (returning false for NULL — NULL joins nothing), and
-// `hash` mixes it. Output row order is the serial probe order for every
-// thread count and every key type: partitions scan build rows in
-// ascending order (so per-key chains are ascending) and probe ranges
-// concatenate in index order.
-template <typename Key, typename HashFn, typename BuildKeyFn,
-          typename ProbeKeyFn>
-std::vector<uint32_t> PartitionedJoin(const RowIdResult& left,
-                                      const RowIdResult& right,
-                                      bool build_left, size_t threads,
-                                      HashFn hash, BuildKeyFn bkey,
-                                      ProbeKeyFn pkey, const ExecContext& ctx,
-                                      AbortSlot& slot,
-                                      JoinProfInfo* info = nullptr) {
-  const RowIdResult& build = build_left ? left : right;
-  const RowIdResult& probe = build_left ? right : left;
-  const size_t pn = probe.NumRows();
-  const size_t lw = left.Width();
-  const size_t rw = right.Width();
+// A join's executed inputs, oriented for the build: the smaller input
+// builds, ties build left, so the emitted row order is a pure function of
+// the inputs. lw/rw are the left/right tuple widths.
+struct JoinSides {
+  const RowIdResult& build;
+  const RowIdResult& probe;
+  bool build_left;
+  size_t lw;
+  size_t rw;
+};
 
-  JoinBuild<Key> jb = BuildJoinTables<Key>(build.NumRows(), threads, hash,
-                                           bkey, ctx, slot);
-  if (slot.Failed()) return {};
-  FillJoinProfInfo(jb, build.NumRows(), info);
-
-  // Probe in contiguous ranges. A counting pre-pass over the probe rows
-  // (cached chain lengths, no chain walking) gives each range its exact
-  // match count, so the emit pass writes matches straight into the final
-  // tuple vector at per-range offsets — no per-range buffers, no
-  // concatenation copy over the full output, and the operator's memory
-  // peak is the output itself rather than twice it.
-  const size_t probe_ways =
-      (threads > 1 && pn >= kParallelProbeThreshold) ? threads : 1;
-  const bool poll = NeedsPoll(ctx);
-  std::vector<IndexRange> ranges = EqualRanges(pn, probe_ways);
-  std::vector<size_t> counts(ranges.size(), 0);
-  ParallelInvoke(ranges.size(), [&](size_t t) {
-    counts[t] = CountJoinRange(jb, ranges[t], hash, pkey);
-  });
-  const size_t w = lw + rw;
-  size_t total = 0;
-  for (size_t c : counts) total += c * w;
-  if (Status st = ctx.Charge(total * sizeof(uint32_t), "join output tuples");
+// Materializes a counted join as concatenated (left, right) row-id tuples
+// in serial probe order, for every thread count and key type: partitions
+// scan build rows in ascending order (so per-key chains are ascending) and
+// probe ranges concatenate in index order. The exact per-range counts
+// place every range's matches directly into the final tuple vector — no
+// per-range buffers, no concatenation copy over the full output, and the
+// operator's memory peak is the output itself rather than twice it.
+template <typename Key, typename HashFn, typename ProbeKeyFn>
+std::vector<uint32_t> MaterializeJoin(const JoinBuild<Key>& jb, HashFn hash,
+                                      ProbeKeyFn pkey, const JoinSides& s,
+                                      const ExecContext& ctx, AbortSlot& slot) {
+  const size_t w = s.lw + s.rw;
+  if (Status st =
+          ctx.Charge(jb.matches * w * sizeof(uint32_t), "join output tuples");
       !st.ok()) {
     slot.Fail(std::move(st));
     return {};
   }
-  std::vector<uint32_t> tuples(total);
-  std::vector<size_t> offsets(ranges.size(), 0);
-  for (size_t t = 0, off = 0; t < ranges.size(); ++t) {
+  std::vector<uint32_t> tuples(jb.matches * w);
+  std::vector<size_t> offsets(jb.ranges.size(), 0);
+  for (size_t t = 0, off = 0; t < jb.ranges.size(); ++t) {
     offsets[t] = off;
-    off += counts[t] * w;
+    off += jb.counts[t] * w;
   }
-  ParallelInvoke(ranges.size(), [&](size_t t) {
+  const bool poll = NeedsPoll(ctx);
+  ParallelInvoke(jb.ranges.size(), [&](size_t t) {
     uint32_t* out = tuples.data() + offsets[t];
-    StridedRun(ctx, slot, poll, ranges[t].begin, ranges[t].end,
+    StridedRun(ctx, slot, poll, jb.ranges[t].begin, jb.ranges[t].end,
                [&](size_t b, size_t e) {
-                 out = EmitJoinRange(jb, {b, e}, hash, pkey, build, probe,
-                                     build_left, lw, rw, out);
+                 out = EmitJoinRange(jb, {b, e}, hash, pkey, s.build,
+                                     s.probe, s.build_left, s.lw, s.rw, out);
                });
   });
   if (slot.Failed()) return {};
   return tuples;
+}
+
+// Budget charge for one FusedDistinctSet offered `n` candidates of width
+// `w`: the worst case, where every offer survives — slot table (+ probe
+// tags) plus survivor tuple/hash storage.
+size_t FusedSetBytes(size_t n, size_t w, bool vec) {
+  return TableCapacity(n, vec) * (sizeof(uint32_t) + sizeof(uint8_t)) +
+         n * (w * sizeof(uint32_t) + sizeof(uint64_t));
+}
+
+// The fused join→DISTINCT pipeline over a counted join. Each probe range
+// streams its matches into a range-local first-occurrence set through a
+// bounded morsel buffer (FuseJoinRange), so no thread ever holds more than
+// one morsel of un-deduplicated join output. The exact per-range counts
+// size each set's budget charge up front. Returns the surviving tuples in
+// the serial join's emission order — bit-identical to materializing the
+// join and running the classic DISTINCT over it.
+template <typename Key, typename HashFn, typename ProbeKeyFn>
+std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
+                                       ProbeKeyFn pkey, const JoinSides& s,
+                                       const std::vector<DistinctCol>& cols,
+                                       size_t threads, const ExecContext& ctx,
+                                       AbortSlot& slot) {
+  const size_t w = s.lw + s.rw;
+  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
+  const bool poll = NeedsPoll(ctx);
+  const size_t nranges = jb.ranges.size();
+  std::vector<std::unique_ptr<FusedDistinctSet>> locals(nranges);
+  ParallelInvoke(nranges, [&](size_t t) {
+    if (Status st = ctx.Charge(FusedSetBytes(jb.counts[t], w, vec_tier),
+                               "fused DISTINCT set");
+        !st.ok()) {
+      slot.Fail(std::move(st));
+      return;
+    }
+    locals[t] =
+        std::make_unique<FusedDistinctSet>(w, cols, jb.counts[t], vec_tier);
+    FuseJoinRange(jb, jb.ranges[t], hash, pkey, s.build, s.probe,
+                  s.build_left, s.lw, s.rw, cols, *locals[t], ctx, slot, poll);
+  });
+  if (slot.Failed()) return {};
+
+  if (nranges == 1) {
+    return std::vector<uint32_t>(locals[0]->tuples(),
+                                 locals[0]->tuples() + locals[0]->size() * w);
+  }
+  // A range's survivors are its in-range-first occurrences in emission
+  // order, so merging ranges in index order keeps exactly the
+  // globally-first occurrence of every key, in the serial join's
+  // emission order.
+  std::vector<size_t> bases(nranges + 1, 0);
+  for (size_t r = 0; r < nranges; ++r) {
+    bases[r + 1] = bases[r] + locals[r]->size();
+  }
+  const size_t offered = bases.back();
+  const size_t merge_ways =
+      (threads > 1 && offered >= kParallelDistinctThreshold)
+          ? std::min(threads, kMaxPartitions)
+          : 1;
+  // The merge sets are scratch on top of the per-range sets, refunded
+  // once the survivors are copied out.
+  const size_t part_n = merge_ways == 1 ? offered : offered / merge_ways + 1;
+  ScopedCharge merge_charge;
+  if (Status st = merge_charge.Acquire(
+          ctx, merge_ways * FusedSetBytes(part_n, w, vec_tier),
+          "fused DISTINCT merge sets");
+      !st.ok()) {
+    slot.Fail(std::move(st));
+    return {};
+  }
+  if (merge_ways == 1) {
+    FusedDistinctSet global(w, cols, offered, vec_tier);
+    for (const auto& local : locals) {
+      const uint32_t* lt = local->tuples();
+      const uint64_t* lh = local->hashes();
+      global.ReserveBatch(local->size());
+      const size_t ln = local->size();
+      for (size_t i = 0; i < ln; ++i) {
+        if (i + 2 * kProbePrefetchDist < ln) {
+          global.PrefetchSlot(lh[i + 2 * kProbePrefetchDist]);
+        }
+        if (i + kProbePrefetchDist < ln) {
+          global.WarmProbe(lh[i + kProbePrefetchDist]);
+        }
+        global.Insert(lt + i * w, lh[i]);
+      }
+    }
+    return std::vector<uint32_t>(global.tuples(),
+                                 global.tuples() + global.size() * w);
+  }
+  // Low-duplication joins leave most offers alive in every range, so
+  // the concatenated survivor stream can approach the original match
+  // count and a serial re-insert walk becomes the pipeline's wall.
+  // Keys land in exactly one hash partition, so each partition worker
+  // replays the whole stream for its keys independently; a bitmap over
+  // stream ordinals records who survived, and prefix popcount ranks
+  // place every survivor at its serial output position — the same
+  // tuples in the same order as the serial merge.
+  std::vector<uint64_t> bits((offered + 63) / 64, 0);
+  ParallelInvoke(merge_ways, [&](size_t p) {
+    FusedDistinctSet part(w, cols, part_n, vec_tier);
+    for (size_t r = 0; r < nranges; ++r) {
+      const uint32_t* lt = locals[r]->tuples();
+      const uint64_t* lh = locals[r]->hashes();
+      const size_t ln = locals[r]->size();
+      for (size_t i = 0; i < ln; ++i) {
+        if (lh[i] % merge_ways != p) continue;
+        const size_t f = i + kProbePrefetchDist;
+        if (f < ln && lh[f] % merge_ways == p) part.PrefetchSlot(lh[f]);
+        part.ReserveBatch(1);
+        if (part.Insert(lt + i * w, lh[i])) {
+          const size_t o = bases[r] + i;
+          std::atomic_ref<uint64_t>(bits[o >> 6])
+              .fetch_or(uint64_t{1} << (o & 63), std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  std::vector<size_t> rank(bits.size() + 1, 0);
+  for (size_t i = 0; i < bits.size(); ++i) {
+    rank[i + 1] = rank[i] + static_cast<size_t>(std::popcount(bits[i]));
+  }
+  std::vector<uint32_t> out(rank.back() * w);
+  ParallelInvoke(nranges, [&](size_t r) {
+    const uint32_t* lt = locals[r]->tuples();
+    const size_t ln = locals[r]->size();
+    for (size_t i = 0; i < ln; ++i) {
+      const size_t o = bases[r] + i;
+      const uint64_t word = bits[o >> 6];
+      if ((word & (uint64_t{1} << (o & 63))) == 0) continue;
+      const size_t pos =
+          rank[o >> 6] +
+          static_cast<size_t>(
+              std::popcount(word & ((uint64_t{1} << (o & 63)) - 1)));
+      uint32_t* dst = out.data() + pos * w;
+      for (size_t j = 0; j < w; ++j) dst[j] = lt[i * w + j];
+    }
+  });
+  return out;
 }
 
 // Encoding-specialized key extraction for a hash join, shared by the
@@ -1869,380 +2019,167 @@ Result<RowIdResult> Executor::ScanColumnar(const ScanNode& node,
   return out;
 }
 
-namespace {
-
-// Shared setup of a hash join whose children have executed: validates the
-// key columns, picks the build side (the smaller input; ties build left,
-// so the emitted row order is a pure function of the inputs), guards
-// the int32 chain indices, and assembles the join's output metadata
-// (concatenated sources/bindings + qualified schema) into *joined with
-// tuples left empty. Used by the materializing join and the fused
-// join→DISTINCT so their setups cannot drift apart.
-struct JoinSides {
-  bool build_left = false;
-  size_t build_col = 0;
-  size_t probe_col = 0;
-};
-
-Result<JoinSides> PrepareJoin(const HashJoinNode& node,
-                              const RowIdResult& left,
-                              const RowIdResult& right, RowIdResult* joined) {
-  if (node.left_col() >= left.schema.NumColumns() ||
-      node.right_col() >= right.schema.NumColumns()) {
+template <typename Emit>
+Result<RowIdResult> Executor::RunHashJoin(const HashJoinNode& join,
+                                          obs::ProfileNode* prof,
+                                          Emit emit) const {
+  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult left,
+                            ExecuteColumnar(join.left(), prof));
+  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult right,
+                            ExecuteColumnar(join.right(), prof));
+  if (join.left_col() >= left.schema.NumColumns() ||
+      join.right_col() >= right.schema.NumColumns()) {
     return Status::PlanError("join column out of range");
   }
-  JoinSides sides;
-  sides.build_left = left.NumRows() <= right.NumRows();
-  sides.build_col = sides.build_left ? node.left_col() : node.right_col();
-  sides.probe_col = sides.build_left ? node.right_col() : node.left_col();
+  const bool build_left = left.NumRows() <= right.NumRows();
+  const JoinSides sides{build_left ? left : right, build_left ? right : left,
+                        build_left, left.Width(), right.Width()};
   // FlatChainTable chains build rows through int32 indices.
-  if ((sides.build_left ? left : right).NumRows() >
-      std::numeric_limits<int32_t>::max()) {
+  if (sides.build.NumRows() > std::numeric_limits<int32_t>::max()) {
     return Status::Unsupported("join build side exceeds 2^31 rows");
   }
-  joined->sources = left.sources;
-  joined->sources.insert(joined->sources.end(), right.sources.begin(),
-                         right.sources.end());
-  const size_t lw = left.Width();
-  joined->columns = left.columns;
+  // The join's output metadata (concatenated sources/bindings, qualified
+  // schema); `emit` fills its tuples or leaves them to a fused consumer.
+  RowIdResult joined;
+  joined.sources = left.sources;
+  joined.sources.insert(joined.sources.end(), right.sources.begin(),
+                        right.sources.end());
+  joined.columns = left.columns;
   for (const ColumnBinding& b : right.columns) {
-    joined->columns.push_back(
-        {static_cast<uint32_t>(b.source + lw), b.column});
+    joined.columns.push_back(
+        {static_cast<uint32_t>(b.source + sides.lw), b.column});
   }
   JoinOutputSchema(left.schema, left.origins, right.schema, right.origins,
-                   &joined->schema, &joined->origins);
-  return sides;
-}
+                   &joined.schema, &joined.origins);
 
-}  // namespace
-
-Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& node,
-                                           obs::ProfileNode* parent) const {
-  GRAPHGEN_FAULT_POINT("query.join.build.alloc");
-  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
-  obs::ProfileNode* prof = OpNode(parent, "hash_join");
-  obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult left,
-                            ExecuteColumnar(node.left(), prof));
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult right,
-                            ExecuteColumnar(node.right(), prof));
-  RowIdResult out;
-  GRAPHGEN_ASSIGN_OR_RETURN(JoinSides sides,
-                            PrepareJoin(node, left, right, &out));
-  const RowIdResult& build = sides.build_left ? left : right;
-  const RowIdResult& probe = sides.build_left ? right : left;
-  const BoundColumn bcol = build.Bind(sides.build_col);
-  const BoundColumn pcol = probe.Bind(sides.probe_col);
-  const size_t threads = options_.threads;
-
-  // An impossible key-encoding pair (WithTypedJoinKeys returns false)
-  // leaves tuples empty — correct schema/bindings, no rows.
+  const BoundColumn bcol =
+      sides.build.Bind(build_left ? join.left_col() : join.right_col());
+  const BoundColumn pcol =
+      sides.probe.Bind(build_left ? join.right_col() : join.left_col());
+  size_t matches = 0;
   JoinProfInfo info;
   AbortSlot slot;
+  // An impossible key-encoding pair (WithTypedJoinKeys returns false)
+  // never reaches `emit`: correct schema/bindings, no rows.
   WithTypedJoinKeys(
-      build, probe, bcol, pcol, options_.ctx, slot,
+      sides.build, sides.probe, bcol, pcol, options_.ctx, slot,
       [&](auto tag, auto hash, auto bkey, auto pkey) {
         using Key = typename decltype(tag)::type;
-        out.tuples = PartitionedJoin<Key>(left, right, sides.build_left,
-                                          threads, hash, bkey, pkey,
-                                          options_.ctx, slot,
-                                          prof != nullptr ? &info : nullptr);
+        JoinBuild<Key> jb = BuildAndCountJoin<Key>(
+            sides.build.NumRows(), sides.probe.NumRows(), options_.threads,
+            hash, bkey, pkey, options_.ctx, slot);
+        if (slot.Failed()) return;
+        FillJoinProfInfo(jb, sides.build.NumRows(),
+                         prof != nullptr ? &info : nullptr);
+        matches = jb.matches;
+        emit(jb, hash, pkey, sides, joined, slot);
       });
   GRAPHGEN_RETURN_NOT_OK(slot.Take());
-  const size_t matches = out.NumRows();
-  Metrics().join_build_rows->Add(build.NumRows());
-  Metrics().join_probe_rows->Add(probe.NumRows());
+  Metrics().join_build_rows->Add(sides.build.NumRows());
+  Metrics().join_probe_rows->Add(sides.probe.NumRows());
   Metrics().join_matches->Add(matches);
   (simd::ActiveTier() == simd::Tier::kAvx2 ? Metrics().simd_probe_vector
                                            : Metrics().simd_probe_scalar)
       ->Add(1);
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(matches);
-    prof->AddStat("build_rows", static_cast<double>(build.NumRows()));
-    prof->AddStat("probe_rows", static_cast<double>(probe.NumRows()));
+    prof->AddStat("build_rows", static_cast<double>(sides.build.NumRows()));
+    prof->AddStat("probe_rows", static_cast<double>(sides.probe.NumRows()));
     prof->AddStat("partitions", static_cast<double>(info.partitions));
     if (info.capacity > 0) {
       prof->AddStat("load_factor", static_cast<double>(info.build_keys) /
                                        static_cast<double>(info.capacity));
     }
-    prof->AddNote("build_side", sides.build_left ? "left" : "right");
+    prof->AddNote("build_side", build_left ? "left" : "right");
     prof->AddNote("simd", simd::TierName());
   }
-  return out;
+  return joined;
+}
+
+Result<RowIdResult> Executor::JoinColumnar(const HashJoinNode& join,
+                                           obs::ProfileNode* parent) const {
+  GRAPHGEN_FAULT_POINT("query.join.build.alloc");
+  GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
+  obs::ProfileNode* prof = OpNode(parent, "hash_join");
+  obs::Span span(prof);
+  return RunHashJoin(join, prof,
+                     [&](const auto& jb, auto hash, auto pkey,
+                         const JoinSides& s, RowIdResult& joined,
+                         AbortSlot& slot) {
+                       joined.tuples = MaterializeJoin(jb, hash, pkey, s,
+                                                       options_.ctx, slot);
+                     });
 }
 
 Result<RowIdResult> Executor::JoinDistinctColumnar(
-    const ProjectNode& node, const HashJoinNode& join,
-    obs::ProfileNode* parent) const {
+    const ProjectNode& node, obs::ProfileNode* parent) const {
   GRAPHGEN_FAULT_POINT("query.join_distinct.alloc");
   GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
   obs::ProfileNode* prof = OpNode(parent, "join_distinct");
   obs::Span span(prof);
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult left,
-                            ExecuteColumnar(join.left(), prof));
-  GRAPHGEN_ASSIGN_OR_RETURN(RowIdResult right,
-                            ExecuteColumnar(join.right(), prof));
-  // The join initially contributes only its output *metadata* (sources,
-  // bindings, qualified schema); whether its tuple vector is ever built
-  // is the fusion decision below.
-  RowIdResult joined;
-  GRAPHGEN_ASSIGN_OR_RETURN(JoinSides sides,
-                            PrepareJoin(join, left, right, &joined));
-  const bool build_left = sides.build_left;
-  const RowIdResult& build = build_left ? left : right;
-  const RowIdResult& probe = build_left ? right : left;
-  const size_t lw = left.Width();
-  const size_t rw = right.Width();
-
-  RowIdResult out;
-  GRAPHGEN_RETURN_NOT_OK(ProjectOutputSchema(
-      node, joined.schema, joined.origins, &out.schema, &out.origins));
-  out.sources = joined.sources;
-  out.columns.reserve(node.columns().size());
-  for (size_t c : node.columns()) out.columns.push_back(joined.columns[c]);
-
-  std::vector<DistinctCol> cols;
-  cols.reserve(node.columns().size());
-  for (size_t c : node.columns()) {
-    cols.push_back(DistinctCol::Make(joined.Bind(c)));
-  }
-
-  const BoundColumn bcol = build.Bind(sides.build_col);
-  const BoundColumn pcol = probe.Bind(sides.probe_col);
-  const size_t threads = options_.threads;
-  const size_t w = lw + rw;
-  const size_t pn = probe.NumRows();
-
-  bool fused = false;
   size_t matches = 0;
-  size_t fused_morsels = 0;
-  JoinProfInfo info;
-  AbortSlot slot;
-  const bool poll = NeedsPoll(options_.ctx);
-  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
-  WithTypedJoinKeys(build, probe, bcol, pcol, options_.ctx, slot,
-                    [&](auto tag, auto hash, auto bkey, auto pkey) {
-    using Key = typename decltype(tag)::type;
-    JoinBuild<Key> jb = BuildJoinTables<Key>(build.NumRows(), threads, hash,
-                                             bkey, options_.ctx, slot);
-    if (slot.Failed()) return;
-    FillJoinProfInfo(jb, build.NumRows(), prof != nullptr ? &info : nullptr);
-
-    const size_t probe_ways =
-        (threads > 1 && pn >= kParallelProbeThreshold) ? threads : 1;
-    std::vector<IndexRange> ranges = EqualRanges(pn, probe_ways);
-
-    // Count pass: O(probe rows) chain-length lookups give every range's
-    // exact match count — and therefore the join's exact output size —
-    // before a single tuple is emitted.
-    std::vector<size_t> expected(ranges.size(), 0);
-    ParallelInvoke(ranges.size(), [&](size_t t) {
-      StridedRun(options_.ctx, slot, poll, ranges[t].begin, ranges[t].end,
-                 [&](size_t b, size_t e) {
-                   expected[t] += CountJoinRange(jb, {b, e}, hash, pkey);
-                 });
-    });
-    if (slot.Failed()) return;
-    size_t total_matches = 0;
-    for (size_t e : expected) total_matches += e;
-    matches = total_matches;
-    for (size_t e : expected) {
-      fused_morsels += (e + kFusedMorselRows - 1) / kFusedMorselRows;
-    }
-
-    // Fusion trades the materialize→rehash→re-read passes for streaming
-    // dedup; that wins once the output is too large to stay
-    // cache-resident and costs slightly otherwise, so small outputs
-    // materialize and take the classic DISTINCT below.
-    fused = total_matches * w * sizeof(uint32_t) >=
-            std::max<size_t>(options_.fuse_min_output_bytes, 1);
-    if (!fused) {
-      // Materializing branch: the exact per-range counts place every
-      // range's matches directly into the final tuple vector, so the
-      // peak is the output itself — no per-range buffers, no
-      // concatenation pass.
-      if (Status st = options_.ctx.Charge(
-              total_matches * w * sizeof(uint32_t),
-              "materialized join output");
-          !st.ok()) {
-        slot.Fail(std::move(st));
-        return;
-      }
-      joined.tuples.resize(total_matches * w);
-      std::vector<size_t> offsets(ranges.size(), 0);
-      for (size_t t = 0, off = 0; t < ranges.size(); ++t) {
-        offsets[t] = off;
-        off += expected[t] * w;
-      }
-      ParallelInvoke(ranges.size(), [&](size_t t) {
-        uint32_t* out = joined.tuples.data() + offsets[t];
-        StridedRun(options_.ctx, slot, poll, ranges[t].begin, ranges[t].end,
-                   [&](size_t b, size_t e) {
-                     out = EmitJoinRange(jb, {b, e}, hash, pkey, build, probe,
-                                         build_left, lw, rw, out);
-                   });
-      });
-      return;
-    }
-
-    // Each probe range streams its matches into a range-local
-    // first-occurrence set through a bounded morsel buffer: matches
-    // accumulate as concatenated tuples, and a full morsel is hashed in
-    // one tight pass and offered to the set in a second — the same
-    // batched loop shape as the unfused operators, without ever holding
-    // more than one morsel of un-deduplicated join output per thread.
-    // The exact per-range counts presize each set, so the offer loop
-    // never rehashes.
-    std::vector<std::unique_ptr<FusedDistinctSet>> locals(ranges.size());
-    ParallelInvoke(ranges.size(), [&](size_t t) {
-      // Worst case every offer survives: slot table (+ probe tags) +
-      // tuple/hash storage.
-      const size_t set_bytes =
-          TableCapacity(expected[t], vec_tier) *
-              (sizeof(uint32_t) + sizeof(uint8_t)) +
-          expected[t] * (w * sizeof(uint32_t) + sizeof(uint64_t));
-      if (Status st = options_.ctx.Charge(set_bytes, "fused DISTINCT set");
-          !st.ok()) {
-        slot.Fail(std::move(st));
-        return;
-      }
-      locals[t] =
-          std::make_unique<FusedDistinctSet>(w, cols, expected[t], vec_tier);
-      FuseJoinRange(jb, ranges[t], hash, pkey, build, probe, build_left, lw,
-                    rw, cols, *locals[t], options_.ctx, slot, poll);
-    });
-    if (slot.Failed()) return;
-
-    if (ranges.size() == 1) {
-      out.tuples.assign(locals[0]->tuples(),
-                        locals[0]->tuples() + locals[0]->size() * w);
-      return;
-    }
-    // A range's survivors are its in-range-first occurrences in emission
-    // order, so merging ranges in index order keeps exactly the
-    // globally-first occurrence of every key, in the serial join's
-    // emission order — bit-identical to the unfused operator chain.
-    std::vector<size_t> bases(locals.size() + 1, 0);
-    for (size_t r = 0; r < locals.size(); ++r) {
-      bases[r + 1] = bases[r] + locals[r]->size();
-    }
-    const size_t offered = bases.back();
-    const size_t merge_ways =
-        (threads > 1 && offered >= kParallelDistinctThreshold)
-            ? std::min(threads, kMaxPartitions)
-            : 1;
-    if (merge_ways == 1) {
-      FusedDistinctSet global(w, cols, offered, vec_tier);
-      for (const auto& local : locals) {
-        const uint32_t* lt = local->tuples();
-        const uint64_t* lh = local->hashes();
-        global.ReserveBatch(local->size());
-        const size_t ln = local->size();
-        for (size_t i = 0; i < ln; ++i) {
-          if (i + 2 * kProbePrefetchDist < ln) {
-            global.PrefetchSlot(lh[i + 2 * kProbePrefetchDist]);
-          }
-          if (i + kProbePrefetchDist < ln) {
-            global.WarmProbe(lh[i + kProbePrefetchDist]);
-          }
-          global.Insert(lt + i * w, lh[i]);
-        }
-      }
-      out.tuples.assign(global.tuples(),
-                        global.tuples() + global.size() * w);
-      return;
-    }
-    // Low-duplication joins leave most offers alive in every range, so
-    // the concatenated survivor stream can approach the original match
-    // count and a serial re-insert walk becomes the pipeline's wall.
-    // Keys land in exactly one hash partition, so each partition worker
-    // replays the whole stream for its keys independently; a bitmap over
-    // stream ordinals records who survived, and prefix popcount ranks
-    // place every survivor at its serial output position — the same
-    // tuples in the same order as the serial merge.
-    std::vector<uint64_t> bits((offered + 63) / 64, 0);
-    ParallelInvoke(merge_ways, [&](size_t p) {
-      FusedDistinctSet part(w, cols, offered / merge_ways + 1, vec_tier);
-      for (size_t r = 0; r < locals.size(); ++r) {
-        const uint32_t* lt = locals[r]->tuples();
-        const uint64_t* lh = locals[r]->hashes();
-        const size_t ln = locals[r]->size();
-        for (size_t i = 0; i < ln; ++i) {
-          if (lh[i] % merge_ways != p) continue;
-          const size_t f = i + kProbePrefetchDist;
-          if (f < ln && lh[f] % merge_ways == p) part.PrefetchSlot(lh[f]);
-          part.ReserveBatch(1);
-          if (part.Insert(lt + i * w, lh[i])) {
-            const size_t o = bases[r] + i;
-            std::atomic_ref<uint64_t>(bits[o >> 6])
-                .fetch_or(uint64_t{1} << (o & 63),
-                          std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-    std::vector<size_t> rank(bits.size() + 1, 0);
-    for (size_t i = 0; i < bits.size(); ++i) {
-      rank[i + 1] = rank[i] + static_cast<size_t>(std::popcount(bits[i]));
-    }
-    out.tuples.resize(rank.back() * w);
-    ParallelInvoke(locals.size(), [&](size_t r) {
-      const uint32_t* lt = locals[r]->tuples();
-      const size_t ln = locals[r]->size();
-      for (size_t i = 0; i < ln; ++i) {
-        const size_t o = bases[r] + i;
-        const uint64_t word = bits[o >> 6];
-        if ((word & (uint64_t{1} << (o & 63))) == 0) continue;
-        const size_t pos =
-            rank[o >> 6] +
-            static_cast<size_t>(
-                std::popcount(word & ((uint64_t{1} << (o & 63)) - 1)));
-        uint32_t* dst = out.tuples.data() + pos * w;
-        for (size_t j = 0; j < w; ++j) dst[j] = lt[i * w + j];
-      }
-    });
-  });
-  GRAPHGEN_RETURN_NOT_OK(slot.Take());
-  Metrics().join_build_rows->Add(build.NumRows());
-  Metrics().join_probe_rows->Add(probe.NumRows());
-  Metrics().join_matches->Add(matches);
-  (fused ? Metrics().fused_pipelines : Metrics().unfused_pipelines)->Add(1);
-  (vec_tier ? Metrics().simd_probe_vector : Metrics().simd_probe_scalar)
+  size_t morsels = 0;
+  std::optional<RowIdResult> fused;  // set iff the fused branch ran
+  GRAPHGEN_ASSIGN_OR_RETURN(
+      RowIdResult joined,
+      RunHashJoin(
+          static_cast<const HashJoinNode&>(node.child()), prof,
+          [&](const auto& jb, auto hash, auto pkey, const JoinSides& s,
+              RowIdResult& joined, AbortSlot& slot) {
+            matches = jb.matches;
+            if (matches * (s.lw + s.rw) * sizeof(uint32_t) <
+                kFuseMinOutputBytes) {
+              joined.tuples =
+                  MaterializeJoin(jb, hash, pkey, s, options_.ctx, slot);
+              return;
+            }
+            // Stream the matches straight into the first-occurrence sets;
+            // the join's tuple vector is never built.
+            RowIdResult out;
+            if (Status st = ProjectMetadata(node, joined, &out); !st.ok()) {
+              slot.Fail(std::move(st));
+              return;
+            }
+            std::vector<DistinctCol> cols;
+            cols.reserve(node.columns().size());
+            for (size_t c : node.columns()) {
+              cols.push_back(DistinctCol::Make(joined.Bind(c)));
+            }
+            for (size_t c : jb.counts) {
+              morsels += (c + kFusedMorselRows - 1) / kFusedMorselRows;
+            }
+            out.tuples = FuseJoinDistinct(jb, hash, pkey, s, cols,
+                                          options_.threads, options_.ctx,
+                                          slot);
+            fused = std::move(out);
+          }));
+  (fused.has_value() ? Metrics().fused_pipelines : Metrics().unfused_pipelines)
       ->Add(1);
   if (prof != nullptr) {
-    prof->AddStat("build_rows", static_cast<double>(build.NumRows()));
-    prof->AddStat("probe_rows", static_cast<double>(probe.NumRows()));
     prof->AddStat("join_matches", static_cast<double>(matches));
-    prof->AddStat("partitions", static_cast<double>(info.partitions));
-    if (info.capacity > 0) {
-      prof->AddStat("load_factor", static_cast<double>(info.build_keys) /
-                                       static_cast<double>(info.capacity));
-    }
-    prof->AddStat("est_join_bytes",
-                  static_cast<double>(matches * w * sizeof(uint32_t)));
-    prof->AddNote("fused", fused ? "yes" : "no");
-    prof->AddNote("simd", simd::TierName());
+    prof->AddStat("est_join_bytes", static_cast<double>(
+                                        matches * joined.Width() *
+                                        sizeof(uint32_t)));
+    prof->AddNote("fused", fused.has_value() ? "yes" : "no");
   }
-  if (!fused) {
+  if (!fused.has_value()) {
     // Below the fusion threshold (or an impossible key pairing): the
     // materialized join runs through the ordinary projection tail.
     return ProjectFromChild(node, std::move(joined), prof);
   }
   Metrics().distinct_rows_in->Add(matches);
-  Metrics().distinct_rows_out->Add(out.NumRows());
+  Metrics().distinct_rows_out->Add(fused->NumRows());
   if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(out.NumRows());
-    prof->AddStat("morsels", static_cast<double>(fused_morsels));
+    prof->rows = static_cast<int64_t>(fused->NumRows());
+    prof->AddStat("morsels", static_cast<double>(morsels));
   }
-  return out;
+  return std::move(*fused);
 }
 
 Result<RowIdResult> Executor::ProjectColumnar(const ProjectNode& node,
                                               obs::ProfileNode* parent) const {
-  if (node.distinct() && options_.fuse_join_distinct &&
-      node.child().kind() == PlanNode::Kind::kHashJoin) {
-    return JoinDistinctColumnar(
-        node, static_cast<const HashJoinNode&>(node.child()), parent);
+  if (node.distinct() && node.child().kind() == PlanNode::Kind::kHashJoin) {
+    return JoinDistinctColumnar(node, parent);
   }
   obs::ProfileNode* prof =
       OpNode(parent, node.distinct() ? "project_distinct" : "project");
@@ -2258,11 +2195,7 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
   GRAPHGEN_FAULT_POINT("query.distinct.alloc");
   GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
   RowIdResult out;
-  GRAPHGEN_RETURN_NOT_OK(ProjectOutputSchema(node, child.schema, child.origins,
-                                             &out.schema, &out.origins));
-  out.sources = child.sources;
-  out.columns.reserve(node.columns().size());
-  for (size_t c : node.columns()) out.columns.push_back(child.columns[c]);
+  GRAPHGEN_RETURN_NOT_OK(ProjectMetadata(node, child, &out));
   if (!node.distinct()) {
     out.tuples = std::move(child.tuples);
     if (prof != nullptr) prof->rows = static_cast<int64_t>(out.NumRows());

@@ -14,20 +14,6 @@ struct ExecOptions {
   /// Worker threads for intra-operator parallelism (0 = hardware default,
   /// 1 = fully serial). Results are identical for every value.
   size_t threads = 0;
-  /// Fuse DISTINCT projections directly into the hash join beneath them:
-  /// probe matches feed the first-occurrence set per morsel instead of
-  /// materializing the intermediate row-id tuple vector. Output is
-  /// bitwise-identical either way (the parity suite proves it); the switch
-  /// exists so benches and tests can exercise both operator chains.
-  bool fuse_join_distinct = true;
-  /// Fusion pays when the join output is too big to stay cache-resident
-  /// (the morsel pipeline trades a second pass over materialized tuples
-  /// for streaming dedup); below this estimated output size the operator
-  /// materializes and runs the classic DISTINCT, which is faster in
-  /// cache. The join build's chain lengths give the exact output size
-  /// *before* any tuple is emitted, so the choice is free. 0 forces the
-  /// fused pipeline for any size (tests).
-  size_t fuse_min_output_bytes = size_t{32} << 20;
   /// Request lifecycle context: cooperative cancel flag, deadline, and
   /// transient-memory budget. Every operator polls it at morsel/stride
   /// boundaries and charges its big allocations, so a cancelled, expired,
@@ -65,21 +51,27 @@ class Executor {
  private:
   Result<RowIdResult> ScanColumnar(const ScanNode& node,
                                    obs::ProfileNode* parent) const;
-  Result<RowIdResult> JoinColumnar(const HashJoinNode& node,
+  /// Materializes the hash join.
+  Result<RowIdResult> JoinColumnar(const HashJoinNode& join,
                                    obs::ProfileNode* parent) const;
+  /// A DISTINCT projection directly over a hash join. An exact join output
+  /// large enough that fusion pays streams the probe matches straight
+  /// into the first-occurrence sets without materializing the join's
+  /// tuple vector; a smaller one materializes and takes ProjectFromChild.
+  Result<RowIdResult> JoinDistinctColumnar(const ProjectNode& node,
+                                           obs::ProfileNode* parent) const;
+  /// The shared body of the two join operators: executes the join's
+  /// children, validates the join, builds its output metadata, builds the
+  /// partitioned hash tables and counts the exact output, then hands the
+  /// counted build to `emit`, which fills the output's tuples (or leaves
+  /// them to a fused consumer). Records the join's metrics and profile.
+  template <typename Emit>
+  Result<RowIdResult> RunHashJoin(const HashJoinNode& join,
+                                  obs::ProfileNode* prof, Emit emit) const;
   Result<RowIdResult> ProjectColumnar(const ProjectNode& node,
                                       obs::ProfileNode* parent) const;
-  /// The fused morsel pipeline for DISTINCT directly above a hash join:
-  /// executes the join's children, builds the partitioned hash tables,
-  /// sizes the output from the build chains, and — when the output is
-  /// large enough that fusion pays — streams probe matches straight into
-  /// the first-occurrence set without materializing the join's tuple
-  /// vector. Smaller joins materialize and take ProjectFromChild.
-  Result<RowIdResult> JoinDistinctColumnar(const ProjectNode& node,
-                                           const HashJoinNode& join,
-                                           obs::ProfileNode* parent) const;
   /// Projection/DISTINCT over an already-executed child (the tail of
-  /// ProjectColumnar, shared with the fused path's materializing branch).
+  /// ProjectColumnar, shared with the join's materializing branch).
   /// `prof` is the caller's already-created operator node, filled in
   /// place (null = no recording).
   Result<RowIdResult> ProjectFromChild(const ProjectNode& node,

@@ -6,6 +6,7 @@
 #include <chrono>
 #include <thread>
 
+#include "fused_join_input.h"
 #include "gen/relational_generators.h"
 #include "obs/metrics.h"
 #include "planner/extractor.h"
@@ -128,12 +129,10 @@ const char* kCoEnrollment =
     "Nodes(ID, Name) :- Student(ID, Name).\n"
     "Edges(ID1, ID2) :- TookCourse(ID1, C), TookCourse(ID2, C).";
 
-planner::ExtractOptions PipelineOptions(bool fuse = true) {
+planner::ExtractOptions PipelineOptions() {
   planner::ExtractOptions o;
   o.large_output_factor = 0.0;
   o.preprocess = false;
-  o.fuse_join_distinct = fuse;
-  o.fuse_min_output_bytes = 0;  // fusion (when on) for any size
   return o;
 }
 
@@ -162,14 +161,32 @@ TEST_F(PipelineCancelTest, ExpiredDeadlineUnwinds) {
 }
 
 TEST_F(PipelineCancelTest, MemoryCeilingSurfacesAsResourceExhausted) {
-  for (bool fuse : {true, false}) {
-    planner::ExtractOptions options = PipelineOptions(fuse);
-    options.ctx.budget = std::make_shared<MemoryBudget>(size_t{8} << 10);
-    auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
-    ASSERT_FALSE(result.ok()) << "fuse " << fuse;
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-        << result.status().ToString();
-  }
+  planner::ExtractOptions options = PipelineOptions();
+  options.ctx.budget = std::make_shared<MemoryBudget>(size_t{8} << 10);
+  auto result = planner::ExtractFromQuery(data_.db, kCoEnrollment, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+}
+
+// The fused join→DISTINCT branch under a ceiling: expanding the Hub
+// co-membership graph in the database runs a self-join past the fusion
+// threshold. 4 MB fits the scans and the join build but not the fused
+// DISTINCT sets, which must refuse the request cleanly.
+TEST(FusedPipelineCancelTest, MemoryCeilingSurfacesAsResourceExhausted) {
+  rel::Database db;
+  testing::PutHubTables(db, testing::HubKey::kInt64);
+  planner::ExtractOptions options = PipelineOptions();
+  options.large_output_factor = 1e18;
+  options.ctx.budget = std::make_shared<MemoryBudget>(size_t{4} << 20);
+  auto result =
+      planner::ExtractFromQuery(db, testing::kHubCoMembership, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("fused DISTINCT"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 TEST_F(PipelineCancelTest, GenerousBudgetSucceedsAndTracksPeak) {

@@ -99,59 +99,92 @@ TEST_F(GraphGenTest, Dedup1AlgorithmsSelectable) {
 }
 
 TEST_F(GraphGenTest, PatchExtractedExpParityInBothModes) {
-  // Withhold a tail, capture an EXP basis, append, patch: the patched
-  // graph's expanded edge set must equal a cold kExp extraction of the
-  // grown database — in both application modes. exp_compact_threshold
-  // steers the mode: touched-vertex counts span both directions (up to
-  // 2n), so 2.0 keeps every delta in the COW overlay and 0.0 sends every
-  // delta through the flat single-pass rebuild.
-  for (const double threshold : {2.0, 0.0}) {
-    SCOPED_TRACE(threshold == 2.0 ? "overlay mode" : "rebuild mode");
+  // Withhold the last two authors with their AuthorPub rows plus a tail of
+  // AuthorPub, capture an EXP basis, append them back, patch: the patched
+  // graph gains the withheld vertices and its expanded edge set must
+  // equal a cold kExp extraction of the grown database — in both
+  // application modes. The delta's size picks the mode: a few rows touch
+  // a handful of the 2000 authors and ride the COW overlay; most of the
+  // table touches nearly every author and takes the flat single-pass
+  // merge.
+  const gen::GeneratedDatabase data = gen::MakeDblpLike(2000, 3000, 4.0, 7);
+  const rel::Table* authors = *data.db.GetTable("Author");
+  const rel::Table* links = *data.db.GetTable("AuthorPub");
+  constexpr size_t kNewAuthors = 2;
+  const size_t kept_authors = authors->NumRows() - kNewAuthors;
+  struct Mode {
+    const char* name;
+    size_t link_tail;
+    bool overlay;
+  };
+  for (const Mode& mode : {Mode{"overlay", 2, true},
+                           Mode{"merge", links->NumRows() * 3 / 5, false}}) {
+    SCOPED_TRACE(mode.name);
+    // Author IDs are 0..n-1 in row order, so a link row belongs to a
+    // withheld author iff its aid is at least kept_authors.
+    const size_t keep = links->NumRows() - mode.link_tail;
+    std::vector<rel::Row> kept_links;
+    std::vector<rel::Row> new_links;
+    for (size_t i = 0; i < links->NumRows(); ++i) {
+      rel::Row row = links->row(i);
+      const bool withheld =
+          i >= keep ||
+          row[0].AsInt64() >= static_cast<int64_t>(kept_authors);
+      (withheld ? new_links : kept_links).push_back(std::move(row));
+    }
+    std::vector<rel::Row> new_authors;
+    for (size_t i = kept_authors; i < authors->NumRows(); ++i) {
+      new_authors.push_back(authors->row(i));
+    }
     rel::Database db;
-    std::vector<std::pair<std::string, std::vector<rel::Row>>> tails;
-    for (const std::string& name : data_.db.TableNames()) {
-      const rel::Table* t = *data_.db.GetTable(name);
-      const size_t delta = t->NumRows() / 10 + 1;
-      const size_t keep = t->NumRows() - delta;
+    for (const std::string& name : data.db.TableNames()) {
+      const rel::Table* t = *data.db.GetTable(name);
       rel::Table copy(name, t->schema());
-      for (size_t i = 0; i < keep; ++i) copy.AppendUnchecked(t->row(i));
+      if (t == links) {
+        for (const rel::Row& row : kept_links) copy.AppendUnchecked(row);
+      } else {
+        const size_t rows = t == authors ? kept_authors : t->NumRows();
+        for (size_t i = 0; i < rows; ++i) copy.AppendUnchecked(t->row(i));
+      }
       db.PutTable(std::move(copy));
-      auto& tail =
-          tails.emplace_back(name, std::vector<rel::Row>{}).second;
-      for (size_t i = keep; i < t->NumRows(); ++i) tail.push_back(t->row(i));
     }
     db.AnalyzeAll();
 
     GraphGenOptions opts;
     opts.representation = Representation::kExp;
     opts.capture_incremental = true;
-    opts.exp_compact_threshold = threshold;
     opts.extract.large_output_factor = 0.0;
     opts.extract.preprocess = false;
 
     GraphGen engine(&db);
-    auto basis = engine.Extract(data_.datalog, opts);
+    auto basis = engine.Extract(data.datalog, opts);
     ASSERT_TRUE(basis.ok()) << basis.status().ToString();
-    for (auto& [name, rows] : tails) {
-      ASSERT_TRUE(db.AppendRows(name, rows).ok());
-    }
+    ASSERT_TRUE(db.AppendRows("Author", new_authors).ok());
+    ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
 
     auto outcome = engine.PatchExtracted(*basis, opts);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
-    auto fresh = engine.Extract(data_.datalog, opts);
+    auto fresh = engine.Extract(data.datalog, opts);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
     const Graph& patched = *outcome->graph.graph;
+    // The withheld authors are new vertices, so the mode's vertex-growth
+    // path ran.
+    EXPECT_EQ(patched.NumVertices(),
+              basis->graph->NumVertices() + kNewAuthors);
     EXPECT_EQ(patched.NumVertices(), fresh->graph->NumVertices());
     EXPECT_EQ(patched.ExpandedEdgeSet(), fresh->graph->ExpandedEdgeSet());
+    EXPECT_NE(patched.ExpandedEdgeSet(), basis->graph->ExpandedEdgeSet());
 
+    // Only an overlay patch that stayed under the compaction threshold
+    // leaves patch entries behind.
     const auto* exp = dynamic_cast<const ExpandedGraph*>(&patched);
     ASSERT_NE(exp, nullptr);
-    if (threshold == 2.0) {
+    if (mode.overlay) {
       EXPECT_GT(exp->PatchedVertices(), 0u);  // COW overlay carried the delta
     } else {
-      EXPECT_EQ(exp->PatchedVertices(), 0u);  // rebuilt flat
+      EXPECT_EQ(exp->PatchedVertices(), 0u);  // merged flat
       EXPECT_TRUE(exp->HasFlatAdjacency());
     }
   }

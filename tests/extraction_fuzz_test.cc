@@ -1,13 +1,12 @@
 // Extraction parity fuzz: randomized schemas and datasets (seeded via
-// common/rng, fully reproducible) extracted under every thread count ×
-// semi-join pushdown × fused/unfused join→DISTINCT combination, diffed
-// bitwise against the serial unfused run and checked against the
-// planner-independent reference evaluator (reference_extractor.h). The
-// datasets deliberately include dangling src/dst keys (link rows whose
-// endpoint is not a node), NULL keys, duplicate link rows, heterogeneous
-// key types (int64 / dictionary strings / mixed columns), and chains long
-// enough that factor 0.0 forces multi-segment assembly with virtual
-// nodes at the boundaries.
+// common/rng, fully reproducible) extracted under every thread count and
+// large-output policy, diffed bitwise against the serial run and checked
+// against the planner-independent reference evaluator
+// (reference_extractor.h). The datasets deliberately include dangling
+// src/dst keys (link rows whose endpoint is not a node), NULL keys,
+// duplicate link rows, heterogeneous key types (int64 / dictionary
+// strings / mixed columns), and chains long enough that factor 0.0 forces
+// multi-segment assembly with virtual nodes at the boundaries.
 
 #include <gtest/gtest.h>
 
@@ -154,21 +153,12 @@ FuzzCase MakeCase(uint64_t seed) {
   return fc;
 }
 
-// How the fused join→DISTINCT pipeline is driven: disabled entirely,
-// forced for any output size, or the adaptive default.
-enum class FuseMode { kNever, kAlways, kAuto };
-constexpr FuseMode kFuseModes[] = {FuseMode::kNever, FuseMode::kAlways,
-                                   FuseMode::kAuto};
-
-ExtractionResult RunExtract(const FuzzCase& fc, double factor, size_t threads,
-                            bool pushdown, FuseMode fuse) {
+ExtractionResult RunExtract(const FuzzCase& fc, double factor,
+                            size_t threads) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.threads = threads;
-  opts.semi_join_pushdown = pushdown;
-  opts.fuse_join_distinct = fuse != FuseMode::kNever;
-  if (fuse == FuseMode::kAlways) opts.fuse_min_output_bytes = 0;
   auto result = ExtractFromQuery(fc.db, fc.datalog, opts);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return std::move(result).ValueOrDie();
@@ -191,32 +181,16 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
     // 0.0 forces every boundary condensed (multi-segment + virtual
     // nodes), 1e18 forces full expansion, 2.0 lets the stats decide.
     for (double factor : {0.0, 2.0, 1e18}) {
-      for (const bool pushdown : {false, true}) {
-        // The serial unfused chain is the bitwise baseline; the reference
-        // evaluator says what the graph must mean.
-        const ExtractionResult serial =
-            RunExtract(fc, factor, 1, pushdown, FuseMode::kNever);
-        EXPECT_EQ(testing::DiffAgainstReference(serial.storage, ref), "")
-            << "factor=" << factor << " pushdown=" << pushdown;
-        for (const FuseMode fuse : kFuseModes) {
-          for (const size_t threads : {size_t{1}, size_t{4}}) {
-            const ExtractionResult got =
-                RunExtract(fc, factor, threads, pushdown, fuse);
-            EXPECT_EQ(DiffExtraction(serial, got), "")
-                << "factor=" << factor << " pushdown=" << pushdown
-                << " threads=" << threads << " fuse=" << static_cast<int>(fuse);
-          }
-        }
+      // The serial run is the bitwise baseline; the reference evaluator
+      // says what the graph must mean.
+      const ExtractionResult serial = RunExtract(fc, factor, 1);
+      EXPECT_EQ(testing::DiffAgainstReference(serial.storage, ref), "")
+          << "factor=" << factor;
+      for (const size_t threads : {size_t{1}, size_t{4}}) {
+        const ExtractionResult got = RunExtract(fc, factor, threads);
+        EXPECT_EQ(DiffExtraction(serial, got), "")
+            << "factor=" << factor << " threads=" << threads;
       }
-      // Pushdown legitimately scans fewer rows; the graph must not move.
-      const ExtractionResult plain =
-          RunExtract(fc, factor, 4, /*pushdown=*/false, FuseMode::kAuto);
-      const ExtractionResult pushed =
-          RunExtract(fc, factor, 4, /*pushdown=*/true, FuseMode::kAuto);
-      EXPECT_EQ(DiffExtraction(plain, pushed, /*compare_scan_counts=*/false),
-                "")
-          << "factor=" << factor << " pushdown vs plain";
-      EXPECT_LE(pushed.rows_scanned, plain.rows_scanned);
     }
   }
 }
@@ -227,7 +201,7 @@ TEST(ExtractionFuzzTest, RandomizedSchemasAgreeAcrossAllConfigurations) {
 // patched extraction must match a cold run over the grown database bit
 // for bit — and the reference graph of the grown database. This drives
 // PatchExtraction through the same hostile data the parity fuzz uses,
-// across segmentation modes and pushdown.
+// across segmentation modes.
 TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
@@ -236,55 +210,51 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     const testing::ReferenceGraph ref = Reference(fc);
     for (double factor : {0.0, 2.0, 1e18}) {
-      for (const bool pushdown : {false, true}) {
-        // Keep a 70% prefix of every table; withhold the tails.
-        rel::Database db;
-        std::vector<std::pair<std::string, std::vector<rel::Row>>> tails;
-        for (const std::string& name : fc.db.TableNames()) {
-          auto tr = fc.db.GetTable(name);
-          ASSERT_TRUE(tr.ok());
-          const Table* t = *tr;
-          const size_t keep = t->NumRows() * 7 / 10;
-          Table copy(name, t->schema());
-          for (size_t i = 0; i < keep; ++i) copy.AppendUnchecked(t->row(i));
-          db.PutTable(std::move(copy));
-          auto& tail = tails.emplace_back(name, std::vector<rel::Row>{}).second;
-          for (size_t i = keep; i < t->NumRows(); ++i) {
-            tail.push_back(t->row(i));
-          }
+      // Keep a 70% prefix of every table; withhold the tails.
+      rel::Database db;
+      std::vector<std::pair<std::string, std::vector<rel::Row>>> tails;
+      for (const std::string& name : fc.db.TableNames()) {
+        auto tr = fc.db.GetTable(name);
+        ASSERT_TRUE(tr.ok());
+        const Table* t = *tr;
+        const size_t keep = t->NumRows() * 7 / 10;
+        Table copy(name, t->schema());
+        for (size_t i = 0; i < keep; ++i) copy.AppendUnchecked(t->row(i));
+        db.PutTable(std::move(copy));
+        auto& tail = tails.emplace_back(name, std::vector<rel::Row>{}).second;
+        for (size_t i = keep; i < t->NumRows(); ++i) {
+          tail.push_back(t->row(i));
         }
-        db.AnalyzeAll();
-
-        ExtractOptions opts;
-        opts.large_output_factor = factor;
-        opts.preprocess = false;
-        opts.threads = 4;
-        opts.semi_join_pushdown = pushdown;
-
-        IncrementalState captured;
-        auto base = ExtractWithCapture(db, *parsed, opts, captured);
-        ASSERT_TRUE(base.ok()) << base.status().ToString();
-        auto state = std::make_shared<IncrementalState>(std::move(captured));
-
-        for (auto& [name, rows] : tails) {
-          ASSERT_TRUE(db.AppendRows(name, rows).ok());
-        }
-        auto attempt = PatchExtraction(db, *state, opts);
-        ASSERT_TRUE(attempt.ok()) << attempt.status().ToString();
-        ASSERT_TRUE(attempt->patched)
-            << "factor=" << factor << " pushdown=" << pushdown
-            << " fell back: " << attempt->fallback_reason;
-
-        const ExtractionResult fresh =
-            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
-        EXPECT_EQ(DiffExtraction(fresh, attempt->result,
-                                 /*compare_scan_counts=*/false),
-                  "")
-            << "factor=" << factor << " pushdown=" << pushdown;
-        EXPECT_EQ(testing::DiffAgainstReference(attempt->result.storage, ref),
-                  "")
-            << "factor=" << factor << " pushdown=" << pushdown;
       }
+      db.AnalyzeAll();
+
+      ExtractOptions opts;
+      opts.large_output_factor = factor;
+      opts.preprocess = false;
+      opts.threads = 4;
+
+      IncrementalState captured;
+      auto base = ExtractWithCapture(db, *parsed, opts, captured);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      auto state = std::make_shared<IncrementalState>(std::move(captured));
+
+      for (auto& [name, rows] : tails) {
+        ASSERT_TRUE(db.AppendRows(name, rows).ok());
+      }
+      auto attempt = PatchExtraction(db, *state, opts);
+      ASSERT_TRUE(attempt.ok()) << attempt.status().ToString();
+      ASSERT_TRUE(attempt->patched)
+          << "factor=" << factor << " fell back: "
+          << attempt->fallback_reason;
+
+      const ExtractionResult fresh = RunExtract(fc, factor, 4);
+      EXPECT_EQ(DiffExtraction(fresh, attempt->result,
+                               /*compare_scan_counts=*/false),
+                "")
+          << "factor=" << factor;
+      EXPECT_EQ(testing::DiffAgainstReference(attempt->result.storage, ref),
+                "")
+          << "factor=" << factor;
     }
   }
 }
@@ -302,21 +272,15 @@ TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
     SCOPED_TRACE("seed=" + std::to_string(seed) + " " + fc.description);
     const testing::ReferenceGraph ref = Reference(fc);
     for (double factor : {0.0, 2.0, 1e18}) {
-      for (const bool pushdown : {false, true}) {
-        simd::ResetTierForTesting();
-        const ExtractionResult vec =
-            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
-        simd::SetTierForTesting(simd::Tier::kScalar);
-        const ExtractionResult scalar =
-            RunExtract(fc, factor, 4, pushdown, FuseMode::kAuto);
-        EXPECT_EQ(testing::DiffAgainstReference(scalar.storage, ref), "")
-            << "factor=" << factor << " pushdown=" << pushdown
-            << " scalar tier vs reference";
-        EXPECT_EQ(DiffExtraction(vec, scalar), "")
-            << "factor=" << factor << " pushdown=" << pushdown
-            << " scalar tier vs "
-            << (simd::Avx2Available() ? "avx2" : "scalar") << " tier";
-      }
+      simd::ResetTierForTesting();
+      const ExtractionResult vec = RunExtract(fc, factor, 4);
+      simd::SetTierForTesting(simd::Tier::kScalar);
+      const ExtractionResult scalar = RunExtract(fc, factor, 4);
+      EXPECT_EQ(testing::DiffAgainstReference(scalar.storage, ref), "")
+          << "factor=" << factor << " scalar tier vs reference";
+      EXPECT_EQ(DiffExtraction(vec, scalar), "")
+          << "factor=" << factor << " scalar tier vs "
+          << (simd::Avx2Available() ? "avx2" : "scalar") << " tier";
     }
   }
 }

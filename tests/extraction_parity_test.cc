@@ -13,35 +13,24 @@
 
 #include "common/parallel.h"
 #include "datalog/parser.h"
+#include "fused_join_input.h"
 #include "gen/relational_generators.h"
 #include "planner/extractor.h"
 
 namespace graphgen::planner {
 namespace {
 
-// How the fused join→DISTINCT pipeline is driven: the adaptive default
-// (kAuto, fuses above the output-size threshold), forced for any size
-// (kForce, exercises the morsel pipeline even on small datasets), or
-// disabled (kOff, the unfused operator chain).
-enum class Fuse { kAuto, kForce, kOff };
-
 struct Config {
   const char* name;
   size_t threads;
   bool use_pool;
-  Fuse fuse = Fuse::kAuto;
 };
 
 // The serial run is the bitwise baseline; every other configuration must
-// match it exactly — including the fused morsel-driven join→DISTINCT
-// pipeline against the unfused operator chain.
+// match it exactly.
 const Config kBaseline{"columnar serial", 1, false};
 const Config kConfigs[] = {
     {"columnar 4 threads", 4, false},
-    {"columnar serial fused", 1, false, Fuse::kForce},
-    {"columnar 4 threads fused", 4, false, Fuse::kForce},
-    {"columnar serial unfused", 1, false, Fuse::kOff},
-    {"columnar 4 threads unfused", 4, false, Fuse::kOff},
     {"columnar shared pool", 4, true},
 };
 
@@ -56,16 +45,12 @@ testing::ReferenceGraph Reference(const rel::Database& db,
 
 ExtractionResult RunConfig(const gen::GeneratedDatabase& data,
                            const std::string& datalog, double factor,
-                           const Config& config, ThreadPool* pool,
-                           bool semi_join_pushdown = false) {
+                           const Config& config, ThreadPool* pool) {
   ExtractOptions opts;
   opts.large_output_factor = factor;
   opts.preprocess = false;
   opts.threads = config.threads;
   opts.pool = config.use_pool ? pool : nullptr;
-  opts.semi_join_pushdown = semi_join_pushdown;
-  opts.fuse_join_distinct = config.fuse != Fuse::kOff;
-  if (config.fuse == Fuse::kForce) opts.fuse_min_output_bytes = 0;
   auto result = ExtractFromQuery(data.db, datalog, opts);
   EXPECT_TRUE(result.ok()) << config.name << ": "
                            << result.status().ToString();
@@ -88,29 +73,6 @@ void ExpectParity(const gen::GeneratedDatabase& data,
       EXPECT_EQ(DiffExtraction(baseline, got), "")
           << dataset << " factor=" << factor << " config=" << config.name;
       EXPECT_EQ(got.sql, baseline.sql) << dataset << " " << config.name;
-    }
-
-    // Semi-join pushdown: the extracted graph must be identical to the
-    // non-pushdown run (rows_scanned legitimately shrinks), and all
-    // thread counts and fusion modes must agree bitwise among themselves.
-    ExtractionResult push_baseline =
-        RunConfig(data, datalog, factor, kBaseline, nullptr, true);
-    EXPECT_EQ(testing::DiffAgainstReference(push_baseline.storage, ref), "")
-        << dataset << " factor=" << factor << " pushdown";
-    EXPECT_EQ(DiffExtraction(baseline, push_baseline,
-                             /*compare_scan_counts=*/false),
-              "")
-        << dataset << " factor=" << factor << " pushdown vs baseline";
-    EXPECT_LE(push_baseline.rows_scanned, baseline.rows_scanned)
-        << dataset << " factor=" << factor;
-    for (const Config& config : kConfigs) {
-      ExtractionResult got =
-          RunConfig(data, datalog, factor, config, &pool, true);
-      EXPECT_EQ(DiffExtraction(push_baseline, got), "")
-          << dataset << " factor=" << factor << " pushdown config="
-          << config.name;
-      EXPECT_EQ(got.sql, push_baseline.sql)
-          << dataset << " pushdown " << config.name;
     }
   }
 }
@@ -189,6 +151,16 @@ TEST(ExtractionParityTest, StringKeysExerciseDictionaryKernels) {
         "Edges(ID1, ID2) :- Follows(ID1, T), Follows(ID2, T).\n";
   }
   ExpectParity(d, d.datalog, "StringKeys");
+}
+
+TEST(ExtractionParityTest, FusedJoinDistinctPastThreshold) {
+  // Expanded in the database (factor 1e18), the Hub self-join crosses the
+  // executor's fusion threshold, so every configuration's DISTINCT takes
+  // the fused branch — one range serially, merged ranges in parallel.
+  // Dictionary-string keys; query_test covers int64 keys the same way.
+  gen::GeneratedDatabase d;
+  testing::PutHubTables(d.db, testing::HubKey::kString);
+  ExpectParity(d, testing::kHubCoMembership, "Hub");
 }
 
 TEST(ExtractionParityTest, CountConstraint) {

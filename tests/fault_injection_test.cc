@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "fused_join_input.h"
 #include "gen/relational_generators.h"
 #include "service/graph_service.h"
 
@@ -141,22 +142,16 @@ std::vector<SweepVariant> SweepVariants() {
     return o;
   };
   std::vector<SweepVariant> variants;
-  // Columnar, fused (forced for any size), preprocess on.
-  {
-    GraphGenOptions o = base();
-    o.extract.fuse_min_output_bytes = 0;
-    variants.push_back({kCoEnrollment, o});
-  }
-  // Columnar, unfused DISTINCT chain.
-  {
-    GraphGenOptions o = base();
-    o.extract.fuse_join_distinct = false;
-    variants.push_back({kCoEnrollment, o});
-  }
+  // Condensed extraction, preprocess on.
+  variants.push_back({kCoEnrollment, base()});
   // COUNT-constrained rule (extract.edges.count).
+  variants.push_back({kCoEnrollmentCounted, base()});
+  // The Hub co-membership graph expanded in the database: its self-join
+  // crosses the fusion threshold, so the DISTINCT takes the fused branch.
   {
     GraphGenOptions o = base();
-    variants.push_back({kCoEnrollmentCounted, o});
+    o.extract.large_output_factor = 1e18;
+    variants.push_back({testing::kHubCoMembership, o});
   }
   return variants;
 }
@@ -166,6 +161,7 @@ class FaultSweepTest : public FaultRegistryTest {
   void SetUp() override {
     FaultRegistryTest::SetUp();
     data_ = gen::MakeUniversity(60, 8, 16, 3.0);
+    testing::PutHubTables(data_.db, testing::HubKey::kInt64);
   }
   gen::GeneratedDatabase data_;
 };

@@ -3,8 +3,8 @@
 // compare_scan_counts=false — only the delta rows are scanned) to a cold
 // extraction against the post-append database, and must hold exactly the
 // reference evaluator's graph of that database, across key types,
-// pushdown modes, preprocessing, dangling-key promotion, and repeated
-// patches. Non-append-safe situations must fall back softly.
+// large-output policies, preprocessing, dangling-key promotion, and
+// repeated patches. Non-append-safe situations must fall back softly.
 
 #include "reference_extractor.h"
 
@@ -132,14 +132,10 @@ ExtractOptions BaseOptions() {
 TEST(IncrementalTest, DblpAppendParityAcrossConfigs) {
   gen::GeneratedDatabase d = gen::MakeDblpLike(300, 600, 4.0);
   for (double factor : {0.0, 2.0, 1e18}) {
-    for (bool pushdown : {false, true}) {
-      ExtractOptions opts = BaseOptions();
-      opts.large_output_factor = factor;
-      opts.semi_join_pushdown = pushdown;
-      const std::string label = "DBLP factor=" + std::to_string(factor) +
-                                " pushdown=" + std::to_string(pushdown);
-      ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
-    }
+    ExtractOptions opts = BaseOptions();
+    opts.large_output_factor = factor;
+    const std::string label = "DBLP factor=" + std::to_string(factor);
+    ExpectPatchParity(d.db, d.datalog, 0.9, opts, label.c_str());
   }
 }
 
@@ -203,18 +199,15 @@ TEST(IncrementalTest, StringKeysAndDanglingPromotion) {
   const std::string datalog =
       "Nodes(ID, Name) :- People(ID, Name).\n"
       "Edges(ID1, ID2) :- Follows(ID1, T), Follows(ID2, T).";
-  for (bool pushdown : {false, true}) {
-    ExtractOptions opts = BaseOptions();
-    opts.semi_join_pushdown = pushdown;
-    for (double factor : {0.0, 2.0, 1e18}) {
-      opts.large_output_factor = factor;
-      // keep=0.5 truncates People at p29, so follows rows for p30..p59 are
-      // dangling until the second half of People lands. Half the node set
-      // arriving as delta makes the patch scan more than cold — fine; the
-      // point here is correctness of dangling promotion, not savings.
-      ExpectPatchParity(db, datalog, 0.5, opts, "StringDangling", /*waves=*/2,
-                        /*expect_cheaper=*/false);
-    }
+  ExtractOptions opts = BaseOptions();
+  for (double factor : {0.0, 2.0, 1e18}) {
+    opts.large_output_factor = factor;
+    // keep=0.5 truncates People at p29, so follows rows for p30..p59 are
+    // dangling until the second half of People lands. Half the node set
+    // arriving as delta makes the patch scan more than cold — fine; the
+    // point here is correctness of dangling promotion, not savings.
+    ExpectPatchParity(db, datalog, 0.5, opts, "StringDangling", /*waves=*/2,
+                      /*expect_cheaper=*/false);
   }
 }
 

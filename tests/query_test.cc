@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <set>
 #include <unordered_set>
 
+#include "fused_join_input.h"
+#include "obs/metrics.h"
 #include "query/executor.h"
 
 namespace graphgen::query {
@@ -13,6 +17,12 @@ using rel::Schema;
 using rel::Table;
 using rel::Value;
 using rel::ValueType;
+
+ExecOptions WithThreads(size_t threads) {
+  ExecOptions options;
+  options.threads = threads;
+  return options;
+}
 
 Database MakeDb() {
   Database db;
@@ -225,7 +235,7 @@ TEST(ExecutorTest, LargeJoinMatchesPerKeyExpectation) {
   ASSERT_GT(want.size(), 0u);
 
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    Executor ex(&db, {.threads = threads});
+    Executor ex(&db, WithThreads(threads));
     auto rs = ex.Execute(plan);
     ASSERT_TRUE(rs.ok());
     ASSERT_EQ(rs->schema.NumColumns(), 2u);
@@ -257,7 +267,7 @@ TEST(ExecutorTest, ExecuteColumnarIsLazyUntilMaterialize) {
 void ExpectRows(const Database& db, const PlanNode& plan,
                 const std::vector<rel::Row>& want) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
-    Executor ex(&db, {.threads = threads});
+    Executor ex(&db, WithThreads(threads));
     auto rs = ex.Execute(plan);
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
     EXPECT_EQ(rs->rows, want) << "threads=" << threads;
@@ -401,51 +411,147 @@ TEST(ExecutorTest, SemiJoinFilterOnDictColumn) {
   ExpectRows(db, *scan, {{Value("ann")}, {Value("ann")}, {Value("cat")}});
 }
 
-// The fused morsel pipeline (DISTINCT directly above a hash join) must be
-// indistinguishable from the unfused operator chain: same survivors, same
-// order, same row-id tuples — for every thread count and key encoding.
-TEST(ExecutorTest, FusedJoinDistinctMatchesUnfusedBitwise) {
-  Database db;
-  Table t("R", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
-  // Skewed key multiplicity, NULL keys, enough rows to cross the parallel
-  // probe/DISTINCT thresholds; v % 41 makes the projected pairs repeat so
-  // DISTINCT actually drops most of the join output.
-  for (int64_t i = 0; i < 30000; ++i) {
-    t.AppendUnchecked(
-        {i % 11 == 0 ? Value() : Value(i % 499), Value(i % 41)});
-  }
-  db.PutTable(std::move(t));
+// A DISTINCT directly over a hash join takes the fused pipeline exactly
+// when the join's output crosses the executor's 32 MB threshold — no
+// option selects it. On inputs that just cross it, the fused branch must
+// run, give bitwise-identical row-id tuples at every thread count (1: one
+// range, 4: serial cross-range merge, 8: partitioned merge), and produce
+// exactly the tuple set a per-key loop computes from the table. The cases
+// cover every typed-key instantiation (int64, double, same-dictionary and
+// cross-dictionary strings, the mixed-encoding Value fallback), NULL keys,
+// and a left-deep plan whose probe side is itself a join and whose
+// DISTINCT is three columns wide, one of them dictionary strings.
+TEST(ExecutorTest, FusedJoinDistinctEngagesPastThreshold) {
+  obs::Counter* fused_runs =
+      obs::MetricsRegistry::Global().GetCounter("query.fused_pipelines");
+  using Encoding = rel::ColumnVector::Encoding;
+  using testing::HubKey;
+  struct Case {
+    const char* name;
+    HubKey key;
+    Encoding encoding;  // the key column's physical encoding
+    const char* right;  // the Hub self-join's right table
+    bool left_deep;     // (Hub ⋈ right) ⋈ Member, DISTINCT (a, b, name)
+  };
+  for (const Case& c :
+       {Case{"int64", HubKey::kInt64, Encoding::kInt64, "Hub", false},
+        Case{"double", HubKey::kDouble, Encoding::kDouble, "Hub", false},
+        Case{"string", HubKey::kString, Encoding::kDictString, "Hub", false},
+        Case{"cross-dictionary", HubKey::kString, Encoding::kDictString,
+             "HubR", false},
+        Case{"mixed", HubKey::kMixed, Encoding::kMixed, "Hub", false},
+        Case{"left-deep", HubKey::kInt64, Encoding::kInt64, "Hub", true}}) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    testing::PutHubTables(db, c.key);
+    const Table* hub = *db.GetTable("Hub");
+    const Table* right = *db.GetTable(c.right);
+    ASSERT_EQ(hub->column(1).encoding(), c.encoding);
+    ASSERT_EQ(right->column(1).encoding(), c.encoding);
+    if (c.encoding == Encoding::kDictString) {
+      // HubR's reversed rows give it its own, differently ordered
+      // dictionary.
+      EXPECT_EQ(hub->column(1).dict().Find("g1") ==
+                    right->column(1).dict().Find("g1"),
+                hub == right);
+    }
 
-  auto join = std::make_unique<HashJoinNode>(
-      std::make_unique<ScanNode>("R"), std::make_unique<ScanNode>("R"), 0, 0);
-  ProjectNode plan(std::move(join), std::vector<size_t>{1, 3},
-                   std::vector<std::string>{"a", "b"}, /*distinct=*/true);
+    // Oracle: per key, the ids that carry it; the DISTINCT output is the
+    // union of ids(k) x ids(k), with b's Member name in the left-deep
+    // case. NULL keys join nothing. HubR holds the same rows, so the
+    // cross-dictionary join has the self-join's output.
+    std::map<Value, std::set<int64_t>> ids_by_key;
+    std::map<Value, size_t> rows_by_key;
+    for (size_t i = 0; i < hub->NumRows(); ++i) {
+      const rel::Row row = hub->row(i);
+      if (row[1].is_null()) continue;
+      ids_by_key[row[1]].insert(row[0].AsInt64());
+      ++rows_by_key[row[1]];
+    }
+    size_t matches = 0;
+    for (const auto& [k, n] : rows_by_key) matches += n * n;
+    std::set<rel::Row> want;
+    for (const auto& [k, ids] : ids_by_key) {
+      for (int64_t a : ids) {
+        for (int64_t b : ids) {
+          if (c.left_deep) {
+            want.insert({Value(a), Value(b), Value("m" + std::to_string(b))});
+          } else {
+            want.insert({Value(a), Value(b)});
+          }
+        }
+      }
+    }
+    // The input is sized to just cross the threshold; every keyed id has
+    // exactly one Member row, so the left-deep join keeps every match.
+    const size_t width = c.left_deep ? 3 : 2;
+    const size_t join_bytes = matches * width * sizeof(uint32_t);
+    ASSERT_GE(join_bytes, size_t{32} << 20);
+    ASSERT_LT(join_bytes, size_t{53} << 20);
 
-  Executor unfused(&db, {.threads = 1, .fuse_join_distinct = false});
-  auto oracle = unfused.ExecuteColumnar(plan);
-  ASSERT_TRUE(oracle.ok());
-  ASSERT_GT(oracle->NumRows(), 0u);
-
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    // fuse_min_output_bytes = 0 forces the morsel pipeline regardless of
-    // the estimated output size; the default (adaptive) config is also
-    // checked — it must be identical whichever branch it picks.
-    for (size_t min_bytes : {size_t{0}, (size_t{32} << 20)}) {
-      Executor fused(&db, {.threads = threads,
-                           .fuse_join_distinct = true,
-                           .fuse_min_output_bytes = min_bytes});
-      auto got = fused.ExecuteColumnar(plan);
-      ASSERT_TRUE(got.ok()) << "threads=" << threads;
-      // Row-id tuples are the strongest equality: identical survivors in
-      // identical order over identical bindings.
-      EXPECT_EQ(got->tuples, oracle->tuples)
-          << "threads=" << threads << " min_bytes=" << min_bytes;
-      EXPECT_EQ(got->Materialize().rows, oracle->Materialize().rows);
+    std::unique_ptr<PlanNode> join = std::make_unique<HashJoinNode>(
+        std::make_unique<ScanNode>("Hub"), std::make_unique<ScanNode>(c.right),
+        1, 1);
+    std::vector<size_t> cols = {0, 2};
+    std::vector<std::string> names = {"a", "b"};
+    if (c.left_deep) {
+      join = std::make_unique<HashJoinNode>(
+          std::move(join), std::make_unique<ScanNode>("Member"), 2, 0);
+      cols.push_back(5);
+      names.push_back("name");
+    }
+    ProjectNode plan(std::move(join), cols, names, /*distinct=*/true);
+    std::optional<std::vector<uint32_t>> baseline;
+    for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+      const uint64_t before = fused_runs->Value();
+      auto got = Executor(&db, WithThreads(threads)).ExecuteColumnar(plan);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(fused_runs->Value(), before + 1) << "threads=" << threads;
+      if (!baseline.has_value()) {
+        baseline = got->tuples;
+        const ResultSet rs = got->Materialize();
+        const std::set<rel::Row> rows(rs.rows.begin(), rs.rows.end());
+        EXPECT_EQ(rs.NumRows(), rows.size()) << "duplicate output rows";
+        EXPECT_EQ(rows, want);
+      } else {
+        EXPECT_EQ(got->tuples, *baseline) << "threads=" << threads;
+      }
     }
   }
 }
 
-TEST(ExecutorTest, FusedJoinDistinctOnDictAndMixedKeys) {
+// The fused pipeline's cross-range merge sets are charged to the request
+// budget like its per-range sets. Measure the peak of an untracked-limit
+// run, then grant one byte less: the per-range sets still fit, and the
+// merge (the last and only charge on top of them) must be refused.
+TEST(ExecutorTest, FusedMergeSetsAreCharged) {
+  Database db;
+  testing::PutHubTables(db, testing::HubKey::kInt64);
+  auto join = std::make_unique<HashJoinNode>(
+      std::make_unique<ScanNode>("Hub"), std::make_unique<ScanNode>("Hub"), 1,
+      1);
+  ProjectNode plan(std::move(join), std::vector<size_t>{0, 2},
+                   std::vector<std::string>{"a", "b"}, /*distinct=*/true);
+
+  ExecOptions tracked = WithThreads(4);
+  tracked.ctx.budget = std::make_shared<MemoryBudget>(0);  // track only
+  auto ok = Executor(&db, tracked).ExecuteColumnar(plan);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  const size_t peak = tracked.ctx.budget->peak();
+
+  ExecOptions tight = WithThreads(4);
+  tight.ctx.budget = std::make_shared<MemoryBudget>(peak - 1);
+  auto refused = Executor(&db, tight).ExecuteColumnar(plan);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find("merge"), std::string::npos)
+      << refused.status().ToString();
+}
+
+// Below the threshold the same operator materializes the join and runs
+// the classic DISTINCT; dictionary and mixed-encoding keys must give the
+// same tuples serially and in parallel.
+TEST(ExecutorTest, JoinDistinctOnDictAndMixedKeys) {
   Database db;
   Table t("S", Schema({{"who", ValueType::kString},
                        {"topic", ValueType::kString}}));
@@ -466,18 +572,15 @@ TEST(ExecutorTest, FusedJoinDistinctOnDictAndMixedKeys) {
         0);
     ProjectNode plan(std::move(join), std::vector<size_t>{0, 1},
                      std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-    Executor unfused(&db, {.threads = 4, .fuse_join_distinct = false});
-    Executor fused(&db, {.threads = 4,
-                         .fuse_join_distinct = true,
-                         .fuse_min_output_bytes = 0});
-    auto want = unfused.ExecuteColumnar(plan);
-    auto got = fused.ExecuteColumnar(plan);
+    auto want = Executor(&db, WithThreads(1)).ExecuteColumnar(plan);
+    auto got = Executor(&db, WithThreads(4)).ExecuteColumnar(plan);
     ASSERT_TRUE(want.ok() && got.ok()) << right;
+    EXPECT_GT(want->NumRows(), 0u) << right;
     EXPECT_EQ(got->tuples, want->tuples) << right;
   }
 }
 
-TEST(ExecutorTest, FusedJoinDistinctEmptyAndImpossibleJoins) {
+TEST(ExecutorTest, JoinDistinctEmptyAndImpossibleJoins) {
   Database db;
   Table a("A", Schema({{"k", ValueType::kInt64}}));
   a.AppendUnchecked({Value(int64_t{1})});
@@ -486,14 +589,13 @@ TEST(ExecutorTest, FusedJoinDistinctEmptyAndImpossibleJoins) {
   b.AppendUnchecked({Value("x")});
   db.PutTable(std::move(b));
 
-  // int64 ⋈ string can never match; the fused path must still return the
-  // correct (empty) result with the correct schema.
+  // int64 ⋈ string can never match; DISTINCT over the join must still
+  // return the correct (empty) result with the correct schema.
   auto join = std::make_unique<HashJoinNode>(
       std::make_unique<ScanNode>("A"), std::make_unique<ScanNode>("B"), 0, 0);
   ProjectNode plan(std::move(join), std::vector<size_t>{0, 1},
                    std::vector<std::string>{"a", "b"}, /*distinct=*/true);
-  Executor ex(&db, {.fuse_join_distinct = true, .fuse_min_output_bytes = 0});
-  auto rs = ex.Execute(plan);
+  auto rs = Executor(&db).Execute(plan);
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->NumRows(), 0u);
   EXPECT_EQ(rs->schema.NumColumns(), 2u);

@@ -12,7 +12,7 @@
 // set of (ID1, ID2) bindings whose endpoints are both real nodes — the
 // expanded edge set a condensed extraction must reproduce. Nothing here
 // knows about join chains, segments, large-output boundaries, virtual
-// nodes, semi-join pushdown or the COUNT plan, and nothing is included
+// nodes, delta patches or the COUNT plan, and nothing is included
 // from the planner, query or core layers: a bug in the Datalog→plan
 // translation therefore shows up as a disagreement with this oracle.
 //

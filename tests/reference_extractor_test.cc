@@ -163,14 +163,9 @@ TEST(ReferenceExtractorTest, ExtractorCountMatchesReference) {
   auto program = dsl::Parse(kCountedRatings);
   ASSERT_TRUE(program.ok());
   const ReferenceGraph ref = MustReference(db, kCountedRatings);
-  for (bool pushdown : {false, true}) {
-    planner::ExtractOptions opts;
-    opts.semi_join_pushdown = pushdown;
-    auto extracted = planner::Extract(db, *program, opts);
-    ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
-    EXPECT_EQ(DiffAgainstReference(extracted->storage, ref), "")
-        << "pushdown=" << pushdown;
-  }
+  auto extracted = planner::Extract(db, *program);
+  ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
+  EXPECT_EQ(DiffAgainstReference(extracted->storage, ref), "");
 }
 
 // Regression: the chain planner joins adjacent atoms on one variable each
