@@ -62,7 +62,8 @@ struct ExtractedGraph {
   double dedup_seconds = 0.0;
   /// Present when the extraction was run with capture_incremental: the
   /// state PatchExtracted advances on table appends. Immutable and shared
-  /// (successor states share nothing with it structurally).
+  /// (successor states share only its copy-on-write property columns,
+  /// which `graph` shares too).
   std::shared_ptr<const planner::IncrementalState> incremental;
   /// Database-global tick when the extraction started. Caches that cannot
   /// do a per-table version check (no incremental state) compare this to

@@ -288,6 +288,9 @@ Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
       }
     }
   }
+  // The column block is final: trim it once, since every representation
+  // and captured state built from this graph shares it.
+  storage.properties().ShrinkToFit();
   result.real_nodes = storage.NumRealNodes();
   return Status::OK();
 }
@@ -628,9 +631,14 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
           to = dst_virt->Resolve(ri);
         }
         batch.emplace_back(from, to);
-        if (capture != nullptr) {
-          capture->edge_rules[rule_idx].seen_pairs[si].insert(
-              PackPair(from, to));
+      }
+      if (capture != nullptr) {
+        // Emission-order ids; canonicalization below renumbers and sorts.
+        std::vector<uint64_t>& pairs =
+            capture->edge_rules[rule_idx].seen_pairs[si];
+        pairs.reserve(batch.size());
+        for (const auto& [from, to] : batch) {
+          pairs.push_back(PackPair(from, to));
         }
       }
       // Batched append: adjacency lists reserve their exact final size,
@@ -653,18 +661,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
         CanonicalizeVirtualNodes(result.storage, std::move(maps));
     if (capture != nullptr) {
       for (EdgeRuleState& ers : capture->edge_rules) {
-        for (auto& set : ers.seen_pairs) {
-          std::unordered_set<uint64_t> remapped;
-          remapped.reserve(set.size());
-          for (uint64_t pair : set) {
-            remapped.insert(
-                (static_cast<uint64_t>(
-                     RemapRaw(static_cast<uint32_t>(pair >> 32), perm))
-                 << 32) |
-                RemapRaw(static_cast<uint32_t>(pair), perm));
-          }
-          set = std::move(remapped);
-        }
+        for (auto& pairs : ers.seen_pairs) RemapPairSet(pairs, perm);
       }
       for (auto& [key, map] : virtual_maps) {
         capture->edge_rules[key >> 32]

@@ -7,6 +7,7 @@
 // canonical virtual-node renumbering that makes the two paths produce
 // bitwise-identical graphs. Not part of the public planner API.
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -191,6 +192,22 @@ inline uint64_t PackPair(NodeRef from, NodeRef to) {
 inline uint32_t RemapRaw(uint32_t raw, const std::vector<uint32_t>& perm) {
   if ((raw & NodeRef::kVirtualBit) == 0) return raw;
   return perm[raw & ~NodeRef::kVirtualBit] | NodeRef::kVirtualBit;
+}
+
+// Renumbers a (rule, segment) pair set's virtual endpoints through the
+// canonical permutation and restores its stored form: sorted,
+// duplicate-free and exact-size.
+inline void RemapPairSet(std::vector<uint64_t>& pairs,
+                         const std::vector<uint32_t>& perm) {
+  for (uint64_t& pair : pairs) {
+    pair = (static_cast<uint64_t>(
+                RemapRaw(static_cast<uint32_t>(pair >> 32), perm))
+            << 32) |
+           RemapRaw(static_cast<uint32_t>(pair), perm);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  pairs.shrink_to_fit();
 }
 
 // Injective, type-tagged encoding of one projected result tuple. The

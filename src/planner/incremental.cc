@@ -74,12 +74,12 @@ std::vector<uint32_t> CanonicalizeVirtualNodes(CondensedStorage& storage,
 }
 
 size_t IncrementalState::MemoryBytes() const {
-  size_t total = graph.MemoryBytes() + graph.properties().MemoryBytes();
+  size_t total = graph.MemoryBytes();
   total += node_ids.MemoryBytes();
   for (const auto& t : node_tuples) total += t.capacity() + 56;
   for (const auto& er : edge_rules) {
-    for (const auto& s : er.seen_pairs) {
-      total += s.size() * 16 + s.bucket_count() * 8;
+    for (const auto& pairs : er.seen_pairs) {
+      total += pairs.capacity() * sizeof(uint64_t);
     }
     for (const auto& [b, m] : er.boundaries) {
       (void)b;
@@ -91,19 +91,25 @@ size_t IncrementalState::MemoryBytes() const {
 
 namespace {
 
-// Remaps one packed pair set through the canonical permutation.
-void RemapPairSet(std::unordered_set<uint64_t>& set,
-                  const std::vector<uint32_t>& perm) {
-  std::unordered_set<uint64_t> remapped;
-  remapped.reserve(set.size());
-  for (uint64_t pair : set) {
-    remapped.insert(
-        (static_cast<uint64_t>(RemapRaw(static_cast<uint32_t>(pair >> 32),
-                                        perm))
-         << 32) |
-        RemapRaw(static_cast<uint32_t>(pair), perm));
-  }
-  set = std::move(remapped);
+// Splices one segment's patch candidates into its pair set. `candidates`
+// is reduced to the pairs the set did not hold, sorted; the set stays
+// sorted, duplicate-free and exact-size.
+void SpliceNewPairs(std::vector<uint64_t>& seen,
+                    std::vector<uint64_t>& candidates) {
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  candidates.erase(std::remove_if(candidates.begin(), candidates.end(),
+                                  [&seen](uint64_t pair) {
+                                    return std::binary_search(
+                                        seen.begin(), seen.end(), pair);
+                                  }),
+                   candidates.end());
+  if (candidates.empty()) return;
+  std::vector<uint64_t> merged(seen.size() + candidates.size());
+  std::merge(seen.begin(), seen.end(), candidates.begin(), candidates.end(),
+             merged.begin());
+  seen.swap(merged);
 }
 
 void InsertKey(query::KeyFilter& filter, const rel::Value& v) {
@@ -303,6 +309,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
             rows.IsNullAt(ri, i) ? "" : rows.ToStringAt(ri, i));
       }
     }
+    st.graph.properties().ShrinkToFit();
   }
   result.real_nodes = st.graph.NumRealNodes();
 
@@ -378,7 +385,11 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     for (const Pass& p : passes) refs.push_back(p.seg.plan.get());
     std::vector<ExecOutput> outs = RunPlans(db, refs, options);
 
+    // Candidates are gathered per segment over all of its passes, then
+    // spliced once: passes overlap, and most rows re-derive basis pairs.
     const bool poll = NeedsCtxPoll(options.ctx);
+    std::vector<std::vector<uint64_t>> candidates(nseg);
+    std::vector<ScopedCharge> candidate_charges(passes.size());
     for (size_t pi = 0; pi < passes.size(); ++pi) {
       Pass& p = passes[pi];
       ExecOutput& out = outs[pi];
@@ -407,14 +418,11 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
                          ers.boundaries[ers.segment_shape[p.si].second],
                          st.graph);
       }
-      auto& seen = ers.seen_pairs[p.si];
+      std::vector<uint64_t>& cand = candidates[p.si];
       const size_t nrows = out.NumRows();
-      ScopedCharge batch_charge;
-      GRAPHGEN_RETURN_NOT_OK(batch_charge.Acquire(
-          options.ctx, nrows * sizeof(std::pair<NodeRef, NodeRef>),
-          "patch edge batch"));
-      std::vector<std::pair<NodeRef, NodeRef>> batch;
-      batch.reserve(nrows);
+      GRAPHGEN_RETURN_NOT_OK(candidate_charges[pi].Acquire(
+          options.ctx, nrows * sizeof(uint64_t), "patch edge candidates"));
+      cand.reserve(cand.size() + nrows);
       for (size_t ri = 0; ri < nrows; ++ri) {
         if (poll && ri % kCancelStrideRows == 0) {
           GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
@@ -438,9 +446,17 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
         } else {
           to = dst_virt->Resolve(ri);
         }
-        // Only genuinely new condensed pairs are spliced in.
-        if (!seen.insert(PackPair(from, to)).second) continue;
-        batch.emplace_back(from, to);
+        cand.push_back(PackPair(from, to));
+      }
+    }
+    // Only genuinely new condensed pairs are spliced in.
+    for (size_t si = 0; si < nseg; ++si) {
+      SpliceNewPairs(ers.seen_pairs[si], candidates[si]);
+      std::vector<std::pair<NodeRef, NodeRef>> batch;
+      batch.reserve(candidates[si].size());
+      for (const uint64_t pair : candidates[si]) {
+        batch.emplace_back(NodeRef::FromRaw(static_cast<uint32_t>(pair >> 32)),
+                           NodeRef::FromRaw(static_cast<uint32_t>(pair)));
       }
       st.graph.AddEdges(batch);
       attempt.new_edges.insert(attempt.new_edges.end(), batch.begin(),
@@ -460,8 +476,11 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     }
     const std::vector<uint32_t> perm =
         CanonicalizeVirtualNodes(st.graph, std::move(maps));
+    // Real ids never renumber: a single-segment rule's set holds real
+    // pairs only and stays sorted as spliced.
     for (EdgeRuleState& ers : st.edge_rules) {
-      for (auto& set : ers.seen_pairs) RemapPairSet(set, perm);
+      if (ers.seen_pairs.size() < 2) continue;
+      for (auto& pairs : ers.seen_pairs) RemapPairSet(pairs, perm);
     }
     for (auto& [from, to] : attempt.new_edges) {
       from = NodeRef::FromRaw(RemapRaw(from.raw(), perm));
@@ -488,7 +507,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
 
   attempt.patched = true;
   attempt.state = std::move(next);
-  return std::move(attempt);
+  return attempt;
 }
 
 }  // namespace graphgen::planner

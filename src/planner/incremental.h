@@ -33,6 +33,10 @@ struct TableBasis {
 /// pair emit nothing), the segment shape the basis was planned with (a
 /// drift in the large-output segmentation after appends voids the state),
 /// and the boundary-value → virtual-node-id maps.
+///
+/// The pair sets are per (rule, segment), not a lookup in the condensed
+/// graph: two Edges rules may emit the same real pair, and a fresh
+/// extraction stores it once per rule.
 struct EdgeRuleState {
   /// False for COUNT-constraint rules: their GROUP BY recount cannot be
   /// patched from deltas, so any change to their tables (or to the node
@@ -40,8 +44,9 @@ struct EdgeRuleState {
   bool patchable = true;
   /// (first_atom, last_atom) per segment, for the drift check.
   std::vector<std::pair<size_t, size_t>> segment_shape;
-  /// Per segment: PackPair(from, to) of every emitted condensed edge.
-  std::vector<std::unordered_set<uint64_t>> seen_pairs;
+  /// Per segment: PackPair(from, to) of every emitted condensed edge,
+  /// sorted, duplicate-free and exact-size (8 B per pair).
+  std::vector<std::vector<uint64_t>> seen_pairs;
   /// Boundary atom index → key map. Ids are storage virtual ids, kept
   /// canonical by the renumbering pass after every (re-)extraction.
   std::map<size_t, TypedIdMap> boundaries;
@@ -74,13 +79,17 @@ struct IncrementalState {
 
   /// The canonical condensed graph *before* §4.2 Step 6 preprocessing
   /// (patches splice edges into this, then re-run preprocessing on a
-  /// copy), adjacency sorted, virtual ids in canonical key order.
+  /// copy), adjacency sorted, virtual ids in canonical key order. Its
+  /// property columns are shared with the graph served from it.
   CondensedStorage graph;
 
   /// rows_scanned of the basis extraction; patched results report this
   /// plus the delta rows actually scanned.
   uint64_t rows_scanned = 0;
 
+  /// Bytes this state keeps beside the served graph. `graph`'s property
+  /// columns are not counted: they are shared with the served graph,
+  /// whose footprint counts them.
   size_t MemoryBytes() const;
 };
 

@@ -11,7 +11,10 @@
 #include "core/serialization.h"
 #include "gen/relational_generators.h"
 #include "relational/table.h"
+#include "repr/bitmap_graph.h"
 #include "repr/cdup_graph.h"
+#include "repr/dedup1_graph.h"
+#include "repr/dedup2_graph.h"
 #include "repr/expanded_graph.h"
 #include "test_util.h"
 
@@ -20,6 +23,42 @@ namespace {
 
 using testing::MakeFigure1Graph;
 using testing::MakeRandomSymmetric;
+
+// The property columns of a served graph, whatever its representation.
+const PropertyTable& ServedProperties(const Graph& g) {
+  if (const auto* c = dynamic_cast<const CDupGraph*>(&g)) {
+    return c->storage().properties();
+  }
+  if (const auto* d = dynamic_cast<const Dedup1Graph*>(&g)) {
+    return d->storage().properties();
+  }
+  if (const auto* b = dynamic_cast<const BitmapGraph*>(&g)) {
+    return b->storage().properties();
+  }
+  if (const auto* d = dynamic_cast<const Dedup2Graph*>(&g)) {
+    return d->properties();
+  }
+  return dynamic_cast<const ExpandedGraph&>(g).properties();
+}
+
+// A graph extracted or patched with capture on holds one copy of its
+// property cells: the served graph and its incremental state share them,
+// and the footprint counts them once, with the graph.
+void ExpectSharedProperties(const ExtractedGraph& g) {
+  ASSERT_NE(g.graph, nullptr);
+  ASSERT_NE(g.incremental, nullptr);
+  const PropertyTable& served = ServedProperties(*g.graph);
+  const PropertyTable& state = g.incremental->graph.properties();
+  ASSERT_EQ(served.NumColumns(), 1u);
+  const NodeId last = static_cast<NodeId>(g.graph->NumVertices() - 1);
+  for (const NodeId u : {NodeId{0}, last}) {
+    EXPECT_FALSE(state.Get(u, 0).empty());
+    EXPECT_EQ(&served.Get(u, 0), &state.Get(u, 0)) << "vertex " << u;
+    EXPECT_EQ(&served.ExternalKey(u), &state.ExternalKey(u)) << "vertex " << u;
+  }
+  EXPECT_EQ(g.FootprintBytes(), g.graph->MemoryFootprint().Total() +
+                                    g.incremental->MemoryBytes());
+}
 
 class GraphGenTest : public ::testing::Test {
  protected:
@@ -159,12 +198,14 @@ TEST_F(GraphGenTest, PatchExtractedExpParityInBothModes) {
     GraphGen engine(&db);
     auto basis = engine.Extract(data.datalog, opts);
     ASSERT_TRUE(basis.ok()) << basis.status().ToString();
+    ExpectSharedProperties(*basis);
     ASSERT_TRUE(db.AppendRows("Author", new_authors).ok());
     ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
 
     auto outcome = engine.PatchExtracted(*basis, opts);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+    ExpectSharedProperties(outcome->graph);
     auto fresh = engine.Extract(data.datalog, opts);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
@@ -187,6 +228,74 @@ TEST_F(GraphGenTest, PatchExtractedExpParityInBothModes) {
       EXPECT_EQ(exp->PatchedVertices(), 0u);  // merged flat
       EXPECT_TRUE(exp->HasFlatAdjacency());
     }
+  }
+}
+
+TEST_F(GraphGenTest, CapturedStateSharesPropertiesInEveryRepresentation) {
+  // Withhold the last two authors and the AuthorPub tail, then append
+  // them back together with a new name for author 0: the patch adds
+  // vertices and rewrites a property cell the basis already holds.
+  const rel::Table* authors = *data_.db.GetTable("Author");
+  const rel::Table* links = *data_.db.GetTable("AuthorPub");
+  const size_t kept_authors = authors->NumRows() - 2;
+  const size_t kept_links = links->NumRows() - 10;
+  std::vector<rel::Row> new_authors;
+  std::vector<rel::Row> new_links;
+  for (size_t i = kept_authors; i < authors->NumRows(); ++i) {
+    new_authors.push_back(authors->row(i));
+  }
+  new_authors.push_back({rel::Value(int64_t{0}), rel::Value("renamed")});
+  for (size_t i = kept_links; i < links->NumRows(); ++i) {
+    new_links.push_back(links->row(i));
+  }
+
+  for (Representation r :
+       {Representation::kCDup, Representation::kExp, Representation::kDedup1,
+        Representation::kDedup2, Representation::kBitmap1,
+        Representation::kBitmap2}) {
+    SCOPED_TRACE(RepresentationToString(r));
+    rel::Database db;
+    for (const std::string& name : data_.db.TableNames()) {
+      const rel::Table* t = *data_.db.GetTable(name);
+      const size_t rows = t == authors ? kept_authors
+                          : t == links ? kept_links
+                                       : t->NumRows();
+      rel::Table copy(name, t->schema());
+      for (size_t i = 0; i < rows; ++i) copy.AppendUnchecked(t->row(i));
+      db.PutTable(std::move(copy));
+    }
+    db.AnalyzeAll();
+
+    GraphGenOptions opts;
+    opts.representation = r;
+    opts.capture_incremental = true;
+    opts.extract.large_output_factor = 0.0;
+    GraphGen engine(&db);
+    auto basis = engine.Extract(data_.datalog, opts);
+    ASSERT_TRUE(basis.ok()) << basis.status().ToString();
+    ExpectSharedProperties(*basis);
+    const std::string old_name = ServedProperties(*basis->graph).Get(0, 0);
+
+    ASSERT_TRUE(db.AppendRows("Author", new_authors).ok());
+    ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
+    auto outcome = engine.PatchExtracted(*basis, opts);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+    ExpectSharedProperties(outcome->graph);
+    auto fresh = engine.Extract(data_.datalog, opts);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+    // The rewrite reached the patched graph only: the basis it was
+    // patched from still serves the old name.
+    const ExtractedGraph& patched = outcome->graph;
+    const std::string& new_name = ServedProperties(*patched.graph).Get(0, 0);
+    EXPECT_NE(new_name.find("renamed"), std::string::npos) << new_name;
+    EXPECT_EQ(new_name, ServedProperties(*fresh->graph).Get(0, 0));
+    EXPECT_EQ(ServedProperties(*basis->graph).Get(0, 0), old_name);
+    EXPECT_EQ(basis->incremental->graph.properties().Get(0, 0), old_name);
+    EXPECT_EQ(patched.graph->NumVertices(), authors->NumRows());
+    EXPECT_EQ(patched.graph->ExpandedEdgeSet(),
+              fresh->graph->ExpandedEdgeSet());
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "graph/storage.h"
 #include "test_util.h"
 
@@ -215,6 +218,71 @@ TEST(PropertyTest, ExternalKeysLookup) {
   EXPECT_EQ(p.ExternalKey(1), "43");
   EXPECT_EQ(p.FindByExternalKey("42").value(), 0u);
   EXPECT_FALSE(p.FindByExternalKey("99").has_value());
+  EXPECT_FALSE(p.FindByExternalKey("").has_value());
+}
+
+TEST(PropertyTest, CopiesShareColumnsUntilWritten) {
+  PropertyTable original;
+  const size_t col = original.AddColumn("Name");
+  original.ResizeVertices(2);
+  original.Set(0, col, "ann");
+  original.SetExternalKey(0, "42");
+
+  PropertyTable copy = original;
+  EXPECT_EQ(&copy.Get(0, col), &original.Get(0, col));
+  EXPECT_EQ(&copy.ExternalKey(0), &original.ExternalKey(0));
+  EXPECT_EQ(copy.MemoryBytes(), original.MemoryBytes());
+
+  // Writing through the copy clones the block; the original is untouched.
+  copy.Set(0, col, "bob");
+  copy.SetExternalKey(1, "43");
+  EXPECT_NE(&copy.Get(0, col), &original.Get(0, col));
+  EXPECT_EQ(copy.Get(0, col), "bob");
+  EXPECT_EQ(original.Get(0, col), "ann");
+  EXPECT_EQ(copy.ExternalKey(1), "43");
+  EXPECT_EQ(original.ExternalKey(1), "");
+  EXPECT_EQ(copy.AddColumn("Age"), 1u);
+  EXPECT_FALSE(original.HasColumn("Age"));
+
+  // A sole owner writes in place.
+  const std::string* cell = &copy.Get(0, col);
+  copy.Set(0, col, "cy");
+  EXPECT_EQ(&copy.Get(0, col), cell);
+  EXPECT_EQ(copy.Get(0, col), "cy");
+}
+
+TEST(PropertyTest, ShrinkToFitMakesColumnsExact) {
+  PropertyTable p;
+  const size_t col = p.AddColumn("Name");
+  for (NodeId u = 0; u < 100; ++u) {
+    p.SetExternalKey(u, std::to_string(u));
+    p.Set(u, col, "n");
+  }
+  const size_t grown = p.MemoryBytes();
+  p.ShrinkToFit();
+  EXPECT_LT(p.MemoryBytes(), grown);
+  // An exact-sized table costs what a deep copy of its strings would.
+  size_t strings = 0;
+  for (NodeId u = 0; u < 100; ++u) {
+    strings += std::string(p.ExternalKey(u)).capacity() +
+               std::string(p.Get(u, col)).capacity();
+  }
+  EXPECT_EQ(p.MemoryBytes(), 200 * sizeof(std::string) + strings);
+  EXPECT_EQ(p.Get(99, col), "n");
+  EXPECT_EQ(p.FindByExternalKey("99").value(), 99u);
+}
+
+TEST(PropertyTest, MovedFromTableReadsEmpty) {
+  PropertyTable p;
+  p.SetExternalKey(0, "7");
+  PropertyTable q = std::move(p);
+  EXPECT_EQ(q.ExternalKey(0), "7");
+  EXPECT_EQ(p.NumColumns(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(p.ExternalKey(0), "");  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(p.MemoryBytes(), 0u);  // NOLINT(bugprone-use-after-move)
+  p.SetExternalKey(0, "8");  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(p.ExternalKey(0), "8");
+  EXPECT_EQ(q.ExternalKey(0), "7");
 }
 
 }  // namespace
