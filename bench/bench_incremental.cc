@@ -5,14 +5,16 @@
 // 1%, 10%) the harness truncates every table to a prefix, captures an
 // incremental basis there (GraphGenOptions::capture_incremental), appends
 // the withheld tails, and then times GraphGen::PatchExtracted against a
-// cold GraphGen::Extract over the grown database. Representation is EXP
-// so the copy-on-write overlay fast path is on the measured path.
+// cold GraphGen::Extract over the grown database. Representation is EXP,
+// so every patch merges the expanded delta into fresh flat arrays.
 //
-// Parity is enforced on every run: the patched condensed extraction must
-// be bitwise identical (DiffExtraction, scan counts excluded) to a cold
-// planner extraction of the grown database, else the process exits
-// non-zero. In full mode the harness additionally gates the headline
-// claim: a 1% TPC-H append must patch in at most 10% of the cold time.
+// Parity is enforced on every run, else the process exits non-zero: the
+// patched condensed extraction must be bitwise identical (DiffExtraction,
+// scan counts excluded) to a cold planner extraction of the grown
+// database, and the patched EXP graph must be flat and match a cold EXP
+// extraction in vertex count and expanded edge set. In full mode the
+// harness additionally gates the headline claim: a 1% TPC-H append must
+// patch in at most 10% of the cold time.
 // The gate is TPC-H-only by design — patching wins where the cold join
 // pipeline is expensive; DBLP-like extractions are cheap enough that the
 // delta passes' full-table semi-join scans cost about as much as simply
@@ -136,6 +138,21 @@ Row BenchOne(const std::string& name, const gen::GeneratedDatabase& data,
     if (!diff.empty()) {
       std::fprintf(stderr, "[%s] PARITY FAILURE (fraction %g): %s\n",
                    name.c_str(), fraction, diff.c_str());
+      std::exit(1);
+    }
+    auto patched = engine.PatchExtracted(*basis, options);
+    auto cold = engine.Extract(data.datalog, options);
+    if (!patched.ok() || !patched->patched || !cold.ok()) std::exit(1);
+    const Graph& exp = *patched->graph.graph;
+    const Graph& cold_exp = *cold->graph;
+    if (!exp.HasFlatAdjacency() ||
+        exp.NumVertices() != cold_exp.NumVertices() ||
+        exp.ExpandedEdgeSet() != cold_exp.ExpandedEdgeSet()) {
+      std::fprintf(stderr,
+                   "[%s] EXP PARITY FAILURE (fraction %g): flat=%d, "
+                   "%zu vs %zu vertices\n",
+                   name.c_str(), fraction, exp.HasFlatAdjacency() ? 1 : 0,
+                   exp.NumVertices(), cold_exp.NumVertices());
       std::exit(1);
     }
   }

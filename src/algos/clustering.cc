@@ -25,7 +25,7 @@ std::vector<double> ClusteringSpan(const Graph& graph) {
       BalancedRanges(
           n,
           [&](size_t r) {
-            return uint64_t{1} + csr.Out(static_cast<NodeId>(r)).size();
+            return uint64_t{1} + csr.adj.Slice(static_cast<NodeId>(r)).size();
           }),
       [&](size_t begin, size_t end) {
         // Reused across this worker's roots; set/clear are O(degree).
@@ -36,7 +36,8 @@ std::vector<double> ClusteringSpan(const Graph& graph) {
         // merged counts are bit-identical to the shared-counter walk.
         std::vector<uint64_t> local(n, 0);
         for (size_t r = begin; r < end; ++r) {
-          const std::span<const NodeId> nu = csr.Out(static_cast<NodeId>(r));
+          const std::span<const NodeId> nu =
+              csr.adj.Slice(static_cast<NodeId>(r));
           const NodeId u = csr.order[r];
           const auto credit = [&](NodeId s, NodeId t) {
             ++local[u];
@@ -50,13 +51,13 @@ std::vector<double> ClusteringSpan(const Graph& graph) {
             for (NodeId s : nu) bm.Set(s);
             for (NodeId s : nu) {
               detail::IntersectBitmapForEach(
-                  bm, csr.Out(s), [&](NodeId t) { credit(s, t); });
+                  bm, csr.adj.Slice(s), [&](NodeId t) { credit(s, t); });
             }
             bm.Clear(nu);
           } else {
             for (NodeId s : nu) {
               detail::IntersectSortedForEach(
-                  nu, csr.Out(s), [&](NodeId t) { credit(s, t); });
+                  nu, csr.adj.Slice(s), [&](NodeId t) { credit(s, t); });
             }
           }
         }

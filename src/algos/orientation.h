@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "graph/flat_adjacency.h"
 #include "graph/graph.h"
 
 namespace graphgen::detail {
@@ -21,15 +22,9 @@ namespace graphgen::detail {
 /// overlapping-clique graphs GraphGen extracts. Requires
 /// g.HasFlatAdjacency().
 struct OrientedCsr {
-  std::vector<uint64_t> offsets;  // n + 1
-  std::vector<NodeId> targets;    // rank of the higher-ranked endpoint
-  std::vector<NodeId> order;      // order[rank] = vertex id
-  std::vector<NodeId> rank;       // rank[vertex] = rank
-
-  std::span<const NodeId> Out(NodeId r) const {
-    return {targets.data() + offsets[r],
-            static_cast<size_t>(offsets[r + 1] - offsets[r])};
-  }
+  FlatAdjacency adj;          // by rank: ranks of the higher-ranked endpoints
+  std::vector<NodeId> order;  // order[rank] = vertex id
+  std::vector<NodeId> rank;   // rank[vertex] = rank
 };
 
 inline OrientedCsr BuildOrientedCsr(const Graph& g) {
@@ -66,15 +61,13 @@ inline OrientedCsr BuildOrientedCsr(const Graph& g) {
       odeg[r] = c;
     }
   });
-  csr.offsets.assign(n + 1, 0);
-  for (size_t r = 0; r < n; ++r) csr.offsets[r + 1] = csr.offsets[r] + odeg[r];
-  csr.targets.resize(csr.offsets[n]);
+  csr.adj = FlatAdjacency::FromDegrees(odeg);
   ParallelForRanges(
       ranges,
       [&](size_t begin, size_t end) {
         for (size_t r = begin; r < end; ++r) {
           const NodeId u = csr.order[r];
-          NodeId* dst = csr.targets.data() + csr.offsets[r];
+          NodeId* dst = csr.adj.neighbors.data() + csr.adj.offsets[r];
           size_t k = 0;
           for (NodeId v : spans[u]) {
             if (csr.rank[v] > r) dst[k++] = csr.rank[v];

@@ -29,16 +29,17 @@ uint64_t CountTrianglesSpan(const Graph& graph) {
       BalancedRanges(n,
                      [&](size_t r) {
                        return uint64_t{1} +
-                              csr.Out(static_cast<NodeId>(r)).size();
+                              csr.adj.Slice(static_cast<NodeId>(r)).size();
                      }),
       [&](size_t begin, size_t end) {
         detail::NeighborBitmap bm(n);
         uint64_t local = 0;
         for (size_t r = begin; r < end; ++r) {
-          const std::span<const NodeId> nu = csr.Out(static_cast<NodeId>(r));
+          const std::span<const NodeId> nu =
+              csr.adj.Slice(static_cast<NodeId>(r));
           for (NodeId s : nu) bm.Set(s);
           for (NodeId s : nu) {
-            local += detail::IntersectBitmapCount(bm, csr.Out(s));
+            local += detail::IntersectBitmapCount(bm, csr.adj.Slice(s));
           }
           bm.Clear(nu);
         }

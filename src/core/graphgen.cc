@@ -13,6 +13,7 @@
 #include "dedup/bitmap_algorithms.h"
 #include "dedup/dedup1_algorithms.h"
 #include "dedup/dedup2_builder.h"
+#include "graph/flat_adjacency.h"
 #include "repr/cdup_graph.h"
 #include "repr/expander.h"
 
@@ -81,12 +82,6 @@ Result<ExtractedGraph> GraphGen::Extract(std::string_view datalog,
 
 namespace {
 
-// Fraction of vertices an EXP patch may touch before the overlay stops
-// paying: a delta touching more skips the copy-on-write overlay for the
-// flat merge below, and an overlay that has accumulated patch entries on
-// more than this fraction is re-flattened (ExpandedGraph::Compact).
-constexpr double kExpCompactThreshold = 0.05;
-
 // Advances an EXP basis by the patch's new condensed edges, returning the
 // patched graph. The expanded delta is computed exactly: each new
 // condensed edge (a -> b) contributes the pairs R_src(a) × R_dst(b),
@@ -96,14 +91,13 @@ constexpr double kExpCompactThreshold = 0.05;
 // self paths skipped), so the work is proportional to the expanded delta
 // rather than to the full neighborhoods of every touched vertex.
 //
-// Application is two-mode: a small delta copies the basis and merges into
-// its copy-on-write overlay; a delta that would patch more vertices than
-// the compaction threshold tolerates skips COW entirely (copy + overlay +
-// Compact is three O(E) passes) and merges base CSR and sorted delta into
-// fresh flat arrays in one linear pass per direction. Runs against the
-// *pre-preprocess* canonical graph — expansion is the transitive closure
-// through virtuals, which §4.2 Step 6 preprocessing does not change, and
-// the patch's edge refs are numbered in it.
+// The sorted delta is merged with the basis into fresh flat arrays, one
+// linear pass per direction (FlatAdjacency::Merge), so every patched graph
+// is flat. The basis is read through RawNeighbors/RawInNeighbors, so
+// edges a §3.4 mutation left in its copy-on-write overlay carry over.
+// Runs against the *pre-preprocess* canonical graph: expansion is the
+// transitive closure through virtuals, which §4.2 Step 6 preprocessing
+// does not change, and the patch's edge refs are numbered in it.
 Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     const ExpandedGraph& basis, const planner::PatchAttempt& attempt,
     const GraphGenOptions& options) {
@@ -164,11 +158,12 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     return memo.emplace(nr.index(), std::move(out)).first->second;
   };
   // Candidate pairs are emitted pre-packed ((u << 32) | v) and then
-  // sorted + deduped so both application modes see one sorted run per
-  // touched vertex. Both halves live in the dense [0, n) real-id domain
-  // and the delta is hub-amplified (large, duplicate-heavy), so two
-  // stable counting passes beat a comparison sort. `touched` counts the
-  // distinct overlay entries the COW path would create.
+  // sorted + deduped, one sorted run per touched vertex. Both halves live
+  // in the dense [0, n) real-id domain and the delta is hub-amplified
+  // (large, duplicate-heavy), so two stable counting passes beat a
+  // comparison sort. A vertex deleted in the basis takes no new edge, so
+  // the adopted arrays keep the span contract.
+  auto live = [&](NodeId v) { return v >= basis_n || basis.VertexExists(v); };
   std::vector<uint64_t> keys;
   for (const auto& [from, to] : attempt.new_edges) {
     GRAPHGEN_RETURN_NOT_OK(ctx.Check());
@@ -177,10 +172,11 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     const std::vector<NodeId>& dsts = reals_of(to, /*backward=*/false,
                                                dst_reals);
     for (const NodeId r : srcs) {
+      if (!live(r)) continue;
       const uint64_t hi = static_cast<uint64_t>(r) << 32;
       for (const NodeId s : dsts) {
-        if (r == s) continue;  // self paths are never logical edges
-        keys.push_back(hi | s);
+        // Self paths are never logical edges.
+        if (r != s && live(s)) keys.push_back(hi | s);
       }
     }
   }
@@ -207,84 +203,19 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
   }
   counting_sort(reversed, lo32);
   counting_sort(reversed, hi32);
-  auto count_runs = [](const std::vector<uint64_t>& ks) {
-    size_t runs = 0;
-    for (size_t i = 0; i < ks.size(); ++i) {
-      if (i == 0 || (ks[i] >> 32) != (ks[i - 1] >> 32)) ++runs;
-    }
-    return runs;
-  };
-  const size_t touched = count_runs(keys) + count_runs(reversed);
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
 
-  if (static_cast<double>(touched) <=
-      kExpCompactThreshold * static_cast<double>(n)) {
-    // Small delta: copy the basis and merge into its COW overlay.
-    auto exp = std::make_unique<ExpandedGraph>(basis);
-    while (exp->NumVertices() < n) exp->AddVertex();
-    // New nodes and replayed property writes (props are identical pre-
-    // and post-preprocess).
-    exp->properties() = storage.properties();
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-    pairs.reserve(keys.size());
-    for (const uint64_t k : keys) {
-      pairs.emplace_back(static_cast<NodeId>(k >> 32),
-                         static_cast<NodeId>(k));
-    }
-    GRAPHGEN_RETURN_NOT_OK(exp->AddEdges(pairs));
-    // Repeated small patches accumulate overlay; fold once past the
-    // threshold so long-lived cache entries stay flat.
-    if (static_cast<double>(exp->PatchedVertices()) >
-        kExpCompactThreshold * static_cast<double>(exp->NumVertices())) {
-      exp->Compact();
-    }
-    return exp;
-  }
-
-  // Large delta: one linear merge of the basis CSR and the sorted delta
-  // per direction, directly into fresh flat arrays. Untouched vertices
-  // are bulk range copies; touched vertices a two-pointer sorted union
-  // (candidates already present in the basis are skipped, like AddEdge).
-  // `reserve_hint` over-allocates by the candidates already present in
-  // the basis; the final resize trims. Raw-pointer writes: this loop
-  // streams ~2E elements and push_back's capacity check is measurable.
-  auto build = [&](const std::vector<uint64_t>& sorted, auto span_of,
-                   uint64_t reserve_hint, std::vector<uint64_t>& offsets,
-                   std::vector<NodeId>& neighbors) {
-    offsets.assign(n + 1, 0);
-    neighbors.resize(reserve_hint);
-    NodeId* w = neighbors.data();
-    size_t k = 0;
-    for (size_t u = 0; u < n; ++u) {
-      const std::span<const NodeId> cur =
-          u < basis_n ? span_of(static_cast<NodeId>(u))
-                      : std::span<const NodeId>();
-      const NodeId* p = cur.data();
-      const NodeId* pe = p + cur.size();
-      while (k < sorted.size() && (sorted[k] >> 32) == u) {
-        const NodeId v = static_cast<NodeId>(sorted[k]);
-        ++k;
-        while (p != pe && *p < v) *w++ = *p++;
-        if (p != pe && *p == v) continue;  // present; emitted by the drain
-        *w++ = v;
-      }
-      w = std::copy(p, pe, w);
-      offsets[u + 1] = static_cast<uint64_t>(w - neighbors.data());
-    }
-    neighbors.resize(static_cast<size_t>(w - neighbors.data()));
-  };
-  const uint64_t reserve_hint = basis.CountStoredEdges() + keys.size();
-  std::vector<uint64_t> out_off, in_off;
-  std::vector<NodeId> out_nei, in_nei;
+  FlatAdjacency out, in;
   // The two directions stream independent arrays; overlap them unless the
   // caller asked for a single-threaded pipeline.
   auto build_out = [&] {
-    build(keys, [&](NodeId u) { return basis.RawNeighbors(u); }, reserve_hint,
-          out_off, out_nei);
+    out = FlatAdjacency::Merge(
+        n, basis_n, [&](NodeId u) { return basis.RawNeighbors(u); }, keys);
   };
   auto build_in = [&] {
-    build(reversed, [&](NodeId u) { return basis.RawInNeighbors(u); },
-          reserve_hint, in_off, in_nei);
+    in = FlatAdjacency::Merge(
+        n, basis_n, [&](NodeId u) { return basis.RawInNeighbors(u); },
+        reversed);
   };
   if (options.extract.threads == 1) {
     build_out();
@@ -303,8 +234,7 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     }
   }
   auto exp = std::make_unique<ExpandedGraph>();
-  exp->AdoptCsr(std::move(out_off), std::move(out_nei), std::move(in_off),
-                std::move(in_nei),
+  exp->AdoptCsr(std::move(out), std::move(in),
                 any_deleted ? std::move(deleted) : std::vector<uint8_t>{});
   exp->properties() = storage.properties();
   return exp;

@@ -109,9 +109,8 @@ class GraphGen {
 
   /// Advances a cached extraction (made with capture_incremental) to the
   /// database's current state by patching only the appended rows in.
-  /// EXP graphs advance in place through the copy-on-write overlay (with
-  /// threshold-triggered re-flattening); other representations rebuild
-  /// from the patched condensed graph. Soft fallbacks (rebased table,
+  /// EXP graphs merge the expanded delta into fresh flat arrays; other
+  /// representations rebuild from the patched condensed graph. Soft fallbacks (rebased table,
   /// count-constraint rule, segmentation drift, no captured state) return
   /// patched == false; the caller runs a cold extraction instead.
   Result<PatchOutcome> PatchExtracted(const ExtractedGraph& cached,

@@ -118,8 +118,8 @@ struct PatchAttempt {
   std::shared_ptr<IncrementalState> state;
   /// Valid when patched: the condensed edges this patch spliced in, in
   /// the final canonical numbering of `state->graph` (pre-preprocess).
-  /// Representation-level incremental materialization (the EXP overlay
-  /// fast path) derives its dirty set from these.
+  /// Representation-level incremental materialization (the EXP merge)
+  /// derives its expanded delta from these.
   std::vector<std::pair<NodeRef, NodeRef>> new_edges;
 };
 

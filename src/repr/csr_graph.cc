@@ -19,7 +19,6 @@ CsrGraph CsrGraph::Build(const Graph& g, size_t threads) {
   CsrGraph out;
   const size_t n = g.NumVertices();
   out.exists_.assign(n, 0);
-  out.offsets_.assign(n + 1, 0);
   if (n == 0) return out;
 
   // Single sweep per range: each worker drains its vertices' neighbor
@@ -43,18 +42,15 @@ CsrGraph CsrGraph::Build(const Graph& g, size_t threads) {
     }
   });
 
-  for (size_t u = 0; u < n; ++u) {
-    out.offsets_[u + 1] = out.offsets_[u] + deg[u];
-    out.num_active_ += out.exists_[u];
-  }
-  out.neighbors_.resize(out.offsets_[n]);
+  for (size_t u = 0; u < n; ++u) out.num_active_ += out.exists_[u];
+  out.adj_ = FlatAdjacency::FromDegrees(deg);
   // Stitch each chunk's buffer into its CSR slices and sort every range
   // (condensed representations may emit neighbors in hash order).
   ParallelInvoke(ranges.size(), [&](size_t chunk) {
     const IndexRange r = ranges[chunk];
     const NodeId* src = chunk_edges[chunk].data();
     for (size_t u = r.begin; u < r.end; ++u) {
-      NodeId* dst = out.neighbors_.data() + out.offsets_[u];
+      NodeId* dst = out.adj_.neighbors.data() + out.adj_.offsets[u];
       std::copy_n(src, deg[u], dst);
       std::sort(dst, dst + deg[u]);
       src += deg[u];
@@ -65,7 +61,7 @@ CsrGraph CsrGraph::Build(const Graph& g, size_t threads) {
 
 bool CsrGraph::ExistsEdge(NodeId u, NodeId v) const {
   if (!VertexExists(u) || !VertexExists(v)) return false;
-  std::span<const NodeId> s = Slice(u);
+  std::span<const NodeId> s = adj_.Slice(u);
   return std::binary_search(s.begin(), s.end(), v);
 }
 
@@ -82,8 +78,7 @@ Status CsrGraph::DeleteVertex(NodeId) {
 }
 
 GraphFootprint CsrGraph::MemoryFootprint() const {
-  return {VectorBytes(offsets_) + VectorBytes(neighbors_), 0,
-          VectorBytes(exists_)};
+  return {adj_.MemoryBytes(), 0, VectorBytes(exists_)};
 }
 
 }  // namespace graphgen

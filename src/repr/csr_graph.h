@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/flat_adjacency.h"
 #include "graph/graph.h"
 
 namespace graphgen {
@@ -39,16 +40,16 @@ class CsrGraph : public Graph {
   void ForEachNeighbor(NodeId u,
                        const std::function<void(NodeId)>& fn) const override {
     if (!VertexExists(u)) return;
-    for (NodeId v : Slice(u)) fn(v);
+    for (NodeId v : adj_.Slice(u)) fn(v);
   }
 
   size_t OutDegree(NodeId u) const override {
-    return VertexExists(u) ? Slice(u).size() : 0;
+    return VertexExists(u) ? adj_.Slice(u).size() : 0;
   }
 
   bool HasFlatAdjacency() const override { return true; }
   std::span<const NodeId> NeighborSpan(NodeId u) const override {
-    return Slice(u);
+    return adj_.Slice(u);
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
@@ -59,21 +60,14 @@ class CsrGraph : public Graph {
   NodeId AddVertex() override { return kInvalidNode; }
   Status DeleteVertex(NodeId v) override;
 
-  uint64_t CountStoredEdges() const override { return neighbors_.size(); }
+  uint64_t CountStoredEdges() const override { return adj_.neighbors.size(); }
   size_t NumVirtualNodes() const override { return 0; }
   GraphFootprint MemoryFootprint() const override;
 
  private:
   CsrGraph() = default;
 
-  std::span<const NodeId> Slice(NodeId u) const {
-    const uint64_t begin = offsets_[u];
-    const uint64_t end = offsets_[u + 1];
-    return {neighbors_.data() + begin, static_cast<size_t>(end - begin)};
-  }
-
-  std::vector<uint64_t> offsets_{0};  // NumVertices() + 1 entries
-  std::vector<NodeId> neighbors_;    // sorted per range
+  FlatAdjacency adj_;  // sorted per range
   std::vector<uint8_t> exists_;
   size_t num_active_ = 0;
 };

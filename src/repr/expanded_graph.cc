@@ -50,7 +50,7 @@ bool ExpandedGraph::ExistsEdge(NodeId u, NodeId v) const {
 std::vector<NodeId>& ExpandedGraph::MutableOut(NodeId u) {
   auto [it, inserted] = out_patch_.try_emplace(u);
   if (inserted) {
-    std::span<const NodeId> base = BaseSlice(out_offsets_, out_neighbors_, u);
+    std::span<const NodeId> base = out_.Slice(u);
     it->second.assign(base.begin(), base.end());
   }
   return it->second;
@@ -59,7 +59,7 @@ std::vector<NodeId>& ExpandedGraph::MutableOut(NodeId u) {
 std::vector<NodeId>& ExpandedGraph::MutableIn(NodeId u) {
   auto [it, inserted] = in_patch_.try_emplace(u);
   if (inserted) {
-    std::span<const NodeId> base = BaseSlice(in_offsets_, in_neighbors_, u);
+    std::span<const NodeId> base = in_.Slice(u);
     it->second.assign(base.begin(), base.end());
   }
   return it->second;
@@ -76,72 +76,6 @@ Status ExpandedGraph::AddEdge(NodeId u, NodeId v) {
   std::vector<NodeId>& in = MutableIn(v);
   auto it = std::lower_bound(in.begin(), in.end(), u);
   if (it == in.end() || *it != u) in.insert(it, u);
-  return Status::OK();
-}
-
-Status ExpandedGraph::AddEdges(std::span<const std::pair<NodeId, NodeId>> edges) {
-  if (edges.empty()) return Status::OK();
-  // Pack (u, v) into sortable keys so one pass groups the batch by source.
-  std::vector<uint64_t> keys;
-  keys.reserve(edges.size());
-  for (const auto& [u, v] : edges) {
-    if (!VertexExists(u) || !VertexExists(v)) {
-      return Status::InvalidArgument("AddEdge endpoint does not exist");
-    }
-    keys.push_back(static_cast<uint64_t>(u) << 32 | v);
-  }
-  std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-
-  // Merges each key run [u | v...] into `patch[u]` as one sorted union
-  // against the vertex's current list. Keys whose edge was genuinely new
-  // are re-packed (v, u) into `reversed` to drive the other direction.
-  auto merge_runs = [this](const std::vector<uint64_t>& runs,
-                           std::unordered_map<NodeId, std::vector<NodeId>>& patch,
-                           const std::vector<uint64_t>& offsets,
-                           const std::vector<NodeId>& base,
-                           std::vector<uint64_t>* reversed) {
-    std::vector<NodeId> merged;
-    size_t i = 0;
-    while (i < runs.size()) {
-      const NodeId u = static_cast<NodeId>(runs[i] >> 32);
-      size_t j = i;
-      while (j < runs.size() && (runs[j] >> 32) == u) ++j;
-      auto it = patch.find(u);
-      const std::span<const NodeId> cur =
-          it != patch.end() ? std::span<const NodeId>(it->second)
-                            : BaseSlice(offsets, base, u);
-      merged.clear();
-      merged.reserve(cur.size() + (j - i));
-      const NodeId* p = cur.data();
-      const NodeId* pe = p + cur.size();
-      for (size_t k = i; k < j; ++k) {
-        const NodeId v = static_cast<NodeId>(runs[k]);
-        while (p != pe && *p < v) merged.push_back(*p++);
-        if (p != pe && *p == v) continue;  // present; emitted by a later drain
-        merged.push_back(v);
-        if (reversed != nullptr) {
-          reversed->push_back(static_cast<uint64_t>(v) << 32 | u);
-        }
-      }
-      while (p != pe) merged.push_back(*p++);
-      if (merged.size() != cur.size()) {
-        if (it != patch.end()) {
-          it->second = std::move(merged);
-        } else {
-          patch.emplace(u, std::move(merged));
-        }
-        merged = {};
-      }
-      i = j;
-    }
-  };
-
-  std::vector<uint64_t> reversed;
-  reversed.reserve(keys.size());
-  merge_runs(keys, out_patch_, out_offsets_, out_neighbors_, &reversed);
-  std::sort(reversed.begin(), reversed.end());
-  merge_runs(reversed, in_patch_, in_offsets_, in_neighbors_, nullptr);
   return Status::OK();
 }
 
@@ -164,8 +98,8 @@ Status ExpandedGraph::DeleteEdge(NodeId u, NodeId v) {
 NodeId ExpandedGraph::AddVertex() {
   // Appending an empty CSR range keeps the base covering every vertex, so
   // the new vertex needs no patch entry until its first edge.
-  out_offsets_.push_back(out_offsets_.back());
-  in_offsets_.push_back(in_offsets_.back());
+  out_.offsets.push_back(out_.offsets.back());
+  in_.offsets.push_back(in_.offsets.back());
   deleted_.push_back(0);
   return static_cast<NodeId>(deleted_.size() - 1);
 }
@@ -205,58 +139,47 @@ size_t ExpandedGraph::Compact() {
   const size_t folded = out_patch_.size() + in_patch_.size();
   if (folded == 0 && stale_deletions_ == 0) return 0;
   const size_t n = deleted_.size();
-  auto rebuild = [&](std::vector<uint64_t>& offsets,
-                     std::vector<NodeId>& neighbors, auto span_of) {
-    std::vector<uint64_t> new_offsets(n + 1, 0);
-    std::vector<NodeId> new_neighbors;
-    new_neighbors.reserve(neighbors.size());
+  auto rebuild = [&](const FlatAdjacency& base, auto span_of) {
+    FlatAdjacency flat(n);
+    flat.neighbors.reserve(base.neighbors.size());
     for (size_t u = 0; u < n; ++u) {
       if (!deleted_[u]) {
         for (NodeId v : span_of(static_cast<NodeId>(u))) {
-          if (!deleted_[v]) new_neighbors.push_back(v);
+          if (!deleted_[v]) flat.neighbors.push_back(v);
         }
       }
-      new_offsets[u + 1] = new_neighbors.size();
+      flat.offsets[u + 1] = flat.neighbors.size();
     }
-    offsets = std::move(new_offsets);
-    neighbors = std::move(new_neighbors);
+    return flat;
   };
-  rebuild(out_offsets_, out_neighbors_,
-          [&](NodeId u) { return OutSpan(u); });
+  out_ = rebuild(out_, [&](NodeId u) { return OutSpan(u); });
   // Move-assign fresh maps: clear() (and ={} list-assignment) would keep
   // the grown bucket arrays resident.
   out_patch_ = decltype(out_patch_)();
-  rebuild(in_offsets_, in_neighbors_, [&](NodeId u) { return InSpan(u); });
+  in_ = rebuild(in_, [&](NodeId u) { return InSpan(u); });
   in_patch_ = decltype(in_patch_)();
   stale_deletions_ = 0;  // stale targets are scrubbed now
   return folded;
 }
 
 GraphFootprint ExpandedGraph::MemoryFootprint() const {
-  return {VectorBytes(out_offsets_) + VectorBytes(out_neighbors_) +
-              VectorBytes(in_offsets_) + VectorBytes(in_neighbors_) +
-              PatchBytes(out_patch_) + PatchBytes(in_patch_) +
-              VectorBytes(deleted_),
+  return {out_.MemoryBytes() + in_.MemoryBytes() + PatchBytes(out_patch_) +
+              PatchBytes(in_patch_) + VectorBytes(deleted_),
           properties_.MemoryBytes(), 0};
 }
 
-void ExpandedGraph::AdoptCsr(std::vector<uint64_t> out_offsets,
-                             std::vector<NodeId> out_neighbors,
-                             std::vector<uint64_t> in_offsets,
-                             std::vector<NodeId> in_neighbors,
+void ExpandedGraph::AdoptCsr(FlatAdjacency out, FlatAdjacency in,
                              std::vector<uint8_t> deleted) {
-  assert(!out_offsets.empty() && out_offsets.size() == in_offsets.size());
-  assert(out_offsets.back() == out_neighbors.size());
-  assert(in_offsets.back() == in_neighbors.size());
-  assert(deleted.empty() || deleted.size() == out_offsets.size() - 1);
-  out_offsets_ = std::move(out_offsets);
-  out_neighbors_ = std::move(out_neighbors);
-  in_offsets_ = std::move(in_offsets);
-  in_neighbors_ = std::move(in_neighbors);
+  assert(out.NumVertices() == in.NumVertices());
+  assert(out.offsets.back() == out.neighbors.size());
+  assert(in.offsets.back() == in.neighbors.size());
+  assert(deleted.empty() || deleted.size() == out.NumVertices());
+  out_ = std::move(out);
+  in_ = std::move(in);
   out_patch_.clear();
   in_patch_.clear();
   if (deleted.empty()) {
-    deleted_.assign(out_offsets_.size() - 1, 0);
+    deleted_.assign(out_.NumVertices(), 0);
     num_deleted_ = 0;
   } else {
     // Pre-scrubbed deletions: the arrays contain no edge touching these

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
+#include "graph/flat_adjacency.h"
 #include "graph/graph.h"
 #include "graph/properties.h"
 
@@ -38,9 +38,7 @@ class ExpandedGraph : public Graph {
  public:
   ExpandedGraph() = default;
   explicit ExpandedGraph(size_t num_vertices)
-      : out_offsets_(num_vertices + 1, 0),
-        in_offsets_(num_vertices + 1, 0),
-        deleted_(num_vertices, 0) {}
+      : out_(num_vertices), in_(num_vertices), deleted_(num_vertices, 0) {}
 
   std::string_view Name() const override { return "EXP"; }
 
@@ -64,15 +62,6 @@ class ExpandedGraph : public Graph {
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
   Status AddEdge(NodeId u, NodeId v) override;
-
-  /// Bulk AddEdge: inserts a batch of (u, v) edges into the COW overlay
-  /// with one sorted merge per touched vertex and direction, instead of a
-  /// binary search + shifting insert per edge. Duplicates within the batch
-  /// and edges already present are skipped, exactly like AddEdge. The
-  /// incremental patch path uses this — an appended delta expanding
-  /// through a hub virtual yields tens of thousands of new pairs that
-  /// concentrate on few vertices, where per-edge insertion is quadratic.
-  Status AddEdges(std::span<const std::pair<NodeId, NodeId>> edges);
   Status DeleteEdge(NodeId u, NodeId v) override;
   NodeId AddVertex() override;
   Status DeleteVertex(NodeId v) override;
@@ -87,26 +76,21 @@ class ExpandedGraph : public Graph {
   std::span<const NodeId> RawNeighbors(NodeId u) const { return OutSpan(u); }
   std::span<const NodeId> RawInNeighbors(NodeId u) const { return InSpan(u); }
 
-  /// Adopts fully built CSR arrays in one move (the expander's bulk-load
-  /// path). `out_offsets`/`in_offsets` must have num_vertices + 1 entries
-  /// and every [offsets[u], offsets[u+1]) range must be sorted and
-  /// duplicate-free. `deleted` (empty = none) marks vertices that are
-  /// already logically deleted; the arrays must contain no edge touching
-  /// them, so the span contract stays intact. Replaces any existing
-  /// adjacency and patches.
-  void AdoptCsr(std::vector<uint64_t> out_offsets,
-                std::vector<NodeId> out_neighbors,
-                std::vector<uint64_t> in_offsets,
-                std::vector<NodeId> in_neighbors,
+  /// Adopts fully built adjacencies in one move (the expander's and the
+  /// incremental patch's bulk-load path). `out` and `in` must cover the
+  /// same vertices, be each other's transpose, and keep every range
+  /// sorted and duplicate-free. `deleted` (empty = none) marks vertices
+  /// that are already logically deleted; the adjacencies must contain no
+  /// edge touching them, so the span contract stays intact. Replaces any
+  /// existing adjacency and patches.
+  void AdoptCsr(FlatAdjacency out, FlatAdjacency in,
                 std::vector<uint8_t> deleted = {});
 
   /// Re-flattens the copy-on-write patch overlay into the CSR base arrays
   /// and scrubs any stale targets left by post-build vertex deletions:
   /// afterwards the overlay is empty, HasFlatAdjacency() is true again,
-  /// and every read is a pure base-array span. The incremental patch path
-  /// calls this once the overlay outgrows its threshold — COW keeps small
-  /// deltas cheap, Compact() keeps long-lived graphs flat. Returns the
-  /// number of overlay entries folded in.
+  /// and every read is a pure base-array span. Returns the number of
+  /// overlay entries folded in.
   size_t Compact();
 
   /// Vertices currently carried in the patch overlay (out + in side).
@@ -127,21 +111,14 @@ class ExpandedGraph : public Graph {
       auto it = out_patch_.find(u);
       if (it != out_patch_.end()) return {it->second.data(), it->second.size()};
     }
-    return BaseSlice(out_offsets_, out_neighbors_, u);
+    return out_.Slice(u);
   }
   std::span<const NodeId> InSpan(NodeId u) const {
     if (!in_patch_.empty()) {
       auto it = in_patch_.find(u);
       if (it != in_patch_.end()) return {it->second.data(), it->second.size()};
     }
-    return BaseSlice(in_offsets_, in_neighbors_, u);
-  }
-  static std::span<const NodeId> BaseSlice(const std::vector<uint64_t>& offsets,
-                                           const std::vector<NodeId>& neighbors,
-                                           NodeId u) {
-    const uint64_t begin = offsets[u];
-    const uint64_t end = offsets[u + 1];
-    return {neighbors.data() + begin, static_cast<size_t>(end - begin)};
+    return in_.Slice(u);
   }
 
   /// The mutable per-vertex list for u, copying the CSR slice into the
@@ -149,11 +126,9 @@ class ExpandedGraph : public Graph {
   std::vector<NodeId>& MutableOut(NodeId u);
   std::vector<NodeId>& MutableIn(NodeId u);
 
-  // Flat CSR base (offsets always have NumVertices() + 1 entries).
-  std::vector<uint64_t> out_offsets_{0};
-  std::vector<NodeId> out_neighbors_;
-  std::vector<uint64_t> in_offsets_{0};
-  std::vector<NodeId> in_neighbors_;
+  // Flat CSR base, one per direction.
+  FlatAdjacency out_;
+  FlatAdjacency in_;
   // Copy-on-write overlay for mutated vertices; a present entry fully
   // replaces that vertex's base slice (and stays sorted).
   std::unordered_map<NodeId, std::vector<NodeId>> out_patch_;

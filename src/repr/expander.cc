@@ -10,11 +10,10 @@ namespace graphgen {
 
 // Two-pass count-then-fill CSR build. Pass 1 measures each source's raw
 // path-neighbor count (duplicates included) so one contiguous scratch
-// array can be carved into per-vertex ranges; pass 2 fills each range and
-// sorts + uniques it *in place* — per-thread, allocation-free, and far
-// cheaper than the per-node unordered_set the previous implementation
-// paid for every path edge. The deduplicated ranges are then compacted
-// into the final out-CSR, and the in-CSR is derived from it.
+// adjacency can be carved into per-vertex ranges; pass 2 fills each range
+// and sorts + uniques it in place, per thread and without allocation. The
+// deduplicated ranges are then compacted into the final out-CSR, and the
+// in-CSR is its transpose.
 ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
   static obs::Counter* const expands =
       obs::MetricsRegistry::Global().GetCounter("repr.expand_calls");
@@ -46,9 +45,7 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
         }
       });
 
-  std::vector<uint64_t> raw_offsets(n + 1, 0);
-  for (size_t u = 0; u < n; ++u) raw_offsets[u + 1] = raw_offsets[u] + raw_deg[u];
-  std::vector<NodeId> raw(raw_offsets[n]);
+  FlatAdjacency raw = FlatAdjacency::FromDegrees(raw_deg);
 
   // Pass 2: fill each range, then sort + unique it in place; deg[u] is the
   // deduplicated degree. Ranges are disjoint, so threads never contend.
@@ -58,7 +55,7 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
       [&](size_t begin, size_t end) {
         for (size_t u = begin; u < end; ++u) {
           if (raw_deg[u] == 0) continue;
-          NodeId* dst = raw.data() + raw_offsets[u];
+          NodeId* dst = raw.neighbors.data() + raw.offsets[u];
           size_t k = 0;
           storage.ForEachPathNeighbor(static_cast<NodeId>(u),
                                       [&](NodeId v) { dst[k++] = v; });
@@ -68,37 +65,17 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
       });
 
   // Compact the deduplicated prefixes into the final out-CSR.
-  std::vector<uint64_t> out_offsets(n + 1, 0);
-  for (size_t u = 0; u < n; ++u) out_offsets[u + 1] = out_offsets[u] + deg[u];
-  std::vector<NodeId> out_neighbors(out_offsets[n]);
+  FlatAdjacency out = FlatAdjacency::FromDegrees(deg);
   ParallelForRanges(
       BalancedRanges(n, [&](size_t u) { return uint64_t{1} + deg[u]; }),
       [&](size_t begin, size_t end) {
         for (size_t u = begin; u < end; ++u) {
-          std::copy_n(raw.data() + raw_offsets[u], deg[u],
-                      out_neighbors.data() + out_offsets[u]);
+          std::copy_n(raw.neighbors.data() + raw.offsets[u], deg[u],
+                      out.neighbors.data() + out.offsets[u]);
         }
       });
-  raw.clear();
-  raw.shrink_to_fit();
-
-  // In-CSR from the out-CSR: count, scan, then fill by ascending source so
-  // every in-range comes out already sorted (and unique, since the
-  // out-lists are).
-  std::vector<uint64_t> in_offsets(n + 1, 0);
-  for (NodeId v : out_neighbors) ++in_offsets[v + 1];
-  for (size_t u = 0; u < n; ++u) in_offsets[u + 1] += in_offsets[u];
-  std::vector<NodeId> in_neighbors(out_neighbors.size());
-  {
-    std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-    for (size_t u = 0; u < n; ++u) {
-      const uint64_t begin = out_offsets[u];
-      const uint64_t end = out_offsets[u + 1];
-      for (uint64_t i = begin; i < end; ++i) {
-        in_neighbors[cursor[out_neighbors[i]]++] = static_cast<NodeId>(u);
-      }
-    }
-  }
+  raw = FlatAdjacency();
+  FlatAdjacency in = out.Transpose();
 
   // Propagate lazy deletions at adoption time: ForEachPathNeighbor never
   // emits deleted endpoints, so the CSR is already scrubbed and the span
@@ -107,9 +84,7 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
   for (size_t u = 0; u < n; ++u) {
     deleted[u] = storage.IsDeleted(static_cast<NodeId>(u)) ? 1 : 0;
   }
-  graph.AdoptCsr(std::move(out_offsets), std::move(out_neighbors),
-                 std::move(in_offsets), std::move(in_neighbors),
-                 std::move(deleted));
+  graph.AdoptCsr(std::move(out), std::move(in), std::move(deleted));
   // Copy vertex properties across.
   graph.properties() = storage.properties();
   return graph;

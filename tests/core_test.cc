@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -137,31 +138,23 @@ TEST_F(GraphGenTest, Dedup1AlgorithmsSelectable) {
   }
 }
 
-TEST_F(GraphGenTest, PatchExtractedExpParityInBothModes) {
+TEST_F(GraphGenTest, PatchExtractedExpParity) {
   // Withhold the last two authors with their AuthorPub rows plus a tail of
   // AuthorPub, capture an EXP basis, append them back, patch: the patched
-  // graph gains the withheld vertices and its expanded edge set must
-  // equal a cold kExp extraction of the grown database — in both
-  // application modes. The delta's size picks the mode: a few rows touch
-  // a handful of the 2000 authors and ride the COW overlay; most of the
-  // table touches nearly every author and takes the flat single-pass
-  // merge.
+  // graph gains the withheld vertices, is flat, and its expanded edge set
+  // must equal a cold kExp extraction of the grown database. Two deltas:
+  // a few rows touch a handful of the 2000 authors; most of the table
+  // touches nearly every author.
   const gen::GeneratedDatabase data = gen::MakeDblpLike(2000, 3000, 4.0, 7);
   const rel::Table* authors = *data.db.GetTable("Author");
   const rel::Table* links = *data.db.GetTable("AuthorPub");
   constexpr size_t kNewAuthors = 2;
   const size_t kept_authors = authors->NumRows() - kNewAuthors;
-  struct Mode {
-    const char* name;
-    size_t link_tail;
-    bool overlay;
-  };
-  for (const Mode& mode : {Mode{"overlay", 2, true},
-                           Mode{"merge", links->NumRows() * 3 / 5, false}}) {
-    SCOPED_TRACE(mode.name);
+  for (const size_t link_tail : {size_t{2}, links->NumRows() * 3 / 5}) {
+    SCOPED_TRACE(link_tail);
     // Author IDs are 0..n-1 in row order, so a link row belongs to a
     // withheld author iff its aid is at least kept_authors.
-    const size_t keep = links->NumRows() - mode.link_tail;
+    const size_t keep = links->NumRows() - link_tail;
     std::vector<rel::Row> kept_links;
     std::vector<rel::Row> new_links;
     for (size_t i = 0; i < links->NumRows(); ++i) {
@@ -210,25 +203,131 @@ TEST_F(GraphGenTest, PatchExtractedExpParityInBothModes) {
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
 
     const Graph& patched = *outcome->graph.graph;
-    // The withheld authors are new vertices, so the mode's vertex-growth
-    // path ran.
+    // The withheld authors are new vertices, so the merge grew the graph.
     EXPECT_EQ(patched.NumVertices(),
               basis->graph->NumVertices() + kNewAuthors);
     EXPECT_EQ(patched.NumVertices(), fresh->graph->NumVertices());
     EXPECT_EQ(patched.ExpandedEdgeSet(), fresh->graph->ExpandedEdgeSet());
     EXPECT_NE(patched.ExpandedEdgeSet(), basis->graph->ExpandedEdgeSet());
 
-    // Only an overlay patch that stayed under the compaction threshold
-    // leaves patch entries behind.
+    // Every patch merges into fresh flat arrays: no overlay entries.
     const auto* exp = dynamic_cast<const ExpandedGraph*>(&patched);
     ASSERT_NE(exp, nullptr);
-    if (mode.overlay) {
-      EXPECT_GT(exp->PatchedVertices(), 0u);  // COW overlay carried the delta
-    } else {
-      EXPECT_EQ(exp->PatchedVertices(), 0u);  // merged flat
-      EXPECT_TRUE(exp->HasFlatAdjacency());
+    EXPECT_EQ(exp->PatchedVertices(), 0u);
+    EXPECT_TRUE(exp->HasFlatAdjacency());
+  }
+}
+
+// A copy of `data` without the last `tail` AuthorPub rows, which go to
+// `withheld`.
+rel::Database WithoutLinkTail(const gen::GeneratedDatabase& data, size_t tail,
+                              std::vector<rel::Row>* withheld) {
+  const rel::Table* links = *data.db.GetTable("AuthorPub");
+  const size_t kept_links = links->NumRows() - tail;
+  for (size_t i = kept_links; i < links->NumRows(); ++i) {
+    withheld->push_back(links->row(i));
+  }
+  rel::Database db;
+  for (const std::string& name : data.db.TableNames()) {
+    const rel::Table* t = *data.db.GetTable(name);
+    rel::Table copy(name, t->schema());
+    const size_t rows = t == links ? kept_links : t->NumRows();
+    for (size_t i = 0; i < rows; ++i) copy.AppendUnchecked(t->row(i));
+    db.PutTable(std::move(copy));
+  }
+  db.AnalyzeAll();
+  return db;
+}
+
+GraphGenOptions ExpPatchOptions() {
+  GraphGenOptions opts;
+  opts.representation = Representation::kExp;
+  opts.capture_incremental = true;
+  opts.extract.large_output_factor = 0.0;
+  opts.extract.preprocess = false;
+  return opts;
+}
+
+TEST_F(GraphGenTest, PatchExtractedExpCarriesBasisOverlay) {
+  // A §3.4 AddEdge on the EXP basis lands in its copy-on-write overlay;
+  // the patch reads the basis through that overlay, so the edge survives
+  // into the (flat) patched graph next to the appended delta.
+  std::vector<rel::Row> new_links;
+  rel::Database db = WithoutLinkTail(data_, 10, &new_links);
+  const GraphGenOptions opts = ExpPatchOptions();
+  GraphGen engine(&db);
+  auto basis = engine.Extract(data_.datalog, opts);
+  ASSERT_TRUE(basis.ok()) << basis.status().ToString();
+  ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
+  auto fresh = engine.Extract(data_.datalog, opts);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  // An edge neither the basis nor the grown database has.
+  NodeId u = 0;
+  NodeId v = 1;
+  while (fresh->graph->ExistsEdge(u, v)) ++v;
+  ASSERT_LT(v, basis->graph->NumVertices());
+  ASSERT_TRUE(basis->graph->AddEdge(u, v).ok());
+  const auto& basis_exp = dynamic_cast<const ExpandedGraph&>(*basis->graph);
+  ASSERT_GT(basis_exp.PatchedVertices(), 0u);
+
+  auto outcome = engine.PatchExtracted(*basis, opts);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+  const auto& patched =
+      dynamic_cast<const ExpandedGraph&>(*outcome->graph.graph);
+  EXPECT_TRUE(patched.ExistsEdge(u, v));
+  EXPECT_EQ(patched.PatchedVertices(), 0u);
+  EXPECT_TRUE(patched.HasFlatAdjacency());
+  std::vector<std::pair<NodeId, NodeId>> expected =
+      fresh->graph->ExpandedEdgeSet();
+  expected.insert(std::lower_bound(expected.begin(), expected.end(),
+                                   std::make_pair(u, v)),
+                  {u, v});
+  EXPECT_EQ(patched.ExpandedEdgeSet(), expected);
+}
+
+TEST_F(GraphGenTest, PatchExtractedExpKeepsCompactedDeletions) {
+  // A vertex deleted (§3.4) and compacted out of the EXP basis takes no
+  // edge from the delta, so the flat patched graph keeps the span
+  // contract: no neighbor span names a deleted vertex.
+  std::vector<rel::Row> new_links;
+  rel::Database db = WithoutLinkTail(data_, 10, &new_links);
+  const GraphGenOptions opts = ExpPatchOptions();
+  GraphGen engine(&db);
+  auto basis = engine.Extract(data_.datalog, opts);
+  ASSERT_TRUE(basis.ok()) << basis.status().ToString();
+  ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
+  auto fresh = engine.Extract(data_.datalog, opts);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  // Delete a vertex the delta gives a new edge.
+  NodeId x = kInvalidNode;
+  for (const auto& [a, b] : fresh->graph->ExpandedEdgeSet()) {
+    if (!basis->graph->ExistsEdge(a, b)) {
+      x = a;
+      break;
     }
   }
+  ASSERT_NE(x, kInvalidNode);
+  ASSERT_TRUE(basis->graph->DeleteVertex(x).ok());
+  dynamic_cast<ExpandedGraph&>(*basis->graph).Compact();
+  ASSERT_TRUE(basis->graph->HasFlatAdjacency());
+
+  auto outcome = engine.PatchExtracted(*basis, opts);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+  const Graph& patched = *outcome->graph.graph;
+  ASSERT_TRUE(patched.HasFlatAdjacency());
+  EXPECT_FALSE(patched.VertexExists(x));
+  for (NodeId u = 0; u < patched.NumVertices(); ++u) {
+    for (NodeId v : patched.NeighborSpan(u)) EXPECT_NE(v, x) << "vertex " << u;
+  }
+  std::vector<std::pair<NodeId, NodeId>> expected;
+  for (const auto& [a, b] : fresh->graph->ExpandedEdgeSet()) {
+    if (a != x && b != x) expected.emplace_back(a, b);
+  }
+  EXPECT_EQ(patched.ExpandedEdgeSet(), expected);
 }
 
 TEST_F(GraphGenTest, CapturedStateSharesPropertiesInEveryRepresentation) {

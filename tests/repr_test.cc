@@ -3,6 +3,7 @@
 #include "dedup/bitmap_algorithms.h"
 #include "dedup/dedup1_algorithms.h"
 #include "dedup/dedup2_builder.h"
+#include "graph/flat_adjacency.h"
 #include "repr/cdup_graph.h"
 #include "repr/dedup1_graph.h"
 #include "repr/dedup2_graph.h"
@@ -166,6 +167,128 @@ TEST(ExpandedTest, ExpanderPropagatesDeletions) {
   EXPECT_FALSE(g.VertexExists(4));
   EXPECT_EQ(g.NeighborList(3), g.NeighborList(3));
   EXPECT_FALSE(g.ExistsEdge(3, 4));
+}
+
+// ---------- Flat adjacency ----------
+
+// An adjacency given as per-vertex lists.
+FlatAdjacency FlatOf(const std::vector<std::vector<NodeId>>& lists) {
+  std::vector<uint64_t> degrees;
+  for (const auto& list : lists) degrees.push_back(list.size());
+  FlatAdjacency a = FlatAdjacency::FromDegrees(degrees);
+  for (size_t u = 0; u < lists.size(); ++u) {
+    std::copy(lists[u].begin(), lists[u].end(),
+              a.neighbors.begin() + static_cast<ptrdiff_t>(a.offsets[u]));
+  }
+  return a;
+}
+
+std::vector<NodeId> ListOf(const FlatAdjacency& a, NodeId u) {
+  std::span<const NodeId> s = a.Slice(u);
+  return {s.begin(), s.end()};
+}
+
+// Packs (u, v) pairs into the sorted delta Merge takes.
+std::vector<uint64_t> PackedDelta(
+    std::vector<std::pair<NodeId, NodeId>> pairs) {
+  std::vector<uint64_t> keys;
+  for (const auto& [u, v] : pairs) {
+    keys.push_back(static_cast<uint64_t>(u) << 32 | v);
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+FlatAdjacency MergeInto(const FlatAdjacency& basis, size_t n,
+                        const std::vector<uint64_t>& delta) {
+  return FlatAdjacency::Merge(
+      n, basis.NumVertices(), [&](NodeId u) { return basis.Slice(u); },
+      delta);
+}
+
+TEST(FlatAdjacencyTest, EmptyAdjacency) {
+  const FlatAdjacency empty;
+  EXPECT_EQ(empty.NumVertices(), 0u);
+  EXPECT_EQ(empty.offsets, std::vector<uint64_t>{0});
+  EXPECT_TRUE(empty.neighbors.empty());
+  EXPECT_EQ(empty.MemoryBytes(),
+            VectorBytes(empty.offsets) + VectorBytes(empty.neighbors));
+
+  const FlatAdjacency from_degrees = FlatAdjacency::FromDegrees({});
+  EXPECT_EQ(from_degrees.offsets, empty.offsets);
+  EXPECT_TRUE(from_degrees.neighbors.empty());
+  const FlatAdjacency transposed = empty.Transpose();
+  EXPECT_EQ(transposed.offsets, empty.offsets);
+  EXPECT_TRUE(transposed.neighbors.empty());
+  const FlatAdjacency merged = MergeInto(empty, 0, {});
+  EXPECT_EQ(merged.offsets, empty.offsets);
+  EXPECT_TRUE(merged.neighbors.empty());
+}
+
+TEST(FlatAdjacencyTest, FromDegreesIsAPrefixSum) {
+  const FlatAdjacency a =
+      FlatAdjacency::FromDegrees(std::vector<uint64_t>{2, 0, 3});
+  EXPECT_EQ(a.offsets, (std::vector<uint64_t>{0, 2, 2, 5}));
+  EXPECT_EQ(a.neighbors.size(), 5u);
+  EXPECT_EQ(a.Slice(1).size(), 0u);
+  EXPECT_EQ(a.Slice(2).size(), 3u);
+}
+
+TEST(FlatAdjacencyTest, TransposeMatchesExpanderInLists) {
+  for (const CondensedStorage& s :
+       {MakeFigure1Graph(), MakeRandomSymmetric(80, 12, 6, 31)}) {
+    const ExpandedGraph g = ExpandCondensed(s);
+    const size_t n = g.NumVertices();
+    std::vector<std::vector<NodeId>> out(n);
+    for (NodeId u = 0; u < n; ++u) {
+      std::span<const NodeId> r = g.RawNeighbors(u);
+      out[u].assign(r.begin(), r.end());
+    }
+    const FlatAdjacency in = FlatOf(out).Transpose();
+    ASSERT_EQ(in.NumVertices(), n);
+    for (NodeId u = 0; u < n; ++u) {
+      std::span<const NodeId> expected = g.RawInNeighbors(u);
+      EXPECT_EQ(ListOf(in, u),
+                std::vector<NodeId>(expected.begin(), expected.end()))
+          << "vertex " << u;
+    }
+  }
+}
+
+TEST(FlatAdjacencyTest, MergeWithEmptyDeltaCopiesBasis) {
+  const FlatAdjacency basis = FlatOf({{1, 2}, {}, {0, 1}, {2}});
+  const FlatAdjacency merged = MergeInto(basis, basis.NumVertices(), {});
+  EXPECT_EQ(merged.offsets, basis.offsets);
+  EXPECT_EQ(merged.neighbors, basis.neighbors);
+}
+
+TEST(FlatAdjacencyTest, MergeSkipsPresentAndRepeatedCandidates) {
+  const FlatAdjacency basis = FlatOf({{1, 3}, {0}, {}, {0}});
+  // (0,1) and (3,0) are in the basis; (0,2) and (2,3) repeat.
+  const std::vector<uint64_t> delta = PackedDelta(
+      {{0, 1}, {0, 2}, {0, 2}, {2, 3}, {2, 3}, {2, 1}, {3, 0}, {0, 4}});
+  const FlatAdjacency merged = MergeInto(basis, 5, delta);
+  ASSERT_EQ(merged.NumVertices(), 5u);
+  EXPECT_EQ(ListOf(merged, 0), (std::vector<NodeId>{1, 2, 3, 4}));
+  EXPECT_EQ(ListOf(merged, 1), (std::vector<NodeId>{0}));
+  EXPECT_EQ(ListOf(merged, 2), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(ListOf(merged, 3), (std::vector<NodeId>{0}));
+  EXPECT_EQ(ListOf(merged, 4), (std::vector<NodeId>{}));
+  EXPECT_EQ(merged.offsets.back(), merged.neighbors.size());
+}
+
+TEST(FlatAdjacencyTest, MergeGrowsPastTheBasis) {
+  const FlatAdjacency basis = FlatOf({{1}, {0}});
+  // Vertex 2 gets no row; vertices 3 and 4 are new and get edges.
+  const std::vector<uint64_t> delta =
+      PackedDelta({{0, 3}, {3, 0}, {3, 4}, {4, 1}});
+  const FlatAdjacency merged = MergeInto(basis, 5, delta);
+  ASSERT_EQ(merged.NumVertices(), 5u);
+  EXPECT_EQ(ListOf(merged, 0), (std::vector<NodeId>{1, 3}));
+  EXPECT_EQ(ListOf(merged, 1), (std::vector<NodeId>{0}));
+  EXPECT_EQ(ListOf(merged, 2), (std::vector<NodeId>{}));
+  EXPECT_EQ(ListOf(merged, 3), (std::vector<NodeId>{0, 4}));
+  EXPECT_EQ(ListOf(merged, 4), (std::vector<NodeId>{1}));
 }
 
 // ---------- DEDUP-1 semantics (via a hand-built duplicate-free graph) ----
