@@ -125,9 +125,12 @@ Row BenchOne(const std::string& name, const gen::GeneratedDatabase& data,
     auto attempt = planner::PatchExtraction(split.db, *basis->incremental,
                                             options.extract);
     if (!attempt.ok() || !attempt->patched) {
+      const std::string why =
+          attempt.ok()
+              ? std::string(planner::PatchFallbackName(attempt->fallback))
+              : attempt.status().ToString();
       std::fprintf(stderr, "[%s] patch fell back: %s\n", name.c_str(),
-                   attempt.ok() ? attempt->fallback_reason.c_str()
-                                : attempt.status().ToString().c_str());
+                   why.c_str());
       std::exit(1);
     }
     auto fresh =

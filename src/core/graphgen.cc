@@ -14,6 +14,7 @@
 #include "dedup/dedup1_algorithms.h"
 #include "dedup/dedup2_builder.h"
 #include "graph/flat_adjacency.h"
+#include "planner/preprocess.h"
 #include "repr/cdup_graph.h"
 #include "repr/expander.h"
 
@@ -95,13 +96,14 @@ namespace {
 // linear pass per direction (FlatAdjacency::Merge), so every patched graph
 // is flat. The basis is read through RawNeighbors/RawInNeighbors, so
 // edges a §3.4 mutation left in its copy-on-write overlay carry over.
-// Runs against the *pre-preprocess* canonical graph: expansion is the
-// transitive closure through virtuals, which §4.2 Step 6 preprocessing
-// does not change, and the patch's edge refs are numbered in it.
+// Runs against the *pre-preprocess* canonical graph `storage`: expansion
+// is the transitive closure through virtuals, which §4.2 Step 6
+// preprocessing does not change, and the patch's edge refs are numbered
+// in it.
 Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
-    const ExpandedGraph& basis, const planner::PatchAttempt& attempt,
+    const ExpandedGraph& basis, const CondensedStorage& storage,
+    const std::vector<std::pair<NodeRef, NodeRef>>& new_edges,
     const GraphGenOptions& options) {
-  const CondensedStorage& storage = attempt.state->graph;
   const ExecContext& ctx = options.extract.ctx;
   const size_t n = storage.NumRealNodes();
   const size_t basis_n = basis.NumVertices();
@@ -165,7 +167,7 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
   // the adopted arrays keep the span contract.
   auto live = [&](NodeId v) { return v >= basis_n || basis.VertexExists(v); };
   std::vector<uint64_t> keys;
-  for (const auto& [from, to] : attempt.new_edges) {
+  for (const auto& [from, to] : new_edges) {
     GRAPHGEN_RETURN_NOT_OK(ctx.Check());
     const std::vector<NodeId>& srcs = reals_of(from, /*backward=*/true,
                                                src_reals);
@@ -246,45 +248,59 @@ Result<PatchOutcome> GraphGen::PatchExtracted(
     const ExtractedGraph& cached, const GraphGenOptions& options) const {
   PatchOutcome out;
   if (cached.incremental == nullptr) {
-    out.fallback_reason = "no incremental state captured";
+    out.fallback = planner::PatchFallback::kNoCapturedState;
     return out;
   }
   WallTimer wall;
   const uint64_t db_tick = db_->CurrentTick();
+  const auto* exp = dynamic_cast<const ExpandedGraph*>(cached.graph.get());
+  const bool merge_exp = cached.representation == Representation::kExp &&
+                         exp != nullptr && exp->HasFlatAdjacency();
+  // The EXP merge traverses the pre-preprocess graph its new edges are
+  // numbered in, so that patch preprocesses the same graph afterwards.
+  planner::ExtractOptions patch_options = options.extract;
+  if (merge_exp) patch_options.preprocess = false;
   GRAPHGEN_ASSIGN_OR_RETURN(
       planner::PatchAttempt attempt,
-      planner::PatchExtraction(*db_, *cached.incremental, options.extract));
+      planner::PatchExtraction(*db_, *cached.incremental, patch_options));
   if (!attempt.patched) {
-    out.fallback_reason = std::move(attempt.fallback_reason);
+    out.fallback = attempt.fallback;
     return out;
   }
-
-  planner::ExtractionResult stats_copy;
-  stats_copy.sql = attempt.result.sql;
-  stats_copy.rows_scanned = attempt.result.rows_scanned;
-  stats_copy.condensed_edges = attempt.result.condensed_edges;
-  stats_copy.virtual_nodes = attempt.result.virtual_nodes;
-  stats_copy.real_nodes = attempt.result.real_nodes;
+  planner::ExtractionResult& result = attempt.result;
 
   WallTimer timer;
-  const auto* exp = dynamic_cast<const ExpandedGraph*>(cached.graph.get());
   ExtractedGraph graph;
-  if (cached.representation == Representation::kExp && exp != nullptr &&
-      exp->HasFlatAdjacency()) {
-    GRAPHGEN_ASSIGN_OR_RETURN(std::unique_ptr<ExpandedGraph> patched_exp,
-                              PatchExpanded(*exp, attempt, options));
+  if (merge_exp) {
+    GRAPHGEN_ASSIGN_OR_RETURN(
+        std::unique_ptr<ExpandedGraph> patched_exp,
+        PatchExpanded(*exp, result.storage, attempt.new_edges, options));
     graph.graph = std::move(patched_exp);
     graph.representation = Representation::kExp;
     graph.dedup_seconds = timer.Seconds();
+    // The condensed statistics are those of the preprocessed graph.
+    if (options.extract.preprocess) {
+      GRAPHGEN_RETURN_NOT_OK(options.extract.ctx.Check());
+      planner::ExpandSmallVirtualNodes(result.storage, options.extract.threads);
+      result.condensed_edges = result.storage.CountCondensedEdges();
+      result.virtual_nodes = result.storage.NumVirtualNodes();
+    }
   } else {
     // Any other representation rebuilds from the patched condensed graph,
     // pinned to the cached representation so the entry's identity (and
     // kAuto's earlier choice) is stable across patches.
     GraphGenOptions rebuild = options;
     rebuild.representation = cached.representation;
-    GRAPHGEN_ASSIGN_OR_RETURN(
-        graph, Materialize(std::move(attempt.result.storage), rebuild));
+    GRAPHGEN_ASSIGN_OR_RETURN(graph,
+                              Materialize(std::move(result.storage), rebuild));
   }
+
+  planner::ExtractionResult stats_copy;
+  stats_copy.sql = std::move(result.sql);
+  stats_copy.rows_scanned = result.rows_scanned;
+  stats_copy.condensed_edges = result.condensed_edges;
+  stats_copy.virtual_nodes = result.virtual_nodes;
+  stats_copy.real_nodes = result.real_nodes;
   stats_copy.profile.wall_seconds = wall.Seconds();
   graph.stats = std::move(stats_copy);
   graph.incremental = std::move(attempt.state);

@@ -47,7 +47,7 @@ struct GraphGenOptions {
   /// times the condensed size (§6.5 suggests 20%).
   double expand_threshold = 0.2;
   /// Captures the incremental-extraction state (first-occurrence sets,
-  /// canonical pre-preprocess graph, version-vector basis) during Extract
+  /// per-segment pair sets, version-vector basis) during Extract
   /// so later table appends can be advanced by PatchExtracted instead of
   /// a cold run. Costs memory — FootprintBytes() includes it.
   bool capture_incremental = false;
@@ -82,10 +82,10 @@ struct ExtractedGraph {
 };
 
 /// Outcome of a core-level patch attempt. `patched == false` is the soft
-/// fallback (reason in `fallback_reason`): run a cold Extract instead.
+/// fallback (reason in `fallback`): run a cold Extract instead.
 struct PatchOutcome {
   bool patched = false;
-  std::string fallback_reason;
+  planner::PatchFallback fallback = planner::PatchFallback::kNone;
   /// Valid when patched: equivalent to a cold Extract against the current
   /// database, with the successor incremental state attached.
   ExtractedGraph graph;

@@ -34,6 +34,14 @@ uint32_t CondensedStorage::AddVirtualNode() {
   return static_cast<uint32_t>(virt_out_.size() - 1);
 }
 
+uint32_t CondensedStorage::AddVirtualNodes(size_t n) {
+  const uint32_t first = static_cast<uint32_t>(virt_out_.size());
+  virt_out_.resize(virt_out_.size() + n);
+  virt_in_.resize(virt_in_.size() + n);
+  sorted_ = false;
+  return first;
+}
+
 void CondensedStorage::AddEdge(NodeRef from, NodeRef to) {
   MutableOutEdges(from).push_back(to);
   MutableInEdges(to).push_back(from);

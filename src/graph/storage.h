@@ -50,6 +50,8 @@ class CondensedStorage {
   NodeId AddRealNodes(size_t n);
   /// Adds one virtual node; returns its index in the virtual space.
   uint32_t AddVirtualNode();
+  /// Adds `n` virtual nodes; returns the index of the first.
+  uint32_t AddVirtualNodes(size_t n);
 
   /// Adds a directed condensed edge. Enforces the structural rules of
   /// §4.1: a real source endpoint acts as u_s (never receives in-edges via

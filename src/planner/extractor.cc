@@ -180,8 +180,8 @@ namespace {
 // int64 keys probe the flat table, dictionary keys resolve once per
 // distinct code, and only mixed columns touch Values.
 // With `capture` set (and a single Nodes rule), every applied DISTINCT
-// tuple is also recorded so the incremental path can later skip delta
-// rows the basis already saw.
+// tuple is also recorded (fingerprint and table row) so the incremental
+// path can later skip delta rows the basis already saw.
 Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
                          const ExtractOptions& options,
                          ExtractionResult& result, TypedIdMap& node_ids,
@@ -218,6 +218,8 @@ Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
   GRAPHGEN_FAULT_POINT("extract.nodes.apply");
   const bool poll = NeedsCtxPoll(options.ctx);
   const bool record = capture != nullptr && program.nodes_rules.size() == 1;
+  std::vector<std::pair<uint64_t, uint32_t>> tuples;
+  std::string tuple_bytes;
   for (size_t r = 0; r < program.nodes_rules.size(); ++r) {
     const dsl::Rule& rule = program.nodes_rules[r];
     GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
@@ -246,8 +248,9 @@ Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
       }
       if (key_col.IsNull(ri)) continue;
       if (record) {
-        capture->node_tuples.insert(
-            EncodeNodeTuple(rows, ri, rule.head_args.size()));
+        const uint32_t row = NodeTupleRow(rows, ri);
+        EncodeNodeTuple(rows, row, rule.head_args.size(), tuple_bytes);
+        tuples.emplace_back(NodeTupleFingerprint(tuple_bytes), row);
       }
       bool fresh = false;
       auto alloc = [&] {
@@ -288,6 +291,7 @@ Status ExecuteNodesRules(const rel::Database& db, const dsl::Program& program,
       }
     }
   }
+  if (record) SpliceNodeTuples(capture->node_tuples, tuples);
   // The column block is final: trim it once, since every representation
   // and captured state built from this graph shares it.
   storage.properties().ShrinkToFit();
@@ -369,11 +373,13 @@ Result<CountPlanParts> BuildCountConstraintPlan(
 // adds a direct edge per passing pair ("co-authored multiple papers
 // together", §1). Edges are emitted in ascending (src, dst) order — the
 // counting map iterates in hash-layout order, which must never leak into
-// the stored adjacency.
+// the stored adjacency. `captured` (nullable) receives the emitted pairs,
+// packed and sorted: the rule's one pair set.
 Status ApplyCountConstraint(const ExecOutput& out,
                             const dsl::AggregateConstraint& agg,
                             const TypedIdMap& node_ids, const ExecContext& ctx,
-                            ExtractionResult& result) {
+                            ExtractionResult& result,
+                            std::vector<uint64_t>* captured) {
   GRAPHGEN_FAULT_POINT("extract.edges.count");
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
   EndpointColumn src_col(out, 0);
@@ -418,6 +424,8 @@ Status ApplyCountConstraint(const ExecOutput& out,
                        NodeRef::Real(static_cast<NodeId>(pair & 0xffffffffull)));
   }
   result.storage.AddEdges(batch);
+  // Real refs are their ids, so `passing` is already PackPair-packed.
+  if (captured != nullptr) *captured = passing;
   return Status::OK();
 }
 
@@ -431,8 +439,8 @@ struct EdgeRuleWork {
 
 // The full §4.2 pipeline; `capture` (nullable) additionally records the
 // incremental-extraction state: node tuples, per-segment emitted pairs,
-// boundary maps, the canonical pre-preprocess graph, and the basis
-// version vector.
+// boundary maps, node counts, property columns, and the basis version
+// vector.
 Result<ExtractionResult> ExtractImpl(const rel::Database& db,
                                      const dsl::Program& program,
                                      const ExtractOptions& options,
@@ -495,9 +503,11 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
           unit_profs.push_back(
               edges_stage->AddChild("count_query", parts.sql));
         }
-        // A COUNT recount cannot be patched from deltas.
+        // A COUNT recount cannot be patched from deltas; its emitted
+        // pairs are kept so an untouched rule survives the rebuild.
         if (capture != nullptr) {
           capture->edge_rules[rule_idx].patchable = false;
+          capture->edge_rules[rule_idx].seen_pairs.resize(1);
         }
       } else {
         GRAPHGEN_ASSIGN_OR_RETURN(work.segments, BuildSegments(chain));
@@ -536,6 +546,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
   // does not leak into the result — the canonicalization pass below
   // renumbers virtual ids and sorts adjacency.
   std::unordered_map<uint64_t, TypedIdMap> virtual_maps;
+  uint32_t num_virtual = 0;
   auto boundary_map = [&virtual_maps](size_t rule,
                                       size_t boundary) -> TypedIdMap& {
     return virtual_maps[(static_cast<uint64_t>(rule) << 32) | boundary];
@@ -558,7 +569,9 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
       }
       GRAPHGEN_RETURN_NOT_OK(ApplyCountConstraint(
           out, *program.edges_rules[rule_idx].count_constraint, node_ids,
-          options.ctx, result));
+          options.ctx, result,
+          capture != nullptr ? &capture->edge_rules[rule_idx].seen_pairs[0]
+                             : nullptr));
       continue;
     }
 
@@ -585,7 +598,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
         src_virt.emplace(
             src_col,
             boundary_map(rule_idx, work.segments[si - 1].last_atom),
-            result.storage);
+            num_virtual);
       }
       std::optional<RealNodeResolver> dst_real;
       std::optional<VirtualNodeResolver> dst_virt;
@@ -593,7 +606,7 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
         dst_real.emplace(dst_col, node_ids);
       } else {
         dst_virt.emplace(dst_col, boundary_map(rule_idx, seg.last_atom),
-                         result.storage);
+                         num_virtual);
       }
 
       const size_t nrows = out.NumRows();
@@ -643,6 +656,8 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
       }
       // Batched append: adjacency lists reserve their exact final size,
       // edge order identical to per-row AddEdge.
+      result.storage.AddVirtualNodes(num_virtual -
+                                     result.storage.NumVirtualNodes());
       result.storage.AddEdges(batch);
     }
   }
@@ -658,7 +673,10 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
     maps.reserve(virtual_maps.size());
     for (auto& [key, map] : virtual_maps) maps.push_back({key, &map});
     const std::vector<uint32_t> perm =
-        CanonicalizeVirtualNodes(result.storage, std::move(maps));
+        CanonicalVirtualOrder(result.storage.NumVirtualNodes(),
+                              std::move(maps));
+    result.storage.PermuteVirtualNodes(perm);
+    result.storage.SortAdjacency();
     if (capture != nullptr) {
       for (EdgeRuleState& ers : capture->edge_rules) {
         for (auto& pairs : ers.seen_pairs) RemapPairSet(pairs, perm);
@@ -679,10 +697,15 @@ Result<ExtractionResult> ExtractImpl(const rel::Database& db,
   if (edges_stage != nullptr) edges_stage->seconds = timer.Seconds();
 
   if (capture != nullptr) {
-    // Snapshot the canonical pre-preprocess graph, the key tables, and
-    // the basis version vector (every referenced table).
+    // Record the canonical pre-preprocess graph's node counts and its
+    // (shared) property columns, the key tables, and the basis version
+    // vector (every referenced table). Its edges are the pair sets.
     capture->node_ids = std::move(node_ids);
-    capture->graph = result.storage;
+    capture->num_real_nodes =
+        static_cast<uint32_t>(result.storage.NumRealNodes());
+    capture->num_virtual_nodes =
+        static_cast<uint32_t>(result.storage.NumVirtualNodes());
+    capture->properties = result.storage.properties();
     capture->rows_scanned = result.rows_scanned;
     auto record_table = [&](const std::string& name) -> Status {
       if (capture->basis.contains(name)) return Status::OK();

@@ -12,11 +12,14 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
 #include "graph/storage.h"
 #include "planner/extractor.h"
+#include "planner/incremental.h"
 #include "planner/typed_maps.h"
 #include "query/executor.h"
 
@@ -134,16 +137,17 @@ class RealNodeResolver {
 };
 
 // Resolves boundary keys of one result column to virtual-node ids,
-// allocating on first sight. Allocation order is irrelevant to the final
+// allocating the next id of `num_virtual` on first sight (the caller
+// grows its storage to match). Allocation order is irrelevant to the final
 // graph: after assembly the extractor renumbers every virtual node into
-// canonical key-sorted order (CanonicalizeVirtualNodes), which is what
+// canonical key-sorted order (CanonicalVirtualOrder), which is what
 // makes a delta-patched graph bitwise identical to a fresh extraction.
 // Rows must be non-NULL.
 class VirtualNodeResolver {
  public:
   VirtualNodeResolver(const EndpointColumn& col, TypedIdMap& keys,
-                      CondensedStorage& storage)
-      : col_(col), keys_(keys), storage_(storage) {
+                      uint32_t& num_virtual)
+      : col_(col), keys_(keys), num_virtual_(num_virtual) {
     if (col_.kind() == EndpointColumn::Kind::kDict) {
       code_cache_.assign(col_.dict().size(), kUnresolved);
     }
@@ -153,14 +157,14 @@ class VirtualNodeResolver {
     switch (col_.kind()) {
       case EndpointColumn::Kind::kInt64:
         return NodeRef::Virtual(keys_.ints.GetOrInsert(
-            col_.Int64(row), [this] { return storage_.AddVirtualNode(); }));
+            col_.Int64(row), [this] { return num_virtual_++; }));
       case EndpointColumn::Kind::kDict: {
         int64_t& c = code_cache_[col_.Code(row)];
         if (c < 0) {
           const std::string& s = col_.dict().At(col_.Code(row));
           auto it = keys_.strings.find(std::string_view(s));
           if (it == keys_.strings.end()) {
-            it = keys_.strings.emplace(s, storage_.AddVirtualNode()).first;
+            it = keys_.strings.emplace(s, num_virtual_++).first;
           }
           c = it->second;
         }
@@ -169,7 +173,7 @@ class VirtualNodeResolver {
       case EndpointColumn::Kind::kValue:
       default:
         return NodeRef::Virtual(keys_.GetOrInsertValue(
-            col_.ValueAt(row), [this] { return storage_.AddVirtualNode(); }));
+            col_.ValueAt(row), [this] { return num_virtual_++; }));
     }
   }
 
@@ -178,7 +182,7 @@ class VirtualNodeResolver {
 
   EndpointColumn col_;
   TypedIdMap& keys_;
-  CondensedStorage& storage_;
+  uint32_t& num_virtual_;
   std::vector<int64_t> code_cache_;  // dict code → virtual id
 };
 
@@ -210,52 +214,74 @@ inline void RemapPairSet(std::vector<uint64_t>& pairs,
   pairs.shrink_to_fit();
 }
 
-// Injective, type-tagged encoding of one projected result tuple. The
-// incremental node path uses it to decide whether a delta row is a tuple
-// the basis extraction already applied (same DISTINCT semantics as the
+// Injective, type-tagged encoding of one projected Nodes-rule tuple,
+// written into `out` (cleared first so callers reuse one buffer). `row`
+// is a row of the rule's table: Nodes plans are single-atom, so every
+// column of `rows` binds that one table, and any of its rows can be
+// encoded through the same bindings — a delta row, or a stored
+// first-occurrence row being rechecked. Same DISTINCT semantics as the
 // fresh path: Value equality never crosses int64/double/string; doubles
-// encode their bit pattern so no two distinct values collide).
-inline std::string EncodeNodeTuple(const query::RowIdResult& rows, size_t ri,
-                                   size_t ncols) {
-  auto append64 = [](std::string& s, uint64_t bits) {
+// encode their bit pattern so no two distinct values collide.
+inline void EncodeNodeTuple(const query::RowIdResult& rows, size_t row,
+                            size_t ncols, std::string& out) {
+  auto append64 = [&out](uint64_t bits) {
     for (int b = 0; b < 8; ++b) {
-      s.push_back(static_cast<char>((bits >> (b * 8)) & 0xff));
+      out.push_back(static_cast<char>((bits >> (b * 8)) & 0xff));
     }
   };
-  std::string s;
+  out.clear();
   for (size_t c = 0; c < ncols; ++c) {
-    if (rows.IsNullAt(ri, c)) {
-      s.push_back('\0');
+    const query::BoundColumn b = rows.Bind(c);
+    if (b.col->encoding() == rel::ColumnVector::Encoding::kEmpty ||
+        b.col->IsNull(row)) {
+      out.push_back('\0');
       continue;
     }
-    const rel::Value v = rows.ValueAt(ri, c);
+    const rel::Value v = b.col->ValueAt(row);
     switch (v.type()) {
       case rel::ValueType::kInt64:
-        s.push_back('i');
-        append64(s, static_cast<uint64_t>(v.AsInt64()));
+        out.push_back('i');
+        append64(static_cast<uint64_t>(v.AsInt64()));
         break;
       case rel::ValueType::kDouble: {
-        s.push_back('d');
+        out.push_back('d');
         uint64_t bits = 0;
         const double d = v.AsDouble();
         std::memcpy(&bits, &d, sizeof(bits));
-        append64(s, bits);
+        append64(bits);
         break;
       }
       case rel::ValueType::kString: {
         const std::string& str = v.AsString();
-        s.push_back('s');
-        append64(s, str.size());
-        s.append(str);
+        out.push_back('s');
+        append64(str.size());
+        out.append(str);
         break;
       }
       default:
-        s.push_back('\0');
+        out.push_back('\0');
         break;
     }
   }
-  return s;
 }
+
+// Table row of result row `ri` of a single-atom (Nodes) plan.
+inline uint32_t NodeTupleRow(const query::RowIdResult& rows, size_t ri) {
+  return static_cast<uint32_t>(rows.RowId(rows.Bind(0), ri));
+}
+
+// The NodeTupleSet fingerprint of one EncodeNodeTuple encoding. It never
+// leaves the process, so the standard library hash serves; collisions
+// only cost a recheck.
+inline uint64_t NodeTupleFingerprint(std::string_view bytes) {
+  return std::hash<std::string_view>{}(bytes);
+}
+
+// Merges (fingerprint, row) entries into `set`, keeping it sorted and
+// exact-size. `added` is sorted in place; its entries must be tuples the
+// set does not hold (each DISTINCT tuple is added once).
+void SpliceNodeTuples(NodeTupleSet& set,
+                      std::vector<std::pair<uint64_t, uint32_t>>& added);
 
 // Executes every plan, independent queries concurrently (see extractor.cc
 // for the threading contract). Results land at the plan's index so callers
@@ -279,16 +305,15 @@ struct BoundaryMapRef {
   TypedIdMap* map = nullptr;
 };
 
-// Renumbers the storage's virtual nodes into canonical order — maps sorted
-// by (rule, boundary), keys within a map sorted ints-numeric, then strings
-// lexicographic, then other Values by operator< — rewrites the maps' ids
-// in place, and sorts all adjacency lists. Returns the applied permutation
-// (old id → new id) so callers can remap any packed-pair bookkeeping.
-// Both the fresh and the patched pipeline end with this pass; it is the
-// reason emission and allocation order never show in the final graph.
-std::vector<uint32_t> CanonicalizeVirtualNodes(CondensedStorage& storage,
-                                               std::vector<BoundaryMapRef>
-                                                   maps);
+// The canonical order of `nv` virtual nodes — maps sorted by
+// (rule, boundary), keys within a map sorted ints-numeric, then strings
+// lexicographic, then other Values by operator< — as a permutation (old
+// id → new id). Rewrites the maps' ids in place. The fresh pipeline
+// applies it to its storage (PermuteVirtualNodes, then SortAdjacency);
+// both pipelines remap their packed-pair bookkeeping through it. It is
+// the reason emission and allocation order never show in the final graph.
+std::vector<uint32_t> CanonicalVirtualOrder(size_t nv,
+                                            std::vector<BoundaryMapRef> maps);
 
 }  // namespace graphgen::planner
 

@@ -14,10 +14,8 @@
 
 namespace graphgen::planner {
 
-std::vector<uint32_t> CanonicalizeVirtualNodes(CondensedStorage& storage,
-                                               std::vector<BoundaryMapRef>
-                                                   maps) {
-  const size_t nv = storage.NumVirtualNodes();
+std::vector<uint32_t> CanonicalVirtualOrder(size_t nv,
+                                            std::vector<BoundaryMapRef> maps) {
   std::vector<uint32_t> perm(nv, kInvalidNode);
   std::sort(maps.begin(), maps.end(),
             [](const BoundaryMapRef& a, const BoundaryMapRef& b) {
@@ -57,7 +55,6 @@ std::vector<uint32_t> CanonicalizeVirtualNodes(CondensedStorage& storage,
   for (uint32_t v = 0; v < nv; ++v) {
     if (perm[v] == kInvalidNode) perm[v] = next++;
   }
-  storage.PermuteVirtualNodes(perm);
   for (const BoundaryMapRef& m : maps) {
     m.map->ints.ForEachMutable([&](int64_t, uint32_t& v) { v = perm[v]; });
     for (auto& [s, v] : m.map->strings) {
@@ -69,14 +66,57 @@ std::vector<uint32_t> CanonicalizeVirtualNodes(CondensedStorage& storage,
       v = perm[v];
     }
   }
-  storage.SortAdjacency();
   return perm;
 }
 
+std::string_view PatchFallbackName(PatchFallback reason) {
+  switch (reason) {
+    case PatchFallback::kNone: return "none";
+    case PatchFallback::kNoCapturedState: return "no_captured_state";
+    case PatchFallback::kMalformedState: return "malformed_state";
+    case PatchFallback::kTableDropped: return "table_dropped";
+    case PatchFallback::kTableRebased: return "table_rebased";
+    case PatchFallback::kTableShrank: return "table_shrank";
+    case PatchFallback::kMultiNodesRuleDelta: return "multi_nodes_delta";
+    case PatchFallback::kCountRuleTouched: return "count_rule_touched";
+    case PatchFallback::kSegmentationDrift: return "segmentation_drift";
+  }
+  return "?";
+}
+
+size_t NodeTupleSet::MemoryBytes() const {
+  return fingerprints.capacity() * sizeof(uint64_t) +
+         rows.capacity() * sizeof(uint32_t);
+}
+
+void SpliceNodeTuples(NodeTupleSet& set,
+                      std::vector<std::pair<uint64_t, uint32_t>>& added) {
+  if (added.empty()) return;
+  std::sort(added.begin(), added.end());
+  const size_t n = set.size() + added.size();
+  NodeTupleSet merged;
+  merged.fingerprints.reserve(n);
+  merged.rows.reserve(n);
+  size_t i = 0;
+  for (const auto& [fp, row] : added) {
+    while (i < set.size() && std::pair(set.fingerprints[i], set.rows[i]) <
+                                 std::pair(fp, row)) {
+      merged.fingerprints.push_back(set.fingerprints[i]);
+      merged.rows.push_back(set.rows[i]);
+      ++i;
+    }
+    merged.fingerprints.push_back(fp);
+    merged.rows.push_back(row);
+  }
+  merged.fingerprints.insert(merged.fingerprints.end(),
+                             set.fingerprints.begin() + i,
+                             set.fingerprints.end());
+  merged.rows.insert(merged.rows.end(), set.rows.begin() + i, set.rows.end());
+  set = std::move(merged);
+}
+
 size_t IncrementalState::MemoryBytes() const {
-  size_t total = graph.MemoryBytes();
-  total += node_ids.MemoryBytes();
-  for (const auto& t : node_tuples) total += t.capacity() + 56;
+  size_t total = node_ids.MemoryBytes() + node_tuples.MemoryBytes();
   for (const auto& er : edge_rules) {
     for (const auto& pairs : er.seen_pairs) {
       total += pairs.capacity() * sizeof(uint64_t);
@@ -90,6 +130,67 @@ size_t IncrementalState::MemoryBytes() const {
 }
 
 namespace {
+
+// True if `set` holds the tuple encoded as `bytes` (fingerprint `fp`):
+// each stored row with an equal fingerprint is re-encoded from the
+// table through `rows`' bindings and compared byte for byte.
+bool ContainsNodeTuple(const NodeTupleSet& set,
+                       const query::RowIdResult& rows, size_t ncols,
+                       uint64_t fp, std::string_view bytes,
+                       std::string& scratch) {
+  auto it = std::lower_bound(set.fingerprints.begin(), set.fingerprints.end(),
+                             fp);
+  for (; it != set.fingerprints.end() && *it == fp; ++it) {
+    EncodeNodeTuple(rows, set.rows[it - set.fingerprints.begin()], ncols,
+                    scratch);
+    if (scratch == bytes) return true;
+  }
+  return false;
+}
+
+// Builds the canonical pre-preprocess condensed graph from a state. The
+// multiset union of the (rule, segment) pair sets is the graph's edge
+// multiset: two rules that emit one pair store it once each. Every
+// adjacency list is reserved at its exact size, filled, and sorted.
+CondensedStorage BuildCondensed(const IncrementalState& st) {
+  CondensedStorage g;
+  g.AddRealNodes(st.num_real_nodes);
+  g.AddVirtualNodes(st.num_virtual_nodes);
+  const size_t nr = st.num_real_nodes;
+  auto slot = [nr](uint32_t raw) {
+    const NodeRef r = NodeRef::FromRaw(raw);
+    return r.is_virtual() ? nr + r.index() : r.index();
+  };
+  std::vector<uint32_t> out_deg(nr + st.num_virtual_nodes, 0);
+  std::vector<uint32_t> in_deg(nr + st.num_virtual_nodes, 0);
+  for (const EdgeRuleState& ers : st.edge_rules) {
+    for (const auto& pairs : ers.seen_pairs) {
+      for (const uint64_t pair : pairs) {
+        ++out_deg[slot(static_cast<uint32_t>(pair >> 32))];
+        ++in_deg[slot(static_cast<uint32_t>(pair))];
+      }
+    }
+  }
+  for (size_t i = 0; i < out_deg.size(); ++i) {
+    const NodeRef r = i < nr ? NodeRef::Real(static_cast<uint32_t>(i))
+                             : NodeRef::Virtual(static_cast<uint32_t>(i - nr));
+    g.MutableOutEdges(r).reserve(out_deg[i]);
+    g.MutableInEdges(r).reserve(in_deg[i]);
+  }
+  for (const EdgeRuleState& ers : st.edge_rules) {
+    for (const auto& pairs : ers.seen_pairs) {
+      for (const uint64_t pair : pairs) {
+        const auto from = NodeRef::FromRaw(static_cast<uint32_t>(pair >> 32));
+        const auto to = NodeRef::FromRaw(static_cast<uint32_t>(pair));
+        g.MutableOutEdges(from).push_back(to);
+        g.MutableInEdges(to).push_back(from);
+      }
+    }
+  }
+  g.SortAdjacency();
+  g.properties() = st.properties;
+  return g;
+}
 
 // Splices one segment's patch candidates into its pair set. `candidates`
 // is reduced to the pairs the set did not hold, sorted; the set stays
@@ -203,14 +304,14 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
   GRAPHGEN_FAULT_POINT("extract.patch");
   GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
   PatchAttempt attempt;
-  auto fallback = [&attempt](std::string reason) {
+  auto fallback = [&attempt](PatchFallback reason) {
     attempt.patched = false;
-    attempt.fallback_reason = std::move(reason);
+    attempt.fallback = reason;
     return std::move(attempt);
   };
   const dsl::Program& program = basis.program;
   if (basis.edge_rules.size() != program.edges_rules.size()) {
-    return fallback("basis state is malformed");
+    return fallback(PatchFallback::kMalformedState);
   }
 
   // ---- 1. Classify every basis table: unchanged, append delta, or void.
@@ -218,19 +319,20 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
   std::map<std::string, rel::TableVersion> now_versions;
   for (const auto& [name, tb] : basis.basis) {
     auto vr = db.VersionOf(name);
-    if (!vr.ok()) return fallback("table " + name + " no longer exists");
+    if (!vr.ok()) return fallback(PatchFallback::kTableDropped);
     const rel::TableVersion now = std::move(vr).ValueOrDie();
     if (now.rebase_version > tb.version) {
-      return fallback("table " + name + " was rebased");
+      return fallback(PatchFallback::kTableRebased);
     }
-    if (now.rows < tb.rows) return fallback("table " + name + " shrank");
+    if (now.rows < tb.rows) return fallback(PatchFallback::kTableShrank);
     now_versions[name] = now;
     if (now.version != tb.version || now.rows != tb.rows) {
       deltas[name] = {tb.rows, now.rows};
     }
   }
 
-  // ---- 2. Copy the basis; all splicing happens on the successor state.
+  // ---- 2. Copy the basis; all splicing happens on the successor state
+  // (the property columns stay shared until the node delta writes).
   auto next = std::make_shared<IncrementalState>(basis);
   IncrementalState& st = *next;
   ExtractionResult& result = attempt.result;
@@ -249,7 +351,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     if (program.nodes_rules.size() > 1) {
       // A delta tuple could interleave real-node id assignment or
       // property write order across rules; real ids must never renumber.
-      return fallback("node-table delta with multiple Nodes rules");
+      return fallback(PatchFallback::kMultiNodesRuleDelta);
     }
     const dsl::Rule& rule = program.nodes_rules[0];
     const auto& window = deltas.at(rule.body[0].relation);
@@ -264,30 +366,38 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
 
     std::vector<size_t> prop_cols;
     for (size_t i = 1; i < rule.head_args.size(); ++i) {
-      prop_cols.push_back(st.graph.properties().AddColumn(rule.head_args[i]));
+      prop_cols.push_back(st.properties.AddColumn(rule.head_args[i]));
     }
     const query::RowIdResult& rows = outs[0].rows;
     EndpointColumn key_col(outs[0], 0);
     const bool poll = NeedsCtxPoll(options.ctx);
+    const size_t ncols = rule.head_args.size();
+    std::vector<std::pair<uint64_t, uint32_t>> new_tuples;
+    std::string bytes, scratch;
     for (size_t ri = 0; ri < rows.NumRows(); ++ri) {
       if (poll && ri % kCancelStrideRows == 0) {
         GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
       }
       if (key_col.IsNull(ri)) continue;
-      if (!st.node_tuples
-               .insert(EncodeNodeTuple(rows, ri, rule.head_args.size()))
-               .second) {
+      // The delta is DISTINCT, so each tuple is new to the basis or not;
+      // new ones are spliced in after the loop.
+      const uint32_t row = NodeTupleRow(rows, ri);
+      EncodeNodeTuple(rows, row, ncols, bytes);
+      const uint64_t fp = NodeTupleFingerprint(bytes);
+      if (ContainsNodeTuple(basis.node_tuples, rows, ncols, fp, bytes,
+                            scratch)) {
         continue;  // the basis already applied this exact tuple
       }
+      new_tuples.emplace_back(fp, row);
       bool fresh = false;
       auto alloc = [&] {
         fresh = true;
-        return st.graph.AddRealNode();
+        return static_cast<NodeId>(st.num_real_nodes++);
       };
       const rel::Value key = rows.ValueAt(ri, 0);
       const NodeId id = st.node_ids.GetOrInsertValue(key, alloc);
       if (fresh) {
-        st.graph.properties().SetExternalKey(id, rows.ToStringAt(ri, 0));
+        st.properties.SetExternalKey(id, rows.ToStringAt(ri, 0));
         if (new_keys == nullptr) {
           new_keys = std::make_shared<query::KeyFilter>();
         }
@@ -303,15 +413,17 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
             break;
         }
       }
-      for (size_t i = 1; i < rule.head_args.size(); ++i) {
-        st.graph.properties().Set(
-            id, prop_cols[i - 1],
-            rows.IsNullAt(ri, i) ? "" : rows.ToStringAt(ri, i));
+      for (size_t i = 1; i < ncols; ++i) {
+        st.properties.Set(id, prop_cols[i - 1],
+                          rows.IsNullAt(ri, i) ? "" : rows.ToStringAt(ri, i));
       }
     }
-    st.graph.properties().ShrinkToFit();
+    // Only new tuples write, so a delta of seen tuples keeps the columns
+    // shared with the basis (ShrinkToFit would clone them).
+    if (!new_tuples.empty()) st.properties.ShrinkToFit();
+    SpliceNodeTuples(st.node_tuples, new_tuples);
   }
-  result.real_nodes = st.graph.NumRealNodes();
+  result.real_nodes = st.num_real_nodes;
 
   // ---- 4. Edge deltas per rule: one ranged pass per changed atom plus
   // full-range passes keyed to the new node keys (rows the basis skipped
@@ -327,13 +439,13 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     }
     if (!changed && !have_new_nodes) continue;
     if (!ers.patchable) {
-      return fallback("COUNT-constraint rule affected by delta");
+      return fallback(PatchFallback::kCountRuleTouched);
     }
     GRAPHGEN_ASSIGN_OR_RETURN(
         JoinChain chain,
         AnalyzeEdgesRule(rule, db, options.large_output_factor));
     if (SegmentShapes(chain) != ers.segment_shape) {
-      return fallback("join segmentation drifted after appends");
+      return fallback(PatchFallback::kSegmentationDrift);
     }
 
     const size_t nseg = ers.segment_shape.size();
@@ -407,7 +519,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       } else {
         src_virt.emplace(src_col,
                          ers.boundaries[ers.segment_shape[p.si - 1].second],
-                         st.graph);
+                         st.num_virtual_nodes);
       }
       std::optional<RealNodeResolver> dst_real;
       std::optional<VirtualNodeResolver> dst_virt;
@@ -416,7 +528,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       } else {
         dst_virt.emplace(dst_col,
                          ers.boundaries[ers.segment_shape[p.si].second],
-                         st.graph);
+                         st.num_virtual_nodes);
       }
       std::vector<uint64_t>& cand = candidates[p.si];
       const size_t nrows = out.NumRows();
@@ -452,21 +564,20 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     // Only genuinely new condensed pairs are spliced in.
     for (size_t si = 0; si < nseg; ++si) {
       SpliceNewPairs(ers.seen_pairs[si], candidates[si]);
-      std::vector<std::pair<NodeRef, NodeRef>> batch;
-      batch.reserve(candidates[si].size());
+      attempt.new_edges.reserve(attempt.new_edges.size() +
+                                candidates[si].size());
       for (const uint64_t pair : candidates[si]) {
-        batch.emplace_back(NodeRef::FromRaw(static_cast<uint32_t>(pair >> 32)),
-                           NodeRef::FromRaw(static_cast<uint32_t>(pair)));
+        attempt.new_edges.emplace_back(
+            NodeRef::FromRaw(static_cast<uint32_t>(pair >> 32)),
+            NodeRef::FromRaw(static_cast<uint32_t>(pair)));
       }
-      st.graph.AddEdges(batch);
-      attempt.new_edges.insert(attempt.new_edges.end(), batch.begin(),
-                               batch.end());
     }
   }
 
   // ---- 5. Re-canonicalize: new virtual nodes interleave into key-sorted
-  // order, adjacency re-sorts, and all bookkeeping follows the renumber.
-  {
+  // order, and all bookkeeping follows the renumber. The basis is
+  // canonical, so without new virtual nodes the order is unchanged.
+  if (st.num_virtual_nodes != basis.num_virtual_nodes) {
     GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
     std::vector<BoundaryMapRef> maps;
     for (size_t r = 0; r < st.edge_rules.size(); ++r) {
@@ -475,7 +586,7 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
       }
     }
     const std::vector<uint32_t> perm =
-        CanonicalizeVirtualNodes(st.graph, std::move(maps));
+        CanonicalVirtualOrder(st.num_virtual_nodes, std::move(maps));
     // Real ids never renumber: a single-segment rule's set holds real
     // pairs only and stays sorted as spliced.
     for (EdgeRuleState& ers : st.edge_rules) {
@@ -488,9 +599,11 @@ Result<PatchAttempt> PatchExtraction(const rel::Database& db,
     }
   }
 
-  // ---- 6. Materialize the result like a fresh extraction would.
+  // ---- 6. Build the graph once from the pair sets, then finish it like
+  // a fresh extraction would.
+  GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
   result.rows_scanned += basis.rows_scanned;
-  result.storage = st.graph;
+  result.storage = BuildCondensed(st);
   if (options.preprocess) {
     GRAPHGEN_RETURN_NOT_OK(options.ctx.Check());
     ExpandSmallVirtualNodes(result.storage, options.threads);

@@ -5,13 +5,14 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "datalog/ast.h"
-#include "graph/storage.h"
+#include "graph/node_ref.h"
+#include "graph/properties.h"
 #include "planner/extractor.h"
 #include "planner/typed_maps.h"
 
@@ -40,7 +41,8 @@ struct TableBasis {
 struct EdgeRuleState {
   /// False for COUNT-constraint rules: their GROUP BY recount cannot be
   /// patched from deltas, so any change to their tables (or to the node
-  /// set) falls back to a full re-extraction.
+  /// set) falls back to a full re-extraction. A patch that leaves them
+  /// untouched keeps their one pair set (real pairs, no segments).
   bool patchable = true;
   /// (first_atom, last_atom) per segment, for the drift check.
   std::vector<std::pair<size_t, size_t>> segment_shape;
@@ -52,13 +54,34 @@ struct EdgeRuleState {
   std::map<size_t, TypedIdMap> boundaries;
 };
 
+/// The DISTINCT node tuples a basis applied, as a flat, sorted, exact
+/// set: per tuple, a 64-bit fingerprint of its EncodeNodeTuple bytes and
+/// the row of its first occurrence in the Nodes rule's table (12 B, no
+/// per-tuple heap object). Equal fingerprints are settled by re-encoding
+/// the stored row from the table and comparing the bytes. That is exact
+/// because Nodes rules are single-atom and the table is append-only for
+/// as long as the basis is valid (a rebase or a shrink falls back).
+struct NodeTupleSet {
+  /// Sorted by (fingerprint, row); rows[i] belongs to fingerprints[i].
+  std::vector<uint64_t> fingerprints;
+  std::vector<uint32_t> rows;
+
+  size_t size() const { return fingerprints.size(); }
+  size_t MemoryBytes() const;
+};
+
 /// Everything needed to advance a cached extraction by table deltas
 /// instead of re-running it: the program, the version-vector basis, the
 /// first-occurrence sets (node keys, node tuples, per-segment emitted
-/// pairs, boundary maps), and the canonical pre-preprocess condensed
-/// graph. Produced by ExtractWithCapture, advanced by PatchExtraction.
+/// pairs, boundary maps), the node counts and the property columns.
+/// Produced by ExtractWithCapture, advanced by PatchExtraction.
 /// Immutable once published (the service shares it under shared_ptr);
 /// PatchExtraction copies it and returns the successor state.
+///
+/// The state holds no condensed graph. The per-(rule, segment) pair sets
+/// hold every condensed edge of the canonical pre-preprocess graph (COUNT
+/// rules record their emitted pairs too), so a patch rebuilds that graph
+/// once from them.
 struct IncrementalState {
   dsl::Program program;
   /// Version vector over every table the program references.
@@ -66,30 +89,33 @@ struct IncrementalState {
 
   /// Real-node key → NodeId (append-only; real ids never renumber).
   TypedIdMap node_ids;
-  /// Injectively encoded DISTINCT node tuples the basis applied, used to
-  /// skip already-seen delta tuples and to replay property writes with
-  /// the same last-writer-wins outcome as a fresh run. Only populated for
+  /// The DISTINCT node tuples the basis applied, used to skip
+  /// already-seen delta tuples and to replay property writes with the
+  /// same last-writer-wins outcome as a fresh run. Only populated for
   /// single-Nodes-rule programs; with several Nodes rules a node-table
   /// delta could interleave id assignment across rules, so those fall
   /// back to a cold run instead.
-  std::unordered_set<std::string> node_tuples;
+  NodeTupleSet node_tuples;
 
   /// One entry per Edges rule, in program order.
   std::vector<EdgeRuleState> edge_rules;
 
-  /// The canonical condensed graph *before* §4.2 Step 6 preprocessing
-  /// (patches splice edges into this, then re-run preprocessing on a
-  /// copy), adjacency sorted, virtual ids in canonical key order. Its
-  /// property columns are shared with the graph served from it.
-  CondensedStorage graph;
+  /// Node counts of the canonical pre-preprocess graph. Virtual nodes
+  /// can be isolated (a boundary key whose row had a dangling endpoint),
+  /// so the count is not derivable from the pair sets.
+  uint32_t num_real_nodes = 0;
+  uint32_t num_virtual_nodes = 0;
+  /// The graph's property columns: a copy-on-write share with the graph
+  /// served from this state.
+  PropertyTable properties;
 
   /// rows_scanned of the basis extraction; patched results report this
   /// plus the delta rows actually scanned.
   uint64_t rows_scanned = 0;
 
-  /// Bytes this state keeps beside the served graph. `graph`'s property
-  /// columns are not counted: they are shared with the served graph,
-  /// whose footprint counts them.
+  /// Bytes this state keeps beside the served graph. `properties` is not
+  /// counted: it is shared with the served graph, whose footprint counts
+  /// it.
   size_t MemoryBytes() const;
 };
 
@@ -100,15 +126,34 @@ Result<ExtractionResult> ExtractWithCapture(const rel::Database& db,
                                             const ExtractOptions& options,
                                             IncrementalState& capture);
 
+/// Why a patch attempt fell back to a cold extraction.
+enum class PatchFallback {
+  kNone,                 // patched
+  kNoCapturedState,      // the cached graph carries no incremental state
+  kMalformedState,       // the state does not fit its own program
+  kTableDropped,         // a basis table no longer exists
+  kTableRebased,         // a basis table was replaced or rewritten
+  kTableShrank,          // a basis table lost rows
+  kMultiNodesRuleDelta,  // node-table delta with several Nodes rules
+  kCountRuleTouched,     // a delta reaches a COUNT-constraint rule
+  kSegmentationDrift,    // appends changed the large-output segmentation
+};
+/// Number of fallback reasons (every value but kNone).
+inline constexpr size_t kNumPatchFallbacks =
+    static_cast<size_t>(PatchFallback::kSegmentationDrift);
+
+/// Stable snake_case name ("table_rebased"), also the suffix of the
+/// service's per-reason fallback counter.
+std::string_view PatchFallbackName(PatchFallback reason);
+
 /// Outcome of a patch attempt. `patched == false` is the *soft* fallback:
-/// the delta could not be applied safely (table rebased, segmentation
-/// drifted, count-constraint rule touched, multi-Nodes-rule node delta)
-/// and the caller should run a cold extraction instead;
-/// `fallback_reason` says why. Hard failures (cancellation, deadline,
-/// execution errors) surface as the Result's error status.
+/// the delta could not be applied safely and the caller should run a
+/// cold extraction instead; `fallback` says why. Hard failures
+/// (cancellation, deadline, execution errors) surface as the Result's
+/// error status.
 struct PatchAttempt {
   bool patched = false;
-  std::string fallback_reason;
+  PatchFallback fallback = PatchFallback::kNone;
   /// Valid when patched: bitwise identical to a fresh Extract() against
   /// the current database (DiffExtraction with compare_scan_counts=false
   /// returns "" — patching legitimately scans only the delta rows).
@@ -117,7 +162,8 @@ struct PatchAttempt {
   /// version vector.
   std::shared_ptr<IncrementalState> state;
   /// Valid when patched: the condensed edges this patch spliced in, in
-  /// the final canonical numbering of `state->graph` (pre-preprocess).
+  /// the final canonical numbering of the pre-preprocess graph — which is
+  /// `result.storage` when the patch ran with `preprocess` off.
   /// Representation-level incremental materialization (the EXP merge)
   /// derives its expanded delta from these.
   std::vector<std::pair<NodeRef, NodeRef>> new_edges;
@@ -126,7 +172,8 @@ struct PatchAttempt {
 /// Attempts to advance `basis` to the database's current state by running
 /// the program's queries only over appended rows (plus targeted passes
 /// for rows whose endpoints became real nodes), splicing the genuinely
-/// new nodes/edges into the basis graph, and re-canonicalizing.
+/// new nodes and pairs into a copy of the state, re-canonicalizing, and
+/// rebuilding the condensed graph once from the pair sets.
 Result<PatchAttempt> PatchExtraction(const rel::Database& db,
                                      const IncrementalState& basis,
                                      const ExtractOptions& options = {});

@@ -24,6 +24,9 @@ Status BeginExtractionFault() {
 
 }  // namespace
 
+// The constructor lists one delta_fallback_by_reason_ counter per reason.
+static_assert(planner::kNumPatchFallbacks == 8);
+
 GraphService::GraphService(const rel::Database* db, ServiceOptions options)
     : db_(db),
       options_(std::move(options)),
@@ -35,6 +38,16 @@ GraphService::GraphService(const rel::Database* db, ServiceOptions options)
       cold_extractions_(registry_.GetCounter("service.cold_extractions")),
       delta_patched_(registry_.GetCounter("service.delta_patched")),
       delta_fallback_(registry_.GetCounter("service.delta_fallback")),
+      // planner::PatchFallback order, kNone excluded.
+      delta_fallback_by_reason_{
+          registry_.GetCounter("service.delta_fallback.no_captured_state"),
+          registry_.GetCounter("service.delta_fallback.malformed_state"),
+          registry_.GetCounter("service.delta_fallback.table_dropped"),
+          registry_.GetCounter("service.delta_fallback.table_rebased"),
+          registry_.GetCounter("service.delta_fallback.table_shrank"),
+          registry_.GetCounter("service.delta_fallback.multi_nodes_delta"),
+          registry_.GetCounter("service.delta_fallback.count_rule_touched"),
+          registry_.GetCounter("service.delta_fallback.segmentation_drift")},
       coalesced_(registry_.GetCounter("service.coalesced")),
       failed_(registry_.GetCounter("service.failed")),
       uncacheable_(registry_.GetCounter("service.uncacheable")),
@@ -236,7 +249,9 @@ Result<GraphHandle> GraphService::ExtractWithKey(
   // serving a cached graph after its tables changed). A behind-version
   // entry is NOT a hit — it becomes the patch basis for the owner below.
   GraphHandle basis;
-  {
+  std::shared_ptr<Inflight> flight;
+  bool owner = false;
+  for (bool settled = false; !settled;) {
     GraphHandle cached;
     {
       MutexLock lock(mu_);
@@ -252,23 +267,24 @@ Result<GraphHandle> GraphService::ExtractWithKey(
         cache_hits_->Increment();
         return cached;
       }
-      basis = std::move(cached);
     }
-  }
+    basis = std::move(cached);
 
-  std::shared_ptr<Inflight> flight;
-  bool owner = false;
-  {
     MutexLock lock(mu_);
     auto it = inflight_.find(*key);
     if (it != inflight_.end()) {
       flight = it->second;
       coalesced_->Increment();
-    } else {
+      settled = true;
+    } else if (cache_.Get(*key) == basis) {
       flight = std::make_shared<Inflight>();
       inflight_[*key] = flight;
       owner = true;
+      settled = true;
     }
+    // Otherwise an owner published this key between the lookup above and
+    // this lock (the freshness check cannot run under mu_): look again
+    // rather than extract it a second time.
   }
 
   if (!owner) {
@@ -335,6 +351,8 @@ Result<GraphHandle> GraphService::ExtractWithKey(
             served_by_patch = true;
           } else {
             delta_fallback_->Increment();
+            const size_t reason = static_cast<size_t>(outcome->fallback);
+            delta_fallback_by_reason_[reason - 1]->Increment();
           }
         }
         if (status.ok() && handle == nullptr) {

@@ -1,6 +1,7 @@
 #ifndef GRAPHGEN_SERVICE_GRAPH_SERVICE_H_
 #define GRAPHGEN_SERVICE_GRAPH_SERVICE_H_
 
+#include <array>
 #include <deque>
 #include <future>
 #include <map>
@@ -321,6 +322,9 @@ class GraphService {
   obs::Counter* cold_extractions_;
   obs::Counter* delta_patched_;
   obs::Counter* delta_fallback_;
+  /// One fallback counter per reason, indexed by PatchFallback - 1.
+  std::array<obs::Counter*, planner::kNumPatchFallbacks>
+      delta_fallback_by_reason_;
   obs::Counter* coalesced_;
   obs::Counter* failed_;
   obs::Counter* uncacheable_;

@@ -49,7 +49,7 @@ void ExpectSharedProperties(const ExtractedGraph& g) {
   ASSERT_NE(g.graph, nullptr);
   ASSERT_NE(g.incremental, nullptr);
   const PropertyTable& served = ServedProperties(*g.graph);
-  const PropertyTable& state = g.incremental->graph.properties();
+  const PropertyTable& state = g.incremental->properties;
   ASSERT_EQ(served.NumColumns(), 1u);
   const NodeId last = static_cast<NodeId>(g.graph->NumVertices() - 1);
   for (const NodeId u : {NodeId{0}, last}) {
@@ -197,7 +197,8 @@ TEST_F(GraphGenTest, PatchExtractedExpParity) {
 
     auto outcome = engine.PatchExtracted(*basis, opts);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+    ASSERT_TRUE(outcome->patched)
+      << planner::PatchFallbackName(outcome->fallback);
     ExpectSharedProperties(outcome->graph);
     auto fresh = engine.Extract(data.datalog, opts);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
@@ -273,7 +274,8 @@ TEST_F(GraphGenTest, PatchExtractedExpCarriesBasisOverlay) {
 
   auto outcome = engine.PatchExtracted(*basis, opts);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+  ASSERT_TRUE(outcome->patched)
+      << planner::PatchFallbackName(outcome->fallback);
   const auto& patched =
       dynamic_cast<const ExpandedGraph&>(*outcome->graph.graph);
   EXPECT_TRUE(patched.ExistsEdge(u, v));
@@ -316,7 +318,8 @@ TEST_F(GraphGenTest, PatchExtractedExpKeepsCompactedDeletions) {
 
   auto outcome = engine.PatchExtracted(*basis, opts);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+  ASSERT_TRUE(outcome->patched)
+      << planner::PatchFallbackName(outcome->fallback);
   const Graph& patched = *outcome->graph.graph;
   ASSERT_TRUE(patched.HasFlatAdjacency());
   EXPECT_FALSE(patched.VertexExists(x));
@@ -379,7 +382,8 @@ TEST_F(GraphGenTest, CapturedStateSharesPropertiesInEveryRepresentation) {
     ASSERT_TRUE(db.AppendRows("AuthorPub", new_links).ok());
     auto outcome = engine.PatchExtracted(*basis, opts);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ASSERT_TRUE(outcome->patched) << outcome->fallback_reason;
+    ASSERT_TRUE(outcome->patched)
+      << planner::PatchFallbackName(outcome->fallback);
     ExpectSharedProperties(outcome->graph);
     auto fresh = engine.Extract(data_.datalog, opts);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
@@ -391,7 +395,7 @@ TEST_F(GraphGenTest, CapturedStateSharesPropertiesInEveryRepresentation) {
     EXPECT_NE(new_name.find("renamed"), std::string::npos) << new_name;
     EXPECT_EQ(new_name, ServedProperties(*fresh->graph).Get(0, 0));
     EXPECT_EQ(ServedProperties(*basis->graph).Get(0, 0), old_name);
-    EXPECT_EQ(basis->incremental->graph.properties().Get(0, 0), old_name);
+    EXPECT_EQ(basis->incremental->properties.Get(0, 0), old_name);
     EXPECT_EQ(patched.graph->NumVertices(), authors->NumRows());
     EXPECT_EQ(patched.graph->ExpandedEdgeSet(),
               fresh->graph->ExpandedEdgeSet());

@@ -245,7 +245,7 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
       ASSERT_TRUE(attempt.ok()) << attempt.status().ToString();
       ASSERT_TRUE(attempt->patched)
           << "factor=" << factor << " fell back: "
-          << attempt->fallback_reason;
+          << PatchFallbackName(attempt->fallback);
 
       const ExtractionResult fresh = RunExtract(fc, factor, 4);
       EXPECT_EQ(DiffExtraction(fresh, attempt->result,

@@ -110,7 +110,7 @@ void ExpectPatchParity(const rel::Database& full_db, const std::string& datalog,
     ASSERT_TRUE(attempt.ok()) << label << ": " << attempt.status().ToString();
     ASSERT_TRUE(attempt->patched)
         << label << " wave " << wave << ": fell back: "
-        << attempt->fallback_reason;
+        << PatchFallbackName(attempt->fallback);
     auto fresh = Extract(split.db, program, opts);
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(DiffExtraction(*fresh, attempt->result,
@@ -198,15 +198,46 @@ TEST(IncrementalTest, UniversityHeterogeneousEdgeRules) {
                       ("UNIV heterogeneous" + f).c_str(), /*waves=*/1,
                       /*expect_cheaper=*/true, {"Student", "Instructor"});
   }
-  // Unsegmented, both rules emit the same real pairs: parallel edges.
+  // Unsegmented, both rules emit the same real pairs: parallel edges. A
+  // patch rebuilds the graph from the per-rule pair sets, so chained
+  // patches must keep storing each pair once per rule.
   ExtractOptions opts = BaseOptions();
   opts.large_output_factor = 1e18;
+  ExpectPatchParity(d.db, twice, 0.7, opts, "UNIV twice waves", /*waves=*/3);
   auto once = Extract(d.db, MustParse(students + self_join), opts);
   auto doubled = Extract(d.db, MustParse(twice), opts);
   ASSERT_TRUE(once.ok() && doubled.ok());
   EXPECT_EQ(once->virtual_nodes, 0u);
   EXPECT_EQ(doubled->condensed_edges, 2 * once->condensed_edges);
   EXPECT_EQ(doubled->condensed_edges, 4904u);
+}
+
+TEST(IncrementalTest, UntouchedCountRuleKeepsItsEdges) {
+  // A COUNT-constraint rule cannot be patched, but a delta that only
+  // reaches another rule must keep its edges: the patch rebuilds the
+  // graph from the pair sets, so the COUNT rule's emitted pairs are in
+  // the state too. Only TaughtCourse (the plain rule's own table) grows.
+  gen::GeneratedDatabase d = gen::MakeUniversity(80, 10, 40, 3.0);
+  const std::string nodes =
+      "Nodes(ID, Name) :- Student(ID, Name).\n"
+      "Nodes(ID, Name) :- Instructor(ID, Name).\n";
+  const std::string count_rule =
+      "Edges(ID1, ID2) :- TookCourse(ID1, C), TookCourse(ID2, C), "
+      "COUNT(C) >= 2.\n";
+  const std::string plain_rule =
+      "Edges(ID1, ID2) :- TaughtCourse(ID1, C), TookCourse(ID2, C).\n";
+  auto count_only = Extract(d.db, MustParse(nodes + count_rule), BaseOptions());
+  ASSERT_TRUE(count_only.ok()) << count_only.status().ToString();
+  EXPECT_GT(count_only->condensed_edges, 0u);
+  for (double factor : {0.0, 2.0, 1e18}) {
+    ExtractOptions opts = BaseOptions();
+    opts.large_output_factor = factor;
+    const std::string label = "UNIV count+plain factor=" +
+                              std::to_string(factor);
+    ExpectPatchParity(d.db, nodes + count_rule + plain_rule, 0.8, opts,
+                      label.c_str(), /*waves=*/2, /*expect_cheaper=*/true,
+                      {"Student", "Instructor", "TookCourse"});
+  }
 }
 
 TEST(IncrementalTest, StringKeysAndDanglingPromotion) {
@@ -272,7 +303,35 @@ TEST(IncrementalTest, PropertyReplayIsLastWriterWins) {
   const ExtractOptions opts = BaseOptions();
   IncrementalState captured;
   ASSERT_TRUE(ExtractWithCapture(db, program, opts, captured).ok());
+  auto state = std::make_shared<const IncrementalState>(std::move(captured));
 
+  // Appends `rows`, patches from the current state, checks the result
+  // against a cold run and the reference, and advances the state.
+  auto append_and_patch = [&](const std::vector<rel::Row>& rows,
+                              const std::string& label) -> ExtractionResult {
+    EXPECT_TRUE(db.AppendRows("Author", rows).ok()) << label;
+    auto attempt = PatchExtraction(db, *state, opts);
+    EXPECT_TRUE(attempt.ok()) << label;
+    if (!attempt.ok()) return {};
+    EXPECT_TRUE(attempt->patched)
+        << label << ": " << PatchFallbackName(attempt->fallback);
+    if (!attempt->patched) return {};
+    auto fresh = Extract(db, program, opts);
+    EXPECT_TRUE(fresh.ok()) << label;
+    EXPECT_EQ(
+        DiffExtraction(*fresh, attempt->result, /*compare_scan_counts=*/false),
+        "")
+        << label;
+    ExpectReference(db, program, attempt->result, label);
+    state = attempt->state;
+    return std::move(attempt->result);
+  };
+  auto name_of = [](const ExtractionResult& r, int64_t key) {
+    auto id = r.storage.properties().FindByExternalKey(std::to_string(key));
+    return id.has_value() ? r.storage.properties().Get(*id, 0) : "<missing>";
+  };
+
+  // Patch 1 re-keys 10..19 with new names and adds 20..24.
   std::vector<rel::Row> delta;
   for (int i = 10; i < 25; ++i) {  // 10..19 re-keyed with new names, 20..24 new
     delta.push_back(
@@ -280,17 +339,37 @@ TEST(IncrementalTest, PropertyReplayIsLastWriterWins) {
   }
   // And one exact duplicate of a basis tuple — must be a no-op.
   delta.push_back({rel::Value(int64_t{3}), rel::Value("old-3")});
-  ASSERT_TRUE(db.AppendRows("Author", delta).ok());
+  ExtractionResult r = append_and_patch(delta, "last writer wins");
+  EXPECT_EQ(name_of(r, 10), "'new-10'");
+  const size_t tuples = state->node_tuples.size();
+  EXPECT_EQ(tuples, 35u);  // 20 basis tuples + 15 new ones
 
-  auto attempt = PatchExtraction(db, captured, opts);
-  ASSERT_TRUE(attempt.ok());
-  ASSERT_TRUE(attempt->patched) << attempt->fallback_reason;
-  auto fresh = Extract(db, program, opts);
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_EQ(
-      DiffExtraction(*fresh, attempt->result, /*compare_scan_counts=*/false),
-      "");
-  ExpectReference(db, program, attempt->result, "last writer wins");
+  // Patch 2: (10, old-10) is a tuple the basis saw, but it is no longer
+  // the last writer of key 10, so it must change nothing — not even the
+  // sharing of the property cells.
+  const std::string* cell = &state->properties.Get(10, 0);
+  r = append_and_patch({{rel::Value(int64_t{10}), rel::Value("old-10")}},
+                       "seen tuple, not the last writer");
+  EXPECT_EQ(name_of(r, 10), "'new-10'");
+  EXPECT_EQ(state->node_tuples.size(), tuples);
+  EXPECT_EQ(&state->properties.Get(10, 0), cell);
+
+  // NULL and "" are distinct tuples that write the same cell (a NULL
+  // property stores "", the empty string its SQL literal '').
+  r = append_and_patch({{rel::Value(int64_t{30}), rel::Value()}},
+                       "NULL name");
+  EXPECT_EQ(name_of(r, 30), "");
+  EXPECT_EQ(state->node_tuples.size(), tuples + 1);
+  r = append_and_patch({{rel::Value(int64_t{30}), rel::Value("")},
+                        {rel::Value(int64_t{10}), rel::Value("old-10")}},
+                       "empty name after NULL");
+  EXPECT_EQ(name_of(r, 30), "''");
+  EXPECT_EQ(name_of(r, 10), "'new-10'");
+  EXPECT_EQ(state->node_tuples.size(), tuples + 2);
+  r = append_and_patch({{rel::Value(int64_t{30}), rel::Value()}},
+                       "NULL name again");
+  EXPECT_EQ(name_of(r, 30), "''");
+  EXPECT_EQ(state->node_tuples.size(), tuples + 2);
 }
 
 TEST(IncrementalTest, NoChangePatchIsIdentity) {
@@ -323,9 +402,7 @@ TEST(IncrementalTest, MultiNodesRuleNodeDeltaFallsBack) {
   auto attempt = PatchExtraction(d.db, captured, opts);
   ASSERT_TRUE(attempt.ok());
   EXPECT_FALSE(attempt->patched);
-  EXPECT_NE(attempt->fallback_reason.find("multiple Nodes rules"),
-            std::string::npos)
-      << attempt->fallback_reason;
+  EXPECT_EQ(attempt->fallback, PatchFallback::kMultiNodesRuleDelta);
 }
 
 TEST(IncrementalTest, CountConstraintRuleFallsBack) {
@@ -344,8 +421,7 @@ TEST(IncrementalTest, CountConstraintRuleFallsBack) {
   auto attempt = PatchExtraction(d.db, captured, opts);
   ASSERT_TRUE(attempt.ok());
   EXPECT_FALSE(attempt->patched);
-  EXPECT_NE(attempt->fallback_reason.find("COUNT"), std::string::npos)
-      << attempt->fallback_reason;
+  EXPECT_EQ(attempt->fallback, PatchFallback::kCountRuleTouched);
 }
 
 TEST(IncrementalTest, RebasedTableFallsBack) {
@@ -358,8 +434,7 @@ TEST(IncrementalTest, RebasedTableFallsBack) {
   auto attempt = PatchExtraction(d.db, captured, opts);
   ASSERT_TRUE(attempt.ok());
   EXPECT_FALSE(attempt->patched);
-  EXPECT_NE(attempt->fallback_reason.find("rebased"), std::string::npos)
-      << attempt->fallback_reason;
+  EXPECT_EQ(attempt->fallback, PatchFallback::kTableRebased);
 }
 
 TEST(IncrementalTest, DroppedTableFallsBack) {
@@ -372,6 +447,7 @@ TEST(IncrementalTest, DroppedTableFallsBack) {
   auto attempt = PatchExtraction(other, captured, opts);
   ASSERT_TRUE(attempt.ok());
   EXPECT_FALSE(attempt->patched);
+  EXPECT_EQ(attempt->fallback, PatchFallback::kTableDropped);
 }
 
 TEST(IncrementalTest, StateMemoryBytesIsPositiveAndGrows) {
@@ -386,7 +462,7 @@ TEST(IncrementalTest, StateMemoryBytesIsPositiveAndGrows) {
   AppendTail(split.db, split.tail, 1.0);
   auto attempt = PatchExtraction(split.db, captured, opts);
   ASSERT_TRUE(attempt.ok());
-  ASSERT_TRUE(attempt->patched) << attempt->fallback_reason;
+  ASSERT_TRUE(attempt->patched) << PatchFallbackName(attempt->fallback);
   ExpectReference(split.db, program, attempt->result, "state growth");
   EXPECT_GT(attempt->state->MemoryBytes(), before);
 }

@@ -785,6 +785,10 @@ TEST_F(IncrementalServiceTest, RebasedTableFallsBackToColdExtraction) {
   EXPECT_EQ(stats.delta_patched, 0u);
   EXPECT_EQ(stats.delta_fallback, 1u);
   EXPECT_EQ(stats.cold_extractions, 2u);
+  // The total splits by reason.
+  obs::MetricsRegistry& m = svc.metrics();
+  EXPECT_EQ(m.GetCounter("service.delta_fallback.table_rebased")->Value(), 1u);
+  EXPECT_EQ(m.GetCounter("service.delta_fallback.table_shrank")->Value(), 0u);
 }
 
 // Appends through the service are serialized against in-flight
