@@ -4,32 +4,22 @@
 
 namespace graphgen {
 
-std::vector<uint32_t> Bfs(const Graph& graph, NodeId source,
-                          TraversalPath path) {
+std::vector<uint32_t> Bfs(const Graph& graph, NodeId source) {
   std::vector<uint32_t> dist(graph.NumVertices(), kUnreachable);
   if (!graph.VertexExists(source)) return dist;
-  const bool flat = UseSpanPath(graph, path);
+  const bool flat = graph.HasFlatAdjacency();
   dist[source] = 0;
   std::deque<NodeId> queue = {source};
   while (!queue.empty()) {
     NodeId u = queue.front();
     queue.pop_front();
     uint32_t next = dist[u] + 1;
-    if (flat) {
-      for (NodeId v : graph.NeighborSpan(u)) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = next;
-          queue.push_back(v);
-        }
+    VisitNeighbors(graph, flat, u, [&](NodeId v) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = next;
+        queue.push_back(v);
       }
-    } else {
-      graph.ForEachNeighbor(u, [&](NodeId v) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = next;
-          queue.push_back(v);
-        }
-      });
-    }
+    });
   }
   return dist;
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
@@ -14,10 +13,9 @@ constexpr uint32_t kUnreachable = 0xFFFFFFFFu;
 
 /// Single-threaded breadth-first search from `source` over the Graph API
 /// (the paper's BFS workload, §6.1.2). Returns hop distances. Relaxes
-/// edges over NeighborSpan when the graph has flat adjacency, else over
-/// the virtual callback path.
-std::vector<uint32_t> Bfs(const Graph& graph, NodeId source,
-                          TraversalPath path = TraversalPath::kAuto);
+/// edges through VisitNeighbors: NeighborSpan loops when the graph has
+/// flat adjacency, else the virtual callback path.
+std::vector<uint32_t> Bfs(const Graph& graph, NodeId source);
 
 }  // namespace graphgen
 

@@ -1,23 +1,26 @@
 #include "algos/clustering.h"
 
-#include <algorithm>
 #include <atomic>
 #include <span>
 
 #include "algos/intersect.h"
 #include "algos/orientation.h"
 #include "common/parallel.h"
+#include "repr/csr_graph.h"
 
 namespace graphgen {
 
-namespace {
+std::vector<double> LocalClusteringCoefficients(const Graph& graph) {
+  // The kernel walks sorted spans; snapshot any other graph once.
+  if (!graph.HasFlatAdjacency()) {
+    return LocalClusteringCoefficients(CsrGraph::Build(graph));
+  }
 
-/// Span fast path: enumerate each triangle once over a degree-ordered
-/// orientation and credit all three corners, instead of re-intersecting
-/// every neighbor pair from both sides. A vertex's closed ordered pair
-/// count is exactly twice its triangle membership, so the coefficients
-/// match the pairwise definition bit for bit.
-std::vector<double> ClusteringSpan(const Graph& graph) {
+  // Enumerate each triangle once over a degree-ordered orientation and
+  // credit all three corners, instead of re-intersecting every neighbor
+  // pair from both sides. A vertex's closed ordered pair count is exactly
+  // twice its triangle membership, so the coefficients match the pairwise
+  // definition bit for bit.
   const size_t n = graph.NumVertices();
   const detail::OrientedCsr csr = detail::BuildOrientedCsr(graph);
   std::vector<uint64_t> tri(n, 0);
@@ -79,57 +82,8 @@ std::vector<double> ClusteringSpan(const Graph& graph) {
   return out;
 }
 
-}  // namespace
-
-std::vector<double> LocalClusteringCoefficients(const Graph& graph,
-                                                TraversalPath path) {
-  if (UseSpanPath(graph, path)) return ClusteringSpan(graph);
-
-  const size_t n = graph.NumVertices();
-  // Materialize sorted adjacency once; intersection by merge.
-  std::vector<std::vector<NodeId>> adj(n);
-  ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      if (!graph.VertexExists(static_cast<NodeId>(u))) continue;
-      graph.ForEachNeighbor(static_cast<NodeId>(u),
-                            [&](NodeId v) { adj[u].push_back(v); });
-      std::sort(adj[u].begin(), adj[u].end());
-      adj[u].erase(std::unique(adj[u].begin(), adj[u].end()), adj[u].end());
-    }
-  });
-
-  std::vector<double> out(n, 0.0);
-  ParallelFor(n, [&](size_t begin, size_t end) {
-    for (size_t u = begin; u < end; ++u) {
-      const auto& nu = adj[u];
-      if (nu.size() < 2) continue;
-      uint64_t closed = 0;
-      for (NodeId v : nu) {
-        const auto& nv = adj[v];
-        size_t i = 0;
-        size_t j = 0;
-        while (i < nu.size() && j < nv.size()) {
-          if (nu[i] < nv[j]) {
-            ++i;
-          } else if (nu[i] > nv[j]) {
-            ++j;
-          } else {
-            ++closed;
-            ++i;
-            ++j;
-          }
-        }
-      }
-      const double possible =
-          static_cast<double>(nu.size()) * (static_cast<double>(nu.size()) - 1);
-      out[u] = static_cast<double>(closed) / possible;
-    }
-  });
-  return out;
-}
-
-double AverageClusteringCoefficient(const Graph& graph, TraversalPath path) {
-  std::vector<double> local = LocalClusteringCoefficients(graph, path);
+double AverageClusteringCoefficient(const Graph& graph) {
+  std::vector<double> local = LocalClusteringCoefficients(graph);
   double sum = 0;
   size_t count = 0;
   graph.ForEachVertex([&](NodeId u) {

@@ -42,8 +42,7 @@ class MinLabelExecutor : public Executor {
 
 }  // namespace
 
-std::vector<NodeId> ConnectedComponents(const Graph& graph, size_t threads,
-                                        TraversalPath path) {
+std::vector<NodeId> ConnectedComponents(const Graph& graph, size_t threads) {
   const size_t n = graph.NumVertices();
   std::vector<NodeId> current(n);
   for (size_t v = 0; v < n; ++v) {
@@ -54,7 +53,7 @@ std::vector<NodeId> ConnectedComponents(const Graph& graph, size_t threads,
   std::vector<NodeId> next = current;
   std::atomic<bool> changed{false};
   MinLabelExecutor executor(&current, &next, &changed);
-  VertexCentric vc(&graph, threads, path);
+  VertexCentric vc(&graph, threads);
   vc.Run(&executor);
   return current;
 }

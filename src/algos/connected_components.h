@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
@@ -13,9 +12,8 @@ namespace graphgen {
 /// vertex-centric framework. Duplicate-insensitive, so it can run directly
 /// on C-DUP without deduplication (§4.1). Returns the component label
 /// (smallest member id) per vertex; deleted vertices get kInvalidNode.
-std::vector<NodeId> ConnectedComponents(
-    const Graph& graph, size_t threads = 0,
-    TraversalPath path = TraversalPath::kAuto);
+std::vector<NodeId> ConnectedComponents(const Graph& graph,
+                                        size_t threads = 0);
 
 /// Number of distinct components among live vertices.
 size_t CountComponents(const std::vector<NodeId>& labels);

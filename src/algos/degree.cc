@@ -11,15 +11,7 @@ class DegreeExecutor : public Executor {
   explicit DegreeExecutor(std::vector<uint64_t>* out) : out_(out) {}
 
   void Compute(VertexContext& ctx) override {
-    uint64_t d;
-    if (ctx.has_flat()) {
-      // Flat spans are exact (distinct, live), so degree is span length.
-      d = ctx.NeighborSpan().size();
-    } else {
-      d = 0;
-      ctx.ForEachNeighbor([&](NodeId) { ++d; });
-    }
-    (*out_)[ctx.id()] = d;
+    (*out_)[ctx.id()] = ctx.graph().OutDegree(ctx.id());
     ctx.VoteToHalt();
   }
 
@@ -29,11 +21,10 @@ class DegreeExecutor : public Executor {
 
 }  // namespace
 
-std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads,
-                                     TraversalPath path) {
+std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads) {
   std::vector<uint64_t> degrees(graph.NumVertices(), 0);
   DegreeExecutor executor(&degrees);
-  VertexCentric vc(&graph, threads, path);
+  VertexCentric vc(&graph, threads);
   vc.Run(&executor);
   return degrees;
 }

@@ -5,17 +5,16 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
 /// Computes the (distinct-neighbor) out-degree of every vertex, running
 /// the paper's Degree workload on the vertex-centric framework
-/// (multi-threaded, one superstep). Deleted vertices get degree 0. On
-/// flat-adjacency graphs a vertex's degree is its span length — no edge
-/// iteration at all.
-std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads = 0,
-                                     TraversalPath path = TraversalPath::kAuto);
+/// (multi-threaded, one superstep). Deleted vertices get degree 0. Each
+/// vertex's degree is Graph::OutDegree: the span length on EXP and CSR,
+/// no edge iteration at all; a count over the neighbor callback on the
+/// condensed representations.
+std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads = 0);
 
 }  // namespace graphgen
 

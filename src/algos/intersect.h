@@ -20,50 +20,12 @@ namespace graphgen::detail {
 /// too early. 48 sits on the measured crossover.
 inline constexpr size_t kGallopRatio = 48;
 
-/// |a ∩ b| for sorted duplicate-free spans. Linear merge with a bounds
-/// pre-check, switching to galloping (exponential search) when one side is
-/// much longer — the skew case that dominates on power-law degree
-/// distributions (cf. the merge/gallop hybrid in standard triangle-count
-/// kernels).
-inline uint64_t IntersectSortedCount(std::span<const NodeId> a,
-                                     std::span<const NodeId> b) {
-  if (a.empty() || b.empty()) return 0;
-  if (a.back() < b.front() || b.back() < a.front()) return 0;
-  if (a.size() > b.size()) std::swap(a, b);
-  uint64_t count = 0;
-  if (b.size() >= kGallopRatio * a.size()) {
-    // Gallop: binary-search each element of the short list in the long
-    // list's remaining suffix.
-    const NodeId* lo = b.data();
-    const NodeId* end = b.data() + b.size();
-    for (NodeId x : a) {
-      lo = std::lower_bound(lo, end, x);
-      if (lo == end) break;
-      if (*lo == x) {
-        ++count;
-        ++lo;
-      }
-    }
-    return count;
-  }
-  size_t i = 0;
-  size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-/// Calls fn(x) for every x in a ∩ b (sorted duplicate-free spans), with
-/// the same merge/gallop strategy as IntersectSortedCount.
+/// Calls fn(x) for every x in a ∩ b (sorted duplicate-free spans), in
+/// ascending order. Linear merge with a bounds pre-check, switching to
+/// galloping when one side is kGallopRatio times longer: each short-side
+/// element is binary-searched in the long side's remaining suffix — the
+/// skew case that dominates on power-law degree distributions (cf. the
+/// merge/gallop hybrid in standard triangle-count kernels).
 template <typename Fn>
 inline void IntersectSortedForEach(std::span<const NodeId> a,
                                    std::span<const NodeId> b, Fn&& fn) {

@@ -1,28 +1,16 @@
 #include "algos/kcore.h"
 
 #include <algorithm>
-#include <span>
 
 #include "algos/degree.h"
 
 namespace graphgen {
 
-std::vector<uint32_t> KCoreDecomposition(const Graph& graph,
-                                         TraversalPath path) {
+std::vector<uint32_t> KCoreDecomposition(const Graph& graph) {
   const size_t n = graph.NumVertices();
-  const bool flat = UseSpanPath(graph, path);
-  std::vector<uint64_t> degrees = ComputeDegrees(graph, 0, path);
+  const bool flat = graph.HasFlatAdjacency();
+  std::vector<uint64_t> degrees = ComputeDegrees(graph);
   std::vector<uint32_t> core(n, 0);
-
-  // Snapshot spans once so the peeling loop never re-enters the virtual
-  // dispatch; empty spans for the function path keep the loop shape shared.
-  std::vector<std::span<const NodeId>> spans;
-  if (flat) {
-    spans.resize(n);
-    for (size_t u = 0; u < n; ++u) {
-      spans[u] = graph.NeighborSpan(static_cast<NodeId>(u));
-    }
-  }
 
   // Bucket-based peeling (Batagelj–Zaversnik). Degrees are bounded by n.
   uint64_t max_degree = 0;
@@ -51,11 +39,7 @@ std::vector<uint32_t> KCoreDecomposition(const Graph& graph,
       k = std::max(k, static_cast<uint32_t>(d));
       core[u] = k;
       removed[u] = 1;
-      if (flat) {
-        for (NodeId v : spans[u]) relax(v, d);
-      } else {
-        graph.ForEachNeighbor(u, [&](NodeId v) { relax(v, d); });
-      }
+      VisitNeighbors(graph, flat, u, [&](NodeId v) { relax(v, d); });
     }
     // Entries appended to buckets[d] during the loop above are picked up
     // because the loop re-reads buckets[d].size(); decrements never push

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
@@ -14,10 +13,10 @@ namespace graphgen {
 /// where every vertex has degree >= k. A classic dense-subgraph detection
 /// primitive the paper's introduction motivates; duplicate-sensitive, so
 /// it needs a deduplicated (or C-DUP) representation. Treats the graph as
-/// undirected (GraphGen's symmetric co-occurrence graphs). The peeling
-/// loop walks NeighborSpan when the graph has flat adjacency.
-std::vector<uint32_t> KCoreDecomposition(
-    const Graph& graph, TraversalPath path = TraversalPath::kAuto);
+/// undirected (GraphGen's symmetric co-occurrence graphs). Degrees come
+/// from ComputeDegrees; the peeling loop relaxes neighbors through
+/// VisitNeighbors (NeighborSpan loops when the graph has flat adjacency).
+std::vector<uint32_t> KCoreDecomposition(const Graph& graph);
 
 /// Largest k with a non-empty k-core.
 uint32_t Degeneracy(const std::vector<uint32_t>& core_numbers);

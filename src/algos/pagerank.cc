@@ -78,8 +78,7 @@ std::vector<double> PageRank(const Graph& graph,
   const size_t n = graph.NumVertices();
   const size_t n_active = graph.NumActiveVertices();
   if (n_active == 0) return {};
-  std::vector<uint64_t> degrees =
-      ComputeDegrees(graph, options.threads, options.traversal);
+  std::vector<uint64_t> degrees = ComputeDegrees(graph, options.threads);
   std::vector<double> current(n, 0.0);
   graph.ForEachVertex([&](NodeId v) {
     current[v] = 1.0 / static_cast<double>(n_active);
@@ -87,7 +86,7 @@ std::vector<double> PageRank(const Graph& graph,
   std::vector<double> next(n, 0.0);
   PageRankExecutor executor(&graph, &degrees, &current, &next, options.damping,
                             n_active, options.iterations);
-  VertexCentric vc(&graph, options.threads, options.traversal);
+  VertexCentric vc(&graph, options.threads);
   vc.Run(&executor, options.iterations);
   return current;
 }

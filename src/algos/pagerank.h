@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
@@ -12,9 +11,6 @@ struct PageRankOptions {
   size_t iterations = 10;
   double damping = 0.85;
   size_t threads = 0;
-  /// kAuto pulls ranks over NeighborSpan when the graph has flat
-  /// adjacency; kFunction pins the virtual-callback baseline.
-  TraversalPath traversal = TraversalPath::kAuto;
 };
 
 /// PageRank on the vertex-centric framework. Neighbor access is

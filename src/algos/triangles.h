@@ -4,21 +4,20 @@
 #include <cstdint>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
 /// Counts triangles in the (symmetric) graph: unordered vertex triples
 /// {u, v, w} with all three edges present. Duplicate-sensitive — running
 /// it on a duplicated representation without dedup would overcount, which
-/// is exactly why the paper's DEDUP representations exist. On
-/// flat-adjacency graphs the kernel merge-intersects the sorted neighbor
-/// spans in place (galloping on skewed pairs) — no per-vertex
-/// materialization, no per-edge callbacks; otherwise it materializes
-/// sorted higher-id lists through the virtual iterator first. Both paths
-/// count each triangle exactly once.
-uint64_t CountTriangles(const Graph& graph,
-                        TraversalPath path = TraversalPath::kAuto);
+/// is exactly why the paper's DEDUP representations exist. One kernel:
+/// forward counting over a degree-ordered orientation of the graph's
+/// sorted neighbor spans (detail::BuildOrientedCsr), closing each wedge
+/// with one bit test against the root's flagged out-neighborhood. Graphs
+/// without flat adjacency are first snapshotted with CsrGraph::Build,
+/// which costs one callback traversal plus 4 bytes per edge while the
+/// kernel runs. Each triangle is counted exactly once.
+uint64_t CountTriangles(const Graph& graph);
 
 }  // namespace graphgen
 

@@ -135,6 +135,22 @@ class Graph {
   std::vector<std::pair<NodeId, NodeId>> ExpandedEdgeSet() const;
 };
 
+/// Calls fn(v) for every distinct out-neighbor v of u. `flat` is
+/// g.HasFlatAdjacency(), resolved once per run by the caller: a plain
+/// loop over NeighborSpan(u) when true (zero virtual dispatch per edge),
+/// else the virtual callback path. `fn` is passed by reference, so the
+/// callback path wraps it in a reference_wrapper — no allocation, no
+/// copy. This is the one flat-vs-callback branch every traversal kernel
+/// shares.
+template <typename Fn>
+void VisitNeighbors(const Graph& g, bool flat, NodeId u, Fn&& fn) {
+  if (flat) {
+    for (NodeId v : g.NeighborSpan(u)) fn(v);
+  } else {
+    g.ForEachNeighbor(u, std::function<void(NodeId)>(std::ref(fn)));
+  }
+}
+
 }  // namespace graphgen
 
 #endif  // GRAPHGEN_GRAPH_GRAPH_H_

@@ -16,9 +16,11 @@ namespace graphgen {
 /// compact storage, and when an analyst is about to run several
 /// traversal-heavy kernels, one Build() pays the full expansion once and
 /// every subsequent kernel runs devirtualized over two contiguous arrays.
+/// CountTriangles and LocalClusteringCoefficients take one themselves
+/// when handed a graph without flat adjacency.
 ///
 /// Build cost is a single ForEachNeighbor sweep (the same price as one
-/// function-path kernel pass) plus a per-range sort; the footprint is
+/// callback-path kernel pass) plus a per-range sort; the footprint is
 /// 4 bytes per edge + 8 bytes per vertex. The snapshot reflects the source
 /// graph at build time — live vertices, live targets — and is immutable:
 /// the §3.4 mutation operations return kUnsupported. Mutate the

@@ -8,7 +8,7 @@ VertexCentric::Stats VertexCentric::Run(Executor* executor,
                                         size_t max_supersteps) {
   Stats stats;
   const size_t n = graph_->NumVertices();
-  const bool flat = UseSpanPath(*graph_, path_);
+  const bool flat = graph_->HasFlatAdjacency();
   // halted[v] != 0 means v voted to halt in the previous superstep and is
   // skipped until the run ends (no messages exist to wake vertices in the
   // GAS-style model).

@@ -3,12 +3,9 @@
 
 #include <atomic>
 #include <cstddef>
-#include <functional>
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/traversal.h"
 
 namespace graphgen {
 
@@ -23,32 +20,12 @@ class VertexContext {
   size_t superstep() const { return superstep_; }
   const Graph& graph() const { return *graph_; }
 
-  /// True when the coordinator resolved the flat-adjacency fast path for
-  /// this run; NeighborSpan() is then valid for every vertex.
-  bool has_flat() const { return flat_; }
-
-  /// This vertex's sorted distinct neighbors; valid only when has_flat().
-  std::span<const NodeId> NeighborSpan() const {
-    return graph_->NeighborSpan(id_);
-  }
-
-  /// Iterates over the vertex's distinct out-neighbors.
-  void ForEachNeighbor(const std::function<void(NodeId)>& fn) const {
-    graph_->ForEachNeighbor(id_, fn);
-  }
-
-  /// Iterates neighbors through the fastest path available: a plain span
-  /// loop when the run is flat (zero virtual dispatch per edge), else the
-  /// virtual callback path. `fn` is passed by reference, so the fallback
-  /// builds its std::function around a reference_wrapper — no allocation,
-  /// no copy. Executors should prefer this over ForEachNeighbor.
+  /// Calls fn(v) for each of the vertex's distinct out-neighbors, over
+  /// the span or callback path the coordinator resolved for this run
+  /// (graphgen::VisitNeighbors).
   template <typename Fn>
   void VisitNeighbors(Fn&& fn) const {
-    if (flat_) {
-      for (NodeId v : graph_->NeighborSpan(id_)) fn(v);
-    } else {
-      graph_->ForEachNeighbor(id_, std::function<void(NodeId)>(std::ref(fn)));
-    }
+    graphgen::VisitNeighbors(*graph_, flat_, id_, fn);
   }
 
   /// Marks this vertex inactive; the run terminates when every vertex has
@@ -84,11 +61,13 @@ class Executor {
 /// superstep, tracks the superstep counter, and triggers termination when
 /// all vertices have voted to halt.
 ///
-/// When the graph exposes flat adjacency (and `path` permits), the
-/// coordinator (a) marks every VertexContext flat so VisitNeighbors runs
-/// the devirtualized span loop, and (b) splits vertices into edge-balanced
+/// Run() resolves HasFlatAdjacency() once. When it holds, the coordinator
+/// (a) marks every VertexContext flat so VisitNeighbors runs the
+/// devirtualized span loop, and (b) splits vertices into edge-balanced
 /// ranges — equal chunk *degree sums*, not equal chunk sizes — so skewed
 /// degree distributions don't stall the superstep barrier on one thread.
+/// Otherwise VisitNeighbors takes the virtual callback path over
+/// equal-size vertex chunks.
 class VertexCentric {
  public:
   struct Stats {
@@ -96,9 +75,8 @@ class VertexCentric {
     uint64_t compute_calls = 0;
   };
 
-  explicit VertexCentric(const Graph* graph, size_t threads = 0,
-                         TraversalPath path = TraversalPath::kAuto)
-      : graph_(graph), threads_(threads), path_(path) {}
+  explicit VertexCentric(const Graph* graph, size_t threads = 0)
+      : graph_(graph), threads_(threads) {}
 
   /// Runs to halt or `max_supersteps` (0 = unlimited).
   Stats Run(Executor* executor, size_t max_supersteps = 0);
@@ -106,7 +84,6 @@ class VertexCentric {
  private:
   const Graph* graph_;
   size_t threads_;
-  TraversalPath path_;
 };
 
 }  // namespace graphgen

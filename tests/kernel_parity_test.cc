@@ -1,10 +1,12 @@
 // Parity suite for the flat-CSR fast path: for every representation and
 // every algorithm, the devirtualized NeighborSpan kernel must produce the
-// same result as the virtual ForEachNeighbor baseline — on EXP (native
-// flat adjacency) bit for bit, and through the materialized CsrGraph
-// adapter for the condensed representations. Also pins the CSR
-// ExpandedGraph's edge set to the condensed-storage oracle, including
-// after DeleteVertex / DeleteEdge / AddVertex mutations.
+// same result as the virtual ForEachNeighbor path — on EXP (native flat
+// adjacency) bit for bit, and through the materialized CsrGraph adapter
+// for the condensed representations. Triangles and clustering are also
+// checked against brute-force references (test_util.h) that share no
+// code with src/algos/. Also pins the CSR ExpandedGraph's edge set to the
+// condensed-storage oracle, including after DeleteVertex / DeleteEdge /
+// AddVertex mutations.
 
 #include <gtest/gtest.h>
 
@@ -34,11 +36,62 @@
 namespace graphgen {
 namespace {
 
+using testing::BruteForceClustering;
+using testing::BruteForceTriangleCount;
 using testing::EdgeSetOf;
 using testing::MakeRandomSymmetric;
 
-constexpr TraversalPath kFn = TraversalPath::kFunction;
-constexpr TraversalPath kSpan = TraversalPath::kAuto;
+/// Forwards every Graph call to `inner` except HasFlatAdjacency(), which
+/// reports false: kernels run on it take the virtual callback path over
+/// the same graph, the same neighbor order, the same degrees.
+class CallbackOnlyGraph : public Graph {
+ public:
+  explicit CallbackOnlyGraph(Graph& inner) : inner_(inner) {}
+
+  std::string_view Name() const override { return inner_.Name(); }
+  size_t NumVertices() const override { return inner_.NumVertices(); }
+  size_t NumActiveVertices() const override {
+    return inner_.NumActiveVertices();
+  }
+  bool VertexExists(NodeId v) const override { return inner_.VertexExists(v); }
+  void ForEachVertex(const std::function<void(NodeId)>& fn) const override {
+    inner_.ForEachVertex(fn);
+  }
+  void ForEachNeighbor(NodeId u,
+                       const std::function<void(NodeId)>& fn) const override {
+    inner_.ForEachNeighbor(u, fn);
+  }
+  std::unique_ptr<NeighborIterator> Neighbors(NodeId u) const override {
+    return inner_.Neighbors(u);
+  }
+  bool HasFlatAdjacency() const override { return false; }
+  std::span<const NodeId> NeighborSpan(NodeId u) const override {
+    return inner_.NeighborSpan(u);
+  }
+  size_t OutDegree(NodeId u) const override { return inner_.OutDegree(u); }
+  bool ExistsEdge(NodeId u, NodeId v) const override {
+    return inner_.ExistsEdge(u, v);
+  }
+  Status AddEdge(NodeId u, NodeId v) override { return inner_.AddEdge(u, v); }
+  Status DeleteEdge(NodeId u, NodeId v) override {
+    return inner_.DeleteEdge(u, v);
+  }
+  NodeId AddVertex() override { return inner_.AddVertex(); }
+  Status DeleteVertex(NodeId v) override { return inner_.DeleteVertex(v); }
+  uint64_t CountExpandedEdges() const override {
+    return inner_.CountExpandedEdges();
+  }
+  uint64_t CountStoredEdges() const override {
+    return inner_.CountStoredEdges();
+  }
+  size_t NumVirtualNodes() const override { return inner_.NumVirtualNodes(); }
+  GraphFootprint MemoryFootprint() const override {
+    return inner_.MemoryFootprint();
+  }
+
+ private:
+  Graph& inner_;
+};
 
 void ExpectNear(const std::vector<double>& a, const std::vector<double>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -47,25 +100,30 @@ void ExpectNear(const std::vector<double>& a, const std::vector<double>& b) {
   }
 }
 
-/// Runs all seven kernels with the function path on `base` and the span
-/// path on `flat` (which must expose the same expanded view) and asserts
-/// the results agree. Integer outputs must match exactly; double outputs
-/// get a tolerance because `base` may iterate neighbors in a different
-/// order (C-DUP's hash-set dedup) than the sorted spans.
-void ExpectKernelParity(const Graph& base, const Graph& flat) {
+/// Runs all seven kernels on `base` through the callback path (behind
+/// CallbackOnlyGraph) and on `flat` through the span path (`flat` must
+/// expose the same expanded view) and asserts the results agree, and that
+/// triangles and clustering match the brute-force references on `base`.
+/// Integer outputs must match exactly; double outputs get a tolerance
+/// because `base` may iterate neighbors in a different order (C-DUP's
+/// hash-set dedup) than the sorted spans.
+void ExpectKernelParity(Graph& base, const Graph& flat) {
   ASSERT_TRUE(flat.HasFlatAdjacency());
   EXPECT_EQ(EdgeSetOf(base), EdgeSetOf(flat));
+  const CallbackOnlyGraph fn(base);
 
-  EXPECT_EQ(ComputeDegrees(base, 0, kFn), ComputeDegrees(flat, 0, kSpan));
-  EXPECT_EQ(CountTriangles(base, kFn), CountTriangles(flat, kSpan));
-  EXPECT_EQ(ConnectedComponents(base, 0, kFn),
-            ConnectedComponents(flat, 0, kSpan));
-  EXPECT_EQ(Bfs(base, 0, kFn), Bfs(flat, 0, kSpan));
-  EXPECT_EQ(KCoreDecomposition(base, kFn), KCoreDecomposition(flat, kSpan));
-  ExpectNear(PageRank(base, {.iterations = 6, .traversal = kFn}),
-             PageRank(flat, {.iterations = 6, .traversal = kSpan}));
-  ExpectNear(LocalClusteringCoefficients(base, kFn),
-             LocalClusteringCoefficients(flat, kSpan));
+  EXPECT_EQ(ComputeDegrees(fn), ComputeDegrees(flat));
+  const uint64_t triangles = BruteForceTriangleCount(base);
+  EXPECT_EQ(CountTriangles(fn), triangles);
+  EXPECT_EQ(CountTriangles(flat), triangles);
+  EXPECT_EQ(ConnectedComponents(fn), ConnectedComponents(flat));
+  EXPECT_EQ(Bfs(fn, 0), Bfs(flat, 0));
+  EXPECT_EQ(KCoreDecomposition(fn), KCoreDecomposition(flat));
+  ExpectNear(PageRank(fn, {.iterations = 6}),
+             PageRank(flat, {.iterations = 6}));
+  const std::vector<double> clustering = BruteForceClustering(base);
+  ExpectNear(LocalClusteringCoefficients(fn), clustering);
+  ExpectNear(LocalClusteringCoefficients(flat), clustering);
 }
 
 class KernelParityTest : public ::testing::Test {
@@ -77,12 +135,11 @@ class KernelParityTest : public ::testing::Test {
 TEST_F(KernelParityTest, ExpSpanPathMatchesFunctionPathExactly) {
   ExpandedGraph exp = ExpandCondensed(storage_);
   ASSERT_TRUE(exp.HasFlatAdjacency());
+  const CallbackOnlyGraph fn(exp);
   // Same graph, same iteration order: even the floating-point kernels
   // must agree bit for bit.
-  EXPECT_EQ(PageRank(exp, {.iterations = 8, .traversal = kFn}),
-            PageRank(exp, {.iterations = 8, .traversal = kSpan}));
-  EXPECT_EQ(LocalClusteringCoefficients(exp, kFn),
-            LocalClusteringCoefficients(exp, kSpan));
+  EXPECT_EQ(PageRank(fn, {.iterations = 8}), PageRank(exp, {.iterations = 8}));
+  EXPECT_EQ(LocalClusteringCoefficients(fn), LocalClusteringCoefficients(exp));
   ExpectKernelParity(exp, exp);
 }
 
@@ -159,12 +216,12 @@ TEST_F(KernelParityTest, VertexDeletionDisablesFlatPathButStaysCorrect) {
   ASSERT_TRUE(exp.DeleteVertex(3).ok());
   ASSERT_TRUE(mirror.DeleteVertex(3).ok());
   // Lazy deletion leaves stale targets in the CSR base, so the span
-  // contract is withdrawn and kAuto kernels transparently fall back.
+  // contract is withdrawn and kernels transparently fall back.
   EXPECT_FALSE(exp.HasFlatAdjacency());
   EXPECT_EQ(EdgeSetOf(exp), EdgeSetOf(mirror));
-  EXPECT_EQ(ComputeDegrees(exp, 0, kSpan), ComputeDegrees(mirror, 0, kFn));
-  EXPECT_EQ(CountTriangles(exp, kSpan), CountTriangles(mirror, kFn));
-  EXPECT_EQ(Bfs(exp, 0, kSpan), Bfs(mirror, 0, kFn));
+  EXPECT_EQ(ComputeDegrees(exp), ComputeDegrees(mirror));
+  EXPECT_EQ(CountTriangles(exp), BruteForceTriangleCount(mirror));
+  EXPECT_EQ(Bfs(exp, 0), Bfs(mirror, 0));
 
   // A fresh snapshot of the mutated graph restores the fast path.
   CsrGraph csr = CsrGraph::Build(exp);

@@ -1,6 +1,7 @@
 #ifndef GRAPHGEN_TESTS_TEST_UTIL_H_
 #define GRAPHGEN_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -61,6 +62,45 @@ inline bool IsDuplicateFree(const Graph& g) {
     });
   });
   return clean;
+}
+
+/// Brute-force triangle count: every live u and every pair of its
+/// neighbors u < v < w closed by ExistsEdge(v, w). Built only on the
+/// Graph API (NeighborList / ExistsEdge), sharing no code with the
+/// kernels in src/algos/, so it is their reference.
+inline uint64_t BruteForceTriangleCount(const Graph& g) {
+  uint64_t count = 0;
+  g.ForEachVertex([&](NodeId u) {
+    const std::vector<NodeId> nu = g.NeighborList(u);
+    for (NodeId v : nu) {
+      if (v <= u) continue;
+      for (NodeId w : nu) {
+        if (w > v && g.ExistsEdge(v, w)) ++count;
+      }
+    }
+  });
+  return count;
+}
+
+/// Brute-force local clustering coefficient per vertex id: the share of
+/// ordered pairs of distinct neighbors (v, w) with ExistsEdge(v, w), out
+/// of d * (d - 1); 0 below degree 2 and for deleted vertices. Built only
+/// on NeighborList / ExistsEdge, like BruteForceTriangleCount.
+inline std::vector<double> BruteForceClustering(const Graph& g) {
+  std::vector<double> out(g.NumVertices(), 0.0);
+  g.ForEachVertex([&](NodeId u) {
+    const std::vector<NodeId> nu = g.NeighborList(u);
+    if (nu.size() < 2) return;
+    uint64_t closed = 0;
+    for (NodeId v : nu) {
+      for (NodeId w : nu) {
+        if (v != w && g.ExistsEdge(v, w)) ++closed;
+      }
+    }
+    const double d = static_cast<double>(nu.size());
+    out[u] = static_cast<double>(closed) / (d * (d - 1));
+  });
+  return out;
 }
 
 }  // namespace graphgen::testing

@@ -94,7 +94,7 @@ TEST(VertexCentricTest, NeighborAccessIsGasStyle) {
     explicit SumNeighbors(std::vector<uint64_t>* out) : out_(out) {}
     void Compute(VertexContext& ctx) override {
       uint64_t sum = 0;
-      ctx.ForEachNeighbor([&](NodeId v) { sum += v; });
+      ctx.VisitNeighbors([&](NodeId v) { sum += v; });
       (*out_)[ctx.id()] = sum;
       ctx.VoteToHalt();
     }
