@@ -1,16 +1,17 @@
 #ifndef GRAPHGEN_COMMON_SIMD_H_
 #define GRAPHGEN_COMMON_SIMD_H_
 
-/// Runtime-dispatched SIMD kernels for the extraction hot loops.
+/// SIMD kernels for the extraction hot loops.
 ///
-/// Every kernel here has two implementations — a portable scalar loop and
-/// an AVX2 body compiled via function target attributes (no global -mavx2
-/// flag) — selected once per process by `ActiveTier()`: a cached cpuid
-/// check overridable with `GRAPHGEN_SIMD=off|scalar|avx2` (off and scalar
-/// are synonyms; avx2 silently degrades to scalar when the CPU or build
-/// lacks it). The contract is *bitwise parity*: for every input, both
-/// tiers produce identical output bytes, so the extraction parity/fuzz
-/// suites double as the correctness oracle for the vector paths.
+/// Every dispatched kernel (the scan masks and `TranslateCodes`) has two
+/// implementations — a portable scalar loop and an AVX2 body compiled via
+/// function target attributes (no global -mavx2 flag) — selected once per
+/// process by `ActiveTier()`: a cached cpuid check overridable with
+/// `GRAPHGEN_SIMD=off|scalar|avx2` (off and scalar are synonyms; avx2
+/// silently degrades to scalar when the CPU or build lacks it). The
+/// contract is *bitwise parity*: for every input, both tiers produce
+/// identical output bytes, so the extraction parity/fuzz suites double as
+/// the correctness oracle for the vector paths.
 ///
 /// The predicate kernels work on the scan's byte-mask representation
 /// (`keep[i] &= verdict(i)` over 0/1 bytes) with the NULL-bitmap merge
@@ -162,9 +163,9 @@ inline std::optional<int64_t> MinInt64WithDoubleGreater(double bound) {
 /// One-byte tags for SIMD group probing of the flat open-addressing hash
 /// tables: each slot carries 7 bits of its key's hash (distinct from the
 /// empty marker), and a probe compares 16 tags per step with one SSE2
-/// compare+movemask instead of walking slots one at a time. Probes
-/// examine candidate slots in exactly the scalar linear-probe order, so
-/// table layout and lookup results are bit-identical across tiers.
+/// compare+movemask instead of walking slots one at a time. These helpers
+/// have one implementation and take no tier: SSE2 is baseline on x86-64,
+/// and other targets compile the portable loop.
 inline constexpr uint8_t kTagEmpty = 0xff;
 inline constexpr size_t kTagGroupWidth = 16;
 

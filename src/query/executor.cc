@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include <bit>
 
@@ -36,8 +37,6 @@ struct ExecMetrics {
   obs::Counter* unfused_pipelines;
   obs::Counter* simd_scan_vector;
   obs::Counter* simd_scan_scalar;
-  obs::Counter* simd_probe_vector;
-  obs::Counter* simd_probe_scalar;
   obs::Counter* simd_translate_vector;
   obs::Counter* simd_translate_scalar;
 };
@@ -57,8 +56,6 @@ const ExecMetrics& Metrics() {
     em.unfused_pipelines = r.GetCounter("query.unfused_pipelines");
     em.simd_scan_vector = r.GetCounter("query.simd.scan_vector");
     em.simd_scan_scalar = r.GetCounter("query.simd.scan_scalar");
-    em.simd_probe_vector = r.GetCounter("query.simd.probe_vector");
-    em.simd_probe_scalar = r.GetCounter("query.simd.probe_scalar");
     em.simd_translate_vector = r.GetCounter("query.simd.translate_vector");
     em.simd_translate_scalar = r.GetCounter("query.simd.translate_scalar");
     return em;
@@ -508,20 +505,12 @@ CompiledSemiJoin CompileSemiJoin(const ColumnVector& col,
 
 // ---------------------------------------------------- typed join kernels
 
-// Capacity policy for the join/DISTINCT slot tables. The scalar walk
-// inspects one slot per step, so it needs headroom — at most 1/2 load.
-// Group probing scans 16 tags per step and stays cheap in long runs, so
-// vec-mode tables run up to 7/8 load instead: ~45% less slot memory for
-// the same key set, which is the point of carrying the tag array at all.
-// Capacity only affects slot placement, never results or output order,
-// so the two policies stay bit-compatible.
-size_t TableCapacity(size_t n, bool vec) {
+// Capacity policy for the join/DISTINCT slot tables: up to 7/8 load.
+// TagProbe scans 16 tags per step, so long occupied runs stay cheap.
+// Capacity only affects slot placement, never results or output order.
+size_t TableCapacity(size_t n) {
   size_t cap = 16;
-  if (vec) {
-    while (7 * cap < 8 * n) cap <<= 1;
-  } else {
-    while (cap < 2 * n) cap <<= 1;
-  }
+  while (7 * cap < 8 * n) cap <<= 1;
   return cap;
 }
 
@@ -540,182 +529,163 @@ constexpr size_t kDistinctSeedSlots = 64 * 1024;
 // untouched (a table growth between hint and probe only wastes the hint).
 constexpr size_t kProbePrefetchDist = 16;
 
-// Grow when the next insert could push occupancy past 1/2 (scalar walk)
-// or 7/8 (group probing) — the loads TableCapacity provisions for.
-size_t GrowThreshold(size_t cap, bool vec) {
-  return vec ? cap - cap / 8 : cap / 2;
-}
+// Grow when the next insert could push occupancy past the 7/8 load
+// TableCapacity provisions for.
+size_t GrowThreshold(size_t cap) { return cap - cap / 8; }
 
-// For group probing: the bits of `match` at positions strictly before the
-// lowest set bit of `stop` (all bits when stop == 0). Candidates at or
-// past the first empty slot can never hold the probed key — linear
-// probing would have claimed that empty slot first.
-inline uint32_t BitsBeforeFirst(uint32_t match, uint32_t stop) {
-  if (stop == 0) return match;
-  return match & ((stop & (~stop + 1u)) - 1u);
-}
-
-// Open-addressing hash table from Key to an ascending chain of build row
-// ids. Slots are flat arrays (no per-node allocation, linear probing);
-// chains thread through one `next` array indexed by build row — the array
-// is shared across partitions (partitions own disjoint rows), so chain
-// memory is paid once, not per partition. Rows must be inserted in
-// ascending order so chains stay ascending.
-//
-// With `use_vec` the table keeps a parallel 7-bit tag per slot
-// (simd::TagOfHash; 0xff = empty) and probes compare 16 tags per step
-// with one SSE2 compare+movemask instead of touching full slots one at a
-// time. The first 15 tags are mirrored past the end so a group load never
-// wraps. Candidates are examined in exactly the scalar linear-probe
-// order and stop at the first empty slot; group probing stays cheap in
-// long occupied runs, which is what lets vec tables allocate the denser
-// TableCapacity tier. Slot placement differs from a scalar-mode table
-// (capacity differs), but chain order and every lookup result are
-// identical — output never observes the layout.
-template <typename Key>
-struct FlatChainTable {
-  std::vector<Key> keys;      // per slot; meaningful when head >= 0
-  std::vector<int64_t> hash;  // per slot, cached full hash
-  std::vector<int32_t> head;  // per slot, first build row or -1 (empty)
-  std::vector<int32_t> tail;  // per slot, last build row of the chain
-  std::vector<uint32_t> count;  // per slot, chain length (match estimates)
-  std::vector<uint8_t> tags;  // per slot + 15 mirror bytes; group probing
-  int32_t* next = nullptr;    // shared: per build row, next equal-key row
-  uint64_t mask = 0;
-  bool vec = false;
-
-  void Init(size_t rows_in_partition, int32_t* shared_next, bool use_vec) {
-    const size_t cap = TableCapacity(rows_in_partition, use_vec);
-    mask = cap - 1;
-    keys.resize(cap);
-    hash.resize(cap);
-    head.assign(cap, -1);
-    tail.resize(cap);
-    count.assign(cap, 0);
-    next = shared_next;
-    vec = use_vec;
-    if (vec) tags.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
+// The probe format of every executor hash table: a power-of-two slot
+// space with one 7-bit tag per slot (simd::TagOfHash; kTagEmpty = free)
+// and the first 15 tags mirrored past the end, so a 16-tag group load
+// never wraps. A probe compares 16 tags per step (one SSE2
+// compare+movemask on x86-64) and examines candidates in exactly the
+// linear-probe order, stopping at the first empty slot. The tables keep
+// their slot payloads in parallel arrays indexed by the slot this
+// returns; the tag array alone decides which slots are occupied.
+class TagProbe {
+ public:
+  // Empties the table and sizes it to `cap` slots (a power of two).
+  void Reset(size_t cap) {
+    mask_ = cap - 1;
+    tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
   }
 
-  void SetTag(size_t pos, uint8_t tag) {
-    tags[pos] = tag;
-    if (pos < simd::kTagGroupWidth - 1) tags[mask + 1 + pos] = tag;
-  }
+  size_t capacity() const { return mask_ + 1; }
+  // First slot of h's probe sequence.
+  size_t Home(uint64_t h) const { return h & mask_; }
 
-  void Insert(const Key& k, uint64_t h, uint32_t row) {
-    if (vec) {
-      InsertVec(k, h, row);
-      return;
-    }
-    size_t pos = h & mask;
+  // Walks h's probe sequence and calls eq(slot) on every tag-matching
+  // slot in linear-probe order. Returns {slot, true} for the first slot
+  // eq accepts, else {the sequence's first empty slot, false}.
+  template <typename Eq>
+  std::pair<size_t, bool> Find(uint64_t h, Eq eq) const {
+    const uint8_t tag = simd::TagOfHash(h);
+    size_t pos = Home(h);
     for (;;) {
-      if (head[pos] < 0) {
-        Claim(pos, k, h, row);
-        return;
+      const uint8_t* group = tags_.data() + pos;
+      const uint32_t empty = simd::TagEmpty16(group);
+      uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
+      while (match != 0) {
+        const size_t cand = Lane(pos, match);
+        if (eq(cand)) return {cand, true};
+        match &= match - 1;
       }
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        Append(pos, row);
-        return;
-      }
-      pos = (pos + 1) & mask;
+      if (empty != 0) return {Lane(pos, empty), false};
+      pos = (pos + simd::kTagGroupWidth) & mask_;
     }
   }
 
-  // First build row with key k, or -1.
-  int32_t Find(const Key& k, uint64_t h) const {
-    if (vec) {
-      const int64_t slot = FindSlotVec(k, h);
-      return slot < 0 ? -1 : head[slot];
-    }
-    size_t pos = h & mask;
-    for (;;) {
-      if (head[pos] < 0) return -1;
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        return head[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
+  // Marks `slot` (an empty slot Find returned for h) occupied.
+  void Claim(size_t slot, uint64_t h) {
+    const uint8_t tag = simd::TagOfHash(h);
+    tags_[slot] = tag;
+    if (slot < simd::kTagGroupWidth - 1) tags_[mask_ + 1 + slot] = tag;
   }
 
-  // Number of build rows with key k (0 when absent).
-  uint32_t CountFor(const Key& k, uint64_t h) const {
-    if (vec) {
-      const int64_t slot = FindSlotVec(k, h);
-      return slot < 0 ? 0 : count[slot];
-    }
-    size_t pos = h & mask;
-    for (;;) {
-      if (head[pos] < 0) return 0;
-      if (hash[pos] == static_cast<int64_t>(h) && keys[pos] == k) {
-        return count[pos];
-      }
-      pos = (pos + 1) & mask;
-    }
+  // Claims and returns the first empty slot of h's probe sequence, for a
+  // key known to be absent (growth re-insertion of distinct keys). That
+  // is the slot Find would return for it.
+  size_t ClaimFirstEmpty(uint64_t h) {
+    const size_t slot = Find(h, [](size_t) { return false; }).first;
+    Claim(slot, h);
+    return slot;
+  }
+
+  // Cache hint for a future Find(h): pulls h's first tag group.
+  void Prefetch(uint64_t h) const {
+    __builtin_prefetch(tags_.data() + Home(h));
+  }
+
+  // Calls fn(slot) on the tag-matching candidates of h's first group —
+  // the slots a Find(h) would verify first. Read-only.
+  template <typename Fn>
+  void ForEachFirstCandidate(uint64_t h, Fn fn) const {
+    const size_t pos = Home(h);
+    const uint8_t* group = tags_.data() + pos;
+    uint32_t match = BitsBeforeFirst(
+        simd::TagMatch16(group, simd::TagOfHash(h)), simd::TagEmpty16(group));
+    for (; match != 0; match &= match - 1) fn(Lane(pos, match));
   }
 
  private:
-  void Claim(size_t pos, const Key& k, uint64_t h, uint32_t row) {
+  // The bits of `match` at positions strictly before the lowest set bit
+  // of `stop` (all bits when stop == 0). Candidates at or past the first
+  // empty slot can never hold the probed key — linear probing would have
+  // claimed that empty slot first.
+  static uint32_t BitsBeforeFirst(uint32_t match, uint32_t stop) {
+    if (stop == 0) return match;
+    return match & ((stop & (~stop + 1u)) - 1u);
+  }
+
+  // The slot of the lowest set bit of a group mask starting at `pos`.
+  size_t Lane(size_t pos, uint32_t bits) const {
+    return (pos + static_cast<size_t>(std::countr_zero(bits))) & mask_;
+  }
+
+  std::vector<uint8_t> tags_;  // per slot + 15 mirror bytes
+  uint64_t mask_ = 0;
+};
+
+// Open-addressing hash table from Key to an ascending chain of build row
+// ids. Slots are flat arrays (no per-node allocation) probed through
+// TagProbe; chains thread through one `next` array indexed by build row —
+// the array is shared across partitions (partitions own disjoint rows),
+// so chain memory is paid once, not per partition. Rows must be inserted
+// in ascending order so chains stay ascending.
+template <typename Key>
+struct FlatChainTable {
+  std::vector<Key> keys;      // per slot
+  std::vector<int64_t> hash;  // per slot, cached full hash
+  std::vector<int32_t> head;  // per slot, first build row
+  std::vector<int32_t> tail;  // per slot, last build row of the chain
+  std::vector<uint32_t> count;  // per slot, chain length (match estimates)
+  TagProbe probe;
+  int32_t* next = nullptr;    // shared: per build row, next equal-key row
+
+  void Init(size_t rows_in_partition, int32_t* shared_next) {
+    const size_t cap = TableCapacity(rows_in_partition);
+    probe.Reset(cap);
+    keys.resize(cap);
+    hash.resize(cap);
+    head.resize(cap);
+    tail.resize(cap);
+    count.resize(cap);
+    next = shared_next;
+  }
+
+  void Insert(const Key& k, uint64_t h, uint32_t row) {
+    const auto [pos, found] = Lookup(k, h);
+    next[row] = -1;
+    if (found) {
+      next[tail[pos]] = static_cast<int32_t>(row);
+      tail[pos] = static_cast<int32_t>(row);
+      ++count[pos];
+      return;
+    }
+    probe.Claim(pos, h);
     keys[pos] = k;
     hash[pos] = static_cast<int64_t>(h);
     head[pos] = static_cast<int32_t>(row);
     tail[pos] = static_cast<int32_t>(row);
     count[pos] = 1;
-    next[row] = -1;
   }
 
-  void Append(size_t pos, uint32_t row) {
-    next[tail[pos]] = static_cast<int32_t>(row);
-    tail[pos] = static_cast<int32_t>(row);
-    ++count[pos];
-    next[row] = -1;
+  // First build row with key k, or -1.
+  int32_t Find(const Key& k, uint64_t h) const {
+    const auto [pos, found] = Lookup(k, h);
+    return found ? head[pos] : -1;
   }
 
-  void InsertVec(const Key& k, uint64_t h, uint32_t row) {
-    const uint8_t tag = simd::TagOfHash(h);
-    size_t pos = h & mask;
-    for (;;) {
-      const uint8_t* group = tags.data() + pos;
-      const uint32_t empty = simd::TagEmpty16(group);
-      uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-      while (match != 0) {
-        const size_t cand =
-            (pos + static_cast<size_t>(std::countr_zero(match))) & mask;
-        if (hash[cand] == static_cast<int64_t>(h) && keys[cand] == k) {
-          Append(cand, row);
-          return;
-        }
-        match &= match - 1;
-      }
-      if (empty != 0) {
-        const size_t slot =
-            (pos + static_cast<size_t>(std::countr_zero(empty))) & mask;
-        Claim(slot, k, h, row);
-        SetTag(slot, tag);
-        return;
-      }
-      pos = (pos + simd::kTagGroupWidth) & mask;
-    }
+  // Number of build rows with key k (0 when absent).
+  uint32_t CountFor(const Key& k, uint64_t h) const {
+    const auto [pos, found] = Lookup(k, h);
+    return found ? count[pos] : 0;
   }
 
-  // Slot index of key k, or -1 when the probe hits an empty slot first.
-  int64_t FindSlotVec(const Key& k, uint64_t h) const {
-    const uint8_t tag = simd::TagOfHash(h);
-    size_t pos = h & mask;
-    for (;;) {
-      const uint8_t* group = tags.data() + pos;
-      const uint32_t empty = simd::TagEmpty16(group);
-      uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-      while (match != 0) {
-        const size_t cand =
-            (pos + static_cast<size_t>(std::countr_zero(match))) & mask;
-        if (hash[cand] == static_cast<int64_t>(h) && keys[cand] == k) {
-          return static_cast<int64_t>(cand);
-        }
-        match &= match - 1;
-      }
-      if (empty != 0) return -1;
-      pos = (pos + simd::kTagGroupWidth) & mask;
-    }
+ private:
+  std::pair<size_t, bool> Lookup(const Key& k, uint64_t h) const {
+    return probe.Find(h, [&](size_t s) {
+      return hash[s] == static_cast<int64_t>(h) && keys[s] == k;
+    });
   }
 };
 
@@ -799,137 +769,68 @@ struct DistinctCol {
 
 // Open-addressing first-occurrence set over row ids with precomputed
 // hashes. Rows must be offered in ascending order; survivors come out in
-// that same order. With `use_vec` probes run over a parallel tag array,
-// 16 slots per step (same results as the scalar walk — see
-// FlatChainTable). The table is sized for the keys seen so far and
+// that same order. The table is sized for the keys seen so far and
 // doubles on load-factor trips, so duplicate-heavy inputs probe a
 // cache-resident table instead of one sized for the full input.
 class FlatDistinctSet {
  public:
   FlatDistinctSet(size_t expected_rows, const std::vector<uint64_t>& hashes,
-                  const RowIdResult& rows, const std::vector<DistinctCol>& cols,
-                  bool use_vec)
-      : hashes_(hashes), rows_(rows), cols_(cols), vec_(use_vec) {
-    const size_t cap =
-        TableCapacity(std::min(expected_rows, kDistinctSeedSlots), use_vec);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
+                  const RowIdResult& rows, const std::vector<DistinctCol>& cols)
+      : hashes_(hashes), rows_(rows), cols_(cols) {
+    Resize(TableCapacity(std::min(expected_rows, kDistinctSeedSlots)));
   }
 
   // Cache hint for a future Insert(i): pulls the first probe group of
   // row i's slot walk. See kProbePrefetchDist.
   void PrefetchSlot(uint32_t i) const {
-    const size_t pos = hashes_[i] & mask_;
-    __builtin_prefetch(slots_.data() + pos);
-    if (vec_) __builtin_prefetch(tags_.data() + pos);
+    const uint64_t h = hashes_[i];
+    __builtin_prefetch(slots_.data() + probe_.Home(h));
+    probe_.Prefetch(h);
   }
 
   // Second pipeline stage (see FusedDistinctSet::WarmProbe): reads the
-  // now-cached slot group and prefetches the candidates' hash and tuple
-  // records, so the real probe's dependent loads land warm. Read-only.
+  // now-cached tag group and prefetches the candidates' tuple records,
+  // so the real probe's dependent loads land warm. Read-only.
   void WarmProbe(uint32_t i) const {
-    const uint64_t h = hashes_[i];
-    const size_t pos = h & mask_;
     const size_t w = rows_.Width();
-    if (!vec_) {
-      const uint32_t r = slots_[pos];
-      if (r != kEmptySlot) {
-        __builtin_prefetch(hashes_.data() + r);
-        __builtin_prefetch(&rows_.tuples[static_cast<size_t>(r) * w]);
-      }
-      return;
-    }
-    const uint8_t* group = tags_.data() + pos;
-    uint32_t match = BitsBeforeFirst(
-        simd::TagMatch16(group, simd::TagOfHash(h)), simd::TagEmpty16(group));
-    while (match != 0) {
-      const size_t cand =
-          (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-      const uint32_t r = slots_[cand];
-      // Vec probes verify by tuple compare alone, so only the tuple
-      // line needs warming.
-      if (r != kEmptySlot) {
-        __builtin_prefetch(&rows_.tuples[static_cast<size_t>(r) * w]);
-      }
-      match &= match - 1;
-    }
+    probe_.ForEachFirstCandidate(hashes_[i], [&](size_t slot) {
+      __builtin_prefetch(&rows_.tuples[static_cast<size_t>(slots_[slot]) * w]);
+    });
   }
 
   // True if row i is the first occurrence of its key.
   bool Insert(uint32_t i) {
     if (size_ >= grow_at_) Grow();
     const uint64_t h = hashes_[i];
-    if (vec_) {
-      const uint8_t tag = simd::TagOfHash(h);
-      size_t pos = h & mask_;
-      for (;;) {
-        const uint8_t* group = tags_.data() + pos;
-        const uint32_t empty = simd::TagEmpty16(group);
-        uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-        while (match != 0) {
-          const size_t cand =
-              (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-          const uint32_t r = slots_[cand];
-          // Tag-filtered candidates skip the stored-hash pre-check; see
-          // FusedDistinctSet::Insert.
-          if (RowsEqual(r, i)) return false;
-          match &= match - 1;
-        }
-        if (empty != 0) {
-          const size_t slot =
-              (pos + static_cast<size_t>(std::countr_zero(empty))) & mask_;
-          slots_[slot] = i;
-          tags_[slot] = tag;
-          if (slot < simd::kTagGroupWidth - 1) {
-            tags_[mask_ + 1 + slot] = tag;
-          }
-          ++size_;
-          return true;
-        }
-        pos = (pos + simd::kTagGroupWidth) & mask_;
-      }
-    }
-    size_t pos = h & mask_;
-    for (;;) {
-      const uint32_t r = slots_[pos];
-      if (r == kEmptySlot) {
-        slots_[pos] = i;
-        ++size_;
-        return true;
-      }
-      if (hashes_[r] == h && RowsEqual(r, i)) return false;
-      pos = (pos + 1) & mask_;
-    }
+    // Tag-filtered candidates skip the stored-hash pre-check; see
+    // FusedDistinctSet::Insert.
+    const auto [slot, found] =
+        probe_.Find(h, [&](size_t s) { return RowsEqual(slots_[s], i); });
+    if (found) return false;
+    probe_.Claim(slot, h);
+    slots_[slot] = i;
+    ++size_;
+    return true;
   }
 
  private:
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
 
+  void Resize(size_t cap) {
+    probe_.Reset(cap);
+    grow_at_ = GrowThreshold(cap);
+    slots_.assign(cap, kEmptySlot);
+  }
+
   // Doubles the slot table and reinserts the retained rows (distinct
-  // keys, so each lands in its probe sequence's first empty slot — the
-  // slot both probe flavors pick). See FusedDistinctSet::Grow.
+  // keys, so each lands in its probe sequence's first empty slot). See
+  // FusedDistinctSet::Grow.
   void Grow() {
-    const size_t cap = 2 * (mask_ + 1);
     std::vector<uint32_t> old;
     old.swap(slots_);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
+    Resize(2 * probe_.capacity());
     for (const uint32_t r : old) {
-      if (r == kEmptySlot) continue;
-      const uint64_t h = hashes_[r];
-      size_t pos = h & mask_;
-      while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask_;
-      slots_[pos] = r;
-      if (vec_) {
-        tags_[pos] = simd::TagOfHash(h);
-        if (pos < simd::kTagGroupWidth - 1) {
-          tags_[mask_ + 1 + pos] = tags_[pos];
-        }
-      }
+      if (r != kEmptySlot) slots_[probe_.ClaimFirstEmpty(hashes_[r])] = r;
     }
   }
 
@@ -946,12 +847,10 @@ class FlatDistinctSet {
   const std::vector<uint64_t>& hashes_;
   const RowIdResult& rows_;
   const std::vector<DistinctCol>& cols_;
-  std::vector<uint32_t> slots_;
-  std::vector<uint8_t> tags_;
-  uint64_t mask_ = 0;
+  TagProbe probe_;
+  std::vector<uint32_t> slots_;  // per slot: the retained row id
   size_t grow_at_ = 0;
   size_t size_ = 0;
-  bool vec_ = false;
 };
 
 // ------------------------------------------- fused join→DISTINCT kernel
@@ -989,14 +888,9 @@ class FusedDistinctSet {
   // table starts at the smaller of that and one growth step past
   // kDistinctSeedSlots.
   FusedDistinctSet(size_t width, const std::vector<DistinctCol>& cols,
-                   size_t expected, bool use_vec)
-      : width_(width), cols_(cols), vec_(use_vec) {
-    const size_t cap =
-        TableCapacity(std::min(expected, kDistinctSeedSlots), use_vec);
-    slots_.assign(cap, kEmptySlot);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
+                   size_t expected)
+      : width_(width), cols_(cols) {
+    Resize(TableCapacity(std::min(expected, kDistinctSeedSlots)));
   }
 
   // Guarantees room for `n` more survivors; call before a batch of at
@@ -1018,42 +912,39 @@ class FusedDistinctSet {
   // Cache hint for a future Insert(·, h): pulls the first probe group
   // of the hash's slot walk. See kProbePrefetchDist.
   void PrefetchSlot(uint64_t h) const {
-    const size_t pos = h & mask_;
-    __builtin_prefetch(slots_.data() + pos);
-    if (vec_) __builtin_prefetch(tags_.data() + pos);
+    __builtin_prefetch(slots_.data() + probe_.Home(h));
+    probe_.Prefetch(h);
   }
 
-  // Second pipeline stage: by the time this runs the slot group is in
+  // Second pipeline stage: by the time this runs the tag group is in
   // cache (PrefetchSlot ran a distance earlier), so the group can be
-  // read — not just prefetched — and the *candidates'* survivor records
+  // read — not just prefetched — and the *candidates'* survivor tuples
   // pulled in. Duplicate offers otherwise serialize on that dependent
-  // hash/tuple load, which is the dominant miss on low-duplication
-  // streams once the survivor arrays outgrow the cache. Read-only: the
-  // real Insert re-probes from scratch, so a stale view (intervening
-  // inserts or growth) only weakens the hint.
+  // tuple load, which is the dominant miss on low-duplication streams
+  // once the survivor arrays outgrow the cache. Read-only: the real
+  // Insert re-probes from scratch, so a stale view (intervening inserts
+  // or growth) only weakens the hint.
   void WarmProbe(uint64_t h) const {
-    const size_t pos = h & mask_;
-    if (!vec_) {
-      const uint32_t s = slots_[pos];
-      if (s != kEmptySlot) {
-        __builtin_prefetch(hashes_.get() + s);
-        __builtin_prefetch(tuples_.get() + static_cast<size_t>(s) * width_);
+    probe_.ForEachFirstCandidate(h, [&](size_t slot) {
+      __builtin_prefetch(tuples_.get() +
+                         static_cast<size_t>(slots_[slot]) * width_);
+    });
+  }
+
+  // Offers n candidate tuples with their hashes, in order, through the
+  // two-stage prefetch pipeline: offer i+2d's slot group is prefetched,
+  // offer i+d's candidates are warmed, offer i probes (d =
+  // kProbePrefetchDist).
+  void InsertBatch(const uint32_t* tuples, const uint64_t* hashes, size_t n) {
+    ReserveBatch(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (i + 2 * kProbePrefetchDist < n) {
+        PrefetchSlot(hashes[i + 2 * kProbePrefetchDist]);
       }
-      return;
-    }
-    const uint8_t* group = tags_.data() + pos;
-    uint32_t match = BitsBeforeFirst(
-        simd::TagMatch16(group, simd::TagOfHash(h)), simd::TagEmpty16(group));
-    while (match != 0) {
-      const size_t cand =
-          (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-      const uint32_t s = slots_[cand];
-      // Vec probes verify by tuple compare alone, so only the tuple
-      // line needs warming.
-      if (s != kEmptySlot) {
-        __builtin_prefetch(tuples_.get() + static_cast<size_t>(s) * width_);
+      if (i + kProbePrefetchDist < n) {
+        WarmProbe(hashes[i + kProbePrefetchDist]);
       }
-      match &= match - 1;
+      Insert(tuples + i * width_, hashes[i]);
     }
   }
 
@@ -1061,51 +952,21 @@ class FusedDistinctSet {
   // retained (survivors keep their offer order). Requires ReserveBatch.
   bool Insert(const uint32_t* tup, uint64_t h) {
     if (size_ >= grow_at_) Grow();
-    if (vec_) {
-      const uint8_t tag = simd::TagOfHash(h);
-      size_t pos = h & mask_;
-      for (;;) {
-        const uint8_t* group = tags_.data() + pos;
-        const uint32_t empty = simd::TagEmpty16(group);
-        uint32_t match = BitsBeforeFirst(simd::TagMatch16(group, tag), empty);
-        while (match != 0) {
-          const size_t cand =
-              (pos + static_cast<size_t>(std::countr_zero(match))) & mask_;
-          const uint32_t s = slots_[cand];
-          // No stored-hash pre-check here: the 7-bit tag already filtered
-          // to ~1% false candidates, Equal alone decides, and skipping
-          // hashes_[s] saves a dependent cache line per duplicate offer.
-          if (Equal(tuples_.get() + static_cast<size_t>(s) * width_, tup)) {
-            return false;
-          }
-          match &= match - 1;
-        }
-        if (empty != 0) {
-          const size_t slot =
-              (pos + static_cast<size_t>(std::countr_zero(empty))) & mask_;
-          Retain(slot, tup, h);
-          tags_[slot] = tag;
-          if (slot < simd::kTagGroupWidth - 1) {
-            tags_[mask_ + 1 + slot] = tag;
-          }
-          return true;
-        }
-        pos = (pos + simd::kTagGroupWidth) & mask_;
-      }
-    }
-    size_t pos = h & mask_;
-    for (;;) {
-      const uint32_t s = slots_[pos];
-      if (s == kEmptySlot) {
-        Retain(pos, tup, h);
-        return true;
-      }
-      if (hashes_[s] == h &&
-          Equal(tuples_.get() + static_cast<size_t>(s) * width_, tup)) {
-        return false;
-      }
-      pos = (pos + 1) & mask_;
-    }
+    // No stored-hash pre-check: the 7-bit tag already filtered to ~1%
+    // false candidates, Equal alone decides, and skipping hashes_[s]
+    // saves a dependent cache line per duplicate offer.
+    const auto [slot, found] = probe_.Find(h, [&](size_t s) {
+      return Equal(tuples_.get() + static_cast<size_t>(slots_[s]) * width_,
+                   tup);
+    });
+    if (found) return false;
+    probe_.Claim(slot, h);
+    slots_[slot] = static_cast<uint32_t>(size_);
+    uint32_t* dst = tuples_.get() + size_ * width_;
+    for (size_t j = 0; j < width_; ++j) dst[j] = tup[j];
+    hashes_[size_] = h;
+    ++size_;
+    return true;
   }
 
   size_t size() const { return size_; }
@@ -1114,39 +975,20 @@ class FusedDistinctSet {
   const uint64_t* hashes() const { return hashes_.get(); }
 
  private:
-  static constexpr uint32_t kEmptySlot = 0xffffffffu;
-
-  void Retain(size_t slot, const uint32_t* tup, uint64_t h) {
-    slots_[slot] = static_cast<uint32_t>(size_);
-    uint32_t* dst = tuples_.get() + size_ * width_;
-    for (size_t j = 0; j < width_; ++j) dst[j] = tup[j];
-    hashes_[size_] = h;
-    ++size_;
+  void Resize(size_t cap) {
+    probe_.Reset(cap);
+    grow_at_ = GrowThreshold(cap);
+    slots_.resize(cap);
   }
 
   // Doubles the slot table and reinserts the survivors. Survivors are
   // pairwise distinct, so each lands in the first empty slot of its
-  // probe sequence — the same slot both the scalar walk and the group
-  // scan would pick (the group scan takes the lowest empty lane, which
-  // is the linear-first empty). Final capacity never exceeds
-  // TableCapacity(offers) — what the presized table used to allocate.
+  // probe sequence. Final capacity never exceeds TableCapacity(offers) —
+  // what a presized table would allocate.
   void Grow() {
-    const size_t cap = 2 * (mask_ + 1);
-    mask_ = cap - 1;
-    grow_at_ = GrowThreshold(cap, vec_);
-    slots_.assign(cap, kEmptySlot);
-    if (vec_) tags_.assign(cap + simd::kTagGroupWidth - 1, simd::kTagEmpty);
+    Resize(2 * probe_.capacity());
     for (size_t i = 0; i < size_; ++i) {
-      const uint64_t h = hashes_[i];
-      size_t pos = h & mask_;
-      while (slots_[pos] != kEmptySlot) pos = (pos + 1) & mask_;
-      slots_[pos] = static_cast<uint32_t>(i);
-      if (vec_) {
-        tags_[pos] = simd::TagOfHash(h);
-        if (pos < simd::kTagGroupWidth - 1) {
-          tags_[mask_ + 1 + pos] = tags_[pos];
-        }
-      }
+      slots_[probe_.ClaimFirstEmpty(hashes_[i])] = static_cast<uint32_t>(i);
     }
   }
 
@@ -1159,11 +1001,9 @@ class FusedDistinctSet {
 
   size_t width_;
   const std::vector<DistinctCol>& cols_;
-  std::vector<uint32_t> slots_;
-  std::vector<uint8_t> tags_;
-  uint64_t mask_ = 0;
+  TagProbe probe_;
+  std::vector<uint32_t> slots_;  // per slot: the survivor's ordinal
   size_t grow_at_ = 0;
-  bool vec_ = false;
   size_t size_ = 0;
   size_t cap_ = 0;
   std::unique_ptr<uint32_t[]> tuples_;  // survivor tuples, width_ ids each
@@ -1265,10 +1105,9 @@ JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
   constexpr size_t kSlotBytes = sizeof(Key) + sizeof(int64_t) +
                                 2 * sizeof(int32_t) + sizeof(uint32_t) +
                                 sizeof(uint8_t);
-  const bool vec = simd::ActiveTier() == simd::Tier::kAvx2;
   size_t table_bytes = 0;
   for (size_t rows : partition_rows) {
-    table_bytes += TableCapacity(rows, vec) * kSlotBytes;
+    table_bytes += TableCapacity(rows) * kSlotBytes;
   }
   if (Status st = ctx.Charge(table_bytes, "hash-join slot tables");
       !st.ok()) {
@@ -1281,7 +1120,7 @@ JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
   ParallelInvoke(jb.partitions, [&](size_t p) {
     if (slot.Failed()) return;
     FlatChainTable<Key>& ht = jb.tables[p];
-    ht.Init(partition_rows[p], jb.chain_next.data(), vec);
+    ht.Init(partition_rows[p], jb.chain_next.data());
     StridedRun(ctx, slot, poll, 0, bn, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i) {
         if (jb.bnull[i] != 0 || jb.bhash[i] % jb.partitions != p) continue;
@@ -1354,6 +1193,14 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
   const size_t pw = build_left ? rw : lw;
   std::vector<uint32_t> morsel;
   std::vector<uint64_t> mhashes(2 * kFusedMorselRows);
+  // Hashes m buffered candidates and offers them to the range-local set.
+  auto flush = [&](const uint32_t* tuples, size_t m) {
+    if (mhashes.size() < m) mhashes.resize(m);
+    for (size_t i = 0; i < m; ++i) {
+      mhashes[i] = DistinctHash(cols, tuples + i * w);
+    }
+    local.InsertBatch(tuples, mhashes.data(), m);
+  };
 
   if (lw == 1 && rw == 1) {
     // Dominant shape — scan⋈scan edge queries emit (left id, right id)
@@ -1368,20 +1215,7 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
     const uint32_t* ptups = probe.tuples.data();
     size_t fill = 0;
     auto flush2 = [&] {
-      const size_t m = fill / 2;
-      for (size_t i = 0; i < m; ++i) {
-        mhashes[i] = DistinctHash(cols, buf + i * 2);
-      }
-      local.ReserveBatch(m);
-      for (size_t i = 0; i < m; ++i) {
-        if (i + 2 * kProbePrefetchDist < m) {
-          local.PrefetchSlot(mhashes[i + 2 * kProbePrefetchDist]);
-        }
-        if (i + kProbePrefetchDist < m) {
-          local.WarmProbe(mhashes[i + kProbePrefetchDist]);
-        }
-        local.Insert(buf + i * 2, mhashes[i]);
-      }
+      flush(buf, fill / 2);
       fill = 0;
     };
     size_t tick = kCancelStrideRows;
@@ -1418,22 +1252,8 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
   }
 
   morsel.reserve(2 * kFusedMorselRows * w);
-  auto flush = [&] {
-    const size_t m = morsel.size() / w;
-    if (mhashes.size() < m) mhashes.resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      mhashes[i] = DistinctHash(cols, &morsel[i * w]);
-    }
-    local.ReserveBatch(m);
-    for (size_t i = 0; i < m; ++i) {
-      if (i + 2 * kProbePrefetchDist < m) {
-        local.PrefetchSlot(mhashes[i + 2 * kProbePrefetchDist]);
-      }
-      if (i + kProbePrefetchDist < m) {
-        local.WarmProbe(mhashes[i + kProbePrefetchDist]);
-      }
-      local.Insert(&morsel[i * w], mhashes[i]);
-    }
+  auto flush_morsel = [&] {
+    flush(morsel.data(), morsel.size() / w);
     morsel.clear();
   };
   // Cooperative poll every kCancelStrideRows probe rows; the morsel
@@ -1462,9 +1282,9 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
     // A single row's chain may overshoot the morsel target; it is bounded
     // by the build side and the unfused join would have materialized it
     // whole anyway.
-    if (morsel.size() >= kFusedMorselRows * w) flush();
+    if (morsel.size() >= kFusedMorselRows * w) flush_morsel();
   }
-  flush();
+  flush_morsel();
 }
 
 // Hash-table shape facts for the profile tree, filled only when someone
@@ -1484,7 +1304,7 @@ void FillJoinProfInfo(const JoinBuild<Key>& jb, size_t bn,
   for (size_t i = 0; i < bn; ++i) nulls += jb.bnull[i];
   info->build_keys = bn - nulls;
   for (const FlatChainTable<Key>& t : jb.tables) {
-    info->capacity += t.mask + 1;
+    info->capacity += t.probe.capacity();
   }
 }
 
@@ -1539,8 +1359,8 @@ std::vector<uint32_t> MaterializeJoin(const JoinBuild<Key>& jb, HashFn hash,
 // Budget charge for one FusedDistinctSet offered `n` candidates of width
 // `w`: the worst case, where every offer survives — slot table (+ probe
 // tags) plus survivor tuple/hash storage.
-size_t FusedSetBytes(size_t n, size_t w, bool vec) {
-  return TableCapacity(n, vec) * (sizeof(uint32_t) + sizeof(uint8_t)) +
+size_t FusedSetBytes(size_t n, size_t w) {
+  return TableCapacity(n) * (sizeof(uint32_t) + sizeof(uint8_t)) +
          n * (w * sizeof(uint32_t) + sizeof(uint64_t));
 }
 
@@ -1558,19 +1378,17 @@ std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
                                        size_t threads, const ExecContext& ctx,
                                        AbortSlot& slot) {
   const size_t w = s.lw + s.rw;
-  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
   const bool poll = NeedsPoll(ctx);
   const size_t nranges = jb.ranges.size();
   std::vector<std::unique_ptr<FusedDistinctSet>> locals(nranges);
   ParallelInvoke(nranges, [&](size_t t) {
-    if (Status st = ctx.Charge(FusedSetBytes(jb.counts[t], w, vec_tier),
+    if (Status st = ctx.Charge(FusedSetBytes(jb.counts[t], w),
                                "fused DISTINCT set");
         !st.ok()) {
       slot.Fail(std::move(st));
       return;
     }
-    locals[t] =
-        std::make_unique<FusedDistinctSet>(w, cols, jb.counts[t], vec_tier);
+    locals[t] = std::make_unique<FusedDistinctSet>(w, cols, jb.counts[t]);
     FuseJoinRange(jb, jb.ranges[t], hash, pkey, s.build, s.probe,
                   s.build_left, s.lw, s.rw, cols, *locals[t], ctx, slot, poll);
   });
@@ -1598,28 +1416,16 @@ std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
   const size_t part_n = merge_ways == 1 ? offered : offered / merge_ways + 1;
   ScopedCharge merge_charge;
   if (Status st = merge_charge.Acquire(
-          ctx, merge_ways * FusedSetBytes(part_n, w, vec_tier),
+          ctx, merge_ways * FusedSetBytes(part_n, w),
           "fused DISTINCT merge sets");
       !st.ok()) {
     slot.Fail(std::move(st));
     return {};
   }
   if (merge_ways == 1) {
-    FusedDistinctSet global(w, cols, offered, vec_tier);
+    FusedDistinctSet global(w, cols, offered);
     for (const auto& local : locals) {
-      const uint32_t* lt = local->tuples();
-      const uint64_t* lh = local->hashes();
-      global.ReserveBatch(local->size());
-      const size_t ln = local->size();
-      for (size_t i = 0; i < ln; ++i) {
-        if (i + 2 * kProbePrefetchDist < ln) {
-          global.PrefetchSlot(lh[i + 2 * kProbePrefetchDist]);
-        }
-        if (i + kProbePrefetchDist < ln) {
-          global.WarmProbe(lh[i + kProbePrefetchDist]);
-        }
-        global.Insert(lt + i * w, lh[i]);
-      }
+      global.InsertBatch(local->tuples(), local->hashes(), local->size());
     }
     return std::vector<uint32_t>(global.tuples(),
                                  global.tuples() + global.size() * w);
@@ -1634,7 +1440,7 @@ std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
   // tuples in the same order as the serial merge.
   std::vector<uint64_t> bits((offered + 63) / 64, 0);
   ParallelInvoke(merge_ways, [&](size_t p) {
-    FusedDistinctSet part(w, cols, part_n, vec_tier);
+    FusedDistinctSet part(w, cols, part_n);
     for (size_t r = 0; r < nranges; ++r) {
       const uint32_t* lt = locals[r]->tuples();
       const uint64_t* lh = locals[r]->hashes();
@@ -1816,16 +1622,16 @@ bool WithTypedJoinKeys(const RowIdResult& build, const RowIdResult& probe,
     const uint32_t* codes = pc.CodeData();
     const uint8_t* nulls = pc.NullMask();
     const size_t max_row = pc.size();
-    bool vec_used = false;
+    bool avx2_used = false;
     const bool poll = NeedsPoll(ctx);
     StridedRun(ctx, slot, poll, 0, pn, [&](size_t b, size_t e) {
-      vec_used |= simd::TranslateCodes(tier, tuples + b * stride, stride,
-                                       pcol.slot, codes, trans.data(), nulls,
-                                       max_row, pkeys.data() + b, e - b);
+      avx2_used |= simd::TranslateCodes(tier, tuples + b * stride, stride,
+                                        pcol.slot, codes, trans.data(), nulls,
+                                        max_row, pkeys.data() + b, e - b);
     });
     if (slot.Failed()) return true;
-    (vec_used ? Metrics().simd_translate_vector
-              : Metrics().simd_translate_scalar)
+    (avx2_used ? Metrics().simd_translate_vector
+               : Metrics().simd_translate_scalar)
         ->Add(1);
     const int32_t* pk = pkeys.data();
     run(KeyTag<uint32_t>{}, [](uint32_t k) { return MixInt64(k); }, bkey,
@@ -2078,9 +1884,6 @@ Result<RowIdResult> Executor::RunHashJoin(const HashJoinNode& join,
   Metrics().join_build_rows->Add(sides.build.NumRows());
   Metrics().join_probe_rows->Add(sides.probe.NumRows());
   Metrics().join_matches->Add(matches);
-  (simd::ActiveTier() == simd::Tier::kAvx2 ? Metrics().simd_probe_vector
-                                           : Metrics().simd_probe_scalar)
-      ->Add(1);
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(matches);
     prof->AddStat("build_rows", static_cast<double>(sides.build.NumRows()));
@@ -2223,12 +2026,11 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
   // Hash array + first-occurrence slot tables are DISTINCT scratch,
   // refunded when the operator returns; the poll stride keeps an armed
   // deadline responsive even on a single huge partition.
-  const bool vec_tier = simd::ActiveTier() == simd::Tier::kAvx2;
   ScopedCharge scratch;
   GRAPHGEN_RETURN_NOT_OK(scratch.Acquire(
       options_.ctx,
       n * sizeof(uint64_t) +
-          TableCapacity(n, vec_tier) * (sizeof(uint32_t) + sizeof(uint8_t)),
+          TableCapacity(n) * (sizeof(uint32_t) + sizeof(uint8_t)),
       "DISTINCT hash scratch"));
   const bool poll = NeedsPoll(options_.ctx);
   AbortSlot slot;
@@ -2254,7 +2056,7 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
           ? std::min(options_.threads, kMaxPartitions)
           : 1;
   if (partitions == 1) {
-    FlatDistinctSet seen(n, hashes, child, cols, vec_tier);
+    FlatDistinctSet seen(n, hashes, child, cols);
     survivors.reserve(n);
     size_t tick = kCancelStrideRows;
     for (size_t i = 0; i < n; ++i) {
@@ -2279,7 +2081,7 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
       for (size_t i = 0; i < n; ++i) {
         if (hashes[i] % partitions == p) ++mine;
       }
-      FlatDistinctSet seen(mine, hashes, child, cols, vec_tier);
+      FlatDistinctSet seen(mine, hashes, child, cols);
       StridedRun(options_.ctx, slot, poll, 0, n, [&](size_t b, size_t e) {
         for (size_t i = b; i < e; ++i) {
           if (hashes[i] % partitions != p) continue;
@@ -2318,13 +2120,10 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
       options_.threads);
   Metrics().distinct_rows_in->Add(n);
   Metrics().distinct_rows_out->Add(survivors.size());
-  (vec_tier ? Metrics().simd_probe_vector : Metrics().simd_probe_scalar)
-      ->Add(1);
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(survivors.size());
     prof->AddStat("distinct_in", static_cast<double>(n));
     prof->AddStat("distinct_partitions", static_cast<double>(partitions));
-    prof->AddNote("simd", simd::TierName());
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <set>
 #include <unordered_set>
 
+#include "common/simd.h"
 #include "fused_join_input.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
@@ -243,6 +244,69 @@ TEST(ExecutorTest, LargeJoinMatchesPerKeyExpectation) {
     EXPECT_EQ(rs->schema.column(1).name, "b");
     EXPECT_EQ(rs->rows, want) << "threads=" << threads;
   }
+}
+
+// The DISTINCT sets seed at 64K keys (131,072 slots) and grow past 7/8
+// load, i.e. at 114,688 keys; the join tables are presized for their
+// build keys. 120,000 keys, each on two rows, make the single-partition
+// DISTINCT grow and give the join tables as many keys. Both are checked
+// against ordered-container oracles at 1 and 4 threads, with the SIMD
+// dispatch pinned to scalar and without, and must be identical in all
+// four runs.
+TEST(ExecutorTest, LargeKeySetsGrowAndMatchOracleOnBothTiers) {
+  constexpr int64_t kKeys = 120000;
+  Database db;
+  Table t("G", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
+  // Rows [0, kKeys) visit every key once in a scattered order; rows
+  // [kKeys, 2 kKeys) repeat it.
+  auto key = [](int64_t i) { return (i * 7919) % kKeys; };
+  for (int64_t i = 0; i < 2 * kKeys; ++i) {
+    t.AppendUnchecked({Value(key(i)), Value(i)});
+  }
+  db.PutTable(std::move(t));
+
+  ProjectNode distinct(std::make_unique<ScanNode>("G"), std::vector<size_t>{0},
+                       std::vector<std::string>{"k"}, /*distinct=*/true);
+  std::vector<uint32_t> want_distinct;
+  std::set<int64_t> seen;
+  for (int64_t i = 0; i < 2 * kKeys; ++i) {
+    if (seen.insert(key(i)).second) {
+      want_distinct.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  ASSERT_EQ(want_distinct.size(), static_cast<size_t>(kKeys));
+
+  // Equal inputs build left; output follows probe (right) row order with
+  // each key's build rows ascending.
+  HashJoinNode join(std::make_unique<ScanNode>("G"),
+                    std::make_unique<ScanNode>("G"), 0, 0);
+  std::map<int64_t, std::vector<uint32_t>> rows_by_key;
+  for (int64_t i = 0; i < 2 * kKeys; ++i) {
+    rows_by_key[key(i)].push_back(static_cast<uint32_t>(i));
+  }
+  std::vector<uint32_t> want_join;
+  for (int64_t pr = 0; pr < 2 * kKeys; ++pr) {
+    for (uint32_t br : rows_by_key[key(pr)]) {
+      want_join.push_back(br);
+      want_join.push_back(static_cast<uint32_t>(pr));
+    }
+  }
+
+  for (bool scalar : {false, true}) {
+    if (scalar) simd::SetTierForTesting(simd::Tier::kScalar);
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "scalar=" << scalar << " threads=" << threads);
+      Executor ex(&db, WithThreads(threads));
+      auto d = ex.ExecuteColumnar(distinct);
+      ASSERT_TRUE(d.ok()) << d.status().ToString();
+      EXPECT_EQ(d->tuples, want_distinct);
+      auto j = ex.ExecuteColumnar(join);
+      ASSERT_TRUE(j.ok()) << j.status().ToString();
+      EXPECT_EQ(j->tuples, want_join);
+    }
+  }
+  simd::ResetTierForTesting();
 }
 
 TEST(ExecutorTest, ExecuteColumnarIsLazyUntilMaterialize) {
