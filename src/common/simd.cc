@@ -1,512 +1,134 @@
 #include "common/simd.h"
 
-#include <array>
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
-#if defined(GRAPHGEN_SIMD_X86_64) && !defined(GRAPHGEN_SIMD_NO_AVX2)
-#define GRAPHGEN_SIMD_HAS_AVX2 1
-#include <immintrin.h>
-#endif
-
 namespace graphgen::simd {
 namespace {
 
-// ------------------------------------------------------------ dispatch
+// ------------------------------------------------------------ mask loops
 
-bool CpuHasAvx2() {
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-struct Resolved {
-  Tier tier;
-  const char* desc;
-};
-
-Resolved ResolveFromEnv() {
-  const char* env = std::getenv("GRAPHGEN_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
-        std::strcmp(env, "0") == 0) {
-      return {Tier::kScalar, "scalar (GRAPHGEN_SIMD=off)"};
-    }
-    if (std::strcmp(env, "avx2") == 0) {
-      if (CpuHasAvx2()) return {Tier::kAvx2, "avx2 (GRAPHGEN_SIMD=avx2)"};
-      return {Tier::kScalar, "scalar (GRAPHGEN_SIMD=avx2 unavailable)"};
-    }
-    // Unrecognized values fall through to auto detection.
-  }
-  if (CpuHasAvx2()) return {Tier::kAvx2, "avx2 (runtime cpu dispatch)"};
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  return {Tier::kScalar, "scalar (cpu lacks avx2)"};
-#else
-  return {Tier::kScalar, "scalar (avx2 compiled out)"};
-#endif
-}
-
-// -1 = unresolved; otherwise a Tier value. A racing double-resolve is
-// benign (same inputs, same answer), so plain atomics suffice — no lock.
-std::atomic<int> g_tier{-1};
-std::atomic<const char*> g_desc{nullptr};
-std::atomic<int> g_pinned{-1};
-
-Resolved Current() {
-  const int pinned = g_pinned.load(std::memory_order_acquire);
-  if (pinned >= 0) {
-    return {static_cast<Tier>(pinned), pinned == static_cast<int>(Tier::kAvx2)
-                                           ? "avx2 (pinned for testing)"
-                                           : "scalar (pinned for testing)"};
-  }
-  int tier = g_tier.load(std::memory_order_acquire);
-  if (tier < 0) {
-    const Resolved r = ResolveFromEnv();
-    g_desc.store(r.desc, std::memory_order_release);
-    g_tier.store(static_cast<int>(r.tier), std::memory_order_release);
-    return r;
-  }
-  return {static_cast<Tier>(tier), g_desc.load(std::memory_order_acquire)};
-}
-
-// ------------------------------------------------ scalar reference loops
-
-// Applies `keep[i] &= verdict(i)` with the NULL-bitmap merge: NULL cells
-// take the precompiled null verdict instead of evaluating the lane.
+// Applies `keep[i] &= verdict(i)` over [0, n) with the NULL-bitmap merge:
+// NULL cells take the precompiled null verdict instead of the cell's.
 template <typename Verdict>
 void AndMaskLoop(Verdict verdict, const uint8_t* nulls, bool null_match,
-                 uint8_t* keep, size_t begin, size_t end) {
+                 uint8_t* keep, size_t n) {
   if (nulls == nullptr) {
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       keep[i] = static_cast<uint8_t>(keep[i] & verdict(i));
     }
     return;
   }
   const uint8_t nm = null_match ? 1 : 0;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const uint8_t nn = static_cast<uint8_t>(nulls[i] != 0);
     keep[i] = static_cast<uint8_t>(
         keep[i] & ((nn & nm) | (static_cast<uint8_t>(nn ^ 1) & verdict(i))));
   }
 }
 
-void AndMaskI64Range(I64MaskOp op, const int64_t* data, int64_t bound,
-                     int64_t eq, const uint8_t* nulls, bool null_match,
-                     uint8_t* keep, size_t begin, size_t end) {
+}  // namespace
+
+const char* TierName() {
+#ifdef GRAPHGEN_SIMD_X86_64
+  return "sse2";
+#else
+  return "portable";
+#endif
+}
+
+void AndMaskI64(I64MaskOp op, const int64_t* data, int64_t bound, int64_t eq,
+                const uint8_t* nulls, bool null_match, uint8_t* keep, size_t n) {
   switch (op) {
     case I64MaskOp::kLe:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] <= bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case I64MaskOp::kGe:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] >= bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case I64MaskOp::kEq:
       AndMaskLoop([&](size_t i) { return static_cast<uint8_t>(data[i] == eq); },
-                  nulls, null_match, keep, begin, end);
+                  nulls, null_match, keep, n);
       break;
     case I64MaskOp::kNe:
       AndMaskLoop([&](size_t i) { return static_cast<uint8_t>(data[i] != eq); },
-                  nulls, null_match, keep, begin, end);
+                  nulls, null_match, keep, n);
       break;
     case I64MaskOp::kLeOrEq:
       AndMaskLoop(
           [&](size_t i) {
             return static_cast<uint8_t>(data[i] <= bound || data[i] == eq);
           },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case I64MaskOp::kGeOrEq:
       AndMaskLoop(
           [&](size_t i) {
             return static_cast<uint8_t>(data[i] >= bound || data[i] == eq);
           },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
   }
 }
 
-void AndMaskF64Range(F64MaskOp op, const double* data, double bound,
-                     const uint8_t* nulls, bool null_match, uint8_t* keep,
-                     size_t begin, size_t end) {
+void AndMaskF64(F64MaskOp op, const double* data, double bound,
+                const uint8_t* nulls, bool null_match, uint8_t* keep, size_t n) {
   switch (op) {
     case F64MaskOp::kLt:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] < bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case F64MaskOp::kLe:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] <= bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case F64MaskOp::kGt:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] > bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case F64MaskOp::kGe:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] >= bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case F64MaskOp::kEq:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(data[i] == bound); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
     case F64MaskOp::kNe:
       AndMaskLoop(
           [&](size_t i) { return static_cast<uint8_t>(!(data[i] == bound)); },
-          nulls, null_match, keep, begin, end);
+          nulls, null_match, keep, n);
       break;
   }
 }
 
-void AndMaskCodesRange(const uint32_t* codes, const uint32_t* table,
-                       const uint8_t* nulls, bool null_match, uint8_t* keep,
-                       size_t begin, size_t end) {
+void AndMaskCodes(const uint32_t* codes, const uint32_t* table,
+                  const uint8_t* nulls, bool null_match, uint8_t* keep,
+                  size_t n) {
   AndMaskLoop(
       [&](size_t i) { return static_cast<uint8_t>(table[codes[i]] != 0); },
-      nulls, null_match, keep, begin, end);
+      nulls, null_match, keep, n);
 }
 
-void TranslateCodesRange(const uint32_t* tuples, size_t stride, size_t slot,
-                         const uint32_t* codes, const int32_t* trans,
-                         const uint8_t* nulls, int32_t* out, size_t begin,
-                         size_t end) {
+void TranslateCodes(const uint32_t* tuples, size_t stride, size_t slot,
+                    const uint32_t* codes, const int32_t* trans,
+                    const uint8_t* nulls, int32_t* out, size_t n) {
   if (nulls == nullptr) {
-    for (size_t i = begin; i < end; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       out[i] = trans[codes[tuples[i * stride + slot]]];
     }
     return;
   }
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const uint32_t id = tuples[i * stride + slot];
     out[i] = nulls[id] != 0 ? -1 : trans[codes[id]];
   }
-}
-
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-
-// ------------------------------------------------------- AVX2 kernels
-//
-// Compiled with per-function target attributes so the rest of the build
-// stays baseline-x86-64; only reached after the runtime cpuid check.
-// Verdict masks are packed to movemask bits, merged with NULL bits, then
-// expanded to 0/1 bytes through small LUTs and ANDed into `keep` as one
-// word — the same bytes the scalar loop writes, in the same order.
-
-// 4-bit lane mask -> four 0/1 verdict bytes (little-endian word).
-constexpr std::array<uint32_t, 16> MakeLut4() {
-  std::array<uint32_t, 16> lut{};
-  for (uint32_t m = 0; m < 16; ++m) {
-    uint32_t v = 0;
-    for (uint32_t j = 0; j < 4; ++j) {
-      if ((m >> j) & 1u) v |= 1u << (8 * j);
-    }
-    lut[m] = v;
-  }
-  return lut;
-}
-
-// 8-bit lane mask -> eight 0/1 verdict bytes.
-constexpr std::array<uint64_t, 256> MakeLut8() {
-  std::array<uint64_t, 256> lut{};
-  for (uint32_t m = 0; m < 256; ++m) {
-    uint64_t v = 0;
-    for (uint32_t j = 0; j < 8; ++j) {
-      if ((m >> j) & 1u) v |= 1ull << (8 * j);
-    }
-    lut[m] = v;
-  }
-  return lut;
-}
-
-constexpr std::array<uint32_t, 16> kLut4 = MakeLut4();
-constexpr std::array<uint64_t, 256> kLut8 = MakeLut8();
-
-// NULL bits for 4 consecutive mask bytes (bit j set iff cell j is NULL).
-inline uint32_t NullBits4(const uint8_t* nulls, size_t i) {
-  return static_cast<uint32_t>(nulls[i] != 0) |
-         (static_cast<uint32_t>(nulls[i + 1] != 0) << 1) |
-         (static_cast<uint32_t>(nulls[i + 2] != 0) << 2) |
-         (static_cast<uint32_t>(nulls[i + 3] != 0) << 3);
-}
-
-// NULL bits for 8 consecutive mask bytes via one SSE2 compare.
-inline uint32_t NullBits8(const uint8_t* nulls, size_t i) {
-  const __m128i v =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(nulls + i));
-  const uint32_t zero_bits = static_cast<uint32_t>(
-      _mm_movemask_epi8(_mm_cmpeq_epi8(v, _mm_setzero_si128())));
-  return ~zero_bits & 0xffu;
-}
-
-inline void AndWord32(uint8_t* keep, size_t i, uint32_t verdicts) {
-  uint32_t w;
-  std::memcpy(&w, keep + i, sizeof(w));
-  w &= verdicts;
-  std::memcpy(keep + i, &w, sizeof(w));
-}
-
-inline void AndWord64(uint8_t* keep, size_t i, uint64_t verdicts) {
-  uint64_t w;
-  std::memcpy(&w, keep + i, sizeof(w));
-  w &= verdicts;
-  std::memcpy(keep + i, &w, sizeof(w));
-}
-
-template <I64MaskOp Op>
-__attribute__((target("avx2"))) size_t AndMaskI64Avx2(
-    const int64_t* data, int64_t bound, int64_t eq, const uint8_t* nulls,
-    bool null_match, uint8_t* keep, size_t n) {
-  const __m256i vb = _mm256_set1_epi64x(bound);
-  const __m256i ve = _mm256_set1_epi64x(eq);
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  const uint32_t nm4 = null_match ? 0xfu : 0u;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + i));
-    __m256i m;
-    if constexpr (Op == I64MaskOp::kLe) {
-      m = _mm256_xor_si256(_mm256_cmpgt_epi64(x, vb), ones);
-    } else if constexpr (Op == I64MaskOp::kGe) {
-      m = _mm256_xor_si256(_mm256_cmpgt_epi64(vb, x), ones);
-    } else if constexpr (Op == I64MaskOp::kEq) {
-      m = _mm256_cmpeq_epi64(x, ve);
-    } else if constexpr (Op == I64MaskOp::kNe) {
-      m = _mm256_xor_si256(_mm256_cmpeq_epi64(x, ve), ones);
-    } else if constexpr (Op == I64MaskOp::kLeOrEq) {
-      m = _mm256_or_si256(_mm256_xor_si256(_mm256_cmpgt_epi64(x, vb), ones),
-                          _mm256_cmpeq_epi64(x, ve));
-    } else {  // kGeOrEq
-      m = _mm256_or_si256(_mm256_xor_si256(_mm256_cmpgt_epi64(vb, x), ones),
-                          _mm256_cmpeq_epi64(x, ve));
-    }
-    uint32_t bits =
-        static_cast<uint32_t>(_mm256_movemask_pd(_mm256_castsi256_pd(m)));
-    if (nulls != nullptr) {
-      const uint32_t nb = NullBits4(nulls, i);
-      bits = (nb & nm4) | (~nb & bits & 0xfu);
-    }
-    AndWord32(keep, i, kLut4[bits]);
-  }
-  return i;
-}
-
-template <int Imm>
-__attribute__((target("avx2"))) size_t AndMaskF64Avx2(
-    const double* data, double bound, const uint8_t* nulls, bool null_match,
-    uint8_t* keep, size_t n) {
-  const __m256d vb = _mm256_set1_pd(bound);
-  const uint32_t nm4 = null_match ? 0xfu : 0u;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(data + i);
-    const __m256d m = _mm256_cmp_pd(x, vb, Imm);
-    uint32_t bits = static_cast<uint32_t>(_mm256_movemask_pd(m));
-    if (nulls != nullptr) {
-      const uint32_t nb = NullBits4(nulls, i);
-      bits = (nb & nm4) | (~nb & bits & 0xfu);
-    }
-    AndWord32(keep, i, kLut4[bits]);
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) size_t AndMaskCodesAvx2(
-    const uint32_t* codes, const uint32_t* table, const uint8_t* nulls,
-    bool null_match, uint8_t* keep, size_t n) {
-  const __m256i zero = _mm256_setzero_si256();
-  const uint32_t nm8 = null_match ? 0xffu : 0u;
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i c =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(codes + i));
-    const __m256i v = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(table), c, sizeof(uint32_t));
-    const uint32_t zero_bits = static_cast<uint32_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(v, zero))));
-    uint32_t bits = ~zero_bits & 0xffu;
-    if (nulls != nullptr) {
-      const uint32_t nb = NullBits8(nulls, i);
-      bits = (nb & nm8) | (~nb & bits & 0xffu);
-    }
-    AndWord64(keep, i, kLut8[bits]);
-  }
-  return i;
-}
-
-__attribute__((target("avx2"))) size_t TranslateCodesAvx2(
-    const uint32_t* tuples, size_t stride, size_t slot, const uint32_t* codes,
-    const int32_t* trans, int32_t* out, size_t n) {
-  const __m256i lane_off = _mm256_mullo_epi32(
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-      _mm256_set1_epi32(static_cast<int32_t>(stride)));
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i base =
-        _mm256_set1_epi32(static_cast<int32_t>(i * stride + slot));
-    const __m256i idx = _mm256_add_epi32(base, lane_off);
-    const __m256i ids = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(tuples), idx, sizeof(uint32_t));
-    const __m256i cs = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(codes), ids, sizeof(uint32_t));
-    const __m256i o = _mm256_i32gather_epi32(trans, cs, sizeof(int32_t));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), o);
-  }
-  return i;
-}
-
-#endif  // GRAPHGEN_SIMD_HAS_AVX2
-
-}  // namespace
-
-Tier ActiveTier() { return Current().tier; }
-
-const char* TierName() {
-  return Current().tier == Tier::kAvx2 ? "avx2" : "scalar";
-}
-
-const char* TierDescription() { return Current().desc; }
-
-bool Avx2Available() { return CpuHasAvx2(); }
-
-void SetTierForTesting(Tier tier) {
-  if (tier == Tier::kAvx2 && !CpuHasAvx2()) tier = Tier::kScalar;
-  g_pinned.store(static_cast<int>(tier), std::memory_order_release);
-}
-
-void ResetTierForTesting() {
-  g_pinned.store(-1, std::memory_order_release);
-  g_tier.store(-1, std::memory_order_release);
-}
-
-void AndMaskI64(Tier tier, I64MaskOp op, const int64_t* data, int64_t bound,
-                int64_t eq, const uint8_t* nulls, bool null_match,
-                uint8_t* keep, size_t n) {
-  size_t done = 0;
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  if (tier == Tier::kAvx2) {
-    switch (op) {
-      case I64MaskOp::kLe:
-        done = AndMaskI64Avx2<I64MaskOp::kLe>(data, bound, eq, nulls,
-                                              null_match, keep, n);
-        break;
-      case I64MaskOp::kGe:
-        done = AndMaskI64Avx2<I64MaskOp::kGe>(data, bound, eq, nulls,
-                                              null_match, keep, n);
-        break;
-      case I64MaskOp::kEq:
-        done = AndMaskI64Avx2<I64MaskOp::kEq>(data, bound, eq, nulls,
-                                              null_match, keep, n);
-        break;
-      case I64MaskOp::kNe:
-        done = AndMaskI64Avx2<I64MaskOp::kNe>(data, bound, eq, nulls,
-                                              null_match, keep, n);
-        break;
-      case I64MaskOp::kLeOrEq:
-        done = AndMaskI64Avx2<I64MaskOp::kLeOrEq>(data, bound, eq, nulls,
-                                                  null_match, keep, n);
-        break;
-      case I64MaskOp::kGeOrEq:
-        done = AndMaskI64Avx2<I64MaskOp::kGeOrEq>(data, bound, eq, nulls,
-                                                  null_match, keep, n);
-        break;
-    }
-  }
-#else
-  (void)tier;
-#endif
-  AndMaskI64Range(op, data, bound, eq, nulls, null_match, keep, done, n);
-}
-
-void AndMaskF64(Tier tier, F64MaskOp op, const double* data, double bound,
-                const uint8_t* nulls, bool null_match, uint8_t* keep,
-                size_t n) {
-  size_t done = 0;
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  if (tier == Tier::kAvx2) {
-    // Immediates mirror the scalar comparisons exactly, including NaN
-    // behavior: ordered compares are false on NaN, kNe (`!(x == c)`) is
-    // true on NaN, hence the unordered _CMP_NEQ_UQ.
-    switch (op) {
-      case F64MaskOp::kLt:
-        done = AndMaskF64Avx2<_CMP_LT_OQ>(data, bound, nulls, null_match, keep,
-                                          n);
-        break;
-      case F64MaskOp::kLe:
-        done = AndMaskF64Avx2<_CMP_LE_OQ>(data, bound, nulls, null_match, keep,
-                                          n);
-        break;
-      case F64MaskOp::kGt:
-        done = AndMaskF64Avx2<_CMP_GT_OQ>(data, bound, nulls, null_match, keep,
-                                          n);
-        break;
-      case F64MaskOp::kGe:
-        done = AndMaskF64Avx2<_CMP_GE_OQ>(data, bound, nulls, null_match, keep,
-                                          n);
-        break;
-      case F64MaskOp::kEq:
-        done = AndMaskF64Avx2<_CMP_EQ_OQ>(data, bound, nulls, null_match, keep,
-                                          n);
-        break;
-      case F64MaskOp::kNe:
-        done = AndMaskF64Avx2<_CMP_NEQ_UQ>(data, bound, nulls, null_match,
-                                           keep, n);
-        break;
-    }
-  }
-#else
-  (void)tier;
-#endif
-  AndMaskF64Range(op, data, bound, nulls, null_match, keep, done, n);
-}
-
-void AndMaskCodes(Tier tier, const uint32_t* codes, const uint32_t* table,
-                  const uint8_t* nulls, bool null_match, uint8_t* keep,
-                  size_t n) {
-  size_t done = 0;
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  if (tier == Tier::kAvx2) {
-    done = AndMaskCodesAvx2(codes, table, nulls, null_match, keep, n);
-  }
-#else
-  (void)tier;
-#endif
-  AndMaskCodesRange(codes, table, nulls, null_match, keep, done, n);
-}
-
-bool TranslateCodes(Tier tier, const uint32_t* tuples, size_t stride,
-                    size_t slot, const uint32_t* codes, const int32_t* trans,
-                    const uint8_t* nulls, size_t max_row, int32_t* out,
-                    size_t n) {
-  size_t done = 0;
-  bool vector_path = false;
-#ifdef GRAPHGEN_SIMD_HAS_AVX2
-  // The gathers index with signed 32-bit lanes: every tuple index and
-  // every row id must fit. NULL masks are handled scalar — NULL rows
-  // translate to -1, and the gather chain cannot see the mask.
-  constexpr size_t kMaxIndex = static_cast<size_t>(INT32_MAX);
-  if (tier == Tier::kAvx2 && nulls == nullptr && max_row <= kMaxIndex &&
-      (n == 0 || (n - 1) * stride + slot <= kMaxIndex)) {
-    done = TranslateCodesAvx2(tuples, stride, slot, codes, trans, out, n);
-    vector_path = true;
-  }
-#else
-  (void)tier;
-  (void)max_row;
-#endif
-  TranslateCodesRange(tuples, stride, slot, codes, trans, nulls, out, done, n);
-  return vector_path;
 }
 
 }  // namespace graphgen::simd

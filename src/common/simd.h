@@ -1,23 +1,18 @@
 #ifndef GRAPHGEN_COMMON_SIMD_H_
 #define GRAPHGEN_COMMON_SIMD_H_
 
-/// SIMD kernels for the extraction hot loops.
+/// Batch kernels for the extraction hot loops.
 ///
-/// Every dispatched kernel (the scan masks and `TranslateCodes`) has two
-/// implementations — a portable scalar loop and an AVX2 body compiled via
-/// function target attributes (no global -mavx2 flag) — selected once per
-/// process by `ActiveTier()`: a cached cpuid check overridable with
-/// `GRAPHGEN_SIMD=off|scalar|avx2` (off and scalar are synonyms; avx2
-/// silently degrades to scalar when the CPU or build lacks it). The
-/// contract is *bitwise parity*: for every input, both tiers produce
-/// identical output bytes, so the extraction parity/fuzz suites double as
-/// the correctness oracle for the vector paths.
+/// The scan-predicate masks and the dict⋈dict probe-code translation are
+/// plain scalar loops with one implementation on every build and CPU; the
+/// compiler is free to vectorize them. The hash-table tag probes below use
+/// SSE2, which every x86-64 CPU has, and a portable loop elsewhere.
 ///
 /// The predicate kernels work on the scan's byte-mask representation
 /// (`keep[i] &= verdict(i)` over 0/1 bytes) with the NULL-bitmap merge
 /// folded in: NULL cells take the precompiled `null_match` verdict, and
-/// typed arrays hold zero placeholders at NULL positions so lanes are
-/// always safe to read.
+/// typed arrays hold zero placeholders at NULL positions so every cell is
+/// safe to read.
 
 #include <cmath>
 #include <cstddef>
@@ -32,30 +27,9 @@
 
 namespace graphgen::simd {
 
-// ------------------------------------------------------------ dispatch
-
-enum class Tier : int { kScalar = 0, kAvx2 = 1 };
-
-/// The dispatch tier in effect, resolved once (env override, then cpuid)
-/// and cached. Thread-safe.
-Tier ActiveTier();
-
-/// "scalar" or "avx2".
+/// The instruction set the tag probes compile to: "sse2" on x86-64,
+/// "portable" elsewhere. Fixed per build.
 const char* TierName();
-
-/// Human-readable tier plus why it was chosen, e.g.
-/// "avx2 (runtime cpu dispatch)" or "scalar (GRAPHGEN_SIMD=off)".
-const char* TierDescription();
-
-/// True when the AVX2 kernels are compiled in and the CPU supports them.
-bool Avx2Available();
-
-/// Test hook: pins the dispatch tier (kAvx2 requests degrade to scalar
-/// when unavailable). Not for use on concurrent query traffic.
-void SetTierForTesting(Tier tier);
-
-/// Test hook: drops the pin and re-resolves from env + cpuid.
-void ResetTierForTesting();
 
 // -------------------------------------------- scan predicate mask kernels
 
@@ -75,22 +49,18 @@ enum class I64MaskOp : uint8_t { kLe, kGe, kEq, kNe, kLeOrEq, kGeOrEq };
 enum class F64MaskOp : uint8_t { kLt, kLe, kGt, kGe, kEq, kNe };
 
 /// keep[i] &= verdict(data[i]) over [0, n), honoring `nulls` (NULL cells
-/// verdict `null_match`; nulls may be nullptr). Bitwise-identical across
-/// tiers.
-void AndMaskI64(Tier tier, I64MaskOp op, const int64_t* data, int64_t bound,
-                int64_t eq, const uint8_t* nulls, bool null_match,
-                uint8_t* keep, size_t n);
+/// verdict `null_match`; nulls may be nullptr).
+void AndMaskI64(I64MaskOp op, const int64_t* data, int64_t bound, int64_t eq,
+                const uint8_t* nulls, bool null_match, uint8_t* keep, size_t n);
 
 /// keep[i] &= verdict(data[i]) for double columns.
-void AndMaskF64(Tier tier, F64MaskOp op, const double* data, double bound,
-                const uint8_t* nulls, bool null_match, uint8_t* keep,
-                size_t n);
+void AndMaskF64(F64MaskOp op, const double* data, double bound,
+                const uint8_t* nulls, bool null_match, uint8_t* keep, size_t n);
 
 /// keep[i] &= table[codes[i]] for dictionary columns, honoring nulls the
-/// same way (NULL placeholders store code 0, so the gather is always
-/// safe). `table` holds one 0/1 verdict per dictionary code, widened to
-/// 32 bits so the vector path can gather it directly.
-void AndMaskCodes(Tier tier, const uint32_t* codes, const uint32_t* table,
+/// same way (NULL placeholders store code 0, so the lookup is always
+/// safe). `table` holds one 0/1 verdict per dictionary code.
+void AndMaskCodes(const uint32_t* codes, const uint32_t* table,
                   const uint8_t* nulls, bool null_match, uint8_t* keep,
                   size_t n);
 
@@ -102,16 +72,11 @@ void AndMaskCodes(Tier tier, const uint32_t* codes, const uint32_t* table,
 ///   code = codes[id]
 ///   out[i] = nulls-or-missing ? -1 : trans[code]
 /// `trans` maps probe codes to build codes (-1 = absent from the build
-/// dictionary). The vector path runs the three chained gathers 8 lanes at
-/// a time; rows with a NULL mask entry take -1 exactly like the scalar
-/// key extractor. `max_row` is the probe base table's row count — the
-/// vector path needs every gathered index to fit in a signed 32-bit lane
-/// and falls back to scalar otherwise. Returns true when the vector path
-/// handled the bulk of the range (callers record the dispatch decision).
-bool TranslateCodes(Tier tier, const uint32_t* tuples, size_t stride,
-                    size_t slot, const uint32_t* codes, const int32_t* trans,
-                    const uint8_t* nulls, size_t max_row, int32_t* out,
-                    size_t n);
+/// dictionary); rows with a NULL mask entry take -1 exactly like the
+/// per-row key extractor.
+void TranslateCodes(const uint32_t* tuples, size_t stride, size_t slot,
+                    const uint32_t* codes, const int32_t* trans,
+                    const uint8_t* nulls, int32_t* out, size_t n);
 
 // --------------------------------- predicate threshold precomputation
 
@@ -163,9 +128,8 @@ inline std::optional<int64_t> MinInt64WithDoubleGreater(double bound) {
 /// One-byte tags for SIMD group probing of the flat open-addressing hash
 /// tables: each slot carries 7 bits of its key's hash (distinct from the
 /// empty marker), and a probe compares 16 tags per step with one SSE2
-/// compare+movemask instead of walking slots one at a time. These helpers
-/// have one implementation and take no tier: SSE2 is baseline on x86-64,
-/// and other targets compile the portable loop.
+/// compare+movemask instead of walking slots one at a time. SSE2 is
+/// baseline on x86-64, and other targets compile the portable loop.
 inline constexpr uint8_t kTagEmpty = 0xff;
 inline constexpr size_t kTagGroupWidth = 16;
 

@@ -9,6 +9,19 @@
 #include "common/faultpoints.h"
 
 namespace graphgen {
+namespace {
+
+// Closes a file opened for writing. A write error left on the stream or a
+// failed final flush (a full disk) means the file is truncated.
+Status FinishWrite(FILE* f, const std::string& path) {
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    return Status::ExecutionError("write failed: " + path);
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 Status SerializeEdgeList(const Graph& graph, const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "w");
@@ -20,8 +33,7 @@ Status SerializeEdgeList(const Graph& graph, const std::string& path) {
       std::fprintf(f, "%u %u\n", u, v);
     });
   });
-  std::fclose(f);
-  return Status::OK();
+  return FinishWrite(f, path);
 }
 
 Status SerializeCondensed(const CondensedStorage& storage,
@@ -48,8 +60,7 @@ Status SerializeCondensed(const CondensedStorage& storage,
     for (NodeRef r : out) std::fprintf(f, " %" PRIu32, r.raw());
     std::fputc('\n', f);
   }
-  std::fclose(f);
-  return Status::OK();
+  return FinishWrite(f, path);
 }
 
 // Hostile input fails cleanly: every index and reference is checked
@@ -364,10 +375,9 @@ Status SerializeTableColumnar(const rel::Table& table,
          WriteU8(f, static_cast<uint8_t>(def.type)) &&
          WriteColumn(f, table.column(c), n);
   }
-  // fclose flushes the stdio buffer; its failure means a truncated file.
-  ok = (std::fclose(f) == 0) && ok;
+  Status closed = FinishWrite(f, path);
   if (!ok) return Status::ExecutionError("write failed: " + path);
-  return Status::OK();
+  return closed;
 }
 
 Result<rel::Table> LoadTableColumnar(const std::string& path) {

@@ -14,7 +14,7 @@ namespace graphgen {
 
 /// Pull-style neighbor iterator, the paper's getNeighbors() contract
 /// (§3.4). Obtained from Graph::Neighbors(u); duplicate-free for every
-/// representation (C-DUP performs on-the-fly hash-set dedup inside it).
+/// representation because it drains ForEachNeighbor.
 class NeighborIterator {
  public:
   virtual ~NeighborIterator() = default;
@@ -26,8 +26,8 @@ class NeighborIterator {
   std::vector<NodeId> ToList();
 };
 
-/// Iterator over a pre-materialized neighbor list; the default used by
-/// representations whose traversal is cheap to materialize.
+/// Iterator over a pre-materialized neighbor list, as Graph::Neighbors
+/// returns it.
 class VectorNeighborIterator : public NeighborIterator {
  public:
   explicit VectorNeighborIterator(std::vector<NodeId> items)

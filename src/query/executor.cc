@@ -35,10 +35,6 @@ struct ExecMetrics {
   obs::Counter* distinct_rows_out;
   obs::Counter* fused_pipelines;
   obs::Counter* unfused_pipelines;
-  obs::Counter* simd_scan_vector;
-  obs::Counter* simd_scan_scalar;
-  obs::Counter* simd_translate_vector;
-  obs::Counter* simd_translate_scalar;
 };
 
 const ExecMetrics& Metrics() {
@@ -54,10 +50,6 @@ const ExecMetrics& Metrics() {
     em.distinct_rows_out = r.GetCounter("query.distinct.rows_out");
     em.fused_pipelines = r.GetCounter("query.fused_pipelines");
     em.unfused_pipelines = r.GetCounter("query.unfused_pipelines");
-    em.simd_scan_vector = r.GetCounter("query.simd.scan_vector");
-    em.simd_scan_scalar = r.GetCounter("query.simd.scan_scalar");
-    em.simd_translate_vector = r.GetCounter("query.simd.translate_vector");
-    em.simd_translate_scalar = r.GetCounter("query.simd.translate_scalar");
     return em;
   }();
   return m;
@@ -215,7 +207,7 @@ Status ProjectMetadata(const ProjectNode& node, const RowIdResult& child,
 // int64 column scalar-promotes through double (Value semantics); the
 // compile step converts that bound to a pure int64 threshold once
 // (int64→double conversion is monotone, see MaxInt64WithDoubleLess), so
-// the kernel runs integer compares only — AVX2 has no epi64→pd convert.
+// the kernel runs integer compares only.
 struct CompiledPredicate {
   enum class Kind { kConst, kI64Mask, kF64Mask, kCodeTable, kGeneric };
 
@@ -229,10 +221,9 @@ struct CompiledPredicate {
   int64_t i64_eq = 0;
   simd::F64MaskOp f64_op = simd::F64MaskOp::kEq;  // kF64Mask
   double f64_bound = 0.0;
-  bool gather_ok = false;             // kCodeTable: codes fit i32 gathers
   std::vector<uint32_t> code_match;   // kCodeTable, 0/1 verdict per code
 
-  void Apply(simd::Tier tier, size_t begin, size_t end, uint8_t* keep) const;
+  void Apply(size_t begin, size_t end, uint8_t* keep) const;
 };
 
 CompiledPredicate CompilePredicate(const ColumnVector& col,
@@ -368,8 +359,6 @@ CompiledPredicate CompilePredicate(const ColumnVector& col,
     case Encoding::kDictString: {
       cp.kind = CompiledPredicate::Kind::kCodeTable;
       const rel::StringDictionary& dict = col.dict();
-      cp.gather_ok = dict.size() <= static_cast<size_t>(
-                                        std::numeric_limits<int32_t>::max());
       cp.code_match.resize(dict.size());
       for (uint32_t code = 0; code < dict.size(); ++code) {
         cp.code_match[code] =
@@ -384,23 +373,21 @@ CompiledPredicate CompilePredicate(const ColumnVector& col,
   return cp;
 }
 
-void CompiledPredicate::Apply(simd::Tier tier, size_t begin, size_t end,
-                              uint8_t* keep) const {
+void CompiledPredicate::Apply(size_t begin, size_t end, uint8_t* keep) const {
   const uint8_t* nulls = col->NullMask();
   const uint8_t* nsub = nulls != nullptr ? nulls + begin : nullptr;
   const size_t n = end - begin;
   switch (kind) {
     case Kind::kI64Mask:
-      simd::AndMaskI64(tier, i64_op, col->Int64Data() + begin, i64_bound,
-                       i64_eq, nsub, null_match, keep + begin, n);
-      return;
-    case Kind::kF64Mask:
-      simd::AndMaskF64(tier, f64_op, col->DoubleData() + begin, f64_bound,
+      simd::AndMaskI64(i64_op, col->Int64Data() + begin, i64_bound, i64_eq,
                        nsub, null_match, keep + begin, n);
       return;
+    case Kind::kF64Mask:
+      simd::AndMaskF64(f64_op, col->DoubleData() + begin, f64_bound, nsub,
+                       null_match, keep + begin, n);
+      return;
     case Kind::kCodeTable:
-      simd::AndMaskCodes(gather_ok ? tier : simd::Tier::kScalar,
-                         col->CodeData() + begin, code_match.data(), nsub,
+      simd::AndMaskCodes(col->CodeData() + begin, code_match.data(), nsub,
                          null_match, keep + begin, n);
       return;
     case Kind::kConst: {
@@ -439,10 +426,9 @@ void CompiledPredicate::Apply(simd::Tier tier, size_t begin, size_t end,
 struct CompiledSemiJoin {
   const ColumnVector* col = nullptr;
   const KeyFilter* keys = nullptr;
-  bool gather_ok = false;            // dict columns: codes fit i32 gathers
   std::vector<uint32_t> code_match;  // dict columns: per-code membership
 
-  void Apply(simd::Tier tier, size_t begin, size_t end, uint8_t* keep) const {
+  void Apply(size_t begin, size_t end, uint8_t* keep) const {
     const uint8_t* nulls = col->NullMask();
     // Hash-set membership probes are too costly to run on rows already
     // dropped, so those paths keep the per-row guard; the dictionary path
@@ -467,8 +453,7 @@ struct CompiledSemiJoin {
         // NULL placeholders store code 0, and NULL is never a member, so
         // the shared mask kernel runs with null_match = false.
         const uint8_t* nsub = nulls != nullptr ? nulls + begin : nullptr;
-        simd::AndMaskCodes(gather_ok ? tier : simd::Tier::kScalar,
-                           col->CodeData() + begin, code_match.data(), nsub,
+        simd::AndMaskCodes(col->CodeData() + begin, code_match.data(), nsub,
                            /*null_match=*/false, keep + begin, end - begin);
         return;
       }
@@ -493,8 +478,6 @@ CompiledSemiJoin CompileSemiJoin(const ColumnVector& col,
   cf.keys = sj.keys.get();
   if (col.encoding() == Encoding::kDictString) {
     const rel::StringDictionary& dict = col.dict();
-    cf.gather_ok = dict.size() <= static_cast<size_t>(
-                                      std::numeric_limits<int32_t>::max());
     cf.code_match.resize(dict.size());
     for (uint32_t code = 0; code < dict.size(); ++code) {
       cf.code_match[code] = sj.keys->strings.contains(dict.At(code)) ? 1 : 0;
@@ -1549,10 +1532,10 @@ bool WithTypedJoinKeys(const RowIdResult& build, const RowIdResult& probe,
     // deduplicated, so "strings equal" <=> "codes equal after translating
     // probe codes into the build dictionary" — one string lookup per
     // distinct probe value, zero per row. The probe side is translated in
-    // one batched pass up front (simd::TranslateCodes chains the
-    // tuple→row-id→code→build-code gathers 8 lanes at a time), so the
-    // count and emit passes both read a flat int32 array instead of
-    // re-deriving keys per probe row per pass.
+    // one batched pass up front (simd::TranslateCodes follows
+    // tuple→row-id→code→build-code per row), so the count and emit passes
+    // both read a flat int32 array instead of re-deriving keys per probe
+    // row per pass.
     const ColumnVector& bc = *bcol.col;
     const ColumnVector& pc = *pcol.col;
     const rel::StringDictionary& bd = bc.dict();
@@ -1616,23 +1599,16 @@ bool WithTypedJoinKeys(const RowIdResult& build, const RowIdResult& probe,
     // pkeys[i] = build-dictionary code of probe row i, or -1 (NULL or
     // absent from the build dictionary — joins nothing either way).
     std::vector<int32_t> pkeys(pn);
-    const simd::Tier tier = simd::ActiveTier();
     const size_t stride = probe.Width();
     const uint32_t* tuples = probe.tuples.data();
     const uint32_t* codes = pc.CodeData();
     const uint8_t* nulls = pc.NullMask();
-    const size_t max_row = pc.size();
-    bool avx2_used = false;
     const bool poll = NeedsPoll(ctx);
     StridedRun(ctx, slot, poll, 0, pn, [&](size_t b, size_t e) {
-      avx2_used |= simd::TranslateCodes(tier, tuples + b * stride, stride,
-                                        pcol.slot, codes, trans.data(), nulls,
-                                        max_row, pkeys.data() + b, e - b);
+      simd::TranslateCodes(tuples + b * stride, stride, pcol.slot, codes,
+                           trans.data(), nulls, pkeys.data() + b, e - b);
     });
     if (slot.Failed()) return true;
-    (avx2_used ? Metrics().simd_translate_vector
-               : Metrics().simd_translate_scalar)
-        ->Add(1);
     const int32_t* pk = pkeys.data();
     run(KeyTag<uint32_t>{}, [](uint32_t k) { return MixInt64(k); }, bkey,
         [pk](size_t i, uint32_t* k) {
@@ -1788,24 +1764,20 @@ Result<RowIdResult> Executor::ScanColumnar(const ScanNode& node,
           ? options_.threads
           : 1;
   const bool poll = NeedsPoll(options_.ctx);
-  const simd::Tier tier = simd::ActiveTier();
   AbortSlot slot;
   ParallelForRanges(EqualRanges(rows_in, ways), [&](size_t begin, size_t end) {
     for (size_t mb = rb + begin; mb < rb + end; mb += kScanMorselRows) {
       if (poll && !slot.Continue(options_.ctx)) return;
       const size_t me = std::min(rb + end, mb + kScanMorselRows);
       for (const CompiledPredicate& cp : preds) {
-        cp.Apply(tier, mb, me, keep.data());
+        cp.Apply(mb, me, keep.data());
       }
       for (const CompiledSemiJoin& cf : filters) {
-        cf.Apply(tier, mb, me, keep.data());
+        cf.Apply(mb, me, keep.data());
       }
     }
   });
   GRAPHGEN_RETURN_NOT_OK(slot.Take());
-  (tier == simd::Tier::kAvx2 ? Metrics().simd_scan_vector
-                             : Metrics().simd_scan_scalar)
-      ->Add(1);
   GRAPHGEN_RETURN_NOT_OK(options_.ctx.Charge(rows_in * sizeof(uint32_t),
                                              "scan selection vector"));
   out.tuples.reserve(rows_in);
@@ -1820,7 +1792,6 @@ Result<RowIdResult> Executor::ScanColumnar(const ScanNode& node,
     prof->AddStat("semi_joins", static_cast<double>(node.semi_joins().size()));
     prof->AddStat("morsels", static_cast<double>(
         (rows_in + kScanMorselRows - 1) / kScanMorselRows));
-    prof->AddNote("simd", simd::TierName());
   }
   return out;
 }
@@ -1894,7 +1865,6 @@ Result<RowIdResult> Executor::RunHashJoin(const HashJoinNode& join,
                                        static_cast<double>(info.capacity));
     }
     prof->AddNote("build_side", build_left ? "left" : "right");
-    prof->AddNote("simd", simd::TierName());
   }
   return joined;
 }

@@ -5,61 +5,6 @@
 
 namespace graphgen {
 
-namespace {
-
-/// DFS-based lazy iterator over the condensed structure that skips
-/// duplicate real targets using a hash set (C-DUP getNeighbors, §4.3).
-class CDupNeighborIterator : public NeighborIterator {
- public:
-  CDupNeighborIterator(const CondensedStorage* storage, NodeId u)
-      : storage_(storage), u_(u) {
-    if (u < storage_->NumRealNodes() && !storage_->IsDeleted(u)) {
-      const auto& out = storage_->OutEdges(NodeRef::Real(u));
-      stack_.assign(out.begin(), out.end());
-    }
-    AdvanceToNext();
-  }
-
-  bool HasNext() override { return has_next_; }
-
-  NodeId Next() override {
-    NodeId result = next_;
-    AdvanceToNext();
-    return result;
-  }
-
- private:
-  void AdvanceToNext() {
-    has_next_ = false;
-    while (!stack_.empty()) {
-      NodeRef r = stack_.back();
-      stack_.pop_back();
-      if (r.is_real()) {
-        NodeId v = r.index();
-        if (v == u_ || storage_->IsDeleted(v) || !seen_.insert(v).second) continue;
-        next_ = v;
-        has_next_ = true;
-        return;
-      }
-      const auto& out = storage_->OutEdges(r);
-      stack_.insert(stack_.end(), out.begin(), out.end());
-    }
-  }
-
-  const CondensedStorage* storage_;
-  NodeId u_;
-  std::vector<NodeRef> stack_;
-  std::unordered_set<NodeId> seen_;
-  NodeId next_ = kInvalidNode;
-  bool has_next_ = false;
-};
-
-}  // namespace
-
-std::unique_ptr<NeighborIterator> CDupGraph::Neighbors(NodeId u) const {
-  return std::make_unique<CDupNeighborIterator>(&storage_, u);
-}
-
 bool CDupGraph::ExistsEdge(NodeId u, NodeId v) const {
   if (!VertexExists(u) || !VertexExists(v) || u == v) return false;
   // DFS from u_s, terminating as soon as v_t is reached. Virtual nodes are

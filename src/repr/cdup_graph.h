@@ -34,10 +34,6 @@ class CDupGraph : public Graph {
     storage_.ForEachExpandedNeighbor(u, fn);
   }
 
-  /// Lazy DFS iterator with on-the-fly hash-set dedup (the representation-
-  /// defining operation of C-DUP).
-  std::unique_ptr<NeighborIterator> Neighbors(NodeId u) const override;
-
   bool ExistsEdge(NodeId u, NodeId v) const override;
   Status AddEdge(NodeId u, NodeId v) override;
   Status DeleteEdge(NodeId u, NodeId v) override;

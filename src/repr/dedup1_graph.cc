@@ -5,58 +5,6 @@
 
 namespace graphgen {
 
-namespace {
-
-/// Lazy DFS iterator without a seen-set (valid because DEDUP-1 graphs are
-/// duplication-free).
-class Dedup1NeighborIterator : public NeighborIterator {
- public:
-  Dedup1NeighborIterator(const CondensedStorage* storage, NodeId u)
-      : storage_(storage), u_(u) {
-    if (u < storage_->NumRealNodes() && !storage_->IsDeleted(u)) {
-      const auto& out = storage_->OutEdges(NodeRef::Real(u));
-      stack_.assign(out.begin(), out.end());
-    }
-    AdvanceToNext();
-  }
-
-  bool HasNext() override { return has_next_; }
-  NodeId Next() override {
-    NodeId result = next_;
-    AdvanceToNext();
-    return result;
-  }
-
- private:
-  void AdvanceToNext() {
-    has_next_ = false;
-    while (!stack_.empty()) {
-      NodeRef r = stack_.back();
-      stack_.pop_back();
-      if (r.is_real()) {
-        if (r.index() == u_ || storage_->IsDeleted(r.index())) continue;
-        next_ = r.index();
-        has_next_ = true;
-        return;
-      }
-      const auto& out = storage_->OutEdges(r);
-      stack_.insert(stack_.end(), out.begin(), out.end());
-    }
-  }
-
-  const CondensedStorage* storage_;
-  NodeId u_;
-  std::vector<NodeRef> stack_;
-  NodeId next_ = kInvalidNode;
-  bool has_next_ = false;
-};
-
-}  // namespace
-
-std::unique_ptr<NeighborIterator> Dedup1Graph::Neighbors(NodeId u) const {
-  return std::make_unique<Dedup1NeighborIterator>(&storage_, u);
-}
-
 bool Dedup1Graph::ExistsEdge(NodeId u, NodeId v) const {
   if (!VertexExists(u) || !VertexExists(v) || u == v) return false;
   std::vector<NodeRef> stack;

@@ -34,8 +34,6 @@ class Dedup1Graph : public Graph {
     storage_.ForEachPathNeighbor(u, fn);
   }
 
-  std::unique_ptr<NeighborIterator> Neighbors(NodeId u) const override;
-
   bool ExistsEdge(NodeId u, NodeId v) const override;
   Status AddEdge(NodeId u, NodeId v) override;
   Status DeleteEdge(NodeId u, NodeId v) override;

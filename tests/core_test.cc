@@ -460,6 +460,21 @@ TEST(SerializationTest, CondensedRoundTrip) {
   std::remove(path.c_str());
 }
 
+// /dev/full accepts the open and every buffered write, then fails the
+// flush with ENOSPC: a writer that ignored fclose would report success
+// for a truncated file.
+TEST(SerializationTest, WritersReportFailedFlush) {
+  FILE* probe = fopen("/dev/full", "w");
+  if (probe == nullptr) GTEST_SKIP() << "/dev/full is not available";
+  fclose(probe);
+  CondensedStorage storage = MakeRandomSymmetric(40, 15, 5, 9);
+  const Status edges = SerializeEdgeList(CDupGraph(storage), "/dev/full");
+  EXPECT_EQ(edges.code(), StatusCode::kExecutionError) << edges.ToString();
+  const Status condensed = SerializeCondensed(storage, "/dev/full");
+  EXPECT_EQ(condensed.code(), StatusCode::kExecutionError)
+      << condensed.ToString();
+}
+
 TEST(SerializationTest, LoadRejectsGarbage) {
   std::string path = ::testing::TempDir() + "/garbage.cnd";
   FILE* f = fopen(path.c_str(), "w");

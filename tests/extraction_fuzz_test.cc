@@ -20,7 +20,6 @@
 #include "reference_extractor.h"
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "datalog/parser.h"
 #include "planner/extractor.h"
 #include "planner/incremental.h"
@@ -255,32 +254,6 @@ TEST(ExtractionFuzzTest, AppendThenPatchMatchesColdExtraction) {
       EXPECT_EQ(testing::DiffAgainstReference(attempt->result.storage, ref),
                 "")
           << "factor=" << factor;
-    }
-  }
-}
-
-// Forced-SIMD-tier axis: the same randomized cases extracted with the
-// dispatch pinned to scalar (the GRAPHGEN_SIMD=off path) must match the
-// vector-tier run bit for bit and the reference graph — the end-to-end
-// guarantee behind the per-kernel parity tests in simd_test.cc.
-TEST(ExtractionFuzzTest, ForcedScalarSimdTierMatchesVectorTier) {
-  struct TierReset {
-    ~TierReset() { simd::ResetTierForTesting(); }
-  } reset;
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    FuzzCase fc = MakeCase(seed * 0x9e3779b97f4a7c15ull + seed);
-    SCOPED_TRACE("seed=" + std::to_string(seed) + " " + fc.description);
-    const testing::ReferenceGraph ref = Reference(fc);
-    for (double factor : {0.0, 2.0, 1e18}) {
-      simd::ResetTierForTesting();
-      const ExtractionResult vec = RunExtract(fc, factor, 4);
-      simd::SetTierForTesting(simd::Tier::kScalar);
-      const ExtractionResult scalar = RunExtract(fc, factor, 4);
-      EXPECT_EQ(testing::DiffAgainstReference(scalar.storage, ref), "")
-          << "factor=" << factor << " scalar tier vs reference";
-      EXPECT_EQ(DiffExtraction(vec, scalar), "")
-          << "factor=" << factor << " scalar tier vs "
-          << (simd::Avx2Available() ? "avx2" : "scalar") << " tier";
     }
   }
 }

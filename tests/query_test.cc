@@ -5,7 +5,6 @@
 #include <set>
 #include <unordered_set>
 
-#include "common/simd.h"
 #include "fused_join_input.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
@@ -250,10 +249,8 @@ TEST(ExecutorTest, LargeJoinMatchesPerKeyExpectation) {
 // load, i.e. at 114,688 keys; the join tables are presized for their
 // build keys. 120,000 keys, each on two rows, make the single-partition
 // DISTINCT grow and give the join tables as many keys. Both are checked
-// against ordered-container oracles at 1 and 4 threads, with the SIMD
-// dispatch pinned to scalar and without, and must be identical in all
-// four runs.
-TEST(ExecutorTest, LargeKeySetsGrowAndMatchOracleOnBothTiers) {
+// against ordered-container oracles at 1 and 4 threads.
+TEST(ExecutorTest, LargeKeySetsGrowAndMatchOracle) {
   constexpr int64_t kKeys = 120000;
   Database db;
   Table t("G", Schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}}));
@@ -292,21 +289,16 @@ TEST(ExecutorTest, LargeKeySetsGrowAndMatchOracleOnBothTiers) {
     }
   }
 
-  for (bool scalar : {false, true}) {
-    if (scalar) simd::SetTierForTesting(simd::Tier::kScalar);
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "scalar=" << scalar << " threads=" << threads);
-      Executor ex(&db, WithThreads(threads));
-      auto d = ex.ExecuteColumnar(distinct);
-      ASSERT_TRUE(d.ok()) << d.status().ToString();
-      EXPECT_EQ(d->tuples, want_distinct);
-      auto j = ex.ExecuteColumnar(join);
-      ASSERT_TRUE(j.ok()) << j.status().ToString();
-      EXPECT_EQ(j->tuples, want_join);
-    }
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    Executor ex(&db, WithThreads(threads));
+    auto d = ex.ExecuteColumnar(distinct);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    EXPECT_EQ(d->tuples, want_distinct);
+    auto j = ex.ExecuteColumnar(join);
+    ASSERT_TRUE(j.ok()) << j.status().ToString();
+    EXPECT_EQ(j->tuples, want_join);
   }
-  simd::ResetTierForTesting();
 }
 
 TEST(ExecutorTest, ExecuteColumnarIsLazyUntilMaterialize) {

@@ -1,18 +1,13 @@
-// SIMD kernel parity: every vector kernel in common/simd.h must produce
-// byte-identical output to the scalar tier on arbitrary inputs. The
-// tests drive both tiers explicitly (Tier::kScalar vs Tier::kAvx2 — on
-// machines without AVX2 the second run degrades to scalar and the
-// comparison is trivially green) and additionally check both against an
-// independent straight-line reference, so a shared bug in the dispatch
-// wrappers cannot hide. Inputs sweep predicate ops, NULL densities,
-// dictionary cardinalities, unaligned base pointers, and short tails —
-// every length from 0 through a few vector widths plus spill.
+// Kernel checks for common/simd.h: every scan-mask and translation kernel
+// must match an independent straight-line reference byte for byte on
+// arbitrary inputs. Inputs sweep predicate ops, NULL densities, NaN and
+// signed zeros and infinities, dictionary cardinalities, strides,
+// unaligned base pointers, and every short length from 0 to 40.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -25,18 +20,11 @@ namespace {
 constexpr int64_t kI64Min = std::numeric_limits<int64_t>::min();
 constexpr int64_t kI64Max = std::numeric_limits<int64_t>::max();
 
-// Lengths that cover empty, sub-vector, exact-vector, and vector+tail.
+// Lengths that cover empty, short, and 16/32-element boundaries.
 const size_t kLengths[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 40};
 // Misalignment of the base pointers relative to the allocation.
 const size_t kOffsets[] = {0, 1, 3};
 const double kNullRates[] = {0.0, 0.1, 0.5, 1.0};
-
-// The tier to exercise the vector kernels with. Passing kAvx2 into a
-// kernel runs the AVX2 body unconditionally, so on hardware without it
-// the "vector" leg must degrade to scalar (making the comparison
-// trivially green there — CI's scalar-only matrix leg covers that
-// build, and AVX2 machines cover the interesting one).
-Tier VecTier() { return Avx2Available() ? Tier::kAvx2 : Tier::kScalar; }
 
 std::vector<uint8_t> RandomKeep(Rng& rng, size_t n, size_t pad) {
   std::vector<uint8_t> keep(n + pad);
@@ -84,19 +72,12 @@ double InterestingF64(Rng& rng, double center) {
   }
 }
 
-TEST(SimdDispatchTest, TestingPinOverridesAndResets) {
-  SetTierForTesting(Tier::kScalar);
-  EXPECT_EQ(ActiveTier(), Tier::kScalar);
-  EXPECT_STREQ(TierName(), "scalar");
-  SetTierForTesting(Tier::kAvx2);
-  if (Avx2Available()) {
-    EXPECT_EQ(ActiveTier(), Tier::kAvx2);
-    EXPECT_STREQ(TierName(), "avx2");
-  } else {
-    EXPECT_EQ(ActiveTier(), Tier::kScalar);
-  }
-  ResetTierForTesting();
-  EXPECT_NE(TierDescription(), nullptr);
+TEST(SimdTierTest, TierNameIsFixedPerBuild) {
+#ifdef GRAPHGEN_SIMD_X86_64
+  EXPECT_STREQ(TierName(), "sse2");
+#else
+  EXPECT_STREQ(TierName(), "portable");
+#endif
 }
 
 TEST(SimdThresholdTest, MaxInt64WithDoubleLess) {
@@ -163,7 +144,7 @@ TEST(SimdThresholdTest, MinInt64WithDoubleGreater) {
   }
 }
 
-TEST(SimdMaskTest, AndMaskI64ParityAcrossTiers) {
+TEST(SimdMaskTest, AndMaskI64MatchesReference) {
   Rng rng(1);
   const I64MaskOp ops[] = {I64MaskOp::kLe,     I64MaskOp::kGe,
                            I64MaskOp::kEq,     I64MaskOp::kNe,
@@ -180,8 +161,6 @@ TEST(SimdMaskTest, AndMaskI64ParityAcrossTiers) {
           std::vector<uint8_t> nulls = RandomNulls(rng, n, off, null_rate);
           const bool null_match = rng.NextBool(0.5);
           std::vector<uint8_t> keep = RandomKeep(rng, n, off);
-          std::vector<uint8_t> keep_scalar = keep;
-          std::vector<uint8_t> keep_vec = keep;
 
           // Independent reference.
           std::vector<uint8_t> want = keep;
@@ -213,13 +192,9 @@ TEST(SimdMaskTest, AndMaskI64ParityAcrossTiers) {
           }
 
           const uint8_t* np = use_nulls ? nulls.data() + off : nullptr;
-          AndMaskI64(Tier::kScalar, op, data.data() + off, bound, eq, np,
-                     null_match, keep_scalar.data() + off, n);
-          AndMaskI64(VecTier(), op, data.data() + off, bound, eq, np,
-                     null_match, keep_vec.data() + off, n);
-          ASSERT_EQ(keep_scalar, want)
-              << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
-          ASSERT_EQ(keep_vec, keep_scalar)
+          AndMaskI64(op, data.data() + off, bound, eq, np, null_match,
+                     keep.data() + off, n);
+          ASSERT_EQ(keep, want)
               << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
         }
       }
@@ -227,7 +202,7 @@ TEST(SimdMaskTest, AndMaskI64ParityAcrossTiers) {
   }
 }
 
-TEST(SimdMaskTest, AndMaskF64ParityAcrossTiers) {
+TEST(SimdMaskTest, AndMaskF64MatchesReference) {
   Rng rng(2);
   const F64MaskOp ops[] = {F64MaskOp::kLt, F64MaskOp::kLe, F64MaskOp::kGt,
                            F64MaskOp::kGe, F64MaskOp::kEq, F64MaskOp::kNe};
@@ -243,8 +218,6 @@ TEST(SimdMaskTest, AndMaskF64ParityAcrossTiers) {
           std::vector<uint8_t> nulls = RandomNulls(rng, n, off, null_rate);
           const bool null_match = rng.NextBool(0.5);
           std::vector<uint8_t> keep = RandomKeep(rng, n, off);
-          std::vector<uint8_t> keep_scalar = keep;
-          std::vector<uint8_t> keep_vec = keep;
 
           std::vector<uint8_t> want = keep;
           for (size_t i = 0; i < n; ++i) {
@@ -275,13 +248,9 @@ TEST(SimdMaskTest, AndMaskF64ParityAcrossTiers) {
           }
 
           const uint8_t* np = use_nulls ? nulls.data() + off : nullptr;
-          AndMaskF64(Tier::kScalar, op, data.data() + off, bound, np,
-                     null_match, keep_scalar.data() + off, n);
-          AndMaskF64(VecTier(), op, data.data() + off, bound, np, null_match,
-                     keep_vec.data() + off, n);
-          ASSERT_EQ(keep_scalar, want)
-              << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
-          ASSERT_EQ(keep_vec, keep_scalar)
+          AndMaskF64(op, data.data() + off, bound, np, null_match,
+                     keep.data() + off, n);
+          ASSERT_EQ(keep, want)
               << "op=" << static_cast<int>(op) << " n=" << n << " off=" << off;
         }
       }
@@ -289,7 +258,7 @@ TEST(SimdMaskTest, AndMaskF64ParityAcrossTiers) {
   }
 }
 
-TEST(SimdMaskTest, AndMaskCodesParityAcrossCardinalities) {
+TEST(SimdMaskTest, AndMaskCodesMatchesReferenceAcrossCardinalities) {
   Rng rng(3);
   const size_t cardinalities[] = {1, 2, 17, 300, 70000};
   for (const size_t card : cardinalities) {
@@ -306,8 +275,6 @@ TEST(SimdMaskTest, AndMaskCodesParityAcrossCardinalities) {
           std::vector<uint8_t> nulls = RandomNulls(rng, n, off, null_rate);
           const bool null_match = rng.NextBool(0.5);
           std::vector<uint8_t> keep = RandomKeep(rng, n, off);
-          std::vector<uint8_t> keep_scalar = keep;
-          std::vector<uint8_t> keep_vec = keep;
 
           std::vector<uint8_t> want = keep;
           for (size_t i = 0; i < n; ++i) {
@@ -317,19 +284,16 @@ TEST(SimdMaskTest, AndMaskCodesParityAcrossCardinalities) {
           }
 
           const uint8_t* np = use_nulls ? nulls.data() + off : nullptr;
-          AndMaskCodes(Tier::kScalar, codes.data() + off, table.data(), np,
-                       null_match, keep_scalar.data() + off, n);
-          AndMaskCodes(VecTier(), codes.data() + off, table.data(), np,
-                       null_match, keep_vec.data() + off, n);
-          ASSERT_EQ(keep_scalar, want) << "card=" << card << " n=" << n;
-          ASSERT_EQ(keep_vec, keep_scalar) << "card=" << card << " n=" << n;
+          AndMaskCodes(codes.data() + off, table.data(), np, null_match,
+                       keep.data() + off, n);
+          ASSERT_EQ(keep, want) << "card=" << card << " n=" << n;
         }
       }
     }
   }
 }
 
-TEST(SimdTranslateTest, TranslateCodesParity) {
+TEST(SimdTranslateTest, TranslateCodesMatchesReference) {
   Rng rng(4);
   const size_t strides[] = {1, 2, 3, 5};
   const size_t cardinalities[] = {1, 9, 1000};
@@ -338,16 +302,16 @@ TEST(SimdTranslateTest, TranslateCodesParity) {
       for (const bool with_nulls : {false, true}) {
         for (const size_t n : kLengths) {
           const size_t slot = rng.NextBounded(stride);
-          const size_t max_row = 10 + rng.NextBounded(500);
+          const size_t rows = 10 + rng.NextBounded(500);
           std::vector<uint32_t> tuples(n * stride);
           for (auto& t : tuples) {
-            t = static_cast<uint32_t>(rng.NextBounded(max_row));
+            t = static_cast<uint32_t>(rng.NextBounded(rows));
           }
-          std::vector<uint32_t> codes(max_row);
+          std::vector<uint32_t> codes(rows);
           for (auto& c : codes) {
             c = static_cast<uint32_t>(rng.NextBounded(card));
           }
-          std::vector<uint8_t> nulls(max_row);
+          std::vector<uint8_t> nulls(rows);
           for (auto& v : nulls) v = static_cast<uint8_t>(rng.NextBool(0.2));
           std::vector<int32_t> trans(card);
           for (size_t c = 0; c < card; ++c) {
@@ -363,43 +327,15 @@ TEST(SimdTranslateTest, TranslateCodesParity) {
           }
 
           const uint8_t* np = with_nulls ? nulls.data() : nullptr;
-          std::vector<int32_t> out_scalar(n, 42);
-          std::vector<int32_t> out_vec(n, 43);
-          const bool vs = TranslateCodes(Tier::kScalar, tuples.data(), stride,
-                                         slot, codes.data(), trans.data(), np,
-                                         max_row, out_scalar.data(), n);
-          EXPECT_FALSE(vs);
-          const bool vv = TranslateCodes(VecTier(), tuples.data(), stride,
-                                         slot, codes.data(), trans.data(), np,
-                                         max_row, out_vec.data(), n);
-          // The vector path must refuse NULL-masked inputs (it cannot see
-          // the mask); without nulls it may or may not run depending on
-          // the build/CPU, but the answer never changes.
-          if (with_nulls) {
-            EXPECT_FALSE(vv);
-          }
-          ASSERT_EQ(out_scalar, want)
-              << "stride=" << stride << " card=" << card << " n=" << n;
-          ASSERT_EQ(out_vec, out_scalar)
+          std::vector<int32_t> out(n, 42);
+          TranslateCodes(tuples.data(), stride, slot, codes.data(),
+                         trans.data(), np, out.data(), n);
+          ASSERT_EQ(out, want)
               << "stride=" << stride << " card=" << card << " n=" << n;
         }
       }
     }
   }
-}
-
-TEST(SimdTranslateTest, TranslateCodesRefusesOversizedIndices) {
-  // max_row beyond INT32_MAX must force the scalar path (gather lanes are
-  // signed 32-bit). The data itself stays tiny.
-  std::vector<uint32_t> tuples = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<uint32_t> codes(8, 0);
-  std::vector<int32_t> trans = {7};
-  std::vector<int32_t> out(8);
-  const bool vec = TranslateCodes(
-      VecTier(), tuples.data(), 1, 0, codes.data(), trans.data(),
-      /*nulls=*/nullptr, static_cast<size_t>(INT32_MAX) + 1, out.data(), 8);
-  EXPECT_FALSE(vec);
-  for (int32_t v : out) EXPECT_EQ(v, 7);
 }
 
 TEST(SimdTagTest, TagHelpersMatchScalarDefinition) {

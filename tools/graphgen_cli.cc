@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -21,13 +22,14 @@
 #include "algos/kcore.h"
 #include "algos/pagerank.h"
 #include "common/memory.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/graphgen.h"
 #include "core/serialization.h"
 #include "gen/relational_generators.h"
 #include "obs/profile.h"
 #include "relational/csv_loader.h"
+
+#include "arg_parse.h"
 
 namespace {
 
@@ -61,7 +63,9 @@ void PrintUsage() {
       "                                  the operator tree");
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions* opts) {
+// Returns 0 when `opts` is ready to run, else the exit status: 2 for a
+// malformed argument value, 1 for any other argument error.
+int ParseArgs(int argc, char** argv, CliOptions* opts) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value_of = [&](const char* prefix) -> const char* {
@@ -71,13 +75,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
     if (const char* v = value_of("--dataset=")) {
       opts->dataset = v;
     } else if (const char* v = value_of("--scale=")) {
-      opts->scale = std::atof(v);
+      const std::optional<double> scale = tools::ParseScale(v);
+      if (!scale.has_value()) {
+        std::fprintf(stderr, "bad --scale '%s': want %s\n", v,
+                     tools::kScaleRange);
+        return 2;
+      }
+      opts->scale = *scale;
     } else if (const char* v = value_of("--csv=")) {
       std::string spec = v;
       size_t eq = spec.find('=');
       if (eq == std::string::npos) {
         std::fprintf(stderr, "bad --csv spec: %s\n", v);
-        return false;
+        return 1;
       }
       opts->csv_tables[spec.substr(0, eq)] = spec.substr(eq + 1);
     } else if (const char* v = value_of("--query=")) {
@@ -94,13 +104,13 @@ bool ParseArgs(int argc, char** argv, CliOptions* opts) {
       opts->force_condensed = true;
     } else if (arg == "--help" || arg == "-h") {
       PrintUsage();
-      return false;
+      return 1;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
+      return 1;
     }
   }
-  return true;
+  return 0;
 }
 
 Result<Representation> ParseRepr(const std::string& name) {
@@ -187,7 +197,6 @@ int Run(const CliOptions& opts) {
   if (opts.force_condensed) options.extract.large_output_factor = 0.0;
 
   GraphGen engine(&db);
-  std::printf("SIMD dispatch: %s\n", simd::TierDescription());
   WallTimer timer;
   auto extracted = engine.Extract(query, options);
   if (!extracted.ok()) {
@@ -273,6 +282,8 @@ int Run(const CliOptions& opts) {
 
 int main(int argc, char** argv) {
   CliOptions opts;
-  if (!ParseArgs(argc, argv, &opts)) return 1;
+  if (const int status = ParseArgs(argc, argv, &opts); status != 0) {
+    return status;
+  }
   return Run(opts);
 }

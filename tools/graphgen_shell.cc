@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,13 +31,14 @@
 #include "algos/triangles.h"
 #include "common/faultpoints.h"
 #include "common/memory.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "gen/relational_generators.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "relational/csv_loader.h"
 #include "service/graph_service.h"
+
+#include "arg_parse.h"
 
 namespace {
 
@@ -117,7 +119,16 @@ void CmdOpen(ShellState& state, const std::vector<std::string>& args) {
     std::puts("usage: open <dblp|imdb|tpch|univ> [scale]");
     return;
   }
-  const double s = args.size() > 2 ? std::atof(args[2].c_str()) : 1.0;
+  double s = 1.0;
+  if (args.size() > 2) {
+    const std::optional<double> scale = tools::ParseScale(args[2]);
+    if (!scale.has_value()) {
+      std::printf("bad scale '%s': want %s\n", args[2].c_str(),
+                  tools::kScaleRange);
+      return;
+    }
+    s = *scale;
+  }
   gen::GeneratedDatabase generated;
   if (args[1] == "dblp") {
     generated = gen::MakeDblpLike(static_cast<size_t>(4000 * s),
@@ -360,7 +371,6 @@ void CmdStats(const ShellState& state) {
       "flat views          %llu resident (%llu CSR builds)\n"
       "registry            %llu named graphs\n"
       "workers             %llu threads\n"
-      "simd                %s\n"
       "database            %s\n",
       static_cast<unsigned long long>(s.requests),
       static_cast<unsigned long long>(s.cache_hits),
@@ -383,7 +393,7 @@ void CmdStats(const ShellState& state) {
       static_cast<unsigned long long>(s.csr_builds),
       static_cast<unsigned long long>(s.named_graphs),
       static_cast<unsigned long long>(s.worker_threads),
-      simd::TierDescription(), FormatBytes(state.db.MemoryBytes()).c_str());
+      FormatBytes(state.db.MemoryBytes()).c_str());
   std::printf("\nservice metrics:\n%s",
               obs::FormatSnapshot(state.svc->MetricsSnapshot()).c_str());
   std::printf("\nengine metrics (process-wide):\n%s",
@@ -611,7 +621,13 @@ int main(int argc, char** argv) {
     if (const char* v = value_of("--dataset=")) {
       dataset = v;
     } else if (const char* v = value_of("--budget-mb=")) {
-      state.budget_bytes = static_cast<size_t>(std::atof(v) * (1 << 20));
+      const std::optional<size_t> budget = tools::ParseBudgetMb(v);
+      if (!budget.has_value()) {
+        std::fprintf(stderr, "bad --budget-mb '%s': want %s\n", v,
+                     tools::kBudgetMbRange);
+        return 2;
+      }
+      state.budget_bytes = *budget;
     } else if (const char* v = value_of("--threads=")) {
       state.threads = static_cast<size_t>(std::atol(v));
     } else if (const char* v = value_of("--script=")) {
