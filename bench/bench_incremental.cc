@@ -6,13 +6,14 @@
 // incremental basis there (GraphGenOptions::capture_incremental), appends
 // the withheld tails, and then times GraphGen::PatchExtracted against a
 // cold GraphGen::Extract over the grown database. Representation is EXP,
-// so every patch merges the expanded delta into fresh flat arrays.
+// so every patch merges the expanded delta into a fresh flat out-CSR.
 //
 // Parity is enforced on every run, else the process exits non-zero: the
 // patched condensed extraction must be bitwise identical (DiffExtraction,
 // scan counts excluded) to a cold planner extraction of the grown
 // database, and the patched EXP graph must be flat and match a cold EXP
-// extraction in vertex count and expanded edge set. In full mode the
+// extraction in vertex count and expanded edge set, and must carry the
+// merge's exp_merge profile node. In full mode the
 // harness additionally gates the headline claim: a 1% TPC-H append must
 // patch in at most 10% of the cold time.
 // The gate is TPC-H-only by design — patching wins where the cold join
@@ -20,12 +21,19 @@
 // delta passes' full-table semi-join scans cost about as much as simply
 // re-extracting, and the table rows document that crossover.
 //
+// Each row also splits the EXP patch from that node: raw_candidates (the
+// expanded pairs before dedup), delta_pairs (after dedup), and the
+// fastest iteration's sort_ms and merge_ms (one counting sort of the
+// packed pairs, one linear FlatAdjacency::Merge into the basis).
+//
 // Writes a JSON summary (default BENCH_incremental.json, override with
 // --out=<path>). --smoke shrinks the datasets and runs one iteration,
 // keeping the parity gate as a CI check.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -35,6 +43,7 @@
 #include "common/timer.h"
 #include "core/graphgen.h"
 #include "gen/relational_generators.h"
+#include "obs/profile.h"
 #include "planner/extractor.h"
 #include "planner/incremental.h"
 #include "relational/database.h"
@@ -52,7 +61,34 @@ struct Row {
   double cold_ms = 0;
   double patch_ms = 0;
   double patch_over_cold = 0;
+  double raw_candidates = 0;
+  double delta_pairs = 0;
+  double sort_ms = std::numeric_limits<double>::infinity();
+  double merge_ms = std::numeric_limits<double>::infinity();
 };
+
+// Folds one patched graph's exp_merge profile node into `row`: the pair
+// counts, and the minimum sort and merge times over the calls. Exits
+// non-zero when the node is missing.
+void RecordMerge(const ExtractedGraph& patched, Row& row) {
+  const obs::ProfileNode* merge = nullptr;
+  for (const obs::ProfileNode& child : patched.stats.profile.root.children) {
+    if (child.name == "exp_merge") merge = &child;
+  }
+  if (merge == nullptr) {
+    std::fprintf(stderr, "[%s] patched EXP graph has no exp_merge node\n",
+                 row.dataset.c_str());
+    std::exit(1);
+  }
+  for (const auto& [key, value] : merge->stats) {
+    if (key == "raw_candidates") row.raw_candidates = value;
+    if (key == "delta_pairs") row.delta_pairs = value;
+  }
+  for (const obs::ProfileNode& phase : merge->children) {
+    double& ms = phase.name == "sort" ? row.sort_ms : row.merge_ms;
+    ms = std::min(ms, phase.seconds * 1e3);
+  }
+}
 
 // Truncates every table of `full` to a (1 - fraction) prefix, returning
 // the prefix database and the withheld tail rows per table.
@@ -158,6 +194,7 @@ Row BenchOne(const std::string& name, const gen::GeneratedDatabase& data,
                    exp.NumVertices(), cold_exp.NumVertices());
       std::exit(1);
     }
+    RecordMerge(patched->graph, row);
   }
 
   // Cold: full pipeline over the grown database (no capture — the
@@ -174,6 +211,7 @@ Row BenchOne(const std::string& name, const gen::GeneratedDatabase& data,
   row.patch_ms = bench::MinMs(iters, [&] {
     auto outcome = engine.PatchExtracted(*basis, options);
     if (!outcome.ok() || !outcome->patched) std::exit(1);
+    RecordMerge(outcome->graph, row);
   });
   row.patch_over_cold = row.cold_ms > 0 ? row.patch_ms / row.cold_ms : 0;
   return row;
@@ -195,9 +233,12 @@ void WriteJson(const std::string& path, double scale,
                  "    {\"dataset\": \"%s\", \"append_fraction\": %g, "
                  "\"rows_total\": %zu, \"rows_delta\": %zu, "
                  "\"cold_ms\": %.3f, \"patch_ms\": %.3f, "
-                 "\"patch_over_cold\": %.4f}%s\n",
+                 "\"patch_over_cold\": %.4f, \"raw_candidates\": %.0f, "
+                 "\"delta_pairs\": %.0f, \"sort_ms\": %.3f, "
+                 "\"merge_ms\": %.3f}%s\n",
                  r.dataset.c_str(), r.fraction, r.rows_total, r.rows_delta,
-                 r.cold_ms, r.patch_ms, r.patch_over_cold,
+                 r.cold_ms, r.patch_ms, r.patch_over_cold, r.raw_candidates,
+                 r.delta_pairs, r.sort_ms, r.merge_ms,
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -5,7 +5,6 @@
 
 #include "common/cancel.h"
 #include "common/faultpoints.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "core/representation_picker.h"
 #include "datalog/parser.h"
@@ -14,6 +13,7 @@
 #include "dedup/dedup1_algorithms.h"
 #include "dedup/dedup2_builder.h"
 #include "graph/flat_adjacency.h"
+#include "obs/profile.h"
 #include "planner/preprocess.h"
 #include "repr/cdup_graph.h"
 #include "repr/expander.h"
@@ -92,10 +92,11 @@ namespace {
 // self paths skipped), so the work is proportional to the expanded delta
 // rather than to the full neighborhoods of every touched vertex.
 //
-// The sorted delta is merged with the basis into fresh flat arrays, one
-// linear pass per direction (FlatAdjacency::Merge), so every patched graph
-// is flat. The basis is read through RawNeighbors/RawInNeighbors, so
-// edges a §3.4 mutation left in its copy-on-write overlay carry over.
+// The sorted delta is merged with the basis into a fresh flat adjacency in
+// one linear pass (FlatAdjacency::Merge), so every patched graph is flat.
+// The basis is read through RawNeighbors, so edges a §3.4 mutation left in
+// its copy-on-write overlay carry over. `profile` receives the candidate
+// and delta counts and the sort and merge times.
 // Runs against the *pre-preprocess* canonical graph `storage`: expansion
 // is the transitive closure through virtuals, which §4.2 Step 6
 // preprocessing does not change, and the patch's edge refs are numbered
@@ -103,7 +104,7 @@ namespace {
 Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     const ExpandedGraph& basis, const CondensedStorage& storage,
     const std::vector<std::pair<NodeRef, NodeRef>>& new_edges,
-    const GraphGenOptions& options) {
+    const GraphGenOptions& options, obs::ProfileNode& profile) {
   const ExecContext& ctx = options.extract.ctx;
   const size_t n = storage.NumRealNodes();
   const size_t basis_n = basis.NumVertices();
@@ -183,48 +184,30 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     }
   }
 
+  profile.AddStat("raw_candidates", static_cast<double>(keys.size()));
+
+  WallTimer sort_timer;
   std::vector<uint64_t> sort_tmp;
   std::vector<uint32_t> sort_counts;
-  auto counting_sort = [&](std::vector<uint64_t>& v, auto key_of) {
+  auto counting_sort = [&](auto key_of) {
     sort_counts.assign(n + 1, 0);
-    for (const uint64_t k : v) ++sort_counts[key_of(k) + 1];
+    for (const uint64_t k : keys) ++sort_counts[key_of(k) + 1];
     for (size_t i = 1; i <= n; ++i) sort_counts[i] += sort_counts[i - 1];
-    sort_tmp.resize(v.size());
-    for (const uint64_t k : v) sort_tmp[sort_counts[key_of(k)]++] = k;
-    v.swap(sort_tmp);
+    sort_tmp.resize(keys.size());
+    for (const uint64_t k : keys) sort_tmp[sort_counts[key_of(k)]++] = k;
+    keys.swap(sort_tmp);
   };
-  auto lo32 = [](uint64_t k) { return static_cast<uint32_t>(k); };
-  auto hi32 = [](uint64_t k) { return static_cast<uint32_t>(k >> 32); };
-  counting_sort(keys, lo32);
-  counting_sort(keys, hi32);
+  counting_sort([](uint64_t k) { return static_cast<uint32_t>(k); });
+  counting_sort([](uint64_t k) { return static_cast<uint32_t>(k >> 32); });
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  std::vector<uint64_t> reversed;
-  reversed.reserve(keys.size());
-  for (const uint64_t k : keys) {
-    reversed.push_back(k << 32 | k >> 32);
-  }
-  counting_sort(reversed, lo32);
-  counting_sort(reversed, hi32);
+  profile.AddChild("sort")->seconds = sort_timer.Seconds();
+  profile.AddStat("delta_pairs", static_cast<double>(keys.size()));
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
 
-  FlatAdjacency out, in;
-  // The two directions stream independent arrays; overlap them unless the
-  // caller asked for a single-threaded pipeline.
-  auto build_out = [&] {
-    out = FlatAdjacency::Merge(
-        n, basis_n, [&](NodeId u) { return basis.RawNeighbors(u); }, keys);
-  };
-  auto build_in = [&] {
-    in = FlatAdjacency::Merge(
-        n, basis_n, [&](NodeId u) { return basis.RawInNeighbors(u); },
-        reversed);
-  };
-  if (options.extract.threads == 1) {
-    build_out();
-    build_in();
-  } else {
-    ParallelInvoke(2, [&](size_t i) { i == 0 ? build_out() : build_in(); });
-  }
+  WallTimer merge_timer;
+  FlatAdjacency out = FlatAdjacency::Merge(
+      n, basis_n, [&](NodeId u) { return basis.RawNeighbors(u); }, keys);
+  profile.AddChild("merge")->seconds = merge_timer.Seconds();
   GRAPHGEN_RETURN_NOT_OK(ctx.Check());
 
   std::vector<uint8_t> deleted(n, 0);
@@ -236,7 +219,7 @@ Result<std::unique_ptr<ExpandedGraph>> PatchExpanded(
     }
   }
   auto exp = std::make_unique<ExpandedGraph>();
-  exp->AdoptCsr(std::move(out), std::move(in),
+  exp->AdoptCsr(std::move(out),
                 any_deleted ? std::move(deleted) : std::vector<uint8_t>{});
   exp->properties() = storage.properties();
   return exp;
@@ -271,13 +254,20 @@ Result<PatchOutcome> GraphGen::PatchExtracted(
 
   WallTimer timer;
   ExtractedGraph graph;
+  planner::ExtractionResult stats_copy;
   if (merge_exp) {
+    obs::ProfileNode merge("exp_merge");
     GRAPHGEN_ASSIGN_OR_RETURN(
         std::unique_ptr<ExpandedGraph> patched_exp,
-        PatchExpanded(*exp, result.storage, attempt.new_edges, options));
+        PatchExpanded(*exp, result.storage, attempt.new_edges, options,
+                      merge));
     graph.graph = std::move(patched_exp);
     graph.representation = Representation::kExp;
     graph.dedup_seconds = timer.Seconds();
+    merge.seconds = graph.dedup_seconds;
+    if (obs::Enabled()) {
+      stats_copy.profile.root.children.push_back(std::move(merge));
+    }
     // The condensed statistics are those of the preprocessed graph.
     if (options.extract.preprocess) {
       GRAPHGEN_RETURN_NOT_OK(options.extract.ctx.Check());
@@ -295,7 +285,6 @@ Result<PatchOutcome> GraphGen::PatchExtracted(
                               Materialize(std::move(result.storage), rebuild));
   }
 
-  planner::ExtractionResult stats_copy;
   stats_copy.sql = std::move(result.sql);
   stats_copy.rows_scanned = result.rows_scanned;
   stats_copy.condensed_edges = result.condensed_edges;

@@ -56,15 +56,6 @@ std::vector<NodeId>& ExpandedGraph::MutableOut(NodeId u) {
   return it->second;
 }
 
-std::vector<NodeId>& ExpandedGraph::MutableIn(NodeId u) {
-  auto [it, inserted] = in_patch_.try_emplace(u);
-  if (inserted) {
-    std::span<const NodeId> base = in_.Slice(u);
-    it->second.assign(base.begin(), base.end());
-  }
-  return it->second;
-}
-
 Status ExpandedGraph::AddEdge(NodeId u, NodeId v) {
   if (!VertexExists(u) || !VertexExists(v)) {
     return Status::InvalidArgument("AddEdge endpoint does not exist");
@@ -73,9 +64,6 @@ Status ExpandedGraph::AddEdge(NodeId u, NodeId v) {
   if (std::binary_search(cur.begin(), cur.end(), v)) return Status::OK();
   std::vector<NodeId>& out = MutableOut(u);
   out.insert(std::lower_bound(out.begin(), out.end(), v), v);
-  std::vector<NodeId>& in = MutableIn(v);
-  auto it = std::lower_bound(in.begin(), in.end(), u);
-  if (it == in.end() || *it != u) in.insert(it, u);
   return Status::OK();
 }
 
@@ -89,9 +77,6 @@ Status ExpandedGraph::DeleteEdge(NodeId u, NodeId v) {
   }
   std::vector<NodeId>& out = MutableOut(u);
   out.erase(std::lower_bound(out.begin(), out.end(), v));
-  std::vector<NodeId>& in = MutableIn(v);
-  auto it = std::lower_bound(in.begin(), in.end(), u);
-  if (it != in.end() && *it == u) in.erase(it);
   return Status::OK();
 }
 
@@ -99,7 +84,6 @@ NodeId ExpandedGraph::AddVertex() {
   // Appending an empty CSR range keeps the base covering every vertex, so
   // the new vertex needs no patch entry until its first edge.
   out_.offsets.push_back(out_.offsets.back());
-  in_.offsets.push_back(in_.offsets.back());
   deleted_.push_back(0);
   return static_cast<NodeId>(deleted_.size() - 1);
 }
@@ -132,52 +116,41 @@ uint64_t ExpandedGraph::CountStoredEdges() const {
 }
 
 size_t ExpandedGraph::PatchOverlayBytes() const {
-  return PatchBytes(out_patch_) + PatchBytes(in_patch_);
+  return PatchBytes(out_patch_);
 }
 
 size_t ExpandedGraph::Compact() {
-  const size_t folded = out_patch_.size() + in_patch_.size();
+  const size_t folded = out_patch_.size();
   if (folded == 0 && stale_deletions_ == 0) return 0;
   const size_t n = deleted_.size();
-  auto rebuild = [&](const FlatAdjacency& base, auto span_of) {
-    FlatAdjacency flat(n);
-    flat.neighbors.reserve(base.neighbors.size());
-    for (size_t u = 0; u < n; ++u) {
-      if (!deleted_[u]) {
-        for (NodeId v : span_of(static_cast<NodeId>(u))) {
-          if (!deleted_[v]) flat.neighbors.push_back(v);
-        }
+  FlatAdjacency flat(n);
+  flat.neighbors.reserve(out_.neighbors.size());
+  for (size_t u = 0; u < n; ++u) {
+    if (!deleted_[u]) {
+      for (NodeId v : OutSpan(static_cast<NodeId>(u))) {
+        if (!deleted_[v]) flat.neighbors.push_back(v);
       }
-      flat.offsets[u + 1] = flat.neighbors.size();
     }
-    return flat;
-  };
-  out_ = rebuild(out_, [&](NodeId u) { return OutSpan(u); });
-  // Move-assign fresh maps: clear() (and ={} list-assignment) would keep
-  // the grown bucket arrays resident.
+    flat.offsets[u + 1] = flat.neighbors.size();
+  }
+  out_ = std::move(flat);
+  // Move-assign a fresh map: clear() (and ={} list-assignment) would keep
+  // the grown bucket array resident.
   out_patch_ = decltype(out_patch_)();
-  in_ = rebuild(in_, [&](NodeId u) { return InSpan(u); });
-  in_patch_ = decltype(in_patch_)();
   stale_deletions_ = 0;  // stale targets are scrubbed now
   return folded;
 }
 
 GraphFootprint ExpandedGraph::MemoryFootprint() const {
-  return {out_.MemoryBytes() + in_.MemoryBytes() + PatchBytes(out_patch_) +
-              PatchBytes(in_patch_) + VectorBytes(deleted_),
+  return {out_.MemoryBytes() + PatchBytes(out_patch_) + VectorBytes(deleted_),
           properties_.MemoryBytes(), 0};
 }
 
-void ExpandedGraph::AdoptCsr(FlatAdjacency out, FlatAdjacency in,
-                             std::vector<uint8_t> deleted) {
-  assert(out.NumVertices() == in.NumVertices());
+void ExpandedGraph::AdoptCsr(FlatAdjacency out, std::vector<uint8_t> deleted) {
   assert(out.offsets.back() == out.neighbors.size());
-  assert(in.offsets.back() == in.neighbors.size());
   assert(deleted.empty() || deleted.size() == out.NumVertices());
   out_ = std::move(out);
-  in_ = std::move(in);
   out_patch_.clear();
-  in_patch_.clear();
   if (deleted.empty()) {
     deleted_.assign(out_.NumVertices(), 0);
     num_deleted_ = 0;

@@ -16,12 +16,13 @@ namespace graphgen {
 /// real edge, no virtual nodes (§4.3). Fastest to iterate, largest
 /// footprint; the baseline all other representations are compared against.
 ///
-/// Storage is flat CSR: one offsets array plus one contiguous neighbors
-/// array per direction, so traversal is pure pointer arithmetic and the
-/// whole adjacency lives in two cache-friendly allocations instead of one
-/// heap vector per vertex. Per-range neighbor lists are kept sorted, so
-/// ExistsEdge is a binary search and NeighborSpan feeds the sorted-span
-/// merge kernels directly.
+/// Storage is one flat out-CSR: an offsets array plus one contiguous
+/// neighbors array, so traversal is pure pointer arithmetic and the whole
+/// adjacency lives in two cache-friendly allocations instead of one heap
+/// vector per vertex. Every reader (kernels, BSP, FlatView, serialization)
+/// walks out-edges, so no reverse adjacency is kept. Per-range neighbor
+/// lists are kept sorted, so ExistsEdge is a binary search and NeighborSpan
+/// feeds the sorted-span merge kernels directly.
 ///
 /// The §3.4 mutation API is served by a copy-on-write patch overlay: the
 /// first AddEdge/DeleteEdge touching a vertex copies its CSR slice into a
@@ -38,7 +39,7 @@ class ExpandedGraph : public Graph {
  public:
   ExpandedGraph() = default;
   explicit ExpandedGraph(size_t num_vertices)
-      : out_(num_vertices), in_(num_vertices), deleted_(num_vertices, 0) {}
+      : out_(num_vertices), deleted_(num_vertices, 0) {}
 
   std::string_view Name() const override { return "EXP"; }
 
@@ -74,17 +75,14 @@ class ExpandedGraph : public Graph {
   /// the BSP engine, and compression baselines. May include logically
   /// deleted targets while deletions are pending.
   std::span<const NodeId> RawNeighbors(NodeId u) const { return OutSpan(u); }
-  std::span<const NodeId> RawInNeighbors(NodeId u) const { return InSpan(u); }
 
-  /// Adopts fully built adjacencies in one move (the expander's and the
-  /// incremental patch's bulk-load path). `out` and `in` must cover the
-  /// same vertices, be each other's transpose, and keep every range
+  /// Adopts a fully built adjacency in one move (the expander's and the
+  /// incremental patch's bulk-load path). Every range of `out` must be
   /// sorted and duplicate-free. `deleted` (empty = none) marks vertices
-  /// that are already logically deleted; the adjacencies must contain no
+  /// that are already logically deleted; the adjacency must contain no
   /// edge touching them, so the span contract stays intact. Replaces any
   /// existing adjacency and patches.
-  void AdoptCsr(FlatAdjacency out, FlatAdjacency in,
-                std::vector<uint8_t> deleted = {});
+  void AdoptCsr(FlatAdjacency out, std::vector<uint8_t> deleted = {});
 
   /// Re-flattens the copy-on-write patch overlay into the CSR base arrays
   /// and scrubs any stale targets left by post-build vertex deletions:
@@ -93,10 +91,8 @@ class ExpandedGraph : public Graph {
   /// overlay entries folded in.
   size_t Compact();
 
-  /// Vertices currently carried in the patch overlay (out + in side).
-  size_t PatchedVertices() const {
-    return out_patch_.size() + in_patch_.size();
-  }
+  /// Vertices currently carried in the patch overlay.
+  size_t PatchedVertices() const { return out_patch_.size(); }
 
   /// Heap bytes attributable to the overlay alone (also included in
   /// MemoryFootprint().topology_bytes).
@@ -113,26 +109,16 @@ class ExpandedGraph : public Graph {
     }
     return out_.Slice(u);
   }
-  std::span<const NodeId> InSpan(NodeId u) const {
-    if (!in_patch_.empty()) {
-      auto it = in_patch_.find(u);
-      if (it != in_patch_.end()) return {it->second.data(), it->second.size()};
-    }
-    return in_.Slice(u);
-  }
 
   /// The mutable per-vertex list for u, copying the CSR slice into the
   /// patch overlay on first touch.
   std::vector<NodeId>& MutableOut(NodeId u);
-  std::vector<NodeId>& MutableIn(NodeId u);
 
-  // Flat CSR base, one per direction.
+  // Flat CSR base.
   FlatAdjacency out_;
-  FlatAdjacency in_;
   // Copy-on-write overlay for mutated vertices; a present entry fully
   // replaces that vertex's base slice (and stays sorted).
   std::unordered_map<NodeId, std::vector<NodeId>> out_patch_;
-  std::unordered_map<NodeId, std::vector<NodeId>> in_patch_;
   std::vector<uint8_t> deleted_;
   size_t num_deleted_ = 0;
   // Deletions applied after the adjacency was built: only these can leave

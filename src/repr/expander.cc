@@ -12,8 +12,7 @@ namespace graphgen {
 // path-neighbor count (duplicates included) so one contiguous scratch
 // adjacency can be carved into per-vertex ranges; pass 2 fills each range
 // and sorts + uniques it in place, per thread and without allocation. The
-// deduplicated ranges are then compacted into the final out-CSR, and the
-// in-CSR is its transpose.
+// deduplicated ranges are then compacted into the final out-CSR.
 ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
   static obs::Counter* const expands =
       obs::MetricsRegistry::Global().GetCounter("repr.expand_calls");
@@ -75,7 +74,6 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
         }
       });
   raw = FlatAdjacency();
-  FlatAdjacency in = out.Transpose();
 
   // Propagate lazy deletions at adoption time: ForEachPathNeighbor never
   // emits deleted endpoints, so the CSR is already scrubbed and the span
@@ -84,7 +82,7 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
   for (size_t u = 0; u < n; ++u) {
     deleted[u] = storage.IsDeleted(static_cast<NodeId>(u)) ? 1 : 0;
   }
-  graph.AdoptCsr(std::move(out), std::move(in), std::move(deleted));
+  graph.AdoptCsr(std::move(out), std::move(deleted));
   // Copy vertex properties across.
   graph.properties() = storage.properties();
   return graph;

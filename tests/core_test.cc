@@ -216,6 +216,21 @@ TEST_F(GraphGenTest, PatchExtractedExpParity) {
     ASSERT_NE(exp, nullptr);
     EXPECT_EQ(exp->PatchedVertices(), 0u);
     EXPECT_TRUE(exp->HasFlatAdjacency());
+
+    // The merge reports its candidate and deduplicated delta sizes.
+    const obs::ProfileNode* merge = nullptr;
+    for (const obs::ProfileNode& child :
+         outcome->graph.stats.profile.root.children) {
+      if (child.name == "exp_merge") merge = &child;
+    }
+    ASSERT_NE(merge, nullptr);
+    double raw_candidates = -1, delta_pairs = -1;
+    for (const auto& [key, value] : merge->stats) {
+      if (key == "raw_candidates") raw_candidates = value;
+      if (key == "delta_pairs") delta_pairs = value;
+    }
+    EXPECT_GT(delta_pairs, 0);
+    EXPECT_LE(delta_pairs, raw_candidates);
   }
 }
 

@@ -102,6 +102,18 @@ TEST(ExpandedTest, ExpandCondensedMatchesOracle) {
   EXPECT_EQ(g.NumVirtualNodes(), 0u);
 }
 
+TEST(ExpandedTest, FootprintIsOneDirection) {
+  // One out-CSR (offsets + neighbors) plus the one-byte deleted flags: a
+  // second adjacency direction would double the CSR term.
+  for (const CondensedStorage& s :
+       {MakeFigure1Graph(), MakeRandomSymmetric(80, 12, 6, 31)}) {
+    const ExpandedGraph g = ExpandCondensed(s);
+    const size_t n = g.NumVertices();
+    EXPECT_EQ(g.MemoryFootprint().adjacency_bytes,
+              (n + 1) * 8 + g.CountStoredEdges() * 4 + n);
+  }
+}
+
 TEST(ExpandedTest, MutationsAndExistence) {
   ExpandedGraph g(4);
   EXPECT_TRUE(g.AddEdge(0, 1).ok());
@@ -217,9 +229,6 @@ TEST(FlatAdjacencyTest, EmptyAdjacency) {
   const FlatAdjacency from_degrees = FlatAdjacency::FromDegrees({});
   EXPECT_EQ(from_degrees.offsets, empty.offsets);
   EXPECT_TRUE(from_degrees.neighbors.empty());
-  const FlatAdjacency transposed = empty.Transpose();
-  EXPECT_EQ(transposed.offsets, empty.offsets);
-  EXPECT_TRUE(transposed.neighbors.empty());
   const FlatAdjacency merged = MergeInto(empty, 0, {});
   EXPECT_EQ(merged.offsets, empty.offsets);
   EXPECT_TRUE(merged.neighbors.empty());
@@ -232,27 +241,6 @@ TEST(FlatAdjacencyTest, FromDegreesIsAPrefixSum) {
   EXPECT_EQ(a.neighbors.size(), 5u);
   EXPECT_EQ(a.Slice(1).size(), 0u);
   EXPECT_EQ(a.Slice(2).size(), 3u);
-}
-
-TEST(FlatAdjacencyTest, TransposeMatchesExpanderInLists) {
-  for (const CondensedStorage& s :
-       {MakeFigure1Graph(), MakeRandomSymmetric(80, 12, 6, 31)}) {
-    const ExpandedGraph g = ExpandCondensed(s);
-    const size_t n = g.NumVertices();
-    std::vector<std::vector<NodeId>> out(n);
-    for (NodeId u = 0; u < n; ++u) {
-      std::span<const NodeId> r = g.RawNeighbors(u);
-      out[u].assign(r.begin(), r.end());
-    }
-    const FlatAdjacency in = FlatOf(out).Transpose();
-    ASSERT_EQ(in.NumVertices(), n);
-    for (NodeId u = 0; u < n; ++u) {
-      std::span<const NodeId> expected = g.RawInNeighbors(u);
-      EXPECT_EQ(ListOf(in, u),
-                std::vector<NodeId>(expected.begin(), expected.end()))
-          << "vertex " << u;
-    }
-  }
 }
 
 TEST(FlatAdjacencyTest, MergeWithEmptyDeltaCopiesBasis) {
