@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <unordered_set>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -17,6 +18,34 @@ void AtomicMin(std::atomic<uint32_t>& slot, uint32_t value) {
          !slot.compare_exchange_weak(current, value,
                                      std::memory_order_relaxed)) {
   }
+}
+
+// The BITMAP half of a virtual-node superstep: each source u in `sources`
+// sends weight(u) along the out-edges of virtual node v that u's bitmap
+// allows (every edge but u's own self edge when u has none); the per-edge
+// sums land in acc. Returns the messages sent, one per out-edge.
+template <typename T, typename Sources, typename Weight>
+uint64_t ForwardThroughBitmaps(const BitmapGraph& g, uint32_t v,
+                               const std::vector<NodeRef>& out,
+                               const Sources& sources, Weight weight,
+                               std::vector<std::atomic<T>>& acc) {
+  std::vector<T> per_edge(out.size(), T{0});
+  for (NodeId u : sources) {
+    const T w = weight(u);
+    const uint64_t* bm = g.FindBitmap(v, u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      const bool allowed = bm != nullptr
+                               ? TestBit(bm, i)
+                               : !(out[i].is_real() && out[i].index() == u);
+      if (allowed) per_edge[i] += w;
+    }
+  }
+  for (size_t i = 0; i < out.size(); ++i) {
+    if (out[i].is_real() && per_edge[i] != T{0}) {
+      acc[out[i].index()].fetch_add(per_edge[i], std::memory_order_relaxed);
+    }
+  }
+  return out.size();
 }
 
 }  // namespace
@@ -94,32 +123,9 @@ Result<BspRunStats> BspEngine::RunDegree(std::vector<uint64_t>* degrees) {
             if (r.is_real()) sources.insert(r.index());
           }
           if (graph_.mode() == BspMode::kBitmap) {
-            const auto& bms = graph_.bitmap()->BitmapsFor(
-                static_cast<uint32_t>(v));
-            std::vector<uint64_t> per_edge(out.size(), 0);
-            for (NodeId u : sources) {
-              auto it = bms.find(u);
-              if (it != bms.end()) {
-                const Bitmap& bm = it->second;
-                const size_t n = std::min(bm.size(), out.size());
-                for (size_t i = 0; i < n; ++i) {
-                  if (bm.Get(i)) ++per_edge[i];
-                }
-              } else {
-                for (size_t i = 0; i < out.size(); ++i) {
-                  if (!(out[i].is_real() && out[i].index() == u)) {
-                    ++per_edge[i];
-                  }
-                }
-              }
-            }
-            for (size_t i = 0; i < out.size(); ++i) {
-              if (out[i].is_real() && per_edge[i] > 0) {
-                acc[out[i].index()].fetch_add(per_edge[i],
-                                              std::memory_order_relaxed);
-              }
-              ++local;
-            }
+            local += ForwardThroughBitmaps(
+                *graph_.bitmap(), static_cast<uint32_t>(v), out, sources,
+                [](NodeId) { return uint64_t{1}; }, acc);
           } else {
             const uint64_t agg = sources.size();
             for (NodeRef r : out) {
@@ -263,33 +269,9 @@ Result<BspRunStats> BspEngine::RunPageRank(size_t iterations, double damping,
                 if (r.is_real()) sources.push_back(r.index());
               }
               if (graph_.mode() == BspMode::kBitmap) {
-                const auto& bms = graph_.bitmap()->BitmapsFor(
-                    static_cast<uint32_t>(v));
-                std::vector<double> per_edge(out.size(), 0.0);
-                for (NodeId u : sources) {
-                  auto it = bms.find(u);
-                  const double su = share[u];
-                  if (it != bms.end()) {
-                    const Bitmap& bm = it->second;
-                    const size_t n = std::min(bm.size(), out.size());
-                    for (size_t i = 0; i < n; ++i) {
-                      if (bm.Get(i)) per_edge[i] += su;
-                    }
-                  } else {
-                    for (size_t i = 0; i < out.size(); ++i) {
-                      if (!(out[i].is_real() && out[i].index() == u)) {
-                        per_edge[i] += su;
-                      }
-                    }
-                  }
-                }
-                for (size_t i = 0; i < out.size(); ++i) {
-                  ++local;
-                  if (out[i].is_real() && per_edge[i] != 0.0) {
-                    acc[out[i].index()].fetch_add(per_edge[i],
-                                                  std::memory_order_relaxed);
-                  }
-                }
+                local += ForwardThroughBitmaps(
+                    *graph_.bitmap(), static_cast<uint32_t>(v), out, sources,
+                    [&](NodeId u) { return share[u]; }, acc);
               } else {
                 double agg = 0.0;
                 std::unordered_set<NodeId> member(sources.begin(),

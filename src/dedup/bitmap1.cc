@@ -1,5 +1,6 @@
-#include <unordered_map>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -10,16 +11,13 @@ namespace graphgen {
 
 namespace {
 
-constexpr size_t kLockShards = 512;
-
 /// Per-source DFS that fills local bitmaps using the first-visit policy:
 /// each real target and each virtual node is traversable at most once per
 /// source u (Algorithm 2, generalized to multi-layer inputs).
 class Bitmap1Builder {
  public:
-  Bitmap1Builder(const CondensedStorage& storage,
-                 std::unordered_map<uint32_t, Bitmap>& local)
-      : storage_(storage), local_(local) {}
+  Bitmap1Builder(const CondensedStorage& storage, BitmapArena& arena)
+      : storage_(storage), arena_(arena) {}
 
   void Run(NodeId u) {
     u_ = u;
@@ -42,26 +40,32 @@ class Bitmap1Builder {
  private:
   void Explore(uint32_t v) {
     const auto& out = storage_.OutEdges(NodeRef::Virtual(v));
-    Bitmap bm(out.size(), false);
+    // v's bitmap sits on top of bits_, above those of the virtual nodes
+    // still being explored; recursion may reallocate bits_, so bits are
+    // addressed by offset.
+    const size_t base = bits_.size();
+    bits_.resize(base + BitmapWords(out.size()), 0);
     for (size_t i = 0; i < out.size(); ++i) {
       NodeRef r = out[i];
       if (r.is_real()) {
         NodeId x = r.index();
-        if (x != u_ && seen_real_.insert(x).second) bm.Set(i);
+        if (x != u_ && seen_real_.insert(x).second) SetBit(&bits_[base], i);
       } else {
         uint32_t w = r.index();
         if (seen_virt_.insert(w).second) {
-          bm.Set(i);
+          SetBit(&bits_[base], i);
           Explore(w);
         }
       }
     }
-    local_.emplace(v, std::move(bm));
+    arena_.Add(v, u_, std::span(bits_).subspan(base));
+    bits_.resize(base);
   }
 
   const CondensedStorage& storage_;
-  std::unordered_map<uint32_t, Bitmap>& local_;
+  BitmapArena& arena_;
   NodeId u_ = 0;
+  std::vector<uint64_t> bits_;
   std::unordered_set<NodeId> seen_real_;
   std::unordered_set<uint32_t> seen_virt_;
 };
@@ -72,29 +76,24 @@ Result<BitmapGraph> BuildBitmap1(const CondensedStorage& input,
                                  const DedupOptions& options) {
   CondensedStorage storage = input;
   storage.RemoveParallelEdges();
-  BitmapGraph graph(std::move(storage));
-  const CondensedStorage& s = graph.storage();
-  const size_t n = s.NumRealNodes();
+  const size_t n = storage.NumRealNodes();
 
-  std::vector<Mutex> locks(kLockShards);
+  Mutex arenas_lock;
+  std::vector<BitmapArena> arenas;
   ParallelFor(
       n,
       [&](size_t begin, size_t end) {
-        std::unordered_map<uint32_t, Bitmap> local;
-        Bitmap1Builder builder(s, local);
+        BitmapArena arena;
+        Bitmap1Builder builder(storage, arena);
         for (size_t u = begin; u < end; ++u) {
-          if (s.IsDeleted(static_cast<NodeId>(u))) continue;
-          local.clear();
+          if (storage.IsDeleted(static_cast<NodeId>(u))) continue;
           builder.Run(static_cast<NodeId>(u));
-          for (auto& [v, bm] : local) {
-            MutexLock guard(locks[v % kLockShards]);
-            graph.MutableBitmapsFor(v).emplace(static_cast<NodeId>(u),
-                                               std::move(bm));
-          }
         }
+        MutexLock guard(arenas_lock);
+        arenas.push_back(std::move(arena));
       },
       options.threads);
-  return graph;
+  return BitmapGraph(std::move(storage), arenas);
 }
 
 }  // namespace graphgen

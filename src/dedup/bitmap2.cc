@@ -1,5 +1,7 @@
-#include <unordered_map>
+#include <bit>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -10,7 +12,13 @@ namespace graphgen {
 
 namespace {
 
-constexpr size_t kLockShards = 512;
+// True if all `bits` bits of `words` are set (the padding bits past them
+// are always zero).
+bool AllOnes(std::span<const uint64_t> words, size_t bits) {
+  size_t set = 0;
+  for (uint64_t w : words) set += std::popcount(w);
+  return set == bits;
+}
 
 /// Per-source greedy set-cover pass (§5.1.3). Virtual nodes are adopted in
 /// decreasing order of the number of still-uncovered real targets they can
@@ -19,12 +27,9 @@ constexpr size_t kLockShards = 512;
 /// deletion.
 class Bitmap2Builder {
  public:
-  Bitmap2Builder(const CondensedStorage& storage,
-                 std::unordered_map<uint32_t, Bitmap>& local_bitmaps,
-                 std::vector<uint32_t>& edge_deletions)
-      : storage_(storage),
-        local_(local_bitmaps),
-        deletions_(edge_deletions) {}
+  Bitmap2Builder(const CondensedStorage& storage, BitmapArena& arena,
+                 std::vector<std::pair<NodeId, uint32_t>>& edge_deletions)
+      : storage_(storage), arena_(arena), deletions_(edge_deletions) {}
 
   void Run(NodeId u) {
     u_ = u;
@@ -57,7 +62,7 @@ class Bitmap2Builder {
         // Nothing left to gain: delete the remaining membership edges
         // ("there is no reason to traverse those", §5.1.3).
         for (size_t i = 0; i < roots.size(); ++i) {
-          if (!done[i]) deletions_.push_back(roots[i]);
+          if (!done[i]) deletions_.emplace_back(u, roots[i]);
         }
         break;
       }
@@ -100,13 +105,17 @@ class Bitmap2Builder {
   /// when it is a root; descendants are added here.
   void Explore(uint32_t v) {
     const auto& out = storage_.OutEdges(NodeRef::Virtual(v));
-    Bitmap bm(out.size(), false);
+    // v's bitmap sits on top of bits_, above those of the virtual nodes
+    // still being explored; recursion may reallocate bits_, so bits are
+    // addressed by offset.
+    const size_t base = bits_.size();
+    bits_.resize(base + BitmapWords(out.size()), 0);
     // Claim fresh real targets first.
     for (size_t i = 0; i < out.size(); ++i) {
       NodeRef r = out[i];
       if (r.is_real()) {
         NodeId x = r.index();
-        if (x != u_ && covered_.insert(x).second) bm.Set(i);
+        if (x != u_ && covered_.insert(x).second) SetBit(&bits_[base], i);
       }
     }
     // Then descend into virtual children, best-gain first.
@@ -125,16 +134,21 @@ class Bitmap2Builder {
       if (best_i == out.size()) break;
       uint32_t w = out[best_i].index();
       seen_virt_.insert(w);
-      bm.Set(best_i);
+      SetBit(&bits_[base], best_i);
       Explore(w);
     }
-    local_.emplace(v, std::move(bm));
+    // All-ones bitmaps add no information beyond "traverse all"; skipping
+    // them is a pure memory optimization.
+    const std::span<const uint64_t> bm = std::span(bits_).subspan(base);
+    if (!AllOnes(bm, out.size())) arena_.Add(v, u_, bm);
+    bits_.resize(base);
   }
 
   const CondensedStorage& storage_;
-  std::unordered_map<uint32_t, Bitmap>& local_;
-  std::vector<uint32_t>& deletions_;
+  BitmapArena& arena_;
+  std::vector<std::pair<NodeId, uint32_t>>& deletions_;
   NodeId u_ = 0;
+  std::vector<uint64_t> bits_;
   std::unordered_set<NodeId> covered_;
   std::unordered_set<uint32_t> seen_virt_;
   std::unordered_set<uint32_t> scratch_visited_;
@@ -147,50 +161,36 @@ Result<BitmapGraph> BuildBitmap2(const CondensedStorage& input,
                                  const DedupOptions& options) {
   CondensedStorage storage = input;
   storage.RemoveParallelEdges();
-  BitmapGraph graph(std::move(storage));
-  const CondensedStorage& s = graph.storage();
-  const size_t n = s.NumRealNodes();
+  const size_t n = storage.NumRealNodes();
 
-  std::vector<Mutex> locks(kLockShards);
-  Mutex deletions_lock;
+  Mutex results_lock;
+  std::vector<BitmapArena> arenas;
   // (u, v) membership edges to delete, applied after the parallel phase so
   // shared in-lists are never mutated concurrently.
   std::vector<std::pair<NodeId, uint32_t>> all_deletions;
-
   ParallelFor(
       n,
       [&](size_t begin, size_t end) {
-        std::unordered_map<uint32_t, Bitmap> local;
-        std::vector<uint32_t> deletions;
-        Bitmap2Builder builder(s, local, deletions);
+        BitmapArena arena;
+        std::vector<std::pair<NodeId, uint32_t>> deletions;
+        Bitmap2Builder builder(storage, arena, deletions);
         for (size_t u = begin; u < end; ++u) {
-          if (s.IsDeleted(static_cast<NodeId>(u))) continue;
-          local.clear();
-          deletions.clear();
+          if (storage.IsDeleted(static_cast<NodeId>(u))) continue;
           builder.Run(static_cast<NodeId>(u));
-          for (auto& [v, bm] : local) {
-            // All-ones bitmaps add no information beyond "traverse all";
-            // skipping them is a pure memory optimization.
-            if (!bm.AllOne()) {
-              MutexLock guard(locks[v % kLockShards]);
-              graph.MutableBitmapsFor(v).emplace(static_cast<NodeId>(u),
-                                                 std::move(bm));
-            }
-          }
-          if (!deletions.empty()) {
-            MutexLock guard(deletions_lock);
-            for (uint32_t v : deletions) {
-              all_deletions.emplace_back(static_cast<NodeId>(u), v);
-            }
-          }
         }
+        MutexLock guard(results_lock);
+        arenas.push_back(std::move(arena));
+        all_deletions.insert(all_deletions.end(), deletions.begin(),
+                             deletions.end());
       },
       options.threads);
 
+  // Membership edges only leave real out-lists and virtual in-lists, so
+  // the virtual out-lists the bitmaps index are already final.
   for (const auto& [u, v] : all_deletions) {
-    graph.mutable_storage().RemoveEdge(NodeRef::Real(u), NodeRef::Virtual(v));
+    storage.RemoveEdge(NodeRef::Real(u), NodeRef::Virtual(v));
   }
-  return graph;
+  return BitmapGraph(std::move(storage), arenas);
 }
 
 }  // namespace graphgen

@@ -1,8 +1,113 @@
 #include "repr/bitmap_graph.h"
 
+#include <algorithm>
+#include <cassert>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 namespace graphgen {
+
+namespace {
+
+void ClearBit(uint64_t* words, size_t i) {
+  words[i >> 6] &= ~(uint64_t{1} << (i & 63));
+}
+
+// Inserts `count` copies of `value` at `pos` into a new, exactly sized
+// array, so capacity-based byte counts stay exact after a mutation.
+template <typename T>
+void InsertExact(std::vector<T>& vec, size_t pos, size_t count, T value) {
+  std::vector<T> grown;
+  grown.reserve(vec.size() + count);
+  grown.insert(grown.end(), vec.begin(), vec.begin() + pos);
+  grown.insert(grown.end(), count, value);
+  grown.insert(grown.end(), vec.begin() + pos, vec.end());
+  vec = std::move(grown);
+}
+
+}  // namespace
+
+BitmapGraph::BitmapGraph(CondensedStorage storage,
+                         const std::vector<BitmapArena>& arenas)
+    : storage_(std::move(storage)) {
+  const size_t nv = storage_.NumVirtualNodes();
+  struct Ref {
+    uint32_t virt;
+    NodeId owner;
+    const uint64_t* words;
+  };
+  std::vector<Ref> refs;
+  size_t num_records = 0;
+  for (const BitmapArena& a : arenas) num_records += a.records_.size();
+  refs.reserve(num_records);
+  for (const BitmapArena& a : arenas) {
+    [[maybe_unused]] size_t arena_words = 0;
+    for (const BitmapArena::Record& r : a.records_) {
+      refs.push_back({r.virt, r.owner, a.words_.data() + r.offset});
+      arena_words += WordsOf(r.virt);
+    }
+    assert(arena_words == a.words_.size());
+  }
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return std::tie(a.virt, a.owner) < std::tie(b.virt, b.owner);
+  });
+
+  // Count, then prefix-sum into the two offset arrays.
+  owner_begin_.assign(nv + 1, 0);
+  word_begin_.assign(nv + 1, 0);
+  for (const Ref& r : refs) ++owner_begin_[r.virt + 1];
+  size_t total_words = 0;
+  for (uint32_t v = 0; v < nv; ++v) {
+    total_words += owner_begin_[v + 1] * WordsOf(v);
+    assert(total_words <= std::numeric_limits<uint32_t>::max());
+    word_begin_[v + 1] = static_cast<uint32_t>(total_words);
+    owner_begin_[v + 1] += owner_begin_[v];
+  }
+  owners_.resize(refs.size());
+  words_.resize(total_words);
+  uint64_t* out = words_.data();
+  for (size_t k = 0; k < refs.size(); ++k) {
+    assert(k == 0 || refs[k - 1].virt != refs[k].virt ||
+           refs[k - 1].owner != refs[k].owner);
+    owners_[k] = refs[k].owner;
+    out = std::copy_n(refs[k].words, WordsOf(refs[k].virt), out);
+  }
+}
+
+std::pair<size_t, bool> BitmapGraph::FindSlot(uint32_t virt,
+                                              NodeId owner) const {
+  const auto first = owners_.begin() + owner_begin_[virt];
+  const auto last = owners_.begin() + owner_begin_[virt + 1];
+  const auto it = std::lower_bound(first, last, owner);
+  return {static_cast<size_t>(it - owners_.begin()),
+          it != last && *it == owner};
+}
+
+const uint64_t* BitmapGraph::FindBitmap(uint32_t virt, NodeId owner) const {
+  const auto [slot, found] = FindSlot(virt, owner);
+  if (!found) return nullptr;
+  return words_.data() + word_begin_[virt] +
+         (slot - owner_begin_[virt]) * WordsOf(virt);
+}
+
+uint64_t* BitmapGraph::MutableBitmap(uint32_t virt, NodeId owner) {
+  const size_t bits = storage_.OutEdges(NodeRef::Virtual(virt)).size();
+  const size_t w = BitmapWords(bits);
+  const auto [slot, found] = FindSlot(virt, owner);
+  const size_t at = word_begin_[virt] + (slot - owner_begin_[virt]) * w;
+  if (!found) {
+    // O(total) per insertion, which §3.4 mutations can afford.
+    InsertExact(owners_, slot, 1, owner);
+    InsertExact(words_, at, w, ~uint64_t{0});
+    if (bits % 64 != 0) words_[at + w - 1] = (uint64_t{1} << (bits % 64)) - 1;
+    for (size_t v = virt + 1; v < owner_begin_.size(); ++v) {
+      ++owner_begin_[v];
+      word_begin_[v] += static_cast<uint32_t>(w);
+    }
+  }
+  return words_.data() + at;
+}
 
 void BitmapGraph::Traverse(NodeId u,
                            const std::function<bool(NodeId)>& fn) const {
@@ -20,18 +125,12 @@ void BitmapGraph::Traverse(NodeId u,
     }
     const uint32_t v = r.index();
     const auto& vout = storage_.OutEdges(r);
-    auto it = bitmaps_[v].find(u);
-    if (it == bitmaps_[v].end()) {
+    const uint64_t* bm = FindBitmap(v, u);
+    if (bm == nullptr) {
       stack.insert(stack.end(), vout.begin(), vout.end());
     } else {
-      const Bitmap& bm = it->second;
-      const size_t n = std::min(vout.size(), bm.size());
-      for (size_t i = 0; i < n; ++i) {
-        if (bm.Get(i)) stack.push_back(vout[i]);
-      }
-      // Edges appended after the bitmap was built are always traversable.
-      for (size_t i = bm.size(); i < vout.size(); ++i) {
-        stack.push_back(vout[i]);
+      for (size_t i = 0; i < vout.size(); ++i) {
+        if (TestBit(bm, i)) stack.push_back(vout[i]);
       }
     }
   }
@@ -95,14 +194,7 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
       stack.pop_back();
       if (f.node.is_real()) {
         if (f.node.index() == v && f.via_virtual != 0xFFFFFFFFu) {
-          auto& bms = bitmaps_[f.via_virtual];
-          auto it = bms.find(u);
-          if (it == bms.end()) {
-            Bitmap bm(storage_.OutEdges(NodeRef::Virtual(f.via_virtual)).size(),
-                      true);
-            it = bms.emplace(u, std::move(bm)).first;
-          }
-          if (f.via_index < it->second.size()) it->second.Clear(f.via_index);
+          ClearBit(MutableBitmap(f.via_virtual, u), f.via_index);
           found = true;
           removed = true;
           break;
@@ -111,12 +203,9 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
       }
       const uint32_t vn = f.node.index();
       const auto& vout = storage_.OutEdges(f.node);
-      auto it = bitmaps_[vn].find(u);
+      const uint64_t* bm = FindBitmap(vn, u);
       for (size_t i = 0; i < vout.size(); ++i) {
-        if (it != bitmaps_[vn].end() && i < it->second.size() &&
-            !it->second.Get(i)) {
-          continue;
-        }
+        if (bm != nullptr && !TestBit(bm, i)) continue;
         stack.push_back({vout[i], vn, i});
       }
     }
@@ -135,18 +224,10 @@ Status BitmapGraph::DeleteVertex(NodeId v) {
 }
 
 size_t BitmapGraph::BitmapMemoryBytes() const {
-  size_t total = bitmaps_.capacity() * sizeof(bitmaps_[0]);
-  for (const auto& m : bitmaps_) {
-    total += m.size() * (sizeof(NodeId) + sizeof(Bitmap) + 16);
-    for (const auto& [_, bm] : m) total += bm.MemoryBytes();
-  }
-  return total;
-}
-
-size_t BitmapGraph::NumBitmaps() const {
-  size_t n = 0;
-  for (const auto& m : bitmaps_) n += m.size();
-  return n;
+  return owner_begin_.capacity() * sizeof(uint32_t) +
+         owners_.capacity() * sizeof(NodeId) +
+         word_begin_.capacity() * sizeof(uint32_t) +
+         words_.capacity() * sizeof(uint64_t);
 }
 
 }  // namespace graphgen

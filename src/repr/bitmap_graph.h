@@ -1,16 +1,47 @@
 #ifndef GRAPHGEN_REPR_BITMAP_GRAPH_H_
 #define GRAPHGEN_REPR_BITMAP_GRAPH_H_
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "common/bitmap.h"
 #include "graph/graph.h"
 #include "graph/storage.h"
 
 namespace graphgen {
+
+/// Number of 64-bit words a bitmap over `bits` out-edges occupies.
+inline size_t BitmapWords(size_t bits) { return (bits + 63) / 64; }
+inline bool TestBit(const uint64_t* words, size_t i) {
+  return (words[i >> 6] >> (i & 63)) & 1u;
+}
+inline void SetBit(uint64_t* words, size_t i) {
+  words[i >> 6] |= uint64_t{1} << (i & 63);
+}
+
+/// One preprocessing worker's output: (virtual node, owner, words)
+/// records in emission order. BitmapGraph's constructor sorts the records
+/// of every arena by (virtual node, owner) into its flat index, so the
+/// index does not depend on how sources were split across workers.
+class BitmapArena {
+ public:
+  /// Appends the bitmap of `owner` at virtual node `virt`.
+  void Add(uint32_t virt, NodeId owner, std::span<const uint64_t> words) {
+    records_.push_back({virt, owner, words_.size()});
+    words_.insert(words_.end(), words.begin(), words.end());
+  }
+
+ private:
+  friend class BitmapGraph;
+  struct Record {
+    uint32_t virt;
+    NodeId owner;
+    size_t offset;
+  };
+  std::vector<Record> records_;
+  std::vector<uint64_t> words_;
+};
 
 /// BITMAP: the condensed structure of C-DUP augmented with per-virtual-node
 /// bitmaps (§4.3). A virtual node V may hold a bitmap for a source real
@@ -19,14 +50,23 @@ namespace graphgen {
 /// the BITMAP-1 / BITMAP-2 preprocessing algorithms (§5.1) so that every
 /// real target is reached exactly once — getNeighbors needs no hash set.
 ///
-/// A (u, V) pair with no bitmap is traversed unrestricted; the
-/// preprocessing algorithms install bitmaps for every reachable pair, so
-/// this fallback only fires for edges added after preprocessing.
+/// The bitmaps live in one flat, CSR-shaped index. owners_[owner_begin_[v]
+/// .. owner_begin_[v+1]) are v's bitmap owners, sorted; the bitmap of
+/// owner slot k starts at words_[word_begin_[v] + k·W(v)], where
+/// W(v) = BitmapWords(|out(v)|). Bits at or past |out(v)| are zero. The
+/// offsets are 32-bit, so an index holds fewer than 2^32 words (32 GiB).
+/// Virtual out-lists never change after construction (AddEdge and
+/// DeleteEdge touch real→real edges only), so W(v) always matches.
+///
+/// A (u, V) pair with no bitmap is traversed unrestricted: BITMAP-2 drops
+/// all-ones bitmaps, and edges added after preprocessing have none.
 class BitmapGraph : public Graph {
  public:
-  explicit BitmapGraph(CondensedStorage storage)
-      : storage_(std::move(storage)),
-        bitmaps_(storage_.NumVirtualNodes()) {}
+  /// Takes `storage` as final and builds the flat index from the records
+  /// of `arenas`; at most one record per (virtual node, owner), each
+  /// W(v) words long.
+  explicit BitmapGraph(CondensedStorage storage,
+                       const std::vector<BitmapArena>& arenas = {});
 
   std::string_view Name() const override { return "BITMAP"; }
 
@@ -58,32 +98,43 @@ class BitmapGraph : public Graph {
             BitmapMemoryBytes()};
   }
 
-  /// Extra heap used by the bitmaps themselves — the overhead the paper
-  /// flags as this representation's main drawback.
+  /// Heap held by the flat bitmap index (capacity of its four arrays) —
+  /// the overhead the paper flags as this representation's main drawback.
   size_t BitmapMemoryBytes() const;
   /// Number of (source, virtual-node) bitmaps installed.
-  size_t NumBitmaps() const;
+  size_t NumBitmaps() const { return owners_.size(); }
 
-  /// Bitmap accessors used by the preprocessing algorithms.
-  std::unordered_map<NodeId, Bitmap>& MutableBitmapsFor(uint32_t virt) {
-    return bitmaps_[virt];
-  }
-  const std::unordered_map<NodeId, Bitmap>& BitmapsFor(uint32_t virt) const {
-    return bitmaps_[virt];
-  }
+  /// The W(v) words of `owner`'s bitmap at virtual node `virt`, or null
+  /// when it has none (traverse every out-edge).
+  const uint64_t* FindBitmap(uint32_t virt, NodeId owner) const;
+
+  /// The flat index, read-only.
+  const std::vector<uint32_t>& owner_begin() const { return owner_begin_; }
+  const std::vector<NodeId>& owners() const { return owners_; }
+  const std::vector<uint32_t>& word_begin() const { return word_begin_; }
+  const std::vector<uint64_t>& words() const { return words_; }
 
   const CondensedStorage& storage() const { return storage_; }
-  CondensedStorage& mutable_storage() { return storage_; }
 
  private:
   // Traverses from `r` on behalf of source u, honoring bitmaps; returns
   // via fn. Used by ForEachNeighbor / ExistsEdge.
   void Traverse(NodeId u, const std::function<bool(NodeId)>& fn) const;
+  size_t WordsOf(uint32_t virt) const {
+    return BitmapWords(storage_.OutEdges(NodeRef::Virtual(virt)).size());
+  }
+  // Owner slot of `owner` at `virt`: its position in owners_ and whether
+  // it is present.
+  std::pair<size_t, bool> FindSlot(uint32_t virt, NodeId owner) const;
+  // The bitmap of `owner` at `virt`, inserting an all-ones one first if it
+  // has none.
+  uint64_t* MutableBitmap(uint32_t virt, NodeId owner);
 
   CondensedStorage storage_;
-  // bitmaps_[v][u] = allowed out-edges of virtual node v for traversals
-  // originating at real node u.
-  std::vector<std::unordered_map<NodeId, Bitmap>> bitmaps_;
+  std::vector<uint32_t> owner_begin_;
+  std::vector<NodeId> owners_;
+  std::vector<uint32_t> word_begin_;
+  std::vector<uint64_t> words_;
 };
 
 }  // namespace graphgen

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "common/bitmap.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -53,60 +52,6 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("hello");
   std::string s = std::move(r).ValueOrDie();
   EXPECT_EQ(s, "hello");
-}
-
-TEST(BitmapTest, StartsZeroed) {
-  Bitmap bm(100);
-  EXPECT_EQ(bm.size(), 100u);
-  EXPECT_TRUE(bm.AllZero());
-  EXPECT_EQ(bm.CountSet(), 0u);
-}
-
-TEST(BitmapTest, SetAndGet) {
-  Bitmap bm(70);
-  bm.Set(0);
-  bm.Set(63);
-  bm.Set(64);
-  bm.Set(69);
-  EXPECT_TRUE(bm.Get(0));
-  EXPECT_TRUE(bm.Get(63));
-  EXPECT_TRUE(bm.Get(64));
-  EXPECT_TRUE(bm.Get(69));
-  EXPECT_FALSE(bm.Get(1));
-  EXPECT_EQ(bm.CountSet(), 4u);
-}
-
-TEST(BitmapTest, InitialOnesRespectsSize) {
-  Bitmap bm(70, true);
-  EXPECT_TRUE(bm.AllOne());
-  EXPECT_EQ(bm.CountSet(), 70u);
-}
-
-TEST(BitmapTest, ClearAndAssign) {
-  Bitmap bm(10, true);
-  bm.Clear(3);
-  EXPECT_FALSE(bm.Get(3));
-  bm.Assign(3, true);
-  EXPECT_TRUE(bm.Get(3));
-  bm.Assign(3, false);
-  EXPECT_FALSE(bm.Get(3));
-}
-
-TEST(BitmapTest, FillAndResize) {
-  Bitmap bm(65);
-  bm.Fill(true);
-  EXPECT_EQ(bm.CountSet(), 65u);
-  bm.Resize(130);
-  EXPECT_EQ(bm.CountSet(), 65u);
-  EXPECT_FALSE(bm.Get(100));
-}
-
-TEST(BitmapTest, EqualityComparesContent) {
-  Bitmap a(64);
-  Bitmap b(64);
-  EXPECT_EQ(a, b);
-  a.Set(5);
-  EXPECT_FALSE(a == b);
 }
 
 TEST(RngTest, Deterministic) {

@@ -200,6 +200,56 @@ TEST(Bitmap2Test, EquivalentAndDuplicateFreeOnMultiLayer) {
   EXPECT_TRUE(IsDuplicateFree(*bm));
 }
 
+// The flat bitmap index is sorted by (virtual node, owner), so its arrays
+// must not depend on how the sources were split across workers. The inputs
+// are this file's multi-layer graphs plus one with more than 2,048 reals,
+// the size below which ParallelFor runs a single chunk.
+TEST(BitmapFlatIndexTest, IdenticalAcrossThreadCountsOnMultiLayer) {
+  struct Input {
+    size_t num_real;
+    std::vector<size_t> layer_sizes;
+    double memberships;
+    double fanout;
+    uint64_t seed;
+  };
+  const std::vector<Input> inputs = {{80, {12, 6}, 3.0, 2.5, 5},
+                                     {80, {12, 6}, 3.0, 2.5, 6},
+                                     {60, {10, 6}, 2.0, 2.0, 11},
+                                     {2500, {250, 80}, 2.0, 2.0, 7}};
+  using Builder = Result<BitmapGraph> (*)(const CondensedStorage&,
+                                          const DedupOptions&);
+  for (const Input& in : inputs) {
+    gen::LayeredGenOptions o;
+    o.num_real = in.num_real;
+    o.layer_sizes = in.layer_sizes;
+    o.avg_real_memberships = in.memberships;
+    o.avg_layer_fanout = in.fanout;
+    o.seed = in.seed;
+    CondensedStorage g = gen::GenerateLayeredCondensed(o);
+    ASSERT_FALSE(g.IsSingleLayer());
+    const auto oracle = g.ExpandedEdgeSet();
+    for (Builder build : {Builder{&BuildBitmap1}, Builder{&BuildBitmap2}}) {
+      DedupOptions one;
+      one.threads = 1;
+      auto base = build(g, one);
+      ASSERT_TRUE(base.ok());
+      EXPECT_EQ(base->ExpandedEdgeSet(), oracle) << in.seed;
+      EXPECT_GT(base->NumBitmaps(), 0u);
+      for (size_t threads : {2, 4}) {
+        DedupOptions opts;
+        opts.threads = threads;
+        auto bm = build(g, opts);
+        ASSERT_TRUE(bm.ok());
+        EXPECT_EQ(bm->owner_begin(), base->owner_begin()) << threads;
+        EXPECT_EQ(bm->owners(), base->owners()) << threads;
+        EXPECT_EQ(bm->word_begin(), base->word_begin()) << threads;
+        EXPECT_EQ(bm->words(), base->words()) << threads;
+        EXPECT_EQ(bm->ExpandedEdgeSet(), oracle) << in.seed << " " << threads;
+      }
+    }
+  }
+}
+
 TEST(Bitmap2Test, InstallsFewerBitmapsThanBitmap1) {
   CondensedStorage g = MakeRandomSymmetric(150, 40, 8, 9);
   auto bm1 = BuildBitmap1(g);

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "dedup/bitmap_algorithms.h"
@@ -157,6 +159,43 @@ TEST(MutationEdgeCases, InterleavedAddDeleteSameEdge) {
   }
   EXPECT_TRUE(IsDuplicateFree(*bm));
   (void)existed;
+}
+
+// BITMAP-2 stores no bitmap for a (source, virtual node) pair whose bitmap
+// would be all ones. Deleting an edge through such a pair inserts one
+// all-ones slot into the flat index, then clears one bit of it.
+TEST(MutationEdgeCases, Bitmap2DeleteThroughPairWithoutBitmap) {
+  CondensedStorage s;
+  s.AddRealNodes(10);
+  const uint32_t v0 = s.AddVirtualNode();
+  const uint32_t v1 = s.AddVirtualNode();
+  for (NodeId x : {2, 3, 4}) {
+    s.AddEdge(NodeRef::Virtual(v0), NodeRef::Real(x));
+  }
+  for (NodeId x : {4, 5}) s.AddEdge(NodeRef::Virtual(v1), NodeRef::Real(x));
+  s.AddEdge(NodeRef::Real(0), NodeRef::Virtual(v0));
+  for (NodeId u : {1, 6, 7, 8, 9}) {
+    s.AddEdge(NodeRef::Real(u), NodeRef::Virtual(v0));
+    s.AddEdge(NodeRef::Real(u), NodeRef::Virtual(v1));
+  }
+  auto bm = BuildBitmap2(s);
+  ASSERT_TRUE(bm.ok());
+  ASSERT_EQ(bm->FindBitmap(v0, 0), nullptr);
+  // Sources 1, 6..9 reach 4 through both; their bitmaps at v1 keep only 5.
+  ASSERT_EQ(bm->NumBitmaps(), 5u);
+  ASSERT_NE(bm->FindBitmap(v1, 1), nullptr);
+
+  const size_t bytes = bm->BitmapMemoryBytes();
+  const size_t bitmaps = bm->NumBitmaps();
+  auto expected = bm->ExpandedEdgeSet();
+  ASSERT_EQ(std::erase(expected, std::pair<NodeId, NodeId>{0, 3}), 1u);
+  ASSERT_TRUE(bm->DeleteEdge(0, 3).ok());
+  EXPECT_EQ(bm->ExpandedEdgeSet(), expected);
+  EXPECT_TRUE(IsDuplicateFree(*bm));
+  EXPECT_NE(bm->FindBitmap(v0, 0), nullptr);
+  EXPECT_EQ(bm->NumBitmaps(), bitmaps + 1);
+  // One owner id (4 B) and W(v0) words (8 B each), exactly.
+  EXPECT_EQ(bm->BitmapMemoryBytes(), bytes + 4 + 8 * BitmapWords(3));
 }
 
 // Random add/delete churn builds up the EXP copy-on-write overlay;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "dedup/bitmap_algorithms.h"
 #include "dedup/dedup1_algorithms.h"
 #include "dedup/dedup2_builder.h"
@@ -328,6 +331,68 @@ TEST(BitmapGraphTest, BitmapsSuppressDuplicates) {
   EXPECT_EQ(EdgeSetOf(*bg), s.ExpandedEdgeSet());
   EXPECT_GT(bg->NumBitmaps(), 0u);
   EXPECT_GT(bg->BitmapMemoryBytes(), 0u);
+}
+
+// Neighbors of u in ascending order.
+std::vector<NodeId> SortedNeighbors(const Graph& g, NodeId u) {
+  std::vector<NodeId> out;
+  g.ForEachNeighbor(u, [&](NodeId v) { out.push_back(v); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The flat index's layout and exact byte count, pinned on hand-written
+// arenas: V0 has 70 out-edges (W = 2 words), V1 has 3 (W = 1).
+TEST(BitmapGraphTest, FlatIndexLayoutAndBytes) {
+  CondensedStorage s;
+  s.AddRealNodes(70);
+  const uint32_t v0 = s.AddVirtualNode();
+  const uint32_t v1 = s.AddVirtualNode();
+  for (NodeId x = 0; x < 70; ++x) {
+    s.AddEdge(NodeRef::Virtual(v0), NodeRef::Real(x));
+  }
+  for (NodeId x = 0; x < 3; ++x) {
+    s.AddEdge(NodeRef::Virtual(v1), NodeRef::Real(x));
+  }
+  for (NodeId u : {1, 5}) s.AddEdge(NodeRef::Real(u), NodeRef::Virtual(v0));
+  s.AddEdge(NodeRef::Real(7), NodeRef::Virtual(v1));
+
+  // No bitmaps: two (V+1)-entry offset arrays, and C-DUP traversal.
+  const BitmapGraph bare(s);
+  EXPECT_EQ(bare.BitmapMemoryBytes(), 2 * 3 * sizeof(uint32_t));
+  EXPECT_EQ(bare.NumBitmaps(), 0u);
+  EXPECT_EQ(SortedNeighbors(bare, 7), (std::vector<NodeId>{0, 1, 2}));
+
+  // Two workers' arenas, records out of (virtual node, owner) order.
+  std::vector<BitmapArena> arenas(2);
+  const uint64_t five[] = {~uint64_t{0}, 0b1};  // out-edges 0..64
+  const uint64_t seven[] = {0b101};             // out-edges 0 and 2
+  const uint64_t one[] = {0b110, 0};            // out-edges 1 and 2
+  arenas[0].Add(v0, 5, five);
+  arenas[0].Add(v1, 7, seven);
+  arenas[1].Add(v0, 1, one);
+  const BitmapGraph g(s, arenas);
+
+  EXPECT_EQ(g.owner_begin(), (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_EQ(g.owners(), (std::vector<NodeId>{1, 5, 7}));
+  EXPECT_EQ(g.word_begin(), (std::vector<uint32_t>{0, 4, 5}));
+  EXPECT_EQ(g.words(),
+            (std::vector<uint64_t>{0b110, 0, ~uint64_t{0}, 0b1, 0b101}));
+  EXPECT_EQ(g.FindBitmap(v0, 5), g.words().data() + 2);
+  EXPECT_EQ(g.FindBitmap(v1, 7), g.words().data() + 4);
+  EXPECT_EQ(g.FindBitmap(v0, 7), nullptr);
+  EXPECT_EQ(g.NumBitmaps(), 3u);
+  // (V+1)·4 B twice, 4 B an owner, 8 B a word: 24 + 12 + 40.
+  EXPECT_EQ(g.BitmapMemoryBytes(), 76u);
+  EXPECT_EQ(g.MemoryFootprint().aux_bytes, 76u);
+
+  EXPECT_EQ(SortedNeighbors(g, 1), (std::vector<NodeId>{2}));
+  EXPECT_EQ(SortedNeighbors(g, 7), (std::vector<NodeId>{0, 2}));
+  std::vector<NodeId> upto64;
+  for (NodeId x = 0; x <= 64; ++x) {
+    if (x != 5) upto64.push_back(x);
+  }
+  EXPECT_EQ(SortedNeighbors(g, 5), upto64);
 }
 
 TEST(BitmapGraphTest, DeleteEdgeClearsBit) {
