@@ -3,12 +3,13 @@
 // Runs every graph algorithm twice on the same EXP (flat-CSR) graph:
 // once behind an adapter that hides its flat adjacency, so kernels take
 // the virtual ForEachNeighbor(std::function) path (triangles and
-// clustering snapshot the graph with CsrGraph::Build first, and their
+// clustering snapshot the graph with ExpandGraph first, and their
 // function_ms includes that snapshot), and once on the NeighborSpan fast
 // path, verifying both produce identical results. Also times the
 // ExpandCondensed CSR build (the cold-extraction component) and the
-// materialized-CSR adapter economics: what one CsrGraph::Build costs on
-// top of C-DUP, and what each subsequent kernel saves.
+// materialized-CSR adapter economics: what one ExpandGraph snapshot costs
+// on top of C-DUP, and what each subsequent kernel saves. The JSON keeps
+// its csr_* key names for that snapshot.
 //
 // Writes a JSON summary (default BENCH_kernels.json, override with
 // --out=<path>). --smoke shrinks the dataset, runs one iteration of
@@ -37,7 +38,6 @@
 #include "common/timer.h"
 #include "gen/condensed_generator.h"
 #include "repr/cdup_graph.h"
-#include "repr/csr_graph.h"
 #include "repr/expander.h"
 
 namespace {
@@ -364,15 +364,16 @@ int main(int argc, char** argv) {
   // materialized CSR snapshot feeding span kernels.
   CDupGraph cdup(storage);
   double csr_build_ms = 0;
-  std::unique_ptr<CsrGraph> csr;
+  ExpandedGraph csr;
   {
     ScopedTimer timer(&csr_build_ms, ScopedTimer::Unit::kMillis);
-    csr = std::make_unique<CsrGraph>(CsrGraph::Build(cdup));
+    csr = ExpandGraph(cdup);
   }
   PageRankOptions pr_opt{.iterations = 10};
   double cdup_pagerank_ms =
       MedianMs(iters, [&] { (void)PageRank(cdup, pr_opt); });
-  double csr_pagerank_ms = MedianMs(iters, [&] { (void)PageRank(*csr, pr_opt); });
+  double csr_pagerank_ms =
+      MedianMs(iters, [&] { (void)PageRank(csr, pr_opt); });
   const double per_run_saving = cdup_pagerank_ms - csr_pagerank_ms;
   const double breakeven =
       per_run_saving > 0 ? csr_build_ms / per_run_saving : -1;

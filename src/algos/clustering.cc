@@ -6,14 +6,14 @@
 #include "algos/intersect.h"
 #include "algos/orientation.h"
 #include "common/parallel.h"
-#include "repr/csr_graph.h"
+#include "repr/expander.h"
 
 namespace graphgen {
 
 std::vector<double> LocalClusteringCoefficients(const Graph& graph) {
   // The kernel walks sorted spans; snapshot any other graph once.
   if (!graph.HasFlatAdjacency()) {
-    return LocalClusteringCoefficients(CsrGraph::Build(graph));
+    return LocalClusteringCoefficients(ExpandGraph(graph));
   }
 
   // Enumerate each triangle once over a degree-ordered orientation and

@@ -15,8 +15,8 @@ namespace graphgen {
 /// orientation of the graph's sorted neighbor spans and credited to all
 /// three corners; high-degree roots close wedges against a flagged
 /// bitmap, low-degree roots by sorted-list intersection. Graphs without
-/// flat adjacency are first snapshotted with CsrGraph::Build, which costs
-/// one callback traversal plus 4 bytes per edge while the kernel runs.
+/// flat adjacency are first snapshotted with ExpandGraph, which costs one
+/// callback traversal plus 4 bytes per edge while the kernel runs.
 std::vector<double> LocalClusteringCoefficients(const Graph& graph);
 
 /// Mean of the local coefficients over live vertices of degree >= 2.

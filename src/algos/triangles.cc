@@ -6,13 +6,13 @@
 #include "algos/intersect.h"
 #include "algos/orientation.h"
 #include "common/parallel.h"
-#include "repr/csr_graph.h"
+#include "repr/expander.h"
 
 namespace graphgen {
 
 uint64_t CountTriangles(const Graph& graph) {
   // The kernel walks sorted spans; snapshot any other graph once.
-  if (!graph.HasFlatAdjacency()) return CountTriangles(CsrGraph::Build(graph));
+  if (!graph.HasFlatAdjacency()) return CountTriangles(ExpandGraph(graph));
 
   // Forward counting over a degree-ordered orientation. Every triangle
   // has exactly one vertex from which both others are higher-ranked, so

@@ -14,9 +14,9 @@ namespace graphgen {
 /// forward counting over a degree-ordered orientation of the graph's
 /// sorted neighbor spans (detail::BuildOrientedCsr), closing each wedge
 /// with one bit test against the root's flagged out-neighborhood. Graphs
-/// without flat adjacency are first snapshotted with CsrGraph::Build,
-/// which costs one callback traversal plus 4 bytes per edge while the
-/// kernel runs. Each triangle is counted exactly once.
+/// without flat adjacency are first snapshotted with ExpandGraph, which
+/// costs one callback traversal plus 4 bytes per edge while the kernel
+/// runs. Each triangle is counted exactly once.
 uint64_t CountTriangles(const Graph& graph);
 
 }  // namespace graphgen

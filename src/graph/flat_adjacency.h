@@ -14,8 +14,8 @@ namespace graphgen {
 /// One flat adjacency in CSR form: vertex u's neighbors are
 /// neighbors[offsets[u], offsets[u + 1]), so `offsets` always has
 /// NumVertices() + 1 entries. This is the plain row_ptrs + adj pair every
-/// flat graph shares: CsrGraph, ExpandedGraph's out-edges (§4.3 EXP), and
-/// the triangle kernels' degree orientation.
+/// flat graph shares: ExpandedGraph's out-edges (§4.3 EXP, and every
+/// ExpandGraph snapshot) and the triangle kernels' degree orientation.
 struct FlatAdjacency {
   /// n vertices, no edges.
   explicit FlatAdjacency(size_t n = 0) : offsets(n + 1, 0) {}

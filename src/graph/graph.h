@@ -89,7 +89,8 @@ class Graph {
   /// std::function indirection; when false they fall back to
   /// ForEachNeighbor. EXP implements it natively (and reports false while
   /// lazy vertex deletions are pending, since stale targets would leak
-  /// into the spans); CsrGraph materializes it for any representation.
+  /// into the spans); ExpandGraph (repr/expander.h) snapshots any
+  /// representation into an EXP graph that has it.
   virtual bool HasFlatAdjacency() const { return false; }
 
   /// Sorted distinct live out-neighbors of u as a contiguous span. Only
@@ -106,7 +107,9 @@ class Graph {
   /// existsEdge(v, u).
   virtual bool ExistsEdge(NodeId u, NodeId v) const = 0;
 
-  /// addEdge(v, u). No-op returning OK if the edge already exists.
+  /// addEdge(v, u). No-op returning OK if the edge already exists;
+  /// InvalidArgument, changing nothing, if an endpoint does not exist or
+  /// u == v (self paths are never logical edges, see graph/storage.h).
   virtual Status AddEdge(NodeId u, NodeId v) = 0;
   /// deleteEdge(v, u); removes the logical edge u -> v (all paths).
   virtual Status DeleteEdge(NodeId u, NodeId v) = 0;

@@ -30,7 +30,7 @@ void InsertExact(std::vector<T>& vec, size_t pos, size_t count, T value) {
 
 BitmapGraph::BitmapGraph(CondensedStorage storage,
                          const std::vector<BitmapArena>& arenas)
-    : storage_(std::move(storage)) {
+    : CondensedGraph(std::move(storage)) {
   const size_t nv = storage_.NumVirtualNodes();
   struct Ref {
     uint32_t virt;
@@ -157,15 +157,6 @@ bool BitmapGraph::ExistsEdge(NodeId u, NodeId v) const {
   return found;
 }
 
-Status BitmapGraph::AddEdge(NodeId u, NodeId v) {
-  if (!VertexExists(u) || !VertexExists(v)) {
-    return Status::InvalidArgument("AddEdge endpoint does not exist");
-  }
-  if (ExistsEdge(u, v)) return Status::OK();
-  storage_.AddEdge(NodeRef::Real(u), NodeRef::Real(v));
-  return Status::OK();
-}
-
 Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
   if (!VertexExists(u) || !VertexExists(v)) {
     return Status::InvalidArgument("DeleteEdge endpoint does not exist");
@@ -212,14 +203,6 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
     if (!found) break;
   }
   if (!removed) return Status::NotFound("edge does not exist");
-  return Status::OK();
-}
-
-Status BitmapGraph::DeleteVertex(NodeId v) {
-  if (!VertexExists(v)) {
-    return Status::NotFound("vertex does not exist");
-  }
-  storage_.DeleteRealNode(v);
   return Status::OK();
 }
 

@@ -6,8 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "graph/graph.h"
-#include "graph/storage.h"
+#include "repr/condensed_graph.h"
 
 namespace graphgen {
 
@@ -60,7 +59,7 @@ class BitmapArena {
 ///
 /// A (u, V) pair with no bitmap is traversed unrestricted: BITMAP-2 drops
 /// all-ones bitmaps, and edges added after preprocessing have none.
-class BitmapGraph : public Graph {
+class BitmapGraph : public CondensedGraph {
  public:
   /// Takes `storage` as final and builds the flat index from the records
   /// of `arenas`; at most one record per (virtual node, owner), each
@@ -70,32 +69,17 @@ class BitmapGraph : public Graph {
 
   std::string_view Name() const override { return "BITMAP"; }
 
-  size_t NumVertices() const override { return storage_.NumRealNodes(); }
-  size_t NumActiveVertices() const override {
-    return storage_.NumActiveRealNodes();
-  }
-  bool VertexExists(NodeId v) const override {
-    return v < storage_.NumRealNodes() && !storage_.IsDeleted(v);
-  }
-
   void ForEachNeighbor(NodeId u,
                        const std::function<void(NodeId)>& fn) const override;
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
-  Status AddEdge(NodeId u, NodeId v) override;
+  /// Clears the bit that lets u's walk reach v instead of detaching u_s.
   Status DeleteEdge(NodeId u, NodeId v) override;
-  NodeId AddVertex() override { return storage_.AddRealNode(); }
-  Status DeleteVertex(NodeId v) override;
 
-  uint64_t CountStoredEdges() const override {
-    return storage_.CountCondensedEdges();
-  }
-  size_t NumVirtualNodes() const override {
-    return storage_.NumVirtualNodes();
-  }
   GraphFootprint MemoryFootprint() const override {
-    return {storage_.MemoryBytes(), storage_.properties().MemoryBytes(),
-            BitmapMemoryBytes()};
+    GraphFootprint footprint = CondensedGraph::MemoryFootprint();
+    footprint.aux_bytes = BitmapMemoryBytes();
+    return footprint;
   }
 
   /// Heap held by the flat bitmap index (capacity of its four arrays) —
@@ -114,8 +98,6 @@ class BitmapGraph : public Graph {
   const std::vector<uint32_t>& word_begin() const { return word_begin_; }
   const std::vector<uint64_t>& words() const { return words_; }
 
-  const CondensedStorage& storage() const { return storage_; }
-
  private:
   // Traverses from `r` on behalf of source u, honoring bitmaps; returns
   // via fn. Used by ForEachNeighbor / ExistsEdge.
@@ -130,7 +112,6 @@ class BitmapGraph : public Graph {
   // has none.
   uint64_t* MutableBitmap(uint32_t virt, NodeId owner);
 
-  CondensedStorage storage_;
   std::vector<uint32_t> owner_begin_;
   std::vector<NodeId> owners_;
   std::vector<uint32_t> word_begin_;

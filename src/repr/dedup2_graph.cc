@@ -51,6 +51,8 @@ Status Dedup2Graph::DeleteEdge(NodeId u, NodeId v) {
   if (!VertexExists(u) || !VertexExists(v)) {
     return Status::InvalidArgument("DeleteEdge endpoint does not exist");
   }
+  // u's own virtual nodes hold u: a self path, never a logical edge.
+  if (u == v) return Status::NotFound("edge does not exist");
   // Find the unique virtual node V through which u reaches v.
   uint32_t via = 0xFFFFFFFFu;
   for (uint32_t vn : membership_[u]) {

@@ -60,6 +60,7 @@ Status ExpandedGraph::AddEdge(NodeId u, NodeId v) {
   if (!VertexExists(u) || !VertexExists(v)) {
     return Status::InvalidArgument("AddEdge endpoint does not exist");
   }
+  if (u == v) return Status::InvalidArgument("self edges are not supported");
   std::span<const NodeId> cur = OutSpan(u);
   if (std::binary_search(cur.begin(), cur.end(), v)) return Status::OK();
   std::vector<NodeId>& out = MutableOut(u);

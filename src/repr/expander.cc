@@ -88,4 +88,56 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage) {
   return graph;
 }
 
+ExpandedGraph ExpandGraph(const Graph& g, size_t threads) {
+  static obs::Counter* const builds =
+      obs::MetricsRegistry::Global().GetCounter("repr.csr_builds");
+  static obs::Histogram* const build_us =
+      obs::MetricsRegistry::Global().GetHistogram("repr.csr_build_us");
+  builds->Increment();
+  ScopedTimer build_timer(build_us);
+  const size_t n = g.NumVertices();
+  if (n == 0) return ExpandedGraph();  // ParallelInvoke(0) still runs fn(0)
+
+  // Single sweep per range: each worker drains its vertices' neighbor
+  // callbacks into one thread-local buffer and records per-vertex degrees;
+  // the buffers are then stitched into the contiguous CSR. This traverses
+  // the (possibly expensive) source representation exactly once.
+  std::vector<IndexRange> ranges = BalancedRanges(
+      n, [](size_t) { return uint64_t{1}; }, threads);
+  std::vector<std::vector<NodeId>> chunk_edges(ranges.size());
+  std::vector<uint64_t> deg(n, 0);
+  std::vector<uint8_t> deleted(n, 1);
+  ParallelInvoke(ranges.size(), [&](size_t chunk) {
+    const IndexRange r = ranges[chunk];
+    std::vector<NodeId>& buf = chunk_edges[chunk];
+    for (size_t u = r.begin; u < r.end; ++u) {
+      const NodeId id = static_cast<NodeId>(u);
+      if (!g.VertexExists(id)) continue;
+      deleted[u] = 0;
+      const size_t before = buf.size();
+      g.ForEachNeighbor(id, [&](NodeId v) { buf.push_back(v); });
+      deg[u] = buf.size() - before;
+    }
+  });
+
+  FlatAdjacency adj = FlatAdjacency::FromDegrees(deg);
+  // Stitch each chunk's buffer into its CSR slices and sort every range
+  // (condensed representations may emit neighbors in hash order).
+  ParallelInvoke(ranges.size(), [&](size_t chunk) {
+    const IndexRange r = ranges[chunk];
+    const NodeId* src = chunk_edges[chunk].data();
+    for (size_t u = r.begin; u < r.end; ++u) {
+      NodeId* dst = adj.neighbors.data() + adj.offsets[u];
+      std::copy_n(src, deg[u], dst);
+      std::sort(dst, dst + deg[u]);
+      src += deg[u];
+    }
+  });
+  // ForEachNeighbor never emits a deleted target, so the deletions are
+  // pre-scrubbed and the snapshot keeps its flat adjacency.
+  ExpandedGraph graph;
+  graph.AdoptCsr(std::move(adj), std::move(deleted));
+  return graph;
+}
+
 }  // namespace graphgen

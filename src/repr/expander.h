@@ -1,6 +1,7 @@
 #ifndef GRAPHGEN_REPR_EXPANDER_H_
 #define GRAPHGEN_REPR_EXPANDER_H_
 
+#include "graph/graph.h"
 #include "graph/storage.h"
 #include "repr/expanded_graph.h"
 
@@ -13,6 +14,16 @@ namespace graphgen {
 /// evaluation baseline and for the "expand if the increase is small"
 /// policy of §4.2 Step 6 / §6.5.
 ExpandedGraph ExpandCondensed(const CondensedStorage& storage);
+
+/// Snapshots any representation's expanded view as an EXP graph with flat
+/// adjacency (live vertices, live targets, sorted ranges, no properties):
+/// the adapter behind the NeighborSpan fast path. GraphService::FlatView
+/// caches one per graph; CountTriangles and LocalClusteringCoefficients
+/// take one when handed a graph without flat adjacency. The cost is one
+/// ForEachNeighbor sweep per range plus a per-range sort; the footprint is
+/// EXP's, (n+1)·8 + 4·E + n bytes. The snapshot reflects `g` at build
+/// time; only const methods of `g` are called.
+ExpandedGraph ExpandGraph(const Graph& g, size_t threads = 0);
 
 }  // namespace graphgen
 

@@ -6,7 +6,7 @@
 
 #include "common/faultpoints.h"
 #include "common/timer.h"
-#include "repr/csr_graph.h"
+#include "repr/expander.h"
 #include "service/cache_key.h"
 
 namespace graphgen::service {
@@ -523,7 +523,7 @@ std::shared_ptr<const Graph> GraphService::FlatView(const GraphHandle& handle) {
   // Build outside the lock — materialization walks every edge of the
   // condensed representation. Concurrent callers may race to build the
   // same adapter; the first insert wins and the losers share it.
-  auto built = std::make_shared<const CsrGraph>(CsrGraph::Build(*key));
+  auto built = std::make_shared<const ExpandedGraph>(ExpandGraph(*key));
   csr_builds_->Increment();
   MutexLock lock(mu_);
   auto [it, inserted] = flat_views_.try_emplace(key);

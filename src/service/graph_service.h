@@ -205,9 +205,10 @@ class GraphService {
   std::vector<NamedGraphInfo> List() const;
 
   /// Flat-adjacency analytics view of a handle's graph: the graph itself
-  /// when it already exposes NeighborSpan (EXP), else a materialized CSR
-  /// snapshot (CsrGraph) built once and cached alongside the graph, so
-  /// repeated kernels on a condensed representation share one adapter.
+  /// when it already exposes NeighborSpan (EXP), else an EXP snapshot
+  /// (ExpandGraph) built once and cached alongside the graph, so repeated
+  /// kernels on a condensed representation share one adapter. The view is
+  /// const: a caller cannot mutate the shared snapshot.
   /// The returned pointer keeps the adapter alive independently of the
   /// cache. Adapters whose source graph has been released (evicted +
   /// unpinned) are reaped on the next FlatView call or ClearCache; their

@@ -12,9 +12,8 @@
 #include "core/serialization.h"
 #include "gen/relational_generators.h"
 #include "relational/table.h"
-#include "repr/bitmap_graph.h"
 #include "repr/cdup_graph.h"
-#include "repr/dedup1_graph.h"
+#include "repr/condensed_graph.h"
 #include "repr/dedup2_graph.h"
 #include "repr/expanded_graph.h"
 #include "test_util.h"
@@ -27,14 +26,8 @@ using testing::MakeRandomSymmetric;
 
 // The property columns of a served graph, whatever its representation.
 const PropertyTable& ServedProperties(const Graph& g) {
-  if (const auto* c = dynamic_cast<const CDupGraph*>(&g)) {
+  if (const auto* c = dynamic_cast<const CondensedGraph*>(&g)) {
     return c->storage().properties();
-  }
-  if (const auto* d = dynamic_cast<const Dedup1Graph*>(&g)) {
-    return d->storage().properties();
-  }
-  if (const auto* b = dynamic_cast<const BitmapGraph*>(&g)) {
-    return b->storage().properties();
   }
   if (const auto* d = dynamic_cast<const Dedup2Graph*>(&g)) {
     return d->properties();

@@ -1,8 +1,8 @@
 // Parity suite for the flat-CSR fast path: for every representation and
 // every algorithm, the devirtualized NeighborSpan kernel must produce the
 // same result as the virtual ForEachNeighbor path — on EXP (native flat
-// adjacency) bit for bit, and through the materialized CsrGraph adapter
-// for the condensed representations. Triangles and clustering are also
+// adjacency) bit for bit, and through an ExpandGraph snapshot for the
+// condensed representations. Triangles and clustering are also
 // checked against brute-force references (test_util.h) that share no
 // code with src/algos/. Also pins the CSR ExpandedGraph's edge set to the
 // condensed-storage oracle, including after DeleteVertex / DeleteEdge /
@@ -27,7 +27,6 @@
 #include "dedup/dedup2_builder.h"
 #include "repr/bitmap_graph.h"
 #include "repr/cdup_graph.h"
-#include "repr/csr_graph.h"
 #include "repr/dedup1_graph.h"
 #include "repr/dedup2_graph.h"
 #include "repr/expander.h"
@@ -163,8 +162,12 @@ TEST_F(KernelParityTest, CsrAdapterParityForAllRepresentations) {
 
   for (const auto& g : graphs) {
     SCOPED_TRACE(std::string(g->Name()));
-    CsrGraph csr = CsrGraph::Build(*g);
-    ExpectKernelParity(*g, csr);
+    const ExpandedGraph snapshot = ExpandGraph(*g);
+    ExpectKernelParity(*g, snapshot);
+    // An out-CSR plus one byte per vertex: 8 B per offset, 4 B per edge.
+    const size_t n = snapshot.NumVertices();
+    EXPECT_EQ(snapshot.MemoryFootprint().Total(),
+              (n + 1) * 8 + 4 * snapshot.CountStoredEdges() + n);
   }
 }
 
@@ -224,9 +227,9 @@ TEST_F(KernelParityTest, VertexDeletionDisablesFlatPathButStaysCorrect) {
   EXPECT_EQ(Bfs(exp, 0), Bfs(mirror, 0));
 
   // A fresh snapshot of the mutated graph restores the fast path.
-  CsrGraph csr = CsrGraph::Build(exp);
-  EXPECT_FALSE(csr.VertexExists(3));
-  ExpectKernelParity(exp, csr);
+  const ExpandedGraph snapshot = ExpandGraph(exp);
+  EXPECT_FALSE(snapshot.VertexExists(3));
+  ExpectKernelParity(exp, snapshot);
 }
 
 TEST_F(KernelParityTest, AdoptionTimeDeletionsKeepFlatPath) {
@@ -246,23 +249,12 @@ TEST_F(KernelParityTest, AdoptionTimeDeletionsKeepFlatPath) {
   EXPECT_FALSE(exp.HasFlatAdjacency());
 }
 
-TEST(CsrGraphTest, SnapshotIsImmutable) {
-  CondensedStorage s = MakeRandomSymmetric(40, 12, 4, 7);
-  CDupGraph cdup(s);
-  CsrGraph csr = CsrGraph::Build(cdup);
-  EXPECT_FALSE(csr.AddEdge(0, 1).ok());
-  EXPECT_FALSE(csr.DeleteEdge(0, 1).ok());
-  EXPECT_FALSE(csr.DeleteVertex(0).ok());
-  EXPECT_EQ(csr.AddVertex(), kInvalidNode);
-  EXPECT_EQ(EdgeSetOf(csr), EdgeSetOf(cdup));
-}
-
-TEST(CsrGraphTest, EmptyGraphSnapshots) {
+TEST(ExpandGraphTest, EmptyGraphSnapshots) {
   ExpandedGraph empty;
-  CsrGraph csr = CsrGraph::Build(empty);
-  EXPECT_EQ(csr.NumVertices(), 0u);
-  EXPECT_EQ(csr.CountStoredEdges(), 0u);
-  EXPECT_EQ(CountTriangles(csr), 0u);
+  const ExpandedGraph snapshot = ExpandGraph(empty);
+  EXPECT_EQ(snapshot.NumVertices(), 0u);
+  EXPECT_EQ(snapshot.CountStoredEdges(), 0u);
+  EXPECT_EQ(CountTriangles(snapshot), 0u);
 }
 
 }  // namespace

@@ -13,8 +13,10 @@
 #include "common/rng.h"
 #include "dedup/bitmap_algorithms.h"
 #include "dedup/dedup1_algorithms.h"
+#include "dedup/dedup2_builder.h"
 #include "repr/cdup_graph.h"
 #include "repr/dedup1_graph.h"
+#include "repr/dedup2_graph.h"
 #include "repr/expander.h"
 #include "test_util.h"
 
@@ -46,6 +48,9 @@ TEST_P(MutationConsistencyTest, RepresentationsStayEquivalent) {
   auto bm = BuildBitmap2(s);
   ASSERT_TRUE(bm.ok());
   graphs.push_back(std::make_unique<BitmapGraph>(std::move(*bm)));
+  auto b1 = BuildBitmap1(s);
+  ASSERT_TRUE(b1.ok());
+  graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b1)));
 
   Rng rng(p.op_seed);
   size_t num_vertices = s.NumRealNodes();
@@ -57,11 +62,19 @@ TEST_P(MutationConsistencyTest, RepresentationsStayEquivalent) {
       case 0:
       case 1:
       case 2: {  // AddEdge (directed)
-        if (u == v) break;
         for (auto& g : graphs) {
-          if (g->VertexExists(u) && g->VertexExists(v)) {
-            EXPECT_TRUE(g->AddEdge(u, v).ok());
+          if (!g->VertexExists(u) || !g->VertexExists(v)) continue;
+          if (u != v) {
+            EXPECT_TRUE(g->AddEdge(u, v).ok()) << g->Name();
+            continue;
           }
+          // Self paths are never logical edges: refused, nothing stored.
+          const auto edges = g->ExpandedEdgeSet();
+          const uint64_t stored = g->CountStoredEdges();
+          EXPECT_EQ(g->AddEdge(u, v).code(), StatusCode::kInvalidArgument)
+              << g->Name() << " op " << op << " (" << u << "," << u << ")";
+          EXPECT_EQ(g->ExpandedEdgeSet(), edges) << g->Name();
+          EXPECT_EQ(g->CountStoredEdges(), stored) << g->Name();
         }
         break;
       }
@@ -105,6 +118,7 @@ TEST_P(MutationConsistencyTest, RepresentationsStayEquivalent) {
   EXPECT_TRUE(IsDuplicateFree(*graphs[0])) << "C-DUP iterator";
   EXPECT_TRUE(IsDuplicateFree(*graphs[2])) << "DEDUP-1";
   EXPECT_TRUE(IsDuplicateFree(*graphs[3])) << "BITMAP-2";
+  EXPECT_TRUE(IsDuplicateFree(*graphs[4])) << "BITMAP-1";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -223,6 +237,41 @@ TEST(MutationEdgeCases, ExpandedCompactSurvivesRandomChurn) {
   EXPECT_TRUE(g.HasFlatAdjacency());
   EXPECT_TRUE(IsDuplicateFree(g));
   EXPECT_EQ(g.Compact(), 0u);
+}
+
+// A self path is never a logical edge, so no representation adds or
+// deletes one: AddEdge(u, u) is refused, DeleteEdge(u, u) finds nothing,
+// and neither changes what is stored.
+TEST(MutationEdgeCases, SelfEdgesChangeNothing) {
+  CondensedStorage s = MakeRandomSymmetric(40, 12, 5, 3);
+  std::vector<std::unique_ptr<Graph>> graphs;
+  graphs.push_back(std::make_unique<CDupGraph>(s));
+  graphs.push_back(std::make_unique<ExpandedGraph>(ExpandCondensed(s)));
+  auto d1 = GreedyVirtualNodesFirst(s);
+  ASSERT_TRUE(d1.ok());
+  graphs.push_back(std::make_unique<Dedup1Graph>(std::move(*d1)));
+  auto d2 = BuildDedup2(s);
+  ASSERT_TRUE(d2.ok());
+  graphs.push_back(std::make_unique<Dedup2Graph>(std::move(*d2)));
+  auto b1 = BuildBitmap1(s);
+  ASSERT_TRUE(b1.ok());
+  graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b1)));
+  auto b2 = BuildBitmap2(s);
+  ASSERT_TRUE(b2.ok());
+  graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b2)));
+
+  for (auto& g : graphs) {
+    const auto edges = g->ExpandedEdgeSet();
+    const uint64_t stored = g->CountStoredEdges();
+    for (NodeId u = 0; u < 40; ++u) {
+      EXPECT_EQ(g->AddEdge(u, u).code(), StatusCode::kInvalidArgument)
+          << g->Name() << " " << u;
+      EXPECT_EQ(g->DeleteEdge(u, u).code(), StatusCode::kNotFound)
+          << g->Name() << " " << u;
+    }
+    EXPECT_EQ(g->ExpandedEdgeSet(), edges) << g->Name();
+    EXPECT_EQ(g->CountStoredEdges(), stored) << g->Name();
+  }
 }
 
 TEST(MutationEdgeCases, AddEdgeToFreshVertex) {
