@@ -1,6 +1,7 @@
 #include "bsp/bsp_engine.h"
 
 #include <atomic>
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -26,7 +27,7 @@ void AtomicMin(std::atomic<uint32_t>& slot, uint32_t value) {
 // sums land in acc. Returns the messages sent, one per out-edge.
 template <typename T, typename Sources, typename Weight>
 uint64_t ForwardThroughBitmaps(const BitmapGraph& g, uint32_t v,
-                               const std::vector<NodeRef>& out,
+                               std::span<const NodeRef> out,
                                const Sources& sources, Weight weight,
                                std::vector<std::atomic<T>>& acc) {
   std::vector<T> per_edge(out.size(), T{0});
@@ -51,19 +52,61 @@ uint64_t ForwardThroughBitmaps(const BitmapGraph& g, uint32_t v,
 }  // namespace
 
 Status BspEngine::CheckSingleLayer() const {
-  if (graph_.mode() != BspMode::kExpanded &&
-      !graph_.storage()->IsSingleLayer()) {
-    return Status::Unsupported(
-        "the BSP engine supports single-layer condensed graphs only");
+  if (graph_.mode() == BspMode::kExpanded) return Status::OK();
+  const CondensedGraph& g = *graph_.condensed();
+  for (uint32_t v = 0; v < g.NumVirtualNodes(); ++v) {
+    for (NodeRef r : g.OutEdges(NodeRef::Virtual(v))) {
+      if (r.is_virtual()) {
+        return Status::Unsupported(
+            "the BSP engine supports single-layer condensed graphs only");
+      }
+    }
   }
   return Status::OK();
+}
+
+FlatAdjacency BspEngine::VirtualSources() const {
+  if (graph_.mode() == BspMode::kExpanded) return FlatAdjacency();
+  const CondensedGraph& g = *graph_.condensed();
+  const size_t nr = g.NumVertices();
+  // Counting pass, then a scatter in ascending source order.
+  std::vector<uint64_t> in_degree(g.NumVirtualNodes(), 0);
+  for (NodeId u = 0; u < nr; ++u) {
+    if (g.IsDeleted(u)) continue;
+    for (NodeRef r : g.OutEdges(NodeRef::Real(u))) {
+      if (r.is_virtual()) ++in_degree[r.index()];
+    }
+  }
+  FlatAdjacency sources = FlatAdjacency::FromDegrees(in_degree);
+  std::vector<uint64_t> cursor(sources.offsets.begin(),
+                               sources.offsets.end() - 1);
+  for (NodeId u = 0; u < nr; ++u) {
+    if (g.IsDeleted(u)) continue;
+    for (NodeRef r : g.OutEdges(NodeRef::Real(u))) {
+      if (r.is_virtual()) sources.neighbors[cursor[r.index()]++] = u;
+    }
+  }
+  return sources;
+}
+
+size_t BspEngine::RunMemoryBytes(const FlatAdjacency& sources) const {
+  return graph_.MemoryBytes() +
+         (graph_.mode() == BspMode::kExpanded ? 0 : sources.MemoryBytes());
 }
 
 Result<BspRunStats> BspEngine::RunDegree(std::vector<uint64_t>* degrees) {
   GRAPHGEN_RETURN_NOT_OK(CheckSingleLayer());
   WallTimer timer;
+  const FlatAdjacency sources = VirtualSources();
+  BspRunStats stats = Degree(sources, degrees);
+  stats.memory_bytes = RunMemoryBytes(sources);
+  stats.seconds = timer.Seconds();
+  return stats;
+}
+
+BspRunStats BspEngine::Degree(const FlatAdjacency& sources,
+                              std::vector<uint64_t>* degrees) {
   BspRunStats stats;
-  stats.memory_bytes = graph_.MemoryBytes();
 
   if (graph_.mode() == BspMode::kExpanded) {
     const ExpandedGraph& g = *graph_.expanded();
@@ -77,12 +120,11 @@ Result<BspRunStats> BspEngine::RunDegree(std::vector<uint64_t>* degrees) {
         },
         threads_);
     stats.supersteps = 1;
-    stats.seconds = timer.Seconds();
     return stats;
   }
 
-  const CondensedStorage& s = *graph_.storage();
-  const size_t nr = s.NumRealNodes();
+  const CondensedGraph& s = *graph_.condensed();
+  const size_t nr = s.NumVertices();
   const size_t nv = s.NumVirtualNodes();
   std::vector<std::atomic<uint64_t>> acc(nr);
   for (auto& a : acc) a.store(0, std::memory_order_relaxed);
@@ -113,26 +155,26 @@ Result<BspRunStats> BspEngine::RunDegree(std::vector<uint64_t>* degrees) {
       nv,
       [&](size_t begin, size_t end) {
         uint64_t local = 0;
-        std::unordered_set<NodeId> sources;
+        std::unordered_set<NodeId> senders;
         for (size_t v = begin; v < end; ++v) {
-          NodeRef vref = NodeRef::Virtual(static_cast<uint32_t>(v));
-          const auto& out = s.OutEdges(vref);
+          const NodeId vid = static_cast<NodeId>(v);
+          const std::span<const NodeRef> out =
+              s.OutEdges(NodeRef::Virtual(vid));
           if (out.empty()) continue;
-          sources.clear();
-          for (NodeRef r : s.InEdges(vref)) {
-            if (r.is_real()) sources.insert(r.index());
-          }
+          const std::span<const NodeId> in = sources.Slice(vid);
+          senders.clear();
+          senders.insert(in.begin(), in.end());
           if (graph_.mode() == BspMode::kBitmap) {
             local += ForwardThroughBitmaps(
-                *graph_.bitmap(), static_cast<uint32_t>(v), out, sources,
+                *graph_.bitmap(), vid, out, senders,
                 [](NodeId) { return uint64_t{1}; }, acc);
           } else {
-            const uint64_t agg = sources.size();
+            const uint64_t agg = senders.size();
             for (NodeRef r : out) {
               ++local;
               if (!r.is_real()) continue;
               uint64_t contribution =
-                  agg - (sources.contains(r.index()) ? 1 : 0);
+                  agg - (senders.contains(r.index()) ? 1 : 0);
               if (contribution > 0) {
                 acc[r.index()].fetch_add(contribution,
                                          std::memory_order_relaxed);
@@ -150,30 +192,27 @@ Result<BspRunStats> BspEngine::RunDegree(std::vector<uint64_t>* degrees) {
   }
   stats.supersteps = 2;
   stats.messages = messages.load();
-  stats.seconds = timer.Seconds();
   return stats;
 }
 
 Result<BspRunStats> BspEngine::RunPageRank(size_t iterations, double damping,
                                            std::vector<double>* ranks) {
   GRAPHGEN_RETURN_NOT_OK(CheckSingleLayer());
+  const FlatAdjacency sources = VirtualSources();
   BspRunStats stats;
-  stats.memory_bytes = graph_.MemoryBytes();
+  stats.memory_bytes = RunMemoryBytes(sources);
 
   // Degrees are precomputed and stored as a vertex property (§6.4).
   std::vector<uint64_t> degrees;
-  GRAPHGEN_ASSIGN_OR_RETURN(BspRunStats degree_stats, RunDegree(&degrees));
-  (void)degree_stats;
+  Degree(sources, &degrees);
 
   WallTimer timer;
-  const size_t nr = graph_.mode() == BspMode::kExpanded
-                        ? graph_.expanded()->NumVertices()
-                        : graph_.storage()->NumRealNodes();
+  const size_t nr = graph_.NumReal();
   size_t live = 0;
   for (size_t u = 0; u < nr; ++u) {
     bool exists = graph_.mode() == BspMode::kExpanded
                       ? graph_.expanded()->VertexExists(static_cast<NodeId>(u))
-                      : !graph_.storage()->IsDeleted(static_cast<NodeId>(u));
+                      : !graph_.condensed()->IsDeleted(static_cast<NodeId>(u));
     if (exists) ++live;
   }
   if (live == 0) {
@@ -185,7 +224,7 @@ Result<BspRunStats> BspEngine::RunPageRank(size_t iterations, double damping,
   auto is_live = [&](size_t u) {
     return graph_.mode() == BspMode::kExpanded
                ? graph_.expanded()->VertexExists(static_cast<NodeId>(u))
-               : !graph_.storage()->IsDeleted(static_cast<NodeId>(u));
+               : !graph_.condensed()->IsDeleted(static_cast<NodeId>(u));
   };
   std::vector<double> rank(nr, 0.0);
   for (size_t u = 0; u < nr; ++u) {
@@ -233,7 +272,7 @@ Result<BspRunStats> BspEngine::RunPageRank(size_t iterations, double damping,
           threads_);
       stats.supersteps += 1;
     } else {
-      const CondensedStorage& s = *graph_.storage();
+      const CondensedGraph& s = *graph_.condensed();
       // Superstep A: real -> virtual (direct edges land immediately).
       ParallelFor(
           nr,
@@ -259,24 +298,20 @@ Result<BspRunStats> BspEngine::RunPageRank(size_t iterations, double damping,
           nv,
           [&](size_t begin, size_t end) {
             uint64_t local = 0;
-            std::vector<NodeId> sources;
             for (size_t v = begin; v < end; ++v) {
-              NodeRef vref = NodeRef::Virtual(static_cast<uint32_t>(v));
-              const auto& out = s.OutEdges(vref);
+              const NodeId vid = static_cast<NodeId>(v);
+              const std::span<const NodeRef> out =
+                  s.OutEdges(NodeRef::Virtual(vid));
               if (out.empty()) continue;
-              sources.clear();
-              for (NodeRef r : s.InEdges(vref)) {
-                if (r.is_real()) sources.push_back(r.index());
-              }
+              const std::span<const NodeId> in = sources.Slice(vid);
               if (graph_.mode() == BspMode::kBitmap) {
                 local += ForwardThroughBitmaps(
-                    *graph_.bitmap(), static_cast<uint32_t>(v), out, sources,
+                    *graph_.bitmap(), vid, out, in,
                     [&](NodeId u) { return share[u]; }, acc);
               } else {
                 double agg = 0.0;
-                std::unordered_set<NodeId> member(sources.begin(),
-                                                  sources.end());
-                for (NodeId u : sources) agg += share[u];
+                std::unordered_set<NodeId> member(in.begin(), in.end());
+                for (NodeId u : in) agg += share[u];
                 for (NodeRef r : out) {
                   ++local;
                   if (!r.is_real()) continue;
@@ -317,12 +352,11 @@ Result<BspRunStats> BspEngine::RunConnectedComponents(
     std::vector<NodeId>* labels) {
   GRAPHGEN_RETURN_NOT_OK(CheckSingleLayer());
   WallTimer timer;
+  const FlatAdjacency sources = VirtualSources();
   BspRunStats stats;
-  stats.memory_bytes = graph_.MemoryBytes();
+  stats.memory_bytes = RunMemoryBytes(sources);
 
-  const size_t nr = graph_.mode() == BspMode::kExpanded
-                        ? graph_.expanded()->NumVertices()
-                        : graph_.storage()->NumRealNodes();
+  const size_t nr = graph_.NumReal();
   std::vector<std::atomic<uint32_t>> incoming(nr);
   std::vector<uint32_t> current(nr);
   for (size_t u = 0; u < nr; ++u) current[u] = static_cast<uint32_t>(u);
@@ -353,7 +387,7 @@ Result<BspRunStats> BspEngine::RunConnectedComponents(
       stats.supersteps += 1;
     } else {
       // Duplicate-insensitive: bitmaps are ignored (C-DUP fast path).
-      const CondensedStorage& s = *graph_.storage();
+      const CondensedGraph& s = *graph_.condensed();
       ParallelFor(
           nr,
           [&](size_t begin, size_t end) {
@@ -375,13 +409,13 @@ Result<BspRunStats> BspEngine::RunConnectedComponents(
           [&](size_t begin, size_t end) {
             uint64_t local = 0;
             for (size_t v = begin; v < end; ++v) {
-              NodeRef vref = NodeRef::Virtual(static_cast<uint32_t>(v));
+              const NodeId vid = static_cast<NodeId>(v);
               uint32_t agg = 0xFFFFFFFFu;
-              for (NodeRef r : s.InEdges(vref)) {
-                if (r.is_real()) agg = std::min(agg, current[r.index()]);
+              for (NodeId u : sources.Slice(vid)) {
+                agg = std::min(agg, current[u]);
               }
               if (agg == 0xFFFFFFFFu) continue;
-              for (NodeRef r : s.OutEdges(vref)) {
+              for (NodeRef r : s.OutEdges(NodeRef::Virtual(vid))) {
                 ++local;
                 if (r.is_real()) AtomicMin(incoming[r.index()], agg);
               }

@@ -5,6 +5,7 @@
 
 #include "bsp/bsp_graph.h"
 #include "common/status.h"
+#include "graph/flat_adjacency.h"
 #include "graph/node_ref.h"
 
 namespace graphgen::bsp {
@@ -27,6 +28,10 @@ struct BspRunStats {
 ///
 /// Only single-layer condensed graphs are supported (all Giraph-experiment
 /// datasets in the paper are single-layer).
+///
+/// A served condensed graph stores out-lists only, so each condensed run
+/// first builds the virtual nodes' real in-lists once, as a transient
+/// transpose; stats.memory_bytes counts it with the graph.
 class BspEngine {
  public:
   explicit BspEngine(BspGraph graph, size_t threads = 0)
@@ -46,6 +51,14 @@ class BspEngine {
 
  private:
   Status CheckSingleLayer() const;
+  /// Per virtual node, the live real nodes with an edge into it, ascending
+  /// and with multiplicity. Empty (no vertices) in EXP mode.
+  FlatAdjacency VirtualSources() const;
+  /// The graph's footprint plus the run's transpose.
+  size_t RunMemoryBytes(const FlatAdjacency& sources) const;
+  /// RunDegree's supersteps over a prebuilt transpose (untimed).
+  BspRunStats Degree(const FlatAdjacency& sources,
+                     std::vector<uint64_t>* degrees);
 
   BspGraph graph_;
   size_t threads_;

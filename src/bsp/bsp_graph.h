@@ -3,8 +3,8 @@
 
 #include <cstdint>
 
-#include "graph/storage.h"
 #include "repr/bitmap_graph.h"
+#include "repr/condensed_graph.h"
 #include "repr/expanded_graph.h"
 
 namespace graphgen::bsp {
@@ -24,44 +24,35 @@ class BspGraph {
   explicit BspGraph(const ExpandedGraph* expanded)
       : mode_(BspMode::kExpanded), expanded_(expanded) {}
   /// DEDUP-1 (or C-DUP for duplicate-insensitive programs).
-  explicit BspGraph(const CondensedStorage* storage)
-      : mode_(BspMode::kDedup1), storage_(storage) {}
+  explicit BspGraph(const CondensedGraph* condensed)
+      : mode_(BspMode::kDedup1), condensed_(condensed) {}
   /// BITMAP: condensed structure plus per-source bitmaps.
   explicit BspGraph(const BitmapGraph* bitmap)
-      : mode_(BspMode::kBitmap),
-        storage_(&bitmap->storage()),
-        bitmap_(bitmap) {}
+      : mode_(BspMode::kBitmap), condensed_(bitmap), bitmap_(bitmap) {}
 
   BspMode mode() const { return mode_; }
   const ExpandedGraph* expanded() const { return expanded_; }
-  const CondensedStorage* storage() const { return storage_; }
+  const CondensedGraph* condensed() const { return condensed_; }
   const BitmapGraph* bitmap() const { return bitmap_; }
 
   size_t NumReal() const {
     return mode_ == BspMode::kExpanded ? expanded_->NumVertices()
-                                       : storage_->NumRealNodes();
+                                       : condensed_->NumVertices();
   }
   size_t NumVirtual() const {
-    return mode_ == BspMode::kExpanded ? 0 : storage_->NumVirtualNodes();
+    return mode_ == BspMode::kExpanded ? 0 : condensed_->NumVirtualNodes();
   }
 
-  /// Heap estimate reported in the Table 4 harness.
+  /// The graph's heap footprint; the engine adds its per-run transpose.
   size_t MemoryBytes() const {
-    switch (mode_) {
-      case BspMode::kExpanded:
-        return expanded_->MemoryBytes();
-      case BspMode::kDedup1:
-        return storage_->MemoryBytes();
-      case BspMode::kBitmap:
-        return bitmap_->MemoryBytes();
-    }
-    return 0;
+    return mode_ == BspMode::kExpanded ? expanded_->MemoryBytes()
+                                       : condensed_->MemoryBytes();
   }
 
  private:
   BspMode mode_;
   const ExpandedGraph* expanded_ = nullptr;
-  const CondensedStorage* storage_ = nullptr;
+  const CondensedGraph* condensed_ = nullptr;
   const BitmapGraph* bitmap_ = nullptr;
 };
 

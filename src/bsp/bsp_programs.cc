@@ -7,7 +7,7 @@ BspEngine MakeExpandedEngine(const ExpandedGraph& graph, size_t threads) {
 }
 
 BspEngine MakeDedup1Engine(const Dedup1Graph& graph, size_t threads) {
-  return BspEngine(BspGraph(&graph.storage()), threads);
+  return BspEngine(BspGraph(&graph), threads);
 }
 
 BspEngine MakeBitmapEngine(const BitmapGraph& graph, size_t threads) {

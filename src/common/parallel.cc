@@ -196,7 +196,8 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ParallelInvoke(size_t threads, const std::function<void(size_t)>& fn) {
-  if (threads <= 1) {
+  if (threads == 0) return;
+  if (threads == 1) {
     fn(0);
     return;
   }

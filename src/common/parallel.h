@@ -24,7 +24,8 @@ void ParallelFor(size_t n,
                  const std::function<void(size_t begin, size_t end)>& fn,
                  size_t threads = 0);
 
-/// Runs fn(thread_index) on `threads` threads and joins.
+/// Runs fn(thread_index) on `threads` threads and joins; zero threads run
+/// nothing, one runs fn(0) on the caller.
 void ParallelInvoke(size_t threads, const std::function<void(size_t)>& fn);
 
 /// A contiguous index range [begin, end).

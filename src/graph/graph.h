@@ -109,7 +109,8 @@ class Graph {
 
   /// addEdge(v, u). No-op returning OK if the edge already exists;
   /// InvalidArgument, changing nothing, if an endpoint does not exist or
-  /// u == v (self paths are never logical edges, see graph/storage.h).
+  /// u == v (self paths are never logical edges; see
+  /// graph/condensed_walk.h).
   virtual Status AddEdge(NodeId u, NodeId v) = 0;
   /// deleteEdge(v, u); removes the logical edge u -> v (all paths).
   virtual Status DeleteEdge(NodeId u, NodeId v) = 0;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/memory.h"
 #include "common/parallel.h"
+#include "graph/condensed_walk.h"
 
 namespace graphgen {
 
@@ -182,35 +182,16 @@ bool CondensedStorage::IsAcyclic() const {
 
 void CondensedStorage::ForEachExpandedNeighbor(
     NodeId u, const std::function<void(NodeId)>& fn) const {
-  if (IsDeleted(u)) return;
-  std::unordered_set<NodeId> seen;
-  ForEachPathNeighbor(u, [&](NodeId v) {
-    if (seen.insert(v).second) fn(v);
-  });
+  condensed::ForEachExpandedNeighbor(*this, u, fn);
 }
 
 void CondensedStorage::ForEachPathNeighbor(
     NodeId u, const std::function<void(NodeId)>& fn) const {
-  if (IsDeleted(u)) return;
-  // Iterative DFS through virtual nodes only; real targets are leaves.
-  std::vector<NodeRef> stack;
-  for (NodeRef r : real_out_[u]) stack.push_back(r);
-  while (!stack.empty()) {
-    NodeRef r = stack.back();
-    stack.pop_back();
-    if (r.is_real()) {
-      // Self paths (u_s -> ... -> u_t) are not logical edges; see header.
-      if (!IsDeleted(r.index()) && r.index() != u) fn(r.index());
-      continue;
-    }
-    for (NodeRef next : virt_out_[r.index()]) stack.push_back(next);
-  }
+  condensed::ForEachPathNeighbor(*this, u, fn);
 }
 
 std::vector<NodeId> CondensedStorage::ExpandedNeighbors(NodeId u) const {
-  std::vector<NodeId> out;
-  ForEachExpandedNeighbor(u, [&](NodeId v) { out.push_back(v); });
-  return out;
+  return condensed::ExpandedNeighbors(*this, u);
 }
 
 uint64_t CondensedStorage::CountExpandedEdges() const {
@@ -222,9 +203,10 @@ uint64_t CondensedStorage::CountExpandedEdges() const {
     for (size_t u = begin; u < end; ++u) {
       if (deleted_[u]) continue;
       seen.clear();
-      ForEachPathNeighbor(static_cast<NodeId>(u), [&](NodeId v) {
-        if (seen.insert(v).second) ++local;
-      });
+      condensed::ForEachPathNeighbor(*this, static_cast<NodeId>(u),
+                                     [&](NodeId v) {
+                                       if (seen.insert(v).second) ++local;
+                                     });
     }
     total.fetch_add(local, std::memory_order_relaxed);
   });
@@ -232,23 +214,7 @@ uint64_t CondensedStorage::CountExpandedEdges() const {
 }
 
 uint64_t CondensedStorage::CountDuplicatePairs() const {
-  std::atomic<uint64_t> total{0};
-  const size_t n = real_out_.size();
-  ParallelFor(n, [&](size_t begin, size_t end) {
-    uint64_t local = 0;
-    std::unordered_map<NodeId, uint32_t> counts;
-    for (size_t u = begin; u < end; ++u) {
-      if (deleted_[u]) continue;
-      counts.clear();
-      ForEachPathNeighbor(static_cast<NodeId>(u),
-                          [&](NodeId v) { ++counts[v]; });
-      for (const auto& [v, c] : counts) {
-        if (c > 1) ++local;
-      }
-    }
-    total.fetch_add(local, std::memory_order_relaxed);
-  });
-  return total.load();
+  return condensed::CountDuplicatePairs(*this, real_out_.size());
 }
 
 std::vector<std::pair<NodeId, NodeId>> CondensedStorage::ExpandedEdgeSet()
@@ -396,33 +362,6 @@ void CondensedStorage::DeleteRealNode(NodeId u) {
   if (deleted_[u]) return;
   deleted_[u] = 1;
   ++num_deleted_;
-}
-
-void CondensedStorage::CompactDeletions() {
-  if (num_deleted_ == 0) return;
-  auto scrub = [&](std::vector<NodeRef>& list) {
-    list.erase(std::remove_if(list.begin(), list.end(),
-                              [&](NodeRef r) {
-                                return r.is_real() && deleted_[r.index()];
-                              }),
-               list.end());
-  };
-  for (auto& l : virt_out_) scrub(l);
-  for (auto& l : virt_in_) scrub(l);
-  for (NodeId u = 0; u < real_out_.size(); ++u) {
-    if (deleted_[u]) {
-      // Drop the deleted vertex's own adjacency.
-      real_out_[u].clear();
-      real_out_[u].shrink_to_fit();
-      real_in_[u].clear();
-      real_in_[u].shrink_to_fit();
-    } else {
-      scrub(real_out_[u]);
-      scrub(real_in_[u]);
-    }
-  }
-  // Slots stay marked deleted forever (ids are stable); only the pending
-  // counter is kept so NumActiveRealNodes stays correct.
 }
 
 size_t CondensedStorage::MemoryBytes() const {

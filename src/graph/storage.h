@@ -13,8 +13,8 @@
 
 namespace graphgen {
 
-/// The physical storage of a condensed graph GC(V', E') as defined in
-/// §4.1 of the paper:
+/// The builders' form of a condensed graph GC(V', E') as defined in §4.1
+/// of the paper:
 ///
 ///  * every real node u appears once physically, but logically twice
 ///    (u_s with only out-edges, u_t with only in-edges);
@@ -23,15 +23,22 @@ namespace graphgen {
 ///  * an expanded edge u -> v exists iff there is a directed path from
 ///    u_s to v_t.
 ///
-/// Adjacency is a CSR-variant of mutable per-node vectors (the paper uses
+/// Adjacency is one mutable vector per node and direction (the paper's
 /// Java ArrayLists; §3.4). Out-lists of real nodes hold virtual refs and
 /// direct real refs (direct edge u_s -> v_t). Virtual nodes hold both
 /// in-lists and out-lists that may reference real or virtual nodes
 /// (virtual-virtual edges make the graph multi-layer).
 ///
-/// Real-node deletion is lazy (§3.4): DeleteRealNode only marks the vertex;
-/// iteration skips marked vertices, and CompactDeletions performs the
-/// physical batch removal, rebuilding the index once.
+/// This is the type the planner, the §4.2 preprocessing, the dedup
+/// builders and the EXP patch enumeration build and rewrite, all of which
+/// need in-lists and cheap edits anywhere. A served C-DUP, DEDUP-1 or
+/// BITMAP graph consumes it: CondensedGraph (repr/condensed_graph.h)
+/// freezes the out-lists into flat CSR arrays and drops the in-lists,
+/// the way EXP serves a FlatAdjacency.
+///
+/// Real-node deletion is lazy (§3.4): DeleteRealNode only marks the vertex
+/// and iteration skips marked vertices. A served graph scrubs them with
+/// CondensedGraph::Compact.
 class CondensedStorage {
  public:
   CondensedStorage() = default;
@@ -103,19 +110,15 @@ class CondensedStorage {
 
   // ---- Expanded-graph views ----
 
+  // The walks are graph/condensed_walk.h's, shared with CondensedGraph.
+
   /// Calls fn once per *distinct* real neighbor reachable from u_s
   /// (deduplicating via a hash set — the C-DUP on-the-fly strategy).
   void ForEachExpandedNeighbor(NodeId u,
                                const std::function<void(NodeId)>& fn) const;
 
   /// Calls fn for every real target of every u_s->...->v_t path, including
-  /// duplicates (used to *measure* duplication).
-  ///
-  /// Self paths (u_s -> ... -> u_t) are skipped by both traversal methods:
-  /// membership of u in a virtual node always creates a path back to u
-  /// itself (e.g. an author "co-authoring with themselves" through each of
-  /// their papers), which is never a logical edge, and which would make
-  /// true deduplication impossible for any node in >1 virtual node.
+  /// duplicates (used to *measure* duplication). Self paths are skipped.
   void ForEachPathNeighbor(NodeId u,
                            const std::function<void(NodeId)>& fn) const;
 
@@ -173,10 +176,6 @@ class CondensedStorage {
   /// Logically removes a real node from the vertex index.
   void DeleteRealNode(NodeId u);
   size_t NumPendingDeletions() const { return num_deleted_; }
-  /// Physically removes all logically deleted vertices in one batch and
-  /// scrubs them from every adjacency list. Node ids are *not* renumbered;
-  /// deleted slots simply become permanently unused.
-  void CompactDeletions();
 
   // ---- Properties ----
 

@@ -31,7 +31,7 @@ void InsertExact(std::vector<T>& vec, size_t pos, size_t count, T value) {
 BitmapGraph::BitmapGraph(CondensedStorage storage,
                          const std::vector<BitmapArena>& arenas)
     : CondensedGraph(std::move(storage)) {
-  const size_t nv = storage_.NumVirtualNodes();
+  const size_t nv = NumVirtualNodes();
   struct Ref {
     uint32_t virt;
     NodeId owner;
@@ -92,7 +92,7 @@ const uint64_t* BitmapGraph::FindBitmap(uint32_t virt, NodeId owner) const {
 }
 
 uint64_t* BitmapGraph::MutableBitmap(uint32_t virt, NodeId owner) {
-  const size_t bits = storage_.OutEdges(NodeRef::Virtual(virt)).size();
+  const size_t bits = OutEdges(NodeRef::Virtual(virt)).size();
   const size_t w = BitmapWords(bits);
   const auto [slot, found] = FindSlot(virt, owner);
   const size_t at = word_begin_[virt] + (slot - owner_begin_[virt]) * w;
@@ -111,20 +111,20 @@ uint64_t* BitmapGraph::MutableBitmap(uint32_t virt, NodeId owner) {
 
 void BitmapGraph::Traverse(NodeId u,
                            const std::function<bool(NodeId)>& fn) const {
-  if (u >= storage_.NumRealNodes() || storage_.IsDeleted(u)) return;
+  if (!VertexExists(u)) return;
   std::vector<NodeRef> stack;
-  const auto& out = storage_.OutEdges(NodeRef::Real(u));
+  const std::span<const NodeRef> out = OutEdges(NodeRef::Real(u));
   stack.assign(out.begin(), out.end());
   while (!stack.empty()) {
     NodeRef r = stack.back();
     stack.pop_back();
     if (r.is_real()) {
-      if (r.index() == u || storage_.IsDeleted(r.index())) continue;
+      if (r.index() == u || IsDeleted(r.index())) continue;
       if (!fn(r.index())) return;
       continue;
     }
     const uint32_t v = r.index();
-    const auto& vout = storage_.OutEdges(r);
+    const std::span<const NodeRef> vout = OutEdges(r);
     const uint64_t* bm = FindBitmap(v, u);
     if (bm == nullptr) {
       stack.insert(stack.end(), vout.begin(), vout.end());
@@ -161,10 +161,8 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
   if (!VertexExists(u) || !VertexExists(v)) {
     return Status::InvalidArgument("DeleteEdge endpoint does not exist");
   }
-  bool removed = false;
-  while (storage_.RemoveEdge(NodeRef::Real(u), NodeRef::Real(v))) {
-    removed = true;
-  }
+  bool removed =
+      EraseOutEdges(u, [v](NodeRef r) { return r == NodeRef::Real(v); }) > 0;
   // Bitmaps make logical deletion local: find the virtual node whose
   // permitted out-edge reaches v and clear that bit. Repeat until no path
   // remains (there is exactly one in a deduplicated graph).
@@ -176,7 +174,7 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
       size_t via_index;
     };
     std::vector<Frame> stack;
-    for (NodeRef r : storage_.OutEdges(NodeRef::Real(u))) {
+    for (NodeRef r : OutEdges(NodeRef::Real(u))) {
       stack.push_back({r, 0xFFFFFFFFu, 0});
     }
     bool found = false;
@@ -193,7 +191,7 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
         continue;
       }
       const uint32_t vn = f.node.index();
-      const auto& vout = storage_.OutEdges(f.node);
+      const std::span<const NodeRef> vout = OutEdges(f.node);
       const uint64_t* bm = FindBitmap(vn, u);
       for (size_t i = 0; i < vout.size(); ++i) {
         if (bm != nullptr && !TestBit(bm, i)) continue;

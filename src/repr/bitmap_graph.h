@@ -54,8 +54,8 @@ class BitmapArena {
 /// owner slot k starts at words_[word_begin_[v] + k·W(v)], where
 /// W(v) = BitmapWords(|out(v)|). Bits at or past |out(v)| are zero. The
 /// offsets are 32-bit, so an index holds fewer than 2^32 words (32 GiB).
-/// Virtual out-lists never change after construction (AddEdge and
-/// DeleteEdge touch real→real edges only), so W(v) always matches.
+/// Virtual out-lists never change after construction (CondensedGraph
+/// keeps them immutable), so W(v) always matches.
 ///
 /// A (u, V) pair with no bitmap is traversed unrestricted: BITMAP-2 drops
 /// all-ones bitmaps, and edges added after preprocessing have none.
@@ -103,7 +103,7 @@ class BitmapGraph : public CondensedGraph {
   // via fn. Used by ForEachNeighbor / ExistsEdge.
   void Traverse(NodeId u, const std::function<bool(NodeId)>& fn) const;
   size_t WordsOf(uint32_t virt) const {
-    return BitmapWords(storage_.OutEdges(NodeRef::Virtual(virt)).size());
+    return BitmapWords(OutEdges(NodeRef::Virtual(virt)).size());
   }
   // Owner slot of `owner` at `virt`: its position in owners_ and whether
   // it is present.

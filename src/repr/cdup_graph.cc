@@ -1,5 +1,6 @@
 #include "repr/cdup_graph.h"
 
+#include <span>
 #include <unordered_set>
 #include <vector>
 
@@ -11,7 +12,7 @@ bool CDupGraph::ExistsEdge(NodeId u, NodeId v) const {
   // marked visited so shared substructure is not re-explored.
   std::vector<NodeRef> stack;
   std::unordered_set<uint32_t> visited_virtual;
-  const auto& out = storage_.OutEdges(NodeRef::Real(u));
+  const std::span<const NodeRef> out = OutEdges(NodeRef::Real(u));
   stack.assign(out.begin(), out.end());
   while (!stack.empty()) {
     NodeRef r = stack.back();
@@ -21,7 +22,7 @@ bool CDupGraph::ExistsEdge(NodeId u, NodeId v) const {
       continue;
     }
     if (!visited_virtual.insert(r.index()).second) continue;
-    const auto& vout = storage_.OutEdges(r);
+    const std::span<const NodeRef> vout = OutEdges(r);
     stack.insert(stack.end(), vout.begin(), vout.end());
   }
   return false;

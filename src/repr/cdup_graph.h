@@ -3,6 +3,7 @@
 
 #include <utility>
 
+#include "graph/condensed_walk.h"
 #include "repr/condensed_graph.h"
 
 namespace graphgen {
@@ -21,12 +22,10 @@ class CDupGraph : public CondensedGraph {
 
   void ForEachNeighbor(NodeId u,
                        const std::function<void(NodeId)>& fn) const override {
-    storage_.ForEachExpandedNeighbor(u, fn);
+    condensed::ForEachExpandedNeighbor(*this, u, fn);
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
-
-  CondensedStorage& mutable_storage() { return storage_; }
 };
 
 }  // namespace graphgen

@@ -1,5 +1,6 @@
 #include "repr/dedup1_graph.h"
 
+#include <span>
 #include <vector>
 
 namespace graphgen {
@@ -7,7 +8,7 @@ namespace graphgen {
 bool Dedup1Graph::ExistsEdge(NodeId u, NodeId v) const {
   if (!VertexExists(u) || !VertexExists(v) || u == v) return false;
   std::vector<NodeRef> stack;
-  const auto& out = storage_.OutEdges(NodeRef::Real(u));
+  const std::span<const NodeRef> out = OutEdges(NodeRef::Real(u));
   stack.assign(out.begin(), out.end());
   while (!stack.empty()) {
     NodeRef r = stack.back();
@@ -16,7 +17,7 @@ bool Dedup1Graph::ExistsEdge(NodeId u, NodeId v) const {
       if (r.index() == v) return true;
       continue;
     }
-    const auto& vout = storage_.OutEdges(r);
+    const std::span<const NodeRef> vout = OutEdges(r);
     stack.insert(stack.end(), vout.begin(), vout.end());
   }
   return false;

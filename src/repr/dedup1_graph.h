@@ -3,6 +3,7 @@
 
 #include <utility>
 
+#include "graph/condensed_walk.h"
 #include "repr/condensed_graph.h"
 
 namespace graphgen {
@@ -21,7 +22,7 @@ class Dedup1Graph : public CondensedGraph {
   /// Plain DFS, no hash set: the defining advantage of DEDUP-1.
   void ForEachNeighbor(NodeId u,
                        const std::function<void(NodeId)>& fn) const override {
-    storage_.ForEachPathNeighbor(u, fn);
+    condensed::ForEachPathNeighbor(*this, u, fn);
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;

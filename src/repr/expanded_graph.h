@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/flat_adjacency.h"
@@ -24,22 +23,22 @@ namespace graphgen {
 /// lists are kept sorted, so ExistsEdge is a binary search and NeighborSpan
 /// feeds the sorted-span merge kernels directly.
 ///
-/// The §3.4 mutation API is served by a copy-on-write patch overlay: the
-/// first AddEdge/DeleteEdge touching a vertex copies its CSR slice into a
-/// per-vertex vector and mutates there; untouched vertices keep reading
-/// the contiguous base. Analytic workloads (extract once, analyze many
-/// times) therefore never pay for mutability. Vertex deletion stays lazy
-/// (§3.4): a DeleteVertex *after* the adjacency was built leaves stale
-/// targets in the stored lists, so HasFlatAdjacency() reports false and
-/// kernels fall back to the filtering ForEachNeighbor path. Vertices
-/// already deleted when the CSR is adopted (the expander's propagation of
-/// storage deletions) are excluded from the arrays at build time and do
-/// not cost the fast path.
+/// The §3.4 mutation API is served by PatchedAdjacency's copy-on-write
+/// overlay: the first AddEdge/DeleteEdge touching a vertex copies its CSR
+/// slice into a per-vertex vector and mutates there; untouched vertices
+/// keep reading the contiguous base. Analytic workloads (extract once,
+/// analyze many times) therefore never pay for mutability. Vertex
+/// deletion stays lazy (§3.4): a DeleteVertex *after* the adjacency was
+/// built leaves stale targets in the stored lists, so HasFlatAdjacency()
+/// reports false and kernels fall back to the filtering ForEachNeighbor
+/// path. Vertices already deleted when the CSR is adopted (the expander's
+/// propagation of storage deletions) are excluded from the arrays at
+/// build time and do not cost the fast path.
 class ExpandedGraph : public Graph {
  public:
   ExpandedGraph() = default;
   explicit ExpandedGraph(size_t num_vertices)
-      : out_(num_vertices), deleted_(num_vertices, 0) {}
+      : out_(FlatAdjacency(num_vertices)), deleted_(num_vertices, 0) {}
 
   std::string_view Name() const override { return "EXP"; }
 
@@ -58,7 +57,7 @@ class ExpandedGraph : public Graph {
 
   bool HasFlatAdjacency() const override { return stale_deletions_ == 0; }
   std::span<const NodeId> NeighborSpan(NodeId u) const override {
-    return OutSpan(u);
+    return out_.Slice(u);
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
@@ -74,7 +73,9 @@ class ExpandedGraph : public Graph {
   /// Direct access to a (sorted) adjacency range; used by the expander,
   /// the BSP engine, and compression baselines. May include logically
   /// deleted targets while deletions are pending.
-  std::span<const NodeId> RawNeighbors(NodeId u) const { return OutSpan(u); }
+  std::span<const NodeId> RawNeighbors(NodeId u) const {
+    return out_.Slice(u);
+  }
 
   /// Adopts a fully built adjacency in one move (the expander's and the
   /// incremental patch's bulk-load path). Every range of `out` must be
@@ -84,41 +85,26 @@ class ExpandedGraph : public Graph {
   /// existing adjacency and patches.
   void AdoptCsr(FlatAdjacency out, std::vector<uint8_t> deleted = {});
 
-  /// Re-flattens the copy-on-write patch overlay into the CSR base arrays
-  /// and scrubs any stale targets left by post-build vertex deletions:
-  /// afterwards the overlay is empty, HasFlatAdjacency() is true again,
-  /// and every read is a pure base-array span. Returns the number of
-  /// overlay entries folded in.
+  /// Re-flattens the copy-on-write patch overlay into exact-size CSR base
+  /// arrays and scrubs any stale targets left by post-build vertex
+  /// deletions: afterwards the overlay is empty, HasFlatAdjacency() is
+  /// true again, and every read is a pure base-array span. Returns the
+  /// number of overlay entries folded in.
   size_t Compact();
 
   /// Vertices currently carried in the patch overlay.
-  size_t PatchedVertices() const { return out_patch_.size(); }
+  size_t PatchedVertices() const { return out_.NumPatched(); }
 
   /// Heap bytes attributable to the overlay alone (also included in
-  /// MemoryFootprint().topology_bytes).
-  size_t PatchOverlayBytes() const;
+  /// MemoryFootprint().adjacency_bytes).
+  size_t PatchOverlayBytes() const { return out_.PatchBytes(); }
 
   PropertyTable& properties() { return properties_; }
   const PropertyTable& properties() const { return properties_; }
 
  private:
-  std::span<const NodeId> OutSpan(NodeId u) const {
-    if (!out_patch_.empty()) {
-      auto it = out_patch_.find(u);
-      if (it != out_patch_.end()) return {it->second.data(), it->second.size()};
-    }
-    return out_.Slice(u);
-  }
-
-  /// The mutable per-vertex list for u, copying the CSR slice into the
-  /// patch overlay on first touch.
-  std::vector<NodeId>& MutableOut(NodeId u);
-
-  // Flat CSR base.
-  FlatAdjacency out_;
-  // Copy-on-write overlay for mutated vertices; a present entry fully
-  // replaces that vertex's base slice (and stays sorted).
-  std::unordered_map<NodeId, std::vector<NodeId>> out_patch_;
+  // Flat CSR base plus the copy-on-write overlay (whose lists stay sorted).
+  PatchedAdjacency<NodeId> out_;
   std::vector<uint8_t> deleted_;
   size_t num_deleted_ = 0;
   // Deletions applied after the adjacency was built: only these can leave

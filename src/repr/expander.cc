@@ -96,7 +96,6 @@ ExpandedGraph ExpandGraph(const Graph& g, size_t threads) {
   builds->Increment();
   ScopedTimer build_timer(build_us);
   const size_t n = g.NumVertices();
-  if (n == 0) return ExpandedGraph();  // ParallelInvoke(0) still runs fn(0)
 
   // Single sweep per range: each worker drains its vertices' neighbor
   // callbacks into one thread-local buffer and records per-vertex degrees;

@@ -149,6 +149,16 @@ TEST(ParallelTest, InvokeRunsEachThread) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+// A caller passing the size of an empty range list must not get fn(0),
+// which would index past the list.
+TEST(ParallelInvokeTest, ZeroThreadsRunsNothing) {
+  int calls = 0;
+  ParallelInvoke(0, [&](size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
+  ParallelInvoke(1, [&](size_t t) { calls += t == 0 ? 1 : 100; });
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(ParallelTest, BalancedRangesCoverEverything) {
   // Heavily skewed weights: index 0 owns almost all the mass.
   const size_t n = 5000;

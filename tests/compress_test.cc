@@ -42,7 +42,7 @@ TEST(VMinerTest, ResultIsDuplicateFree) {
   CDupGraph as_graph(std::move(result.storage));
   EXPECT_TRUE(testing::IsDuplicateFree(as_graph));
   // Stronger: zero duplicate paths in the storage itself.
-  EXPECT_EQ(as_graph.storage().CountDuplicatePairs(), 0u);
+  EXPECT_EQ(as_graph.CountDuplicatePairs(), 0u);
 }
 
 TEST(VMinerTest, NoCompressionOnSparseGraph) {

@@ -27,7 +27,7 @@ using testing::MakeRandomSymmetric;
 // The property columns of a served graph, whatever its representation.
 const PropertyTable& ServedProperties(const Graph& g) {
   if (const auto* c = dynamic_cast<const CondensedGraph*>(&g)) {
-    return c->storage().properties();
+    return c->properties();
   }
   if (const auto* d = dynamic_cast<const Dedup2Graph*>(&g)) {
     return d->properties();

@@ -107,7 +107,7 @@ TEST_P(Dedup1AlgoTest, Figure1Deduplicated) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->ExpandedEdgeSet(), input.ExpandedEdgeSet());
   EXPECT_TRUE(IsDuplicateFree(*result));
-  EXPECT_EQ(result->storage().CountDuplicatePairs(), 0u);
+  EXPECT_EQ(result->CountDuplicatePairs(), 0u);
 }
 
 TEST_P(Dedup1AlgoTest, RandomGraphsDeduplicated) {

@@ -174,19 +174,6 @@ TEST(StorageTest, LazyDeletion) {
   EXPECT_TRUE(g.ExpandedNeighbors(3).empty());
 }
 
-TEST(StorageTest, CompactDeletionsScrubsAdjacency) {
-  CondensedStorage g = MakeFigure1Graph();
-  g.DeleteRealNode(3);
-  g.CompactDeletions();
-  for (uint32_t v = 0; v < g.NumVirtualNodes(); ++v) {
-    for (NodeRef r : g.OutEdges(NodeRef::Virtual(v))) {
-      EXPECT_NE(r, NodeRef::Real(3));
-    }
-  }
-  EXPECT_TRUE(g.OutEdges(NodeRef::Real(3)).empty());
-  EXPECT_EQ(g.NumActiveRealNodes(), 4u);
-}
-
 TEST(StorageTest, MemoryBytesTracksGrowth) {
   CondensedStorage g;
   g.AddRealNodes(100);

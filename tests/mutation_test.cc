@@ -141,7 +141,7 @@ TEST(MutationEdgeCases, CompactAfterManyDeletions) {
     ASSERT_TRUE(g.DeleteVertex(u).ok());
   }
   auto before = g.ExpandedEdgeSet();
-  g.mutable_storage().CompactDeletions();
+  g.Compact();
   EXPECT_EQ(g.ExpandedEdgeSet(), before);
   EXPECT_EQ(g.NumActiveVertices(), 25u);
 }

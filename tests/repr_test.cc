@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "dedup/bitmap_algorithms.h"
@@ -8,6 +9,7 @@
 #include "dedup/dedup2_builder.h"
 #include "graph/flat_adjacency.h"
 #include "repr/cdup_graph.h"
+#include "repr/condensed_graph.h"
 #include "repr/dedup1_graph.h"
 #include "repr/dedup2_graph.h"
 #include "repr/expander.h"
@@ -93,6 +95,57 @@ TEST(CDupTest, AddVertexExtendsIdSpace) {
   EXPECT_TRUE(g.VertexExists(v));
   EXPECT_TRUE(g.AddEdge(v, 0).ok());
   EXPECT_TRUE(g.ExistsEdge(v, 0));
+}
+
+// ---------- The condensed base ----------
+
+// Exactly what a frozen condensed graph stores: a real and a virtual
+// out-CSR (8-byte offsets, 4-byte NodeRefs) plus the one-byte deleted
+// flags. Stored in-lists or per-node vectors would add to every term.
+void ExpectFlatCondensedFootprint(const CondensedGraph& g) {
+  const size_t n = g.NumVertices();
+  const size_t nv = g.NumVirtualNodes();
+  EXPECT_EQ(g.MemoryFootprint().adjacency_bytes,
+            (n + 1) * 8 + (nv + 1) * 8 + g.CountStoredEdges() * 4 + n)
+      << g.Name() << " on " << n << " vertices";
+}
+
+TEST(CondensedTest, FootprintIsOneFlatOutCsr) {
+  for (const CondensedStorage& s :
+       {MakeFigure1Graph(), MakeRandomSymmetric(80, 12, 6, 31)}) {
+    auto d1 = GreedyVirtualNodesFirst(s);
+    auto b1 = BuildBitmap1(s);
+    auto b2 = BuildBitmap2(s);
+    ASSERT_TRUE(d1.ok() && b1.ok() && b2.ok());
+    std::vector<std::unique_ptr<CondensedGraph>> graphs;
+    graphs.push_back(std::make_unique<CDupGraph>(s));
+    graphs.push_back(std::make_unique<Dedup1Graph>(std::move(*d1)));
+    graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b1)));
+    graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b2)));
+    for (const auto& g : graphs) {
+      ExpectFlatCondensedFootprint(*g);
+      // The first edge added to a vertex copies its out-list into the
+      // overlay; Compact folds it back into exact-size arrays.
+      NodeId u = 0;
+      NodeId v = 1;
+      while (g->ExistsEdge(u, v)) {
+        if (++v == g->NumVertices()) v = 0;
+        if (v == u) ++u;
+      }
+      const auto before = g->ExpandedEdgeSet();
+      ASSERT_TRUE(g->AddEdge(u, v).ok());
+      EXPECT_GT(g->MemoryFootprint().adjacency_bytes,
+                (g->NumVertices() + 1) * 8 + (g->NumVirtualNodes() + 1) * 8 +
+                    g->CountStoredEdges() * 4 + g->NumVertices());
+      EXPECT_EQ(g->Compact(), 1u);
+      ExpectFlatCondensedFootprint(*g);
+      EXPECT_EQ(g->Compact(), 0u);
+      auto expected = before;
+      expected.emplace_back(u, v);
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(g->ExpandedEdgeSet(), expected) << g->Name();
+    }
+  }
 }
 
 // ---------- EXP ----------
