@@ -1,8 +1,8 @@
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/mark_set.h"
 #include "common/parallel.h"
 #include "common/sync.h"
 #include "dedup/bitmap_algorithms.h"
@@ -17,20 +17,23 @@ namespace {
 class Bitmap1Builder {
  public:
   Bitmap1Builder(const CondensedStorage& storage, BitmapArena& arena)
-      : storage_(storage), arena_(arena) {}
+      : storage_(storage),
+        arena_(arena),
+        seen_real_(storage.NumRealNodes()),
+        seen_virt_(storage.NumVirtualNodes()) {}
 
   void Run(NodeId u) {
     u_ = u;
-    seen_real_.clear();
-    seen_virt_.clear();
+    seen_real_.Clear();
+    seen_virt_.Clear();
     const auto& out = storage_.OutEdges(NodeRef::Real(u));
     // Direct real targets are claimed first; duplicates among them were
     // stripped by RemoveParallelEdges.
     std::vector<uint32_t> roots;
     for (NodeRef r : out) {
       if (r.is_real()) {
-        if (r.index() != u) seen_real_.insert(r.index());
-      } else if (seen_virt_.insert(r.index()).second) {
+        if (r.index() != u) seen_real_.Insert(r.index());
+      } else if (seen_virt_.Insert(r.index())) {
         roots.push_back(r.index());
       }
     }
@@ -49,10 +52,10 @@ class Bitmap1Builder {
       NodeRef r = out[i];
       if (r.is_real()) {
         NodeId x = r.index();
-        if (x != u_ && seen_real_.insert(x).second) SetBit(&bits_[base], i);
+        if (x != u_ && seen_real_.Insert(x)) SetBit(&bits_[base], i);
       } else {
         uint32_t w = r.index();
-        if (seen_virt_.insert(w).second) {
+        if (seen_virt_.Insert(w)) {
           SetBit(&bits_[base], i);
           Explore(w);
         }
@@ -66,8 +69,8 @@ class Bitmap1Builder {
   BitmapArena& arena_;
   NodeId u_ = 0;
   std::vector<uint64_t> bits_;
-  std::unordered_set<NodeId> seen_real_;
-  std::unordered_set<uint32_t> seen_virt_;
+  MarkSet seen_real_;
+  MarkSet seen_virt_;
 };
 
 }  // namespace

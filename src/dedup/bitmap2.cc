@@ -1,9 +1,9 @@
 #include <bit>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "common/mark_set.h"
 #include "common/parallel.h"
 #include "common/sync.h"
 #include "dedup/bitmap_algorithms.h"
@@ -29,18 +29,24 @@ class Bitmap2Builder {
  public:
   Bitmap2Builder(const CondensedStorage& storage, BitmapArena& arena,
                  std::vector<std::pair<NodeId, uint32_t>>& edge_deletions)
-      : storage_(storage), arena_(arena), deletions_(edge_deletions) {}
+      : storage_(storage),
+        arena_(arena),
+        deletions_(edge_deletions),
+        covered_(storage.NumRealNodes()),
+        seen_virt_(storage.NumVirtualNodes()),
+        scratch_visited_(storage.NumVirtualNodes()),
+        scratch_reals_(storage.NumRealNodes()) {}
 
   void Run(NodeId u) {
     u_ = u;
-    covered_.clear();
-    seen_virt_.clear();
+    covered_.Clear();
+    seen_virt_.Clear();
     const auto& out = storage_.OutEdges(NodeRef::Real(u));
     std::vector<uint32_t> roots;
     for (NodeRef r : out) {
       if (r.is_real()) {
-        if (r.index() != u) covered_.insert(r.index());
-      } else if (seen_virt_.insert(r.index()).second) {
+        if (r.index() != u) covered_.Insert(r.index());
+      } else if (seen_virt_.Insert(r.index())) {
         roots.push_back(r.index());
       }
     }
@@ -76,23 +82,22 @@ class Bitmap2Builder {
   /// explored virtual nodes (their contribution is fixed).
   size_t CountUncoveredReachable(uint32_t v) {
     size_t count = 0;
-    scratch_visited_.clear();
-    std::vector<uint32_t> stack = {v};
-    scratch_visited_.insert(v);
-    scratch_reals_.clear();
-    while (!stack.empty()) {
-      uint32_t w = stack.back();
-      stack.pop_back();
+    scratch_visited_.Clear();
+    scratch_stack_.assign(1, v);
+    scratch_visited_.Insert(v);
+    scratch_reals_.Clear();
+    while (!scratch_stack_.empty()) {
+      uint32_t w = scratch_stack_.back();
+      scratch_stack_.pop_back();
       for (NodeRef r : storage_.OutEdges(NodeRef::Virtual(w))) {
         if (r.is_real()) {
           NodeId x = r.index();
-          if (x != u_ && !covered_.contains(x) &&
-              scratch_reals_.insert(x).second) {
+          if (x != u_ && !covered_.Contains(x) && scratch_reals_.Insert(x)) {
             ++count;
           }
-        } else if (!seen_virt_.contains(r.index()) &&
-                   scratch_visited_.insert(r.index()).second) {
-          stack.push_back(r.index());
+        } else if (!seen_virt_.Contains(r.index()) &&
+                   scratch_visited_.Insert(r.index())) {
+          scratch_stack_.push_back(r.index());
         }
       }
     }
@@ -115,7 +120,7 @@ class Bitmap2Builder {
       NodeRef r = out[i];
       if (r.is_real()) {
         NodeId x = r.index();
-        if (x != u_ && covered_.insert(x).second) SetBit(&bits_[base], i);
+        if (x != u_ && covered_.Insert(x)) SetBit(&bits_[base], i);
       }
     }
     // Then descend into virtual children, best-gain first.
@@ -124,7 +129,7 @@ class Bitmap2Builder {
       size_t best_gain = 0;
       for (size_t i = 0; i < out.size(); ++i) {
         NodeRef r = out[i];
-        if (!r.is_virtual() || seen_virt_.contains(r.index())) continue;
+        if (!r.is_virtual() || seen_virt_.Contains(r.index())) continue;
         size_t gain = CountUncoveredReachable(r.index());
         if (gain > best_gain) {
           best_gain = gain;
@@ -133,7 +138,7 @@ class Bitmap2Builder {
       }
       if (best_i == out.size()) break;
       uint32_t w = out[best_i].index();
-      seen_virt_.insert(w);
+      seen_virt_.Insert(w);
       SetBit(&bits_[base], best_i);
       Explore(w);
     }
@@ -149,10 +154,11 @@ class Bitmap2Builder {
   std::vector<std::pair<NodeId, uint32_t>>& deletions_;
   NodeId u_ = 0;
   std::vector<uint64_t> bits_;
-  std::unordered_set<NodeId> covered_;
-  std::unordered_set<uint32_t> seen_virt_;
-  std::unordered_set<uint32_t> scratch_visited_;
-  std::unordered_set<NodeId> scratch_reals_;
+  MarkSet covered_;
+  MarkSet seen_virt_;
+  MarkSet scratch_visited_;
+  MarkSet scratch_reals_;
+  std::vector<uint32_t> scratch_stack_;
 };
 
 }  // namespace

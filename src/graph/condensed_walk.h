@@ -3,17 +3,21 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/mark_set.h"
 #include "common/parallel.h"
 #include "graph/node_ref.h"
 
 /// The u_s -> ... -> v_t walks of §4.1, written once for every condensed
 /// adjacency: the builders' CondensedStorage and the served, frozen
 /// CondensedGraph. `Adj` provides OutEdges(NodeRef), a range of NodeRef,
-/// and IsDeleted(NodeId).
+/// and IsDeleted(NodeId). `num_real` bounds the real ids a walk can meet.
+///
+/// Deduplication marks targets in a MarkSet (common/mark_set.h) instead
+/// of a per-source hash set. The parallel counters give each worker its
+/// own; a neighbor walk borrows the thread's through a MarkSetLease, so a
+/// callback may start a nested walk on the same thread.
 ///
 /// Self paths (u_s -> ... -> u_t) are skipped by every walk: membership of
 /// u in a virtual node always creates a path back to u itself (e.g. an
@@ -42,21 +46,24 @@ void ForEachPathNeighbor(const Adj& g, NodeId u, Fn&& fn) {
   }
 }
 
-/// Calls fn once per *distinct* real neighbor reachable from u_s,
-/// deduplicating with a hash set (C-DUP's on-the-fly strategy).
+/// Calls fn once per *distinct* real neighbor reachable from u_s, in
+/// order of first path (C-DUP's on-the-fly deduplication).
 template <typename Adj, typename Fn>
-void ForEachExpandedNeighbor(const Adj& g, NodeId u, Fn&& fn) {
-  std::unordered_set<NodeId> seen;
+void ForEachExpandedNeighbor(const Adj& g, size_t num_real, NodeId u,
+                             Fn&& fn) {
+  MarkSetLease seen(num_real);
   ForEachPathNeighbor(g, u, [&](NodeId v) {
-    if (seen.insert(v).second) fn(v);
+    if (seen->Insert(v)) fn(v);
   });
 }
 
 /// Distinct expanded neighbors of u, unsorted.
 template <typename Adj>
-std::vector<NodeId> ExpandedNeighbors(const Adj& g, NodeId u) {
+std::vector<NodeId> ExpandedNeighbors(const Adj& g, size_t num_real,
+                                      NodeId u) {
   std::vector<NodeId> out;
-  ForEachExpandedNeighbor(g, u, [&](NodeId v) { out.push_back(v); });
+  ForEachExpandedNeighbor(g, num_real, u,
+                          [&](NodeId v) { out.push_back(v); });
   return out;
 }
 
@@ -68,14 +75,15 @@ uint64_t CountDuplicatePairs(const Adj& g, size_t num_real) {
   std::atomic<uint64_t> total{0};
   ParallelFor(num_real, [&](size_t begin, size_t end) {
     uint64_t local = 0;
-    std::unordered_map<NodeId, uint32_t> counts;
+    // Targets u reached at least once, and those already counted.
+    MarkSet once(num_real);
+    MarkSet twice(num_real);
     for (size_t u = begin; u < end; ++u) {
-      counts.clear();
-      ForEachPathNeighbor(g, static_cast<NodeId>(u),
-                          [&](NodeId v) { ++counts[v]; });
-      for (const auto& [v, c] : counts) {
-        if (c > 1) ++local;
-      }
+      once.Clear();
+      twice.Clear();
+      ForEachPathNeighbor(g, static_cast<NodeId>(u), [&](NodeId v) {
+        if (!once.Insert(v) && twice.Insert(v)) ++local;
+      });
     }
     total.fetch_add(local, std::memory_order_relaxed);
   });

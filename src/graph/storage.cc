@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <unordered_set>
 
+#include "common/mark_set.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "graph/condensed_walk.h"
@@ -182,7 +182,7 @@ bool CondensedStorage::IsAcyclic() const {
 
 void CondensedStorage::ForEachExpandedNeighbor(
     NodeId u, const std::function<void(NodeId)>& fn) const {
-  condensed::ForEachExpandedNeighbor(*this, u, fn);
+  condensed::ForEachExpandedNeighbor(*this, real_out_.size(), u, fn);
 }
 
 void CondensedStorage::ForEachPathNeighbor(
@@ -191,7 +191,7 @@ void CondensedStorage::ForEachPathNeighbor(
 }
 
 std::vector<NodeId> CondensedStorage::ExpandedNeighbors(NodeId u) const {
-  return condensed::ExpandedNeighbors(*this, u);
+  return condensed::ExpandedNeighbors(*this, real_out_.size(), u);
 }
 
 uint64_t CondensedStorage::CountExpandedEdges() const {
@@ -199,13 +199,13 @@ uint64_t CondensedStorage::CountExpandedEdges() const {
   const size_t n = real_out_.size();
   ParallelFor(n, [&](size_t begin, size_t end) {
     uint64_t local = 0;
-    std::unordered_set<NodeId> seen;
+    MarkSet seen(n);
     for (size_t u = begin; u < end; ++u) {
       if (deleted_[u]) continue;
-      seen.clear();
+      seen.Clear();
       condensed::ForEachPathNeighbor(*this, static_cast<NodeId>(u),
                                      [&](NodeId v) {
-                                       if (seen.insert(v).second) ++local;
+                                       if (seen.Insert(v)) ++local;
                                      });
     }
     total.fetch_add(local, std::memory_order_relaxed);

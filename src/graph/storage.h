@@ -113,7 +113,7 @@ class CondensedStorage {
   // The walks are graph/condensed_walk.h's, shared with CondensedGraph.
 
   /// Calls fn once per *distinct* real neighbor reachable from u_s
-  /// (deduplicating via a hash set — the C-DUP on-the-fly strategy).
+  /// (deduplicating via a mark set — the C-DUP on-the-fly strategy).
   void ForEachExpandedNeighbor(NodeId u,
                                const std::function<void(NodeId)>& fn) const;
 

@@ -1,6 +1,7 @@
 #include "repr/bitmap_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <tuple>
@@ -109,36 +110,61 @@ uint64_t* BitmapGraph::MutableBitmap(uint32_t virt, NodeId owner) {
   return words_.data() + at;
 }
 
-void BitmapGraph::Traverse(NodeId u,
-                           const std::function<bool(NodeId)>& fn) const {
+template <typename Fn>
+void BitmapGraph::Traverse(NodeId u, Fn&& fn) const {
   if (!VertexExists(u)) return;
-  std::vector<NodeRef> stack;
-  const std::span<const NodeRef> out = OutEdges(NodeRef::Real(u));
-  stack.assign(out.begin(), out.end());
+  // One out-list on the DFS path, walked from its end: `virt` is its
+  // virtual node (kNoVirtual for u_s's own list). Unrestricted lists have
+  // out-edges [0, pos) left; bitmapped ones have the set bits of `word`
+  // (bitmap word `pos`) and of the words below it, found a word at a time.
+  struct Frame {
+    const NodeRef* out;
+    const uint64_t* bits;
+    uint32_t virt;
+    size_t pos;
+    uint64_t word;
+  };
+  std::vector<Frame> stack;
+  const std::span<const NodeRef> root = OutEdges(NodeRef::Real(u));
+  stack.push_back({root.data(), nullptr, kNoVirtual, root.size(), 0});
   while (!stack.empty()) {
-    NodeRef r = stack.back();
-    stack.pop_back();
+    Frame& f = stack.back();
+    size_t i;
+    if (f.bits == nullptr) {
+      if (f.pos == 0) {
+        stack.pop_back();
+        continue;
+      }
+      i = --f.pos;
+    } else {
+      while (f.word == 0 && f.pos > 0) f.word = f.bits[--f.pos];
+      if (f.word == 0) {
+        stack.pop_back();
+        continue;
+      }
+      const int bit = 63 - std::countl_zero(f.word);
+      f.word &= ~(uint64_t{1} << bit);
+      i = f.pos * 64 + bit;
+    }
+    const NodeRef r = f.out[i];
     if (r.is_real()) {
       if (r.index() == u || IsDeleted(r.index())) continue;
-      if (!fn(r.index())) return;
+      if (!fn(r.index(), f.virt, i)) return;
       continue;
     }
+    // `f` dangles once the stack grows.
     const uint32_t v = r.index();
     const std::span<const NodeRef> vout = OutEdges(r);
     const uint64_t* bm = FindBitmap(v, u);
-    if (bm == nullptr) {
-      stack.insert(stack.end(), vout.begin(), vout.end());
-    } else {
-      for (size_t i = 0; i < vout.size(); ++i) {
-        if (TestBit(bm, i)) stack.push_back(vout[i]);
-      }
-    }
+    stack.push_back({vout.data(), bm, v,
+                     bm == nullptr ? vout.size() : BitmapWords(vout.size()),
+                     0});
   }
 }
 
 void BitmapGraph::ForEachNeighbor(
     NodeId u, const std::function<void(NodeId)>& fn) const {
-  Traverse(u, [&](NodeId v) {
+  Traverse(u, [&](NodeId v, uint32_t, size_t) {
     fn(v);
     return true;
   });
@@ -147,12 +173,9 @@ void BitmapGraph::ForEachNeighbor(
 bool BitmapGraph::ExistsEdge(NodeId u, NodeId v) const {
   if (!VertexExists(u) || !VertexExists(v)) return false;
   bool found = false;
-  Traverse(u, [&](NodeId w) {
-    if (w == v) {
-      found = true;
-      return false;
-    }
-    return true;
+  Traverse(u, [&](NodeId w, uint32_t, size_t) {
+    found = w == v;
+    return !found;
   });
   return found;
 }
@@ -163,42 +186,22 @@ Status BitmapGraph::DeleteEdge(NodeId u, NodeId v) {
   }
   bool removed =
       EraseOutEdges(u, [v](NodeRef r) { return r == NodeRef::Real(v); }) > 0;
-  // Bitmaps make logical deletion local: find the virtual node whose
-  // permitted out-edge reaches v and clear that bit. Repeat until no path
-  // remains (there is exactly one in a deduplicated graph).
+  // Bitmaps make logical deletion local: clear the bit of the virtual
+  // out-edge through which u's walk reaches v. Repeat until no path
+  // remains (there is exactly one in a deduplicated graph); MutableBitmap
+  // may move the index, so every clear restarts the walk.
   while (true) {
-    // DFS carrying the (virtual node, out-edge index) that led to v.
-    struct Frame {
-      NodeRef node;
-      uint32_t via_virtual;
-      size_t via_index;
-    };
-    std::vector<Frame> stack;
-    for (NodeRef r : OutEdges(NodeRef::Real(u))) {
-      stack.push_back({r, 0xFFFFFFFFu, 0});
-    }
-    bool found = false;
-    while (!stack.empty()) {
-      Frame f = stack.back();
-      stack.pop_back();
-      if (f.node.is_real()) {
-        if (f.node.index() == v && f.via_virtual != 0xFFFFFFFFu) {
-          ClearBit(MutableBitmap(f.via_virtual, u), f.via_index);
-          found = true;
-          removed = true;
-          break;
-        }
-        continue;
-      }
-      const uint32_t vn = f.node.index();
-      const std::span<const NodeRef> vout = OutEdges(f.node);
-      const uint64_t* bm = FindBitmap(vn, u);
-      for (size_t i = 0; i < vout.size(); ++i) {
-        if (bm != nullptr && !TestBit(bm, i)) continue;
-        stack.push_back({vout[i], vn, i});
-      }
-    }
-    if (!found) break;
+    uint32_t via = kNoVirtual;
+    size_t via_index = 0;
+    Traverse(u, [&](NodeId w, uint32_t virt, size_t i) {
+      if (w != v || virt == kNoVirtual) return true;
+      via = virt;
+      via_index = i;
+      return false;
+    });
+    if (via == kNoVirtual) break;
+    ClearBit(MutableBitmap(via, u), via_index);
+    removed = true;
   }
   if (!removed) return Status::NotFound("edge does not exist");
   return Status::OK();

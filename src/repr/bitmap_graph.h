@@ -59,6 +59,15 @@ class BitmapArena {
 ///
 /// A (u, V) pair with no bitmap is traversed unrestricted: BITMAP-2 drops
 /// all-ones bitmaps, and edges added after preprocessing have none.
+///
+/// getNeighbors, ExistsEdge and DeleteEdge share one walk (Traverse): a
+/// stack of (out-list, bitmap, cursor) frames that visits each list's
+/// permitted out-edges from last to first, finding set bits a word at a
+/// time, depth first. That is the order of a DFS that pushes every
+/// permitted out-edge and pops the last, so neighbor sequences (and the
+/// sums of kernels that follow them) match that simpler walk, which
+/// tests/test_util.h keeps as the reference. The walk keeps its stack
+/// locally, so a callback may start another walk.
 class BitmapGraph : public CondensedGraph {
  public:
   /// Takes `storage` as final and builds the flat index from the records
@@ -99,9 +108,14 @@ class BitmapGraph : public CondensedGraph {
   const std::vector<uint64_t>& words() const { return words_; }
 
  private:
-  // Traverses from `r` on behalf of source u, honoring bitmaps; returns
-  // via fn. Used by ForEachNeighbor / ExistsEdge.
-  void Traverse(NodeId u, const std::function<bool(NodeId)>& fn) const;
+  static constexpr uint32_t kNoVirtual = 0xFFFFFFFFu;
+  // Walks u_s's paths honoring its bitmaps and calls
+  // fn(target, via_virtual, via_index) for every live real target other
+  // than u, until fn returns false. via_index is the target's position in
+  // the out-list of virtual node via_virtual, which is kNoVirtual for a
+  // direct edge.
+  template <typename Fn>
+  void Traverse(NodeId u, Fn&& fn) const;
   size_t WordsOf(uint32_t virt) const {
     return BitmapWords(OutEdges(NodeRef::Virtual(virt)).size());
   }

@@ -1,8 +1,9 @@
 #include "repr/cdup_graph.h"
 
 #include <span>
-#include <unordered_set>
 #include <vector>
+
+#include "common/mark_set.h"
 
 namespace graphgen {
 
@@ -11,7 +12,7 @@ bool CDupGraph::ExistsEdge(NodeId u, NodeId v) const {
   // DFS from u_s, terminating as soon as v_t is reached. Virtual nodes are
   // marked visited so shared substructure is not re-explored.
   std::vector<NodeRef> stack;
-  std::unordered_set<uint32_t> visited_virtual;
+  MarkSetLease visited_virtual(NumVirtualNodes());
   const std::span<const NodeRef> out = OutEdges(NodeRef::Real(u));
   stack.assign(out.begin(), out.end());
   while (!stack.empty()) {
@@ -21,7 +22,7 @@ bool CDupGraph::ExistsEdge(NodeId u, NodeId v) const {
       if (r.index() == v) return true;
       continue;
     }
-    if (!visited_virtual.insert(r.index()).second) continue;
+    if (!visited_virtual->Insert(r.index())) continue;
     const std::span<const NodeRef> vout = OutEdges(r);
     stack.insert(stack.end(), vout.begin(), vout.end());
   }

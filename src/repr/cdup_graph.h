@@ -10,9 +10,9 @@ namespace graphgen {
 
 /// C-DUP: the condensed *duplicated* representation extracted directly
 /// from the database (§4.3). getNeighbors performs a depth-first traversal
-/// through the virtual nodes and deduplicates on the fly with a hash set —
-/// the cheapest representation to build, with the highest per-iteration
-/// cost.
+/// through the virtual nodes and deduplicates on the fly with a mark set
+/// (condensed_walk.h) — the cheapest representation to build, with the
+/// highest per-iteration cost.
 class CDupGraph : public CondensedGraph {
  public:
   explicit CDupGraph(CondensedStorage storage)
@@ -22,7 +22,7 @@ class CDupGraph : public CondensedGraph {
 
   void ForEachNeighbor(NodeId u,
                        const std::function<void(NodeId)>& fn) const override {
-    condensed::ForEachExpandedNeighbor(*this, u, fn);
+    condensed::ForEachExpandedNeighbor(*this, NumVertices(), u, fn);
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;

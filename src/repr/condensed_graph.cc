@@ -69,7 +69,8 @@ Status CondensedGraph::DeleteEdge(NodeId u, NodeId v) {
   // Paths through virtual nodes remain: the logical-edge deletion of §4.3
   // detaches u_s from its virtual out-neighbors and compensates with
   // direct edges to every other expanded neighbor.
-  const std::vector<NodeId> neighbors = condensed::ExpandedNeighbors(*this, u);
+  const std::vector<NodeId> neighbors =
+      condensed::ExpandedNeighbors(*this, NumVertices(), u);
   EraseOutEdges(u, [](NodeRef r) { return r.is_virtual(); });
   // Direct real edges that survived are still intact; avoid duplicating
   // them when re-adding.

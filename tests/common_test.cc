@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/mark_set.h"
 #include "common/memory.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -266,6 +267,72 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     }
   }  // ~ThreadPool joins after the queue is drained
   EXPECT_EQ(count.load(), 50);
+}
+
+TEST(MarkSetTest, InsertReportsNewVersusMarked) {
+  MarkSet marks(10);
+  EXPECT_EQ(marks.size(), 10u);
+  EXPECT_FALSE(marks.Contains(3));
+  EXPECT_TRUE(marks.Insert(3));
+  EXPECT_FALSE(marks.Insert(3));
+  EXPECT_TRUE(marks.Contains(3));
+  EXPECT_FALSE(marks.Contains(4));
+  EXPECT_TRUE(marks.Insert(9));
+}
+
+TEST(MarkSetTest, ClearForgetsEveryMark) {
+  MarkSet marks(64);
+  for (size_t i = 0; i < 64; i += 2) ASSERT_TRUE(marks.Insert(i));
+  marks.Clear();
+  for (size_t i = 0; i < 64; ++i) EXPECT_FALSE(marks.Contains(i)) << i;
+  EXPECT_TRUE(marks.Insert(0));
+  EXPECT_TRUE(marks.Insert(1));
+}
+
+TEST(MarkSetTest, GrowKeepsMarksAndAddsUnmarkedSlots) {
+  MarkSet marks(4);
+  marks.Insert(2);
+  marks.Grow(100);
+  EXPECT_EQ(marks.size(), 100u);
+  EXPECT_TRUE(marks.Contains(2));
+  EXPECT_FALSE(marks.Contains(99));
+  marks.Grow(10);  // never shrinks
+  EXPECT_EQ(marks.size(), 100u);
+}
+
+// With an 8-bit stamp the epoch wraps every 255 clears. A slot marked in
+// the epoch before the wrap, or left from 256 clears ago, must not read
+// as marked afterwards.
+TEST(MarkSetTest, EpochWrapRefillsTheArray) {
+  BasicMarkSet<uint8_t> marks(8);
+  marks.Insert(5);  // epoch 1
+  for (int i = 0; i < 253; ++i) marks.Clear();
+  marks.Insert(6);  // epoch 254
+  marks.Clear();    // epoch 255
+  marks.Insert(7);
+  EXPECT_TRUE(marks.Contains(7));
+  marks.Clear();  // wraps: refilled, epoch 1 again
+  for (size_t i = 0; i < 8; ++i) EXPECT_FALSE(marks.Contains(i)) << i;
+  EXPECT_TRUE(marks.Insert(5));
+  EXPECT_FALSE(marks.Contains(7));
+  marks.Clear();
+  EXPECT_FALSE(marks.Contains(5));
+}
+
+TEST(MarkSetTest, NestedLeasesAreDistinct) {
+  MarkSetLease outer(16);
+  outer->Insert(3);
+  {
+    MarkSetLease inner(32);
+    EXPECT_NE(&*inner, &*outer);
+    EXPECT_GE(inner->size(), 32u);
+    EXPECT_FALSE(inner->Contains(3));
+    inner->Insert(4);
+  }
+  EXPECT_TRUE(outer->Contains(3));
+  EXPECT_FALSE(outer->Contains(4));
+  MarkSetLease again(8);  // the inner set, lent again and cleared
+  EXPECT_FALSE(again->Contains(4));
 }
 
 TEST(MemoryTest, FormatBytes) {

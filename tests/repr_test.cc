@@ -54,6 +54,24 @@ TEST(CDupTest, ExistsEdge) {
   EXPECT_FALSE(g.ExistsEdge(0, 99));
 }
 
+// C-DUP's walks dedup with a mark set lent by the calling thread. A
+// callback that walks again (a neighbor's neighbors, an edge probe) must
+// borrow another one and leave the outer walk's marks intact.
+TEST(CDupTest, NestedWalksKeepTheirMarks) {
+  const CDupGraph g(MakeRandomSymmetric(80, 20, 6, 12));
+  std::vector<std::vector<NodeId>> alone(g.NumVertices());
+  for (NodeId u = 0; u < g.NumVertices(); ++u) alone[u] = g.NeighborList(u);
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
+    std::vector<NodeId> outer;
+    g.ForEachNeighbor(u, [&](NodeId v) {
+      outer.push_back(v);
+      EXPECT_EQ(g.NeighborList(v), alone[v]) << u << " -> " << v;
+      EXPECT_TRUE(g.ExistsEdge(v, u)) << u << " -> " << v;
+    });
+    EXPECT_EQ(outer, alone[u]) << "vertex " << u;
+  }
+}
+
 TEST(CDupTest, AddEdgeIsIdempotent) {
   CDupGraph g(MakeFigure1Graph());
   uint64_t before = g.CountStoredEdges();

@@ -9,6 +9,7 @@
 #include "gen/condensed_generator.h"
 #include "graph/graph.h"
 #include "graph/storage.h"
+#include "repr/bitmap_graph.h"
 
 namespace graphgen::testing {
 
@@ -62,6 +63,34 @@ inline bool IsDuplicateFree(const Graph& g) {
     });
   });
   return clean;
+}
+
+/// u's neighbors on a BITMAP graph, by the plain stack DFS the library's
+/// word-wise walk replaced: start from u_s's out-list, pop the last entry;
+/// a virtual node pushes the out-edges its bitmap for u permits (every
+/// one without a bitmap), in order; a live real node other than u is the
+/// next neighbor. BitmapGraph::ForEachNeighbor must yield exactly this
+/// sequence.
+inline std::vector<NodeId> ReferenceBitmapNeighbors(const BitmapGraph& g,
+                                                    NodeId u) {
+  std::vector<NodeId> seq;
+  if (!g.VertexExists(u)) return seq;
+  const auto root = g.OutEdges(NodeRef::Real(u));
+  std::vector<NodeRef> stack(root.begin(), root.end());
+  while (!stack.empty()) {
+    const NodeRef r = stack.back();
+    stack.pop_back();
+    if (r.is_real()) {
+      if (r.index() != u && !g.IsDeleted(r.index())) seq.push_back(r.index());
+      continue;
+    }
+    const auto out = g.OutEdges(r);
+    const uint64_t* bm = g.FindBitmap(r.index(), u);
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (bm == nullptr || TestBit(bm, i)) stack.push_back(out[i]);
+    }
+  }
+  return seq;
 }
 
 /// Brute-force triangle count: every live u and every pair of its
