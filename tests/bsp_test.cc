@@ -30,6 +30,52 @@ ReprSet MakeSetup(uint64_t seed) {
   return ReprSet{ExpandCondensed(s), std::move(*d1), std::move(*bm)};
 }
 
+// Table 4's superstep and message columns, pinned to exact values.
+// Condensed steps count every out-entry of every live real node plus
+// every entry of each virtual node with a non-empty out-list (for CC,
+// each virtual node with a live source); EXP degree sends nothing.
+TEST(BspEngineTest, PinsTable4Counts) {
+  ReprSet su = MakeSetup(10);
+  std::vector<uint64_t> deg;
+  std::vector<double> pr;
+  std::vector<NodeId> cc;
+  struct Expected {
+    size_t supersteps;
+    uint64_t messages;
+  };
+  auto expect = [](const Result<BspRunStats>& stats, Expected e) {
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->supersteps, e.supersteps);
+    EXPECT_EQ(stats->messages, e.messages);
+  };
+  {
+    SCOPED_TRACE("EXP");
+    BspEngine engine = MakeExpandedEngine(su.exp);
+    expect(engine.RunDegree(&deg), {1, 0});
+    expect(engine.RunPageRank(8, 0.85, &pr), {8, 4064});
+    expect(engine.RunConnectedComponents(&cc), {3, 1524});
+  }
+  {
+    SCOPED_TRACE("DEDUP-1");
+    BspEngine engine = MakeDedup1Engine(su.dedup1);
+    expect(engine.RunDegree(&deg), {2, 313});
+    expect(engine.RunPageRank(8, 0.85, &pr), {16, 2504});
+    expect(engine.RunConnectedComponents(&cc), {6, 939});
+  }
+  {
+    SCOPED_TRACE("BITMAP");
+    BspEngine engine = MakeBitmapEngine(su.bitmap);
+    expect(engine.RunDegree(&deg), {2, 212});
+    expect(engine.RunPageRank(8, 0.85, &pr), {16, 1696});
+    expect(engine.RunConnectedComponents(&cc), {6, 600});
+  }
+  {
+    SCOPED_TRACE("C-DUP");
+    const CDupGraph cdup(MakeRandomSymmetric(50, 15, 5, 7));
+    expect(BspEngine(BspGraph(&cdup)).RunConnectedComponents(&cc), {10, 750});
+  }
+}
+
 TEST(BspEngineTest, DegreeAgreesAcrossRepresentations) {
   ReprSet su = MakeSetup(1);
   std::vector<uint64_t> exp_deg;
