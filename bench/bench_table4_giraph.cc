@@ -1,10 +1,14 @@
 // Reproduces Table 4 + Table 5: the Giraph-style BSP experiments. For the
 // S1/S2/N1/N2/IMDB datasets, runs Degree, ConnectedComponents, and
-// PageRank on EXP / DEDUP-1 / BITMAP through the message-passing BSP
-// engine with virtual-node aggregation, reporting time, memory, and the
-// per-representation dataset shapes.
+// PageRank on EXP / DEDUP-1 / BITMAP through the BSP engine, whose
+// programs aggregate at the virtual nodes, reporting time, memory,
+// messages and the per-representation dataset shapes.
+//
+// Checks itself: exits 1 unless DEDUP-1 and BITMAP give EXP's degrees
+// and component labels exactly and its PageRank within 1e-9.
 
 #include <cinttypes>
+#include <cmath>
 
 #include "bench_util.h"
 #include "bsp/bsp_programs.h"
@@ -17,7 +21,28 @@
 namespace graphgen {
 namespace {
 
-void RunDataset(gen::SmallDatasetId id, double scale) {
+// The results one representation's three runs produced.
+struct Results {
+  std::vector<uint64_t> degrees;
+  std::vector<NodeId> labels;
+  std::vector<double> ranks;
+};
+
+// Whether `got` matches EXP's `want`: degrees and labels exactly, ranks
+// within 1e-9.
+bool Agrees(const Results& want, const Results& got) {
+  if (got.degrees != want.degrees || got.labels != want.labels ||
+      got.ranks.size() != want.ranks.size()) {
+    return false;
+  }
+  for (size_t u = 0; u < want.ranks.size(); ++u) {
+    if (std::abs(got.ranks[u] - want.ranks[u]) > 1e-9) return false;
+  }
+  return true;
+}
+
+// Returns false when a run fails or DEDUP-1 or BITMAP disagrees with EXP.
+bool RunDataset(gen::SmallDatasetId id, double scale) {
   CondensedStorage s = gen::MakeSmallDataset(id, scale);
   const std::string name = std::string(gen::SmallDatasetName(id));
 
@@ -26,7 +51,7 @@ void RunDataset(gen::SmallDatasetId id, double scale) {
   auto bm = BuildBitmap2(s);
   if (!d1.ok() || !bm.ok()) {
     std::printf("%s: representation build failed\n", name.c_str());
-    return;
+    return false;
   }
 
   // Table 5 rows: nodes / virtual nodes / edges per representation.
@@ -52,16 +77,23 @@ void RunDataset(gen::SmallDatasetId id, double scale) {
   };
   std::printf("  %-7s %22s %22s %22s\n", "repr", "Degree (t/mem/msg)",
               "ConComp (t/mem/msg)", "PageRank (t/mem/msg)");
+  bool ok = true;
+  Results exp_results;
   for (Row& row : rows) {
-    std::vector<uint64_t> degrees;
-    auto deg = row.engine.RunDegree(&degrees);
-    std::vector<NodeId> labels;
-    auto cc = row.engine.RunConnectedComponents(&labels);
-    std::vector<double> ranks;
-    auto pr = row.engine.RunPageRank(10, 0.85, &ranks);
+    Results results;
+    auto deg = row.engine.RunDegree(&results.degrees);
+    auto cc = row.engine.RunConnectedComponents(&results.labels);
+    auto pr = row.engine.RunPageRank(10, 0.85, &results.ranks);
     if (!deg.ok() || !cc.ok() || !pr.ok()) {
       std::printf("  %-7s failed\n", row.name);
+      ok = false;
       continue;
+    }
+    if (&row == &rows[0]) {
+      exp_results = std::move(results);
+    } else if (!Agrees(exp_results, results)) {
+      std::printf("  %-7s disagrees with EXP\n", row.name);
+      ok = false;
     }
     auto cell = [](const bsp::BspRunStats& st) {
       char buf[64];
@@ -73,6 +105,7 @@ void RunDataset(gen::SmallDatasetId id, double scale) {
     std::printf("  %-7s %22s %22s %22s\n", row.name, cell(*deg).c_str(),
                 cell(*cc).c_str(), cell(*pr).c_str());
   }
+  return ok;
 }
 
 }  // namespace
@@ -82,12 +115,17 @@ int main() {
   const double scale = 0.02 * graphgen::bench::BenchScale();
   graphgen::bench::PrintHeader(
       "Table 4 / Table 5: BSP (Giraph-style) runs on EXP / DEDUP-1 / BITMAP");
+  bool ok = true;
   for (graphgen::gen::SmallDatasetId id : graphgen::gen::GiraphDatasets()) {
-    graphgen::RunDataset(id, scale);
+    ok = graphgen::RunDataset(id, scale) && ok;
   }
   std::printf(
       "\nPaper shape check: BMP needs far fewer stored edges on the dense\n"
       "S/N datasets and wins PageRank there; on IMDB (small cliques)\n"
       "DEDUP-1 is the better condensed choice — both trends as in §6.4.\n");
+  if (!ok) {
+    std::printf("FAILED: a run failed or disagreed with EXP\n");
+    return 1;
+  }
   return 0;
 }

@@ -1,31 +1,28 @@
 #include "algos/degree.h"
 
-#include "vertexcentric/vertex_centric.h"
+#include "common/parallel.h"
 
 namespace graphgen {
 
-namespace {
-
-class DegreeExecutor : public Executor {
- public:
-  explicit DegreeExecutor(std::vector<uint64_t>* out) : out_(out) {}
-
-  void Compute(VertexContext& ctx) override {
-    (*out_)[ctx.id()] = ctx.graph().OutDegree(ctx.id());
-    ctx.VoteToHalt();
-  }
-
- private:
-  std::vector<uint64_t>* out_;
-};
-
-}  // namespace
-
 std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads) {
-  std::vector<uint64_t> degrees(graph.NumVertices(), 0);
-  DegreeExecutor executor(&degrees);
-  VertexCentric vc(&graph, threads);
-  vc.Run(&executor);
+  const size_t n = graph.NumVertices();
+  std::vector<uint64_t> degrees(n, 0);
+  if (graph.HasFlatAdjacency()) {
+    ParallelFor(
+        n,
+        [&](size_t begin, size_t end) {
+          for (size_t v = begin; v < end; ++v) {
+            const NodeId u = static_cast<NodeId>(v);
+            if (graph.VertexExists(u)) degrees[v] = graph.NeighborSpan(u).size();
+          }
+        },
+        threads);
+    return degrees;
+  }
+  const std::vector<double> ones(n, 1.0);
+  std::vector<double> sums(n, 0.0);
+  graph.PrepareReduction(threads)->Sum(ones, sums);
+  for (size_t v = 0; v < n; ++v) degrees[v] = static_cast<uint64_t>(sums[v]);
   return degrees;
 }
 

@@ -8,12 +8,12 @@
 
 namespace graphgen {
 
-/// Computes the (distinct-neighbor) out-degree of every vertex, running
-/// the paper's Degree workload on the vertex-centric framework
-/// (multi-threaded, one superstep). Deleted vertices get degree 0. Each
-/// vertex's degree is Graph::OutDegree: the span length on EXP and CSR,
-/// no edge iteration at all; a count over the neighbor callback on the
-/// condensed representations.
+/// Computes the (distinct-neighbor) out-degree of every vertex, the
+/// paper's Degree workload, multi-threaded. Deleted vertices get degree
+/// 0. On a graph with flat adjacency a degree is its span's length, read
+/// in one parallel loop; elsewhere degrees are the bulk neighbor
+/// reduction's sums over x = 1 (Graph::PrepareReduction), which condensed
+/// graphs aggregate at their virtual nodes.
 std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads = 0);
 
 }  // namespace graphgen

@@ -3,10 +3,11 @@
 
 #include <vector>
 
-#include "bsp/bsp_graph.h"
 #include "common/status.h"
-#include "graph/flat_adjacency.h"
+#include "common/timer.h"
 #include "graph/node_ref.h"
+#include "repr/condensed_graph.h"
+#include "repr/expanded_graph.h"
 
 namespace graphgen::bsp {
 
@@ -18,24 +19,45 @@ struct BspRunStats {
   size_t memory_bytes = 0;
 };
 
-/// A multi-threaded Pregel-style engine specialized for GraphGen's
-/// condensed representations (§6.4). Virtual nodes are BSP vertices that
-/// aggregate incoming messages and forward per-out-edge combined values,
-/// which caps traffic at 2 * #condensed-edges per logical iteration —
-/// the optimization the paper's Giraph port implements. Correct execution
-/// over DEDUP-1 and BITMAP requires two supersteps per logical iteration
-/// (real -> virtual, virtual -> real); EXP needs one.
+/// The graph a BSP run executes against: EXP, or a condensed graph
+/// (C-DUP, DEDUP-1, BITMAP) whose virtual nodes are BSP vertices (§6.4).
+class BspGraph {
+ public:
+  explicit BspGraph(const ExpandedGraph* expanded)
+      : graph_(expanded), expanded_(expanded) {}
+  explicit BspGraph(const CondensedGraph* condensed)
+      : graph_(condensed), condensed_(condensed) {}
+
+  const Graph& graph() const { return *graph_; }
+  /// Exactly one of these is set.
+  const ExpandedGraph* expanded() const { return expanded_; }
+  const CondensedGraph* condensed() const { return condensed_; }
+
+ private:
+  const Graph* graph_;
+  const ExpandedGraph* expanded_ = nullptr;
+  const CondensedGraph* condensed_ = nullptr;
+};
+
+/// Table 4's Giraph-style runs (§6.4). The programs are algos/' degree,
+/// PageRank and connected components, whose bulk neighbor reduction
+/// already aggregates at the virtual nodes the way the paper's Giraph
+/// port does (Graph::PrepareReduction); the engine adds Table 4's
+/// superstep and message accounting, counted from the out-lists. One
+/// logical step is one superstep on EXP, where every live vertex sends
+/// one message per stored out-edge. On a condensed graph it is two
+/// supersteps (real -> virtual, virtual -> real) sending one message per
+/// out-entry of every live real node plus one per entry of every virtual
+/// node that forwards: any with entries, and for connected components
+/// only one with a live source. EXP degree sends nothing.
 ///
 /// Only single-layer condensed graphs are supported (all Giraph-experiment
-/// datasets in the paper are single-layer).
-///
-/// A served condensed graph stores out-lists only, so each condensed run
-/// first builds the virtual nodes' real in-lists once, as a transient
-/// transpose; stats.memory_bytes counts it with the graph.
+/// datasets in the paper are single-layer). stats.memory_bytes is the
+/// graph's footprint.
 class BspEngine {
  public:
   explicit BspEngine(BspGraph graph, size_t threads = 0)
-      : graph_(std::move(graph)), threads_(threads) {}
+      : graph_(graph), threads_(threads) {}
 
   /// Degree of every real vertex.
   Result<BspRunStats> RunDegree(std::vector<uint64_t>* degrees);
@@ -45,20 +67,18 @@ class BspEngine {
   Result<BspRunStats> RunPageRank(size_t iterations, double damping,
                                   std::vector<double>* ranks);
 
-  /// Min-label connected components. Duplicate-insensitive: runs on the
-  /// condensed structure ignoring bitmaps (the C-DUP fast path of §6.4).
+  /// Min-label connected components; duplicate-insensitive, so it runs
+  /// on C-DUP directly (the C-DUP fast path of §6.4).
   Result<BspRunStats> RunConnectedComponents(std::vector<NodeId>* labels);
 
  private:
   Status CheckSingleLayer() const;
-  /// Per virtual node, the live real nodes with an edge into it, ascending
-  /// and with multiplicity. Empty (no vertices) in EXP mode.
-  FlatAdjacency VirtualSources() const;
-  /// The graph's footprint plus the run's transpose.
-  size_t RunMemoryBytes(const FlatAdjacency& sources) const;
-  /// RunDegree's supersteps over a prebuilt transpose (untimed).
-  BspRunStats Degree(const FlatAdjacency& sources,
-                     std::vector<uint64_t>* degrees);
+  /// Messages of one logical step; `live_sources_only` counts only the
+  /// virtual nodes a live real node points to.
+  uint64_t StepMessages(bool live_sources_only) const;
+  /// The stats of `steps` logical steps of `step_messages` each.
+  BspRunStats Stats(size_t steps, uint64_t step_messages,
+                    const WallTimer& timer) const;
 
   BspGraph graph_;
   size_t threads_;

@@ -2,6 +2,7 @@
 #define GRAPHGEN_BSP_BSP_PROGRAMS_H_
 
 #include "bsp/bsp_engine.h"
+#include "repr/bitmap_graph.h"
 #include "repr/dedup1_graph.h"
 
 namespace graphgen::bsp {

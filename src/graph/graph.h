@@ -52,6 +52,22 @@ struct GraphFootprint {
   size_t Total() const { return adjacency_bytes + property_bytes + aux_bytes; }
 };
 
+/// One run's bulk neighbor reduction (Graph::PrepareReduction): the one
+/// step degree, PageRank and connected components repeat. Both methods
+/// write out[u] for every live vertex u only, index x and out by vertex
+/// id, and compute each out[u] on one thread in an order that does not
+/// depend on the thread count. The graph must not change while the
+/// reduction lives.
+class NeighborReduction {
+ public:
+  virtual ~NeighborReduction() = default;
+  /// out[u] = the sum of x[v] over u's distinct live out-neighbors v.
+  virtual void Sum(std::span<const double> x, std::span<double> out) const = 0;
+  /// out[u] = the min of x[u] and of x[v] over those neighbors.
+  virtual void Min(std::span<const NodeId> x,
+                   std::span<NodeId> out) const = 0;
+};
+
 /// The 7-operation graph API of §3.4 that every in-memory representation
 /// implements (C-DUP, EXP, DEDUP-1, DEDUP-2, BITMAP). All graph
 /// algorithms and the vertex-centric framework are written against this
@@ -97,6 +113,14 @@ class Graph {
   /// meaningful when HasFlatAdjacency() is true; the default returns an
   /// empty span. The span is invalidated by any mutation of the graph.
   virtual std::span<const NodeId> NeighborSpan(NodeId u) const;
+
+  /// The bulk neighbor reduction for a run on `threads` workers (0 = the
+  /// default). This default pulls over NeighborSpan when the graph has
+  /// flat adjacency, splitting vertices into edge-balanced ranges once
+  /// here, and over ForEachNeighbor otherwise. Condensed graphs aggregate
+  /// at their virtual nodes instead (repr/condensed_graph.h).
+  virtual std::unique_ptr<NeighborReduction> PrepareReduction(
+      size_t threads = 0) const;
 
   /// Materialized distinct neighbor list.
   std::vector<NodeId> NeighborList(NodeId u) const;

@@ -87,9 +87,7 @@ std::pair<size_t, bool> BitmapGraph::FindSlot(uint32_t virt,
 
 const uint64_t* BitmapGraph::FindBitmap(uint32_t virt, NodeId owner) const {
   const auto [slot, found] = FindSlot(virt, owner);
-  if (!found) return nullptr;
-  return words_.data() + word_begin_[virt] +
-         (slot - owner_begin_[virt]) * WordsOf(virt);
+  return found ? SlotBitmap(virt, slot) : nullptr;
 }
 
 uint64_t* BitmapGraph::MutableBitmap(uint32_t virt, NodeId owner) {

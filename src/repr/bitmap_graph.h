@@ -85,6 +85,13 @@ class BitmapGraph : public CondensedGraph {
   /// Clears the bit that lets u's walk reach v instead of detaching u_s.
   Status DeleteEdge(NodeId u, NodeId v) override;
 
+  /// Aggregated sums and mins (CondensedGraph::PrepareReduction); a
+  /// source reads only the permitted bits where it has a bitmap.
+  std::unique_ptr<NeighborReduction> PrepareReduction(
+      size_t threads = 0) const override {
+    return MakeReduction(threads, true, this);
+  }
+
   GraphFootprint MemoryFootprint() const override {
     GraphFootprint footprint = CondensedGraph::MemoryFootprint();
     footprint.aux_bytes = BitmapMemoryBytes();
@@ -100,6 +107,14 @@ class BitmapGraph : public CondensedGraph {
   /// The W(v) words of `owner`'s bitmap at virtual node `virt`, or null
   /// when it has none (traverse every out-edge).
   const uint64_t* FindBitmap(uint32_t virt, NodeId owner) const;
+  /// Owner slot of `owner` at `virt`: its position in owners() and
+  /// whether it is present.
+  std::pair<size_t, bool> FindSlot(uint32_t virt, NodeId owner) const;
+  /// The W(v) words of owner slot `slot`, which must be one of `virt`'s.
+  const uint64_t* SlotBitmap(uint32_t virt, size_t slot) const {
+    return words_.data() + word_begin_[virt] +
+           (slot - owner_begin_[virt]) * WordsOf(virt);
+  }
 
   /// The flat index, read-only.
   const std::vector<uint32_t>& owner_begin() const { return owner_begin_; }
@@ -119,9 +134,6 @@ class BitmapGraph : public CondensedGraph {
   size_t WordsOf(uint32_t virt) const {
     return BitmapWords(OutEdges(NodeRef::Virtual(virt)).size());
   }
-  // Owner slot of `owner` at `virt`: its position in owners_ and whether
-  // it is present.
-  std::pair<size_t, bool> FindSlot(uint32_t virt, NodeId owner) const;
   // The bitmap of `owner` at `virt`, inserting an all-ones one first if it
   // has none.
   uint64_t* MutableBitmap(uint32_t virt, NodeId owner);

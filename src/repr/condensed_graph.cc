@@ -1,14 +1,166 @@
 #include "repr/condensed_graph.h"
 
+#include <algorithm>
+#include <functional>
 #include <unordered_set>
 #include <utility>
 
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "graph/condensed_walk.h"
+#include "repr/bitmap_graph.h"
 
 namespace graphgen {
 
 namespace {
+
+// MakeReduction on a single-layer graph, in two passes. Pass one visits
+// every virtual node w once: total[w] reduces x over w's live entries,
+// and per bitmap at w, slot[k] reduces x over the live entries it
+// permits. Pass two gives every live real u the reduction of its live
+// direct entries other than u and, per virtual node w on its out-list,
+// slot[k] for u's bitmap at w, or total[w] when it has none.
+//
+// Why this is the walk's answer: a min cannot change when a neighbor is
+// met twice or when u meets itself (the min includes x[u] anyway). A sum
+// can, so sums aggregate only when u_s's paths are unique. Then the walk
+// reads every entry pass two reads, once each, except u itself, which it
+// skips, so u subtracts x[u] once per entry equal to u among those it
+// read (self_[u]).
+//
+// A bitmap is read four bits at a time: per 4-entry block of w's
+// out-list, a 16-entry table holds the reduction of every subset of the
+// block, so each bitmap word costs 16 lookups, whatever its density. The
+// tables cost 4 ops per entry of w and are built once per pass.
+class AggregatedReduction : public NeighborReduction {
+ public:
+  // `walk` answers the sums when paths are not unique, else is null.
+  AggregatedReduction(const CondensedGraph& g, const BitmapGraph* bitmaps,
+                      std::unique_ptr<NeighborReduction> walk, size_t threads)
+      : g_(g), bitmaps_(bitmaps), walk_(std::move(walk)), threads_(threads) {
+    if (walk_ == nullptr) CountSelfEntries();
+  }
+
+  void Sum(std::span<const double> x, std::span<double> out) const override {
+    if (walk_ != nullptr) {
+      walk_->Sum(x, out);
+      return;
+    }
+    Reduce(x, out, 0.0, std::plus<double>(),
+           [&](NodeId u, double sum) { return sum - self_[u] * x[u]; });
+  }
+
+  void Min(std::span<const NodeId> x, std::span<NodeId> out) const override {
+    const auto min = [](NodeId a, NodeId b) { return std::min(a, b); };
+    Reduce(x, out, kInvalidNode, min,
+           [&](NodeId u, NodeId best) { return std::min(best, x[u]); });
+  }
+
+ private:
+  size_t NumSlots(size_t w) const {
+    if (bitmaps_ == nullptr) return 0;
+    return bitmaps_->owner_begin()[w + 1] - bitmaps_->owner_begin()[w];
+  }
+
+  // self_[u]: per entry w of live u's out-list, the entries of w's
+  // out-list equal to u that u's read of w includes.
+  void CountSelfEntries() {
+    const size_t n = g_.NumVertices();
+    // (u << 32 | w) per virtual entry w of a live u, sorted, so the w
+    // side can count how often u reads w.
+    std::vector<uint64_t> reads;
+    for (NodeId u = 0; u < n; ++u) {
+      if (g_.IsDeleted(u)) continue;
+      for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) {
+        if (r.is_virtual()) reads.push_back(uint64_t{u} << 32 | r.index());
+      }
+    }
+    std::sort(reads.begin(), reads.end());
+    self_.assign(n, 0);
+    for (uint32_t w = 0; w < g_.NumVirtualNodes(); ++w) {
+      const std::span<const NodeRef> out = g_.OutEdges(NodeRef::Virtual(w));
+      for (size_t i = 0; i < out.size(); ++i) {
+        const NodeId t = out[i].index();
+        const auto [lo, hi] =
+            std::equal_range(reads.begin(), reads.end(), uint64_t{t} << 32 | w);
+        if (lo == hi) continue;
+        const uint64_t* bits =
+            bitmaps_ == nullptr ? nullptr : bitmaps_->FindBitmap(w, t);
+        if (bits == nullptr || TestBit(bits, i)) {
+          self_[t] += static_cast<uint32_t>(hi - lo);
+        }
+      }
+    }
+  }
+
+  // out[u] = finish(u, the op-fold of u's reads) for every live u.
+  template <typename T, typename Op, typename Finish>
+  void Reduce(std::span<const T> x, std::span<T> out, T identity, Op op,
+              Finish finish) const {
+    std::vector<T> total(g_.NumVirtualNodes(), identity);
+    std::vector<T> slot(bitmaps_ == nullptr ? 0 : bitmaps_->NumBitmaps());
+    ParallelFor(total.size(), [&](size_t begin, size_t end) {
+      std::vector<T> table;
+      for (uint32_t w = static_cast<uint32_t>(begin); w < end; ++w) {
+        const std::span<const NodeRef> vout = g_.OutEdges(NodeRef::Virtual(w));
+        table.assign(16 * ((vout.size() + 3) / 4), identity);
+        T acc = identity;
+        for (size_t i = 0; i < vout.size(); ++i) {
+          const NodeId t = vout[i].index();
+          if (g_.IsDeleted(t)) continue;
+          acc = op(acc, x[t]);
+          table[16 * (i / 4) + (1u << (i % 4))] = x[t];
+        }
+        total[w] = acc;
+        if (NumSlots(w) == 0) continue;
+        for (size_t b = 0; b < table.size(); b += 16) {
+          for (unsigned mask = 3; mask < 16; ++mask) {
+            if ((mask & (mask - 1)) == 0) continue;  // one bit: set above
+            table[b + mask] = op(table[b + (mask & (mask - 1))],
+                                 table[b + (mask & -mask)]);
+          }
+        }
+        const size_t words = BitmapWords(vout.size());
+        for (size_t k = bitmaps_->owner_begin()[w];
+             k < bitmaps_->owner_begin()[w + 1]; ++k) {
+          const uint64_t* bits = bitmaps_->SlotBitmap(w, k);
+          T read = identity;
+          for (size_t j = 0; j < words; ++j) {
+            const T* block = table.data() + 256 * j;
+            for (uint64_t word = bits[j]; word != 0; word >>= 4, block += 16) {
+              read = op(read, block[word & 15]);
+            }
+          }
+          slot[k] = read;
+        }
+      }
+    }, threads_);
+    ParallelFor(g_.NumVertices(), [&](size_t begin, size_t end) {
+      for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
+        if (g_.IsDeleted(u)) continue;
+        T acc = identity;
+        for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) {
+          const NodeId i = r.index();
+          if (r.is_real()) {
+            if (i != u && !g_.IsDeleted(i)) acc = op(acc, x[i]);
+            continue;
+          }
+          const auto [k, found] = bitmaps_ == nullptr
+                                      ? std::pair<size_t, bool>(0, false)
+                                      : bitmaps_->FindSlot(i, u);
+          acc = op(acc, found ? slot[k] : total[i]);
+        }
+        out[u] = finish(u, acc);
+      }
+    }, threads_);
+  }
+
+  const CondensedGraph& g_;
+  const BitmapGraph* bitmaps_;
+  std::unique_ptr<NeighborReduction> walk_;
+  size_t threads_;
+  std::vector<uint32_t> self_;
+};
 
 // The out-lists of `count` real or virtual nodes of `s` as one exact-size
 // CSR.
@@ -43,6 +195,16 @@ CondensedGraph::CondensedGraph(CondensedStorage storage)
     }
   }
   stale_deletions_ = num_deleted_;
+  single_layer_ = std::none_of(virt_.neighbors.begin(), virt_.neighbors.end(),
+                               [](NodeRef r) { return r.is_virtual(); });
+}
+
+std::unique_ptr<NeighborReduction> CondensedGraph::MakeReduction(
+    size_t threads, bool unique_paths, const BitmapGraph* bitmaps) const {
+  if (!single_layer_) return Graph::PrepareReduction(threads);
+  return std::make_unique<AggregatedReduction>(
+      *this, bitmaps,
+      unique_paths ? nullptr : Graph::PrepareReduction(threads), threads);
 }
 
 Status CondensedGraph::AddEdge(NodeId u, NodeId v) {

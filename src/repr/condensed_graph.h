@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -12,6 +13,8 @@
 #include "graph/storage.h"
 
 namespace graphgen {
+
+class BitmapGraph;
 
 /// The condensed structure C-DUP, DEDUP-1 and BITMAP share (§4.3): real
 /// nodes are the graph's vertices and u_s -> ... -> v_t paths its edges.
@@ -23,15 +26,17 @@ namespace graphgen {
 /// The constructor consumes the builders' CondensedStorage and keeps only
 /// what a served graph reads: the real and virtual out-lists as two flat
 /// CSR arrays of NodeRefs, the deleted flags and the shared property
-/// table. No in-lists are stored; every walk reads out-lists, and the BSP
-/// engine builds the transpose it needs per run. The adjacency footprint
+/// table. No in-lists are stored: every walk, and the bulk neighbor
+/// reduction that aggregates at virtual nodes (PrepareReduction), reads
+/// out-lists only. The adjacency footprint
 /// is (n+1)·8 + (nv+1)·8 + 4·E + n bytes for n real nodes, nv virtual
 /// nodes and E stored edges.
 ///
 /// §3.4 mutations touch only the real out-lists, the deleted flags and the
 /// vertex count: real out-lists sit in a PatchedAdjacency (the overlay
 /// ExpandedGraph uses), so the first edit of a vertex copies its range.
-/// Virtual out-lists are immutable, which BITMAP's bit positions rely on.
+/// Virtual out-lists are immutable, which BITMAP's bit positions and the
+/// reduction's per-virtual-node totals rely on.
 class CondensedGraph : public Graph {
  public:
   size_t NumVertices() const override { return deleted_.size(); }
@@ -77,8 +82,30 @@ class CondensedGraph : public Graph {
 
   const PropertyTable& properties() const { return properties_; }
 
+  /// Whether every virtual out-list holds real nodes only (fixed at
+  /// construction, since virtual out-lists never change).
+  bool IsSingleLayer() const { return single_layer_; }
+
+  /// The bulk neighbor reduction. On a single-layer graph, one pass over
+  /// the virtual out-lists reduces x at every virtual node and each real
+  /// combines its own out-list with those totals; a duplicate path cannot
+  /// change a min, so mins aggregate here. Sums aggregate only in the
+  /// subclasses whose paths are unique (MakeReduction); C-DUP's, and
+  /// everything on a multi-layer graph, walk.
+  std::unique_ptr<NeighborReduction> PrepareReduction(
+      size_t threads = 0) const override {
+    return MakeReduction(threads, false, nullptr);
+  }
+
  protected:
   explicit CondensedGraph(CondensedStorage storage);
+
+  /// PrepareReduction for a subclass. `unique_paths`: u_s's paths reach
+  /// each real node at most once, so sums aggregate too. `bitmaps`, when
+  /// not null, restricts u's reads at a virtual node to the entries its
+  /// bitmap there permits.
+  std::unique_ptr<NeighborReduction> MakeReduction(
+      size_t threads, bool unique_paths, const BitmapGraph* bitmaps) const;
 
   /// Erases the entries of u's out-list that `drop` selects, keeping the
   /// order of the rest; returns how many. Leaves the overlay alone when
@@ -92,6 +119,7 @@ class CondensedGraph : public Graph {
   size_t num_deleted_ = 0;
   // Deletions since the last Compact: the targets they leave behind.
   size_t stale_deletions_ = 0;
+  bool single_layer_ = true;
   PropertyTable properties_;
 };
 

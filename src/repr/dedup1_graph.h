@@ -26,6 +26,11 @@ class Dedup1Graph : public CondensedGraph {
   }
 
   bool ExistsEdge(NodeId u, NodeId v) const override;
+
+  std::unique_ptr<NeighborReduction> PrepareReduction(
+      size_t threads = 0) const override {
+    return MakeReduction(threads, true, nullptr);
+  }
 };
 
 }  // namespace graphgen

@@ -204,8 +204,10 @@ TEST(BspEngineTest, BitmapMemoryIncludesBitmaps) {
   std::vector<uint64_t> tmp;
   auto bm_stats = MakeBitmapEngine(su.bitmap).RunDegree(&tmp);
   ASSERT_TRUE(bm_stats.ok());
-  // The graph's footprint, bitmaps included, plus the run's transpose.
-  EXPECT_GT(bm_stats->memory_bytes, su.bitmap.MemoryBytes());
+  // The graph's whole footprint, bitmaps included; a run builds no
+  // transpose or other structure to add to it.
+  EXPECT_EQ(bm_stats->memory_bytes, su.bitmap.MemoryBytes());
+  EXPECT_GT(bm_stats->memory_bytes, su.bitmap.BitmapMemoryBytes());
 }
 
 }  // namespace

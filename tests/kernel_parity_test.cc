@@ -6,7 +6,9 @@
 // checked against brute-force references (test_util.h) that share no
 // code with src/algos/. Also pins the CSR ExpandedGraph's edge set to the
 // condensed-storage oracle, including after DeleteVertex / DeleteEdge /
-// AddVertex mutations.
+// AddVertex mutations. Finally checks the aggregated reduction DEDUP-1
+// and BITMAP answer degree, PageRank and components with against the
+// brute-force references, through the §3.4 mutations and Compact().
 
 #include <gtest/gtest.h>
 
@@ -36,6 +38,9 @@ namespace graphgen {
 namespace {
 
 using testing::BruteForceClustering;
+using testing::BruteForceComponents;
+using testing::BruteForceDegrees;
+using testing::BruteForcePageRank;
 using testing::BruteForceTriangleCount;
 using testing::EdgeSetOf;
 using testing::MakeRandomSymmetric;
@@ -247,6 +252,134 @@ TEST_F(KernelParityTest, AdoptionTimeDeletionsKeepFlatPath) {
   // A *runtime* deletion still withdraws the contract.
   ASSERT_TRUE(exp.DeleteVertex(9).ok());
   EXPECT_FALSE(exp.HasFlatAdjacency());
+}
+
+// Degree, components and PageRank on `g` match the brute-force
+// references.
+void ExpectReferenceKernels(const Graph& g) {
+  EXPECT_EQ(ComputeDegrees(g), BruteForceDegrees(g));
+  EXPECT_EQ(ConnectedComponents(g), BruteForceComponents(g));
+  ExpectNear(PageRank(g, {.iterations = 6}), BruteForcePageRank(g, 6));
+}
+
+// ExpectReferenceKernels on `g` as built, after adding a new edge, after
+// deleting an existing one (both directions each, where they exist, so a
+// symmetric graph stays symmetric; on BITMAP the deletion clears bits), after deleting a
+// vertex and after Compact().
+void ExpectReferenceKernelsThroughMutations(CondensedGraph& g) {
+  {
+    SCOPED_TRACE("as built");
+    ExpectReferenceKernels(g);
+  }
+  const NodeId n = static_cast<NodeId>(g.NumVertices());
+  NodeId au = 0;
+  NodeId av = 1;
+  while (g.ExistsEdge(au, av)) av = av + 1 < n ? av + 1 : (++au, au + 1);
+  ASSERT_LT(av, n);
+  ASSERT_TRUE(g.AddEdge(au, av).ok());
+  ASSERT_TRUE(g.AddEdge(av, au).ok());
+  {
+    SCOPED_TRACE("after AddEdge");
+    ExpectReferenceKernels(g);
+  }
+  const auto edges = EdgeSetOf(g);
+  const auto [du, dv] = edges[edges.size() / 3];
+  ASSERT_TRUE(g.DeleteEdge(du, dv).ok());
+  if (g.ExistsEdge(dv, du)) {
+    ASSERT_TRUE(g.DeleteEdge(dv, du).ok());
+  }
+  {
+    SCOPED_TRACE("after DeleteEdge");
+    ExpectReferenceKernels(g);
+  }
+  ASSERT_TRUE(g.DeleteVertex(edges[edges.size() / 2].first).ok());
+  {
+    SCOPED_TRACE("after DeleteVertex");
+    ExpectReferenceKernels(g);
+  }
+  g.Compact();
+  {
+    SCOPED_TRACE("after Compact");
+    ExpectReferenceKernels(g);
+  }
+}
+
+// Reals listed in more than one virtual node: each of their aggregated
+// reads meets the real itself, whose term the sums must drop.
+size_t RealsInSeveralVirtualNodes(const CondensedGraph& g) {
+  size_t count = 0;
+  for (NodeId u = 0; u < g.NumVertices(); ++u) {
+    size_t memberships = 0;
+    for (NodeRef r : g.OutEdges(NodeRef::Real(u))) {
+      if (r.is_virtual()) ++memberships;
+    }
+    if (memberships > 1) ++count;
+  }
+  return count;
+}
+
+TEST(AggregatedReductionTest, MatchesReferencesThroughMutations) {
+  struct Input {
+    const char* name;
+    CondensedStorage storage;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"figure1", testing::MakeFigure1Graph()});
+  inputs.push_back({"sparse", MakeRandomSymmetric(300, 80, 6, 99)});
+  // Virtual nodes of ~80 entries: two-word bitmaps, many per node.
+  inputs.push_back({"dense", MakeRandomSymmetric(200, 10, 80, 5)});
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.name);
+    std::vector<std::unique_ptr<CondensedGraph>> graphs;
+    auto d1 = GreedyVirtualNodesFirst(in.storage);
+    ASSERT_TRUE(d1.ok());
+    graphs.push_back(std::make_unique<Dedup1Graph>(std::move(*d1)));
+    auto b1 = BuildBitmap1(in.storage);
+    ASSERT_TRUE(b1.ok());
+    graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b1)));
+    auto b2 = BuildBitmap2(in.storage);
+    ASSERT_TRUE(b2.ok());
+    graphs.push_back(std::make_unique<BitmapGraph>(std::move(*b2)));
+    for (const auto& g : graphs) {
+      SCOPED_TRACE(std::string(g->Name()));
+      ASSERT_TRUE(g->IsSingleLayer());
+      EXPECT_GT(RealsInSeveralVirtualNodes(*g), 0u);
+      ExpectReferenceKernelsThroughMutations(*g);
+    }
+  }
+}
+
+TEST(AggregatedReductionTest, MultiLayerBitmapWalks) {
+  gen::LayeredGenOptions o;
+  o.num_real = 80;
+  o.layer_sizes = {12, 6};
+  o.avg_real_memberships = 3.0;
+  o.avg_layer_fanout = 2.5;
+  o.seed = 6;
+  auto bm = BuildBitmap2(gen::GenerateLayeredCondensed(o));
+  ASSERT_TRUE(bm.ok());
+  ASSERT_FALSE(bm->IsSingleLayer());
+  ExpectReferenceKernelsThroughMutations(*bm);
+}
+
+// Every output entry is computed on one thread in a fixed order, so the
+// aggregated PageRank does not depend on how the passes are split.
+TEST(AggregatedReductionTest, CondensedPageRankIsBitwiseIdenticalAcrossThreads) {
+  // Large enough that four threads split both passes (ParallelFor's
+  // grain is 1,024 vertices).
+  const CondensedStorage s = MakeRandomSymmetric(6000, 2400, 5, 7);
+  auto d1 = GreedyVirtualNodesFirst(s);
+  ASSERT_TRUE(d1.ok());
+  auto b2 = BuildBitmap2(s);
+  ASSERT_TRUE(b2.ok());
+  for (const Graph* g : {static_cast<const Graph*>(&*d1),
+                         static_cast<const Graph*>(&*b2)}) {
+    SCOPED_TRACE(std::string(g->Name()));
+    EXPECT_EQ(PageRank(*g, {.iterations = 6, .threads = 1}),
+              PageRank(*g, {.iterations = 6, .threads = 4}));
+    EXPECT_EQ(ConnectedComponents(*g, 1), ConnectedComponents(*g, 4));
+    EXPECT_EQ(ComputeDegrees(*g, 1), ComputeDegrees(*g, 4));
+  }
 }
 
 TEST(ExpandGraphTest, EmptyGraphSnapshots) {

@@ -93,6 +93,71 @@ inline std::vector<NodeId> ReferenceBitmapNeighbors(const BitmapGraph& g,
   return seq;
 }
 
+/// Brute-force out-degree per vertex id: NeighborList's length, 0 for
+/// deleted vertices. Like the references below, it is built only on the
+/// Graph API and shares no code with src/algos/.
+inline std::vector<uint64_t> BruteForceDegrees(const Graph& g) {
+  std::vector<uint64_t> out(g.NumVertices(), 0);
+  g.ForEachVertex([&](NodeId u) { out[u] = g.NeighborList(u).size(); });
+  return out;
+}
+
+/// Brute-force PageRank by its pull definition over NeighborList: each
+/// iteration a live u gets (1 - d)/N + d·(Σ rank(v)/deg(v) over its
+/// neighbors v + the rank of degree-0 vertices / N), N the live count;
+/// deleted vertices keep 0.
+inline std::vector<double> BruteForcePageRank(const Graph& g,
+                                              size_t iterations,
+                                              double damping = 0.85) {
+  const size_t n = g.NumVertices();
+  const double live = static_cast<double>(g.NumActiveVertices());
+  std::vector<std::vector<NodeId>> nbrs(n);
+  std::vector<double> rank(n, 0.0);
+  g.ForEachVertex([&](NodeId u) {
+    nbrs[u] = g.NeighborList(u);
+    rank[u] = 1.0 / live;
+  });
+  for (size_t it = 0; it < iterations; ++it) {
+    double dangling = 0.0;
+    g.ForEachVertex([&](NodeId u) {
+      if (nbrs[u].empty()) dangling += rank[u];
+    });
+    std::vector<double> next(n, 0.0);
+    g.ForEachVertex([&](NodeId u) {
+      double sum = 0.0;
+      for (NodeId v : nbrs[u]) {
+        if (!nbrs[v].empty()) sum += rank[v] / static_cast<double>(nbrs[v].size());
+      }
+      next[u] = (1.0 - damping) / live + damping * (sum + dangling / live);
+    });
+    rank = std::move(next);
+  }
+  return rank;
+}
+
+/// Brute-force component labels: per live vertex, the smallest id it
+/// reaches over NeighborList, itself included, which on the symmetric
+/// graphs GraphGen extracts is the smallest id of its component;
+/// kInvalidNode for deleted vertices.
+inline std::vector<NodeId> BruteForceComponents(const Graph& g) {
+  std::vector<std::vector<NodeId>> nbrs(g.NumVertices());
+  g.ForEachVertex([&](NodeId u) { nbrs[u] = g.NeighborList(u); });
+  std::vector<NodeId> out(g.NumVertices(), kInvalidNode);
+  g.ForEachVertex([&](NodeId u) {
+    std::set<NodeId> seen{u};
+    std::vector<NodeId> stack{u};
+    while (!stack.empty()) {
+      const NodeId v = stack.back();
+      stack.pop_back();
+      for (NodeId w : nbrs[v]) {
+        if (seen.insert(w).second) stack.push_back(w);
+      }
+    }
+    out[u] = *seen.begin();
+  });
+  return out;
+}
+
 /// Brute-force triangle count: every live u and every pair of its
 /// neighbors u < v < w closed by ExistsEdge(v, w). Built only on the
 /// Graph API (NeighborList / ExistsEdge), sharing no code with the
