@@ -57,11 +57,6 @@ class AggregatedReduction : public NeighborReduction {
   }
 
  private:
-  size_t NumSlots(size_t w) const {
-    if (bitmaps_ == nullptr) return 0;
-    return bitmaps_->owner_begin()[w + 1] - bitmaps_->owner_begin()[w];
-  }
-
   // self_[u]: per entry w of live u's out-list, the entries of w's
   // out-list equal to u that u's read of w includes.
   void CountSelfEntries() {
@@ -112,17 +107,19 @@ class AggregatedReduction : public NeighborReduction {
           table[16 * (i / 4) + (1u << (i % 4))] = x[t];
         }
         total[w] = acc;
-        if (NumSlots(w) == 0) continue;
+        if (bitmaps_ == nullptr) continue;
+        const size_t first = bitmaps_->owner_begin()[w];
+        const size_t last = bitmaps_->owner_begin()[w + 1];
+        if (first == last) continue;
+        // A one-bit mask keeps its entry: op(identity, v) is v.
         for (size_t b = 0; b < table.size(); b += 16) {
           for (unsigned mask = 3; mask < 16; ++mask) {
-            if ((mask & (mask - 1)) == 0) continue;  // one bit: set above
             table[b + mask] = op(table[b + (mask & (mask - 1))],
                                  table[b + (mask & -mask)]);
           }
         }
         const size_t words = BitmapWords(vout.size());
-        for (size_t k = bitmaps_->owner_begin()[w];
-             k < bitmaps_->owner_begin()[w + 1]; ++k) {
+        for (size_t k = first; k < last; ++k) {
           const uint64_t* bits = bitmaps_->SlotBitmap(w, k);
           T read = identity;
           for (size_t j = 0; j < words; ++j) {
