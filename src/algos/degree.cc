@@ -13,7 +13,9 @@ std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads) {
         [&](size_t begin, size_t end) {
           for (size_t v = begin; v < end; ++v) {
             const NodeId u = static_cast<NodeId>(v);
-            if (graph.VertexExists(u)) degrees[v] = graph.NeighborSpan(u).size();
+            if (graph.VertexExists(u)) {
+              degrees[v] = graph.NeighborSpan(u).size();
+            }
           }
         },
         threads);

@@ -35,7 +35,8 @@ class PullReduction : public NeighborReduction {
   void Min(std::span<const NodeId> x, std::span<NodeId> out) const override {
     Pull([&](NodeId u) {
       NodeId best = x[u];
-      VisitNeighbors(g_, flat_, u, [&](NodeId v) { best = std::min(best, x[v]); });
+      VisitNeighbors(g_, flat_, u,
+                     [&](NodeId v) { best = std::min(best, x[v]); });
       out[u] = best;
     });
   }

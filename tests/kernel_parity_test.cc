@@ -264,8 +264,8 @@ void ExpectReferenceKernels(const Graph& g) {
 
 // ExpectReferenceKernels on `g` as built, after adding a new edge, after
 // deleting an existing one (both directions each, where they exist, so a
-// symmetric graph stays symmetric; on BITMAP the deletion clears bits), after deleting a
-// vertex and after Compact().
+// symmetric graph stays symmetric; on BITMAP the deletion clears bits),
+// after deleting a vertex and after Compact().
 void ExpectReferenceKernelsThroughMutations(CondensedGraph& g) {
   {
     SCOPED_TRACE("as built");
@@ -364,7 +364,7 @@ TEST(AggregatedReductionTest, MultiLayerBitmapWalks) {
 
 // Every output entry is computed on one thread in a fixed order, so the
 // aggregated PageRank does not depend on how the passes are split.
-TEST(AggregatedReductionTest, CondensedPageRankIsBitwiseIdenticalAcrossThreads) {
+TEST(AggregatedReductionTest, PageRankIsBitwiseIdenticalAcrossThreads) {
   // Large enough that four threads split both passes (ParallelFor's
   // grain is 1,024 vertices).
   const CondensedStorage s = MakeRandomSymmetric(6000, 2400, 5, 7);

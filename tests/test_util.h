@@ -126,7 +126,8 @@ inline std::vector<double> BruteForcePageRank(const Graph& g,
     g.ForEachVertex([&](NodeId u) {
       double sum = 0.0;
       for (NodeId v : nbrs[u]) {
-        if (!nbrs[v].empty()) sum += rank[v] / static_cast<double>(nbrs[v].size());
+        if (nbrs[v].empty()) continue;
+        sum += rank[v] / static_cast<double>(nbrs[v].size());
       }
       next[u] = (1.0 - damping) / live + damping * (sum + dangling / live);
     });
