@@ -16,6 +16,13 @@ namespace graphgen {
 /// graphs aggregate at their virtual nodes.
 std::vector<uint64_t> ComputeDegrees(const Graph& graph, size_t threads = 0);
 
+/// The same degrees for a caller that already prepared `reduction` on
+/// `graph` (PageRank): off flat adjacency they are its sums over x = 1,
+/// so the run prepares the reduction once.
+std::vector<uint64_t> ComputeDegrees(const Graph& graph,
+                                     const NeighborReduction& reduction,
+                                     size_t threads = 0);
+
 }  // namespace graphgen
 
 #endif  // GRAPHGEN_ALGOS_DEGREE_H_

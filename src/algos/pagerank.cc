@@ -9,7 +9,10 @@ std::vector<double> PageRank(const Graph& graph,
   const size_t n = graph.NumVertices();
   const size_t n_active = graph.NumActiveVertices();
   if (n_active == 0) return {};
-  const std::vector<uint64_t> degrees = ComputeDegrees(graph, options.threads);
+  const std::unique_ptr<NeighborReduction> reduction =
+      graph.PrepareReduction(options.threads);
+  const std::vector<uint64_t> degrees =
+      ComputeDegrees(graph, *reduction, options.threads);
   std::vector<double> rank(n, 0.0);
   std::vector<NodeId> live;
   std::vector<NodeId> dangling;
@@ -23,8 +26,6 @@ std::vector<double> PageRank(const Graph& graph,
   // live vertex instead (the dangling term), so ranks keep summing to 1.
   std::vector<double> contrib(n, 0.0);
   std::vector<double> sum(n, 0.0);
-  const std::unique_ptr<NeighborReduction> reduction =
-      graph.PrepareReduction(options.threads);
   for (size_t iter = 0; iter < options.iterations; ++iter) {
     for (size_t v = 0; v < n; ++v) {
       const uint64_t d = degrees[v];

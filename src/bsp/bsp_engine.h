@@ -53,7 +53,7 @@ class BspGraph {
 ///
 /// Only single-layer condensed graphs are supported (all Giraph-experiment
 /// datasets in the paper are single-layer). stats.memory_bytes is the
-/// graph's footprint.
+/// graph's footprint; the reduction's per-run arrays are not counted.
 class BspEngine {
  public:
   explicit BspEngine(BspGraph graph, size_t threads = 0)

@@ -31,7 +31,10 @@ namespace {
 // A bitmap is read four bits at a time: per 4-entry block of w's
 // out-list, a 16-entry table holds the reduction of every subset of the
 // block, so each bitmap word costs 16 lookups, whatever its density. The
-// tables cost 4 ops per entry of w and are built once per pass.
+// tables cost 4 ops per entry of w and are built once per pass. At the
+// densities BITMAP-2 builds (36-79% of bits set on the benchmark's and
+// Table 4's graphs) this reads bitmaps 1.3-2.2x as fast as a set-bit
+// scan (README).
 class AggregatedReduction : public NeighborReduction {
  public:
   // `walk` answers the sums when paths are not unique, else is null.

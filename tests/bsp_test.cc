@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "algos/connected_components.h"
-#include "algos/degree.h"
-#include "algos/pagerank.h"
 #include "bsp/bsp_programs.h"
 #include "dedup/bitmap_algorithms.h"
 #include "dedup/dedup1_algorithms.h"
@@ -13,6 +10,9 @@
 namespace graphgen::bsp {
 namespace {
 
+using graphgen::testing::BruteForceComponents;
+using graphgen::testing::BruteForceDegrees;
+using graphgen::testing::BruteForcePageRank;
 using graphgen::testing::MakeRandomSymmetric;
 
 struct ReprSet {
@@ -86,8 +86,8 @@ TEST(BspEngineTest, DegreeAgreesAcrossRepresentations) {
   ASSERT_TRUE(MakeBitmapEngine(su.bitmap).RunDegree(&bm_deg).ok());
   EXPECT_EQ(exp_deg, d1_deg);
   EXPECT_EQ(exp_deg, bm_deg);
-  // Cross-check against the vertex-centric implementation.
-  EXPECT_EQ(exp_deg, ComputeDegrees(su.exp));
+  // Cross-check against the brute-force reference.
+  EXPECT_EQ(exp_deg, BruteForceDegrees(su.exp));
 }
 
 // A deleted vertex sends nothing, not even through a virtual node it
@@ -98,8 +98,7 @@ TEST(BspEngineTest, DeletedVerticesSendNothing) {
     ASSERT_TRUE(su.dedup1.DeleteVertex(x).ok());
     ASSERT_TRUE(su.bitmap.DeleteVertex(x).ok());
   }
-  const std::vector<uint64_t> expected =
-      ComputeDegrees(ExpandGraph(su.dedup1));
+  const std::vector<uint64_t> expected = BruteForceDegrees(su.dedup1);
   std::vector<uint64_t> d1_deg;
   std::vector<uint64_t> bm_deg;
   ASSERT_TRUE(MakeDedup1Engine(su.dedup1).RunDegree(&d1_deg).ok());
@@ -146,10 +145,10 @@ TEST(BspEngineTest, PageRankAgreesAcrossRepresentations) {
     EXPECT_NEAR(exp_pr[u], d1_pr[u], 1e-9) << u;
     EXPECT_NEAR(exp_pr[u], bm_pr[u], 1e-9) << u;
   }
-  // And against the vertex-centric PageRank.
-  std::vector<double> vc_pr = PageRank(su.exp, {.iterations = 8});
+  // And against the brute-force PageRank.
+  const std::vector<double> ref_pr = BruteForcePageRank(su.exp, 8, 0.85);
   for (size_t u = 0; u < exp_pr.size(); ++u) {
-    EXPECT_NEAR(exp_pr[u], vc_pr[u], 1e-9) << u;
+    EXPECT_NEAR(exp_pr[u], ref_pr[u], 1e-9) << u;
   }
 }
 
@@ -173,7 +172,7 @@ TEST(BspEngineTest, ConnectedComponentsAgree) {
   ASSERT_TRUE(MakeBitmapEngine(su.bitmap).RunConnectedComponents(&bm_cc).ok());
   EXPECT_EQ(exp_cc, d1_cc);
   EXPECT_EQ(exp_cc, bm_cc);
-  EXPECT_EQ(exp_cc, ConnectedComponents(su.exp));
+  EXPECT_EQ(exp_cc, BruteForceComponents(su.exp));
 }
 
 TEST(BspEngineTest, ConnectedComponentsRunsOnCDupDirectly) {
@@ -204,8 +203,8 @@ TEST(BspEngineTest, BitmapMemoryIncludesBitmaps) {
   std::vector<uint64_t> tmp;
   auto bm_stats = MakeBitmapEngine(su.bitmap).RunDegree(&tmp);
   ASSERT_TRUE(bm_stats.ok());
-  // The graph's whole footprint, bitmaps included; a run builds no
-  // transpose or other structure to add to it.
+  // The graph's whole footprint, bitmaps included. The per-run
+  // structures of the neighbor reduction are not counted.
   EXPECT_EQ(bm_stats->memory_bytes, su.bitmap.MemoryBytes());
   EXPECT_GT(bm_stats->memory_bytes, su.bitmap.BitmapMemoryBytes());
 }
