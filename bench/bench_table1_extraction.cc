@@ -2,7 +2,8 @@
 // and measures the extraction pipeline itself (selection vectors,
 // partitioned hash join, fused morsel-driven join→DISTINCT, typed-key
 // graph assembly) on the four evaluation schemas: serially (one thread)
-// versus on all hardware threads.
+// versus on all hardware threads, the two alternating run by run so a
+// load spell on a shared machine scales both sides of a pair alike.
 //
 // For every workload the harness also *proves* parity: the output of the
 // parallel pipeline must be bitwise-identical to the serial run (node
@@ -44,6 +45,49 @@
 namespace graphgen {
 namespace {
 
+// One paired measurement: each side's samples (min and median) and the
+// median over iterations of (other side / base side) for the samples
+// taken back to back in that iteration.
+struct PairedTiming {
+  bench::RepeatStats base;
+  bench::RepeatStats other;
+  double ratio = 0;
+  double OtherMs() const { return base.median_ms * ratio; }
+};
+
+// Times `base` and `other` once per iteration, alternating which runs
+// first so neither side always inherits the other's cache state. On a
+// shared machine, host-load spells last far longer than one pair, so they
+// scale both samples of a pair alike and cancel in its ratio; the median
+// ratio then ignores the pairs a spell straddled. (Comparing each side's
+// independent min-of-N instead swung ±10% in A/A runs on a 4-vCPU VM.)
+PairedTiming TimePairs(int iters, const std::function<void()>& base,
+                       const std::function<void()>& other) {
+  std::vector<double> base_ms;
+  std::vector<double> other_ms;
+  std::vector<double> ratios;
+  for (int i = 0; i < std::max(iters, 1); ++i) {
+    double b = 0;
+    double o = 0;
+    if (i % 2 == 0) {
+      b = bench::MinMs(1, base);
+      o = bench::MinMs(1, other);
+    } else {
+      o = bench::MinMs(1, other);
+      b = bench::MinMs(1, base);
+    }
+    base_ms.push_back(b);
+    other_ms.push_back(o);
+    ratios.push_back(o / b);
+  }
+  auto stats = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return bench::RepeatStats{v.front(), v[v.size() / 2], v.size()};
+  };
+  std::sort(ratios.begin(), ratios.end());
+  return {stats(base_ms), stats(other_ms), ratios[ratios.size() / 2]};
+}
+
 struct WorkloadRow {
   std::string name;
   uint64_t input_rows = 0;
@@ -51,12 +95,14 @@ struct WorkloadRow {
   uint64_t full_edges = 0;
   bench::RepeatStats serial;    // columnar, 1 thread
   bench::RepeatStats parallel;  // columnar, hw threads
+  double parallel_over_serial = 0;  // median of the per-pair ratios
   // Top-level extraction stages (nodes/edges/preprocess) of one profiled
   // parallel run, from the flight recorder's QueryProfile.
   std::vector<std::pair<std::string, double>> stage_ms;
   bool parity = true;
+  // Serial over parallel time, from the median per-pair ratio.
   double Speedup() const {
-    return parallel.median_ms > 0 ? serial.median_ms / parallel.median_ms : 0;
+    return parallel_over_serial > 0 ? 1.0 / parallel_over_serial : 0;
   }
 };
 
@@ -113,15 +159,20 @@ bool RunWorkload(const std::string& name, const gen::GeneratedDatabase& data,
     }
   }
 
-  // Timed runs: both policies back to back = the Table 1 workload.
+  // Timed runs: both policies back to back = the Table 1 workload, serial
+  // and parallel interleaved in pairs (see TimePairs).
   auto run_both = [&](Mode mode) {
     (void)planner::ExtractFromQuery(data.db, data.datalog,
                                     MakeOpts(0.0, mode));
     (void)planner::ExtractFromQuery(data.db, data.datalog,
                                     MakeOpts(1e18, mode));
   };
-  row.serial = bench::Repeat(iters, [&] { run_both(Mode::kSerial); });
-  row.parallel = bench::Repeat(iters, [&] { run_both(Mode::kParallel); });
+  const PairedTiming timed =
+      TimePairs(iters, [&] { run_both(Mode::kSerial); },
+                [&] { run_both(Mode::kParallel); });
+  row.serial = timed.base;
+  row.parallel = timed.other;
+  row.parallel_over_serial = timed.ratio;
 
   // One profiled run feeds the per-stage breakdown in the JSON summary.
   if (obs::Enabled()) {
@@ -196,45 +247,6 @@ int RunCancelProbe(double cancel_at_ms) {
   return 0;
 }
 
-// One overhead gate's measurement: the base side's median sample and the
-// median over iterations of (other side / base side) for the samples
-// taken back to back in that iteration.
-struct PairedTiming {
-  double base_ms = 0;
-  double ratio = 0;
-  double OtherMs() const { return base_ms * ratio; }
-};
-
-// Times `base` and `other` once per iteration, alternating which runs
-// first so neither side always inherits the other's cache state. On a
-// shared machine, host-load spells last far longer than one pair, so they
-// scale both samples of a pair alike and cancel in its ratio; the median
-// ratio then ignores the pairs a spell straddled. (Comparing each side's
-// independent min-of-N instead swung ±10% in A/A runs on a 4-vCPU VM.)
-PairedTiming TimePairs(int iters, const std::function<void()>& base,
-                       const std::function<void()>& other) {
-  std::vector<double> base_ms;
-  std::vector<double> ratios;
-  for (int i = 0; i < iters; ++i) {
-    double b = 0;
-    double o = 0;
-    if (i % 2 == 0) {
-      b = bench::MinMs(1, base);
-      o = bench::MinMs(1, other);
-    } else {
-      o = bench::MinMs(1, other);
-      b = bench::MinMs(1, base);
-    }
-    base_ms.push_back(b);
-    ratios.push_back(o / b);
-  }
-  auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-    return v[v.size() / 2];
-  };
-  return {median(base_ms), median(ratios)};
-}
-
 // --smoke gates on the fused join→DISTINCT branch, which engages only once
 // a join's output crosses the executor's 32 MB threshold. A DBLP-like input
 // with ~100 authors per paper, expanded in the database, crosses it (~5M
@@ -272,17 +284,17 @@ bool RunSmokeGates() {
         extract(plain);
       });
   obs::SetEnabled(was_enabled);
-  const double obs_limit = obs_gate.base_ms * 1.03 + 1.0;
+  const double obs_limit = obs_gate.base.median_ms * 1.03 + 1.0;
   std::printf(
       "\nobservability overhead (fused path, %d pairs): off %.2fms, on "
       "%.2fms (median ratio %+.2f%%), limit %.2fms\n",
-      kGateIters, obs_gate.base_ms, obs_gate.OtherMs(),
+      kGateIters, obs_gate.base.median_ms, obs_gate.OtherMs(),
       (obs_gate.ratio - 1) * 100, obs_limit);
   if (obs_gate.OtherMs() > obs_limit) {
     std::fprintf(stderr,
                  "FAIL: instrumentation overhead %.2fms (on) vs %.2fms "
                  "(off) exceeds the 3%%+1ms gate\n",
-                 obs_gate.OtherMs(), obs_gate.base_ms);
+                 obs_gate.OtherMs(), obs_gate.base.median_ms);
     ok = false;
   }
 
@@ -308,17 +320,17 @@ bool RunSmokeGates() {
         extract(armed);
         faults.DisarmAll();
       });
-  const double robust_limit = robust_gate.base_ms * 1.01 + 1.0;
+  const double robust_limit = robust_gate.base.median_ms * 1.01 + 1.0;
   std::printf(
       "robustness overhead (fused path, %d pairs): plain %.2fms, "
       "armed+ctx %.2fms (median ratio %+.2f%%), limit %.2fms\n",
-      kGateIters, robust_gate.base_ms, robust_gate.OtherMs(),
+      kGateIters, robust_gate.base.median_ms, robust_gate.OtherMs(),
       (robust_gate.ratio - 1) * 100, robust_limit);
   if (robust_gate.OtherMs() > robust_limit) {
     std::fprintf(stderr,
                  "FAIL: robustness plumbing overhead %.2fms (armed) vs "
                  "%.2fms (plain) exceeds the 1%%+1ms gate\n",
-                 robust_gate.OtherMs(), robust_gate.base_ms);
+                 robust_gate.OtherMs(), robust_gate.base.median_ms);
     ok = false;
   }
 
@@ -359,7 +371,7 @@ int main(int argc, char** argv) {
   }
   if (cancel_at_ms >= 0) return graphgen::RunCancelProbe(cancel_at_ms);
   const double s = smoke ? 0.05 : graphgen::bench::BenchScale();
-  // Smoke runs are sub-50ms per mode, so the repeat-of-3 default costs
+  // Smoke runs are sub-50ms per mode, so the default of 3 pairs costs
   // almost nothing.
   const int iters = graphgen::bench::ParseRepeat(argc, argv, 3);
 
@@ -368,7 +380,8 @@ int main(int argc, char** argv) {
   std::printf(
       "(each timed run extracts both the condensed C-DUP graph and the\n"
       " fully expanded EXP graph; parity = bitwise-identical output;\n"
-      " reported times are the median of %d runs)\n\n",
+      " serial and parallel runs alternate in %d pairs; times are each\n"
+      " side's median, the speedup is the median per-pair ratio)\n\n",
       iters);
 
   std::vector<graphgen::WorkloadRow> rows;
@@ -424,6 +437,10 @@ int main(int argc, char** argv) {
         "  \"parallel\": \"columnar pipeline (fused join->DISTINCT past "
         "32 MB of join output, typed-key assembly), hardware threads\",\n");
     std::fprintf(f, "  \"repeat\": %d,\n", iters);
+    std::fprintf(f,
+                 "  \"timing\": \"serial and parallel alternate in repeat "
+                 "pairs; speedup = 1 / median(parallel / serial) over the "
+                 "pairs\",\n");
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
       const auto& r = rows[i];

@@ -1,11 +1,13 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_set>
 #include <utility>
 
@@ -124,6 +126,92 @@ std::vector<IndexRange> EqualRanges(size_t n, size_t parts) {
   if (ranges.empty()) ranges.push_back({0, 0});
   return ranges;
 }
+
+// The partition of hash h among `parts` (at most kMaxPartitions): a
+// multiply-shift of hash bits 24..47. Those bits are disjoint from the
+// slot tag (bits 57..63, simd::TagOfHash) and from the home slot
+// (TagProbe::Home, the low bits of any table under 2^24 slots), so a
+// partition's keys still spread over every home slot of its own table.
+// No division; with parts == 1 it is always 0.
+size_t PartitionOf(uint64_t h, size_t parts) {
+  return static_cast<size_t>((((h >> 24) & 0xffffffu) * parts) >> 24);
+}
+
+// Row ids grouped by hash partition, built by one parallel count-then-
+// scatter pass over contiguous input ranges, so each partition worker
+// then walks only its own rows instead of every row. Chunk (p, t) holds
+// range t's rows of partition p in ascending order, and chunks are laid
+// out partition-major, so each partition's rows are ascending overall —
+// the order a serial scan would visit them in.
+class HashPartitions {
+ public:
+  // part_of(t, i) names the partition of row i (i in ranges[t]), or
+  // `parts` to leave the row out. The caller charges 4 bytes per row.
+  template <typename PartOf>
+  HashPartitions(const std::vector<IndexRange>& ranges, size_t parts,
+                 PartOf part_of)
+      : nranges_(ranges.size()), offsets_(parts * nranges_ + 1, 0) {
+    // counts[t][p] for p in [0, parts]: the last bucket counts left-out
+    // rows and gets no chunk.
+    std::vector<std::array<size_t, kMaxPartitions + 1>> counts(nranges_);
+    ParallelInvoke(nranges_, [&](size_t t) {
+      std::array<size_t, kMaxPartitions + 1> c{};
+      for (size_t i = ranges[t].begin; i < ranges[t].end; ++i) {
+        ++c[part_of(t, i)];
+      }
+      counts[t] = c;
+    });
+    size_t off = 0;
+    for (size_t p = 0; p < parts; ++p) {
+      for (size_t t = 0; t < nranges_; ++t) {
+        offsets_[p * nranges_ + t] = off;
+        off += counts[t][p];
+      }
+    }
+    offsets_.back() = off;
+    rows_ = std::make_unique_for_overwrite<uint32_t[]>(off);
+    ParallelInvoke(nranges_, [&](size_t t) {
+      std::array<size_t, kMaxPartitions + 1> cursor{};
+      for (size_t p = 0; p < parts; ++p) cursor[p] = offsets_[p * nranges_ + t];
+      for (size_t i = ranges[t].begin; i < ranges[t].end; ++i) {
+        const size_t p = part_of(t, i);
+        if (p != parts) rows_[cursor[p]++] = static_cast<uint32_t>(i);
+      }
+    });
+  }
+
+  // Partition p's rows, ascending.
+  std::span<const uint32_t> Rows(size_t p) const {
+    return Span(p * nranges_, (p + 1) * nranges_);
+  }
+  // Range t's rows of partition p, ascending.
+  std::span<const uint32_t> Chunk(size_t p, size_t t) const {
+    return Span(p * nranges_ + t, p * nranges_ + t + 1);
+  }
+  // Row count of the largest partition.
+  size_t MaxRows() const {
+    size_t most = 0;
+    for (size_t a = 0; a + nranges_ < offsets_.size(); a += nranges_) {
+      most = std::max(most, offsets_[a + nranges_] - offsets_[a]);
+    }
+    return most;
+  }
+
+ private:
+  std::span<const uint32_t> Span(size_t first, size_t last) const {
+    return {rows_.get() + offsets_[first], offsets_[last] - offsets_[first]};
+  }
+
+  size_t nranges_;
+  std::vector<size_t> offsets_;  // chunk (p, t) starts at [p * nranges_ + t]
+  std::unique_ptr<uint32_t[]> rows_;
+};
+
+// Fan-out of one partitioned phase, for the profile tree.
+struct PartitionStats {
+  size_t partitions = 1;
+  size_t rows_max = 0;  // rows in the largest partition
+};
 
 // Output schema of a hash join: left columns keep their names; a right
 // column whose name is already taken is qualified as "<table>.<name>"
@@ -652,6 +740,20 @@ struct FlatChainTable {
     count[pos] = 1;
   }
 
+  // Cache hints for a future Insert(·, h), in the two stages of the
+  // DISTINCT loops (see FlatDistinctSet): PrefetchSlot pulls the first
+  // tag group and the home slot's cached hash; WarmProbe, run once that
+  // group is cached, pulls the candidates' chain tails. Read-only.
+  void PrefetchSlot(uint64_t h) const {
+    probe.Prefetch(h);
+    __builtin_prefetch(hash.data() + probe.Home(h));
+  }
+  void WarmProbe(uint64_t h) const {
+    probe.ForEachFirstCandidate(h, [&](size_t slot) {
+      __builtin_prefetch(tail.data() + slot);
+    });
+  }
+
   // First build row with key k, or -1.
   int32_t Find(const Key& k, uint64_t h) const {
     const auto [pos, found] = Lookup(k, h);
@@ -872,16 +974,18 @@ class FusedDistinctSet {
   // kDistinctSeedSlots.
   FusedDistinctSet(size_t width, const std::vector<DistinctCol>& cols,
                    size_t expected)
-      : width_(width), cols_(cols) {
+      : width_(width), cols_(cols), expected_(expected) {
     Resize(TableCapacity(std::min(expected, kDistinctSeedSlots)));
   }
 
   // Guarantees room for `n` more survivors; call before a batch of at
   // most `n` Insert offers. Survivor storage is raw geometric buffers —
   // no value-initialization, no per-element capacity checks in Insert.
+  // Growth stops at the expected offer count, so a set never holds more
+  // survivor storage than FusedSetBytes(expected) charges for.
   void ReserveBatch(size_t n) {
     if (size_ + n > cap_) {
-      const size_t cap = std::max(cap_ * 2, size_ + n);
+      const size_t cap = std::max(std::min(cap_ * 2, expected_), size_ + n);
       auto tuples = std::make_unique_for_overwrite<uint32_t[]>(cap * width_);
       auto hashes = std::make_unique_for_overwrite<uint64_t[]>(cap);
       std::copy(tuples_.get(), tuples_.get() + size_ * width_, tuples.get());
@@ -984,6 +1088,7 @@ class FusedDistinctSet {
 
   size_t width_;
   const std::vector<DistinctCol>& cols_;
+  size_t expected_;  // offers the owner will make; caps survivor storage
   TagProbe probe_;
   std::vector<uint32_t> slots_;  // per slot: the survivor's ordinal
   size_t grow_at_ = 0;
@@ -996,8 +1101,11 @@ class FusedDistinctSet {
 // The build and count phases of the partitioned hash join, shared by the
 // materializing join and the fused join→DISTINCT pipeline: typed keys and
 // hashes are precomputed in parallel, then P flat per-partition tables are
-// built over build rows in ascending order (per-key chains stay ascending,
-// which is what makes probe output order the serial order). The probe
+// built, each by one worker over its own rows. With P > 1 a HashPartitions
+// scatter hands every worker its partition's non-NULL rows in ascending
+// order (per-key chains stay ascending, which is what makes probe output
+// order the serial order); probes pick the table with the same
+// PartitionOf. The probe
 // side is split into contiguous ranges, and a counting pass over them
 // gives every range its exact match count — and therefore the join's
 // exact output size — before a single tuple is emitted.
@@ -1012,9 +1120,15 @@ struct JoinBuild {
   std::vector<IndexRange> ranges;  // probe ranges, in probe order
   std::vector<size_t> counts;      // exact matches per probe range
   size_t matches = 0;
+  size_t partition_rows_max = 0;   // build rows in the largest table
   /// Build-side scratch charged against the request's memory budget,
   /// refunded when the build dies at the end of the operator.
   ScopedCharge charge;
+
+  // The table that holds (or would hold) keys of hash h.
+  const FlatChainTable<Key>& TableFor(uint64_t h) const {
+    return tables[PartitionOf(h, partitions)];
+  }
 };
 
 // Total number of join matches a probe range will emit, from the build
@@ -1027,7 +1141,7 @@ size_t CountJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
     Key k{};
     if (!pkey(pr, &k)) continue;
     const uint64_t h = hash(k);
-    expected += jb.tables[h % jb.partitions].CountFor(k, h);
+    expected += jb.TableFor(h).CountFor(k, h);
   }
   return expected;
 }
@@ -1038,11 +1152,16 @@ JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
                                  HashFn hash, BuildKeyFn bkey, ProbeKeyFn pkey,
                                  const ExecContext& ctx, AbortSlot& slot) {
   JoinBuild<Key> jb;
-  // Key/hash/null/chain arrays are the first of the join's two big
-  // allocations; the per-partition slot arrays are priced below once the
-  // partition fan-out is known.
+  jb.partitions = (threads > 1 && bn >= kPartitionedBuildThreshold)
+                      ? std::min(threads, kMaxPartitions)
+                      : 1;
+  // Key/hash/null/chain arrays (and, when partitioned, the scatter's row
+  // order) are the first of the join's two big allocations; the
+  // per-partition slot arrays are priced below once their row counts are
+  // known.
   const size_t key_bytes =
-      bn * (sizeof(uint64_t) + 1 + sizeof(Key) + sizeof(int32_t));
+      bn * (sizeof(uint64_t) + 1 + sizeof(Key) + sizeof(int32_t) +
+            (jb.partitions > 1 ? sizeof(uint32_t) : 0));
   if (Status st = jb.charge.Acquire(ctx, key_bytes, "hash-join build keys");
       !st.ok()) {
     slot.Fail(std::move(st));
@@ -1071,19 +1190,27 @@ JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
       threads);
   if (slot.Failed()) return jb;
 
-  jb.partitions = (threads > 1 && bn >= kPartitionedBuildThreshold)
-                      ? std::min(threads, kMaxPartitions)
-                      : 1;
+  // Partitioned builds scatter the non-NULL rows by partition first, so
+  // each table's worker inserts only its own rows, in ascending order.
+  std::optional<HashPartitions> parts;
   std::vector<size_t> partition_rows(jb.partitions, 0);
   if (jb.partitions == 1) {
     for (size_t i = 0; i < bn; ++i) {
       if (jb.bnull[i] == 0) ++partition_rows[0];
     }
   } else {
-    for (size_t i = 0; i < bn; ++i) {
-      if (jb.bnull[i] == 0) ++partition_rows[jb.bhash[i] % jb.partitions];
+    parts.emplace(EqualRanges(bn, jb.partitions), jb.partitions,
+                  [&](size_t, size_t i) {
+                    return jb.bnull[i] != 0
+                               ? jb.partitions
+                               : PartitionOf(jb.bhash[i], jb.partitions);
+                  });
+    for (size_t p = 0; p < jb.partitions; ++p) {
+      partition_rows[p] = parts->Rows(p).size();
     }
   }
+  jb.partition_rows_max =
+      *std::max_element(partition_rows.begin(), partition_rows.end());
   // Per-slot: key + cached hash + head + tail + count + probe tag.
   constexpr size_t kSlotBytes = sizeof(Key) + sizeof(int64_t) +
                                 2 * sizeof(int32_t) + sizeof(uint32_t) +
@@ -1104,13 +1231,30 @@ JoinBuild<Key> BuildAndCountJoin(size_t bn, size_t pn, size_t threads,
     if (slot.Failed()) return;
     FlatChainTable<Key>& ht = jb.tables[p];
     ht.Init(partition_rows[p], jb.chain_next.data());
-    StridedRun(ctx, slot, poll, 0, bn, [&](size_t b, size_t e) {
-      for (size_t i = b; i < e; ++i) {
-        if (jb.bnull[i] != 0 || jb.bhash[i] % jb.partitions != p) continue;
-        ht.Insert(jb.bkeys[i], jb.bhash[i], static_cast<uint32_t>(i));
+    if (!parts.has_value()) {
+      StridedRun(ctx, slot, poll, 0, bn, [&](size_t b, size_t e) {
+        for (size_t i = b; i < e; ++i) {
+          if (jb.bnull[i] != 0) continue;
+          ht.Insert(jb.bkeys[i], jb.bhash[i], static_cast<uint32_t>(i));
+        }
+      });
+      return;
+    }
+    const std::span<const uint32_t> mine = parts->Rows(p);
+    StridedRun(ctx, slot, poll, 0, mine.size(), [&](size_t b, size_t e) {
+      for (size_t j = b; j < e; ++j) {
+        if (j + 2 * kProbePrefetchDist < mine.size()) {
+          ht.PrefetchSlot(jb.bhash[mine[j + 2 * kProbePrefetchDist]]);
+        }
+        if (j + kProbePrefetchDist < mine.size()) {
+          ht.WarmProbe(jb.bhash[mine[j + kProbePrefetchDist]]);
+        }
+        const uint32_t i = mine[j];
+        ht.Insert(jb.bkeys[i], jb.bhash[i], i);
       }
     });
   });
+  parts.reset();
   if (slot.Failed()) return jb;
 
   const size_t probe_ways =
@@ -1142,7 +1286,7 @@ uint32_t* EmitJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
     Key k{};
     if (!pkey(pr, &k)) continue;
     const uint64_t h = hash(k);
-    const FlatChainTable<Key>& ht = jb.tables[h % jb.partitions];
+    const FlatChainTable<Key>& ht = jb.TableFor(h);
     int32_t bi = ht.Find(k, h);
     if (bi < 0) continue;
     const uint32_t* ptup = &probe.tuples[pr * pw];
@@ -1210,7 +1354,7 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
       Key k{};
       if (!pkey(pr, &k)) continue;
       const uint64_t h = hash(k);
-      const FlatChainTable<Key>& ht = jb.tables[h % jb.partitions];
+      const FlatChainTable<Key>& ht = jb.TableFor(h);
       int32_t bi = ht.Find(k, h);
       if (bi < 0) continue;
       const uint32_t p = ptups[pr];
@@ -1251,7 +1395,7 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
     Key k{};
     if (!pkey(pr, &k)) continue;
     const uint64_t h = hash(k);
-    const FlatChainTable<Key>& ht = jb.tables[h % jb.partitions];
+    const FlatChainTable<Key>& ht = jb.TableFor(h);
     int32_t bi = ht.Find(k, h);
     if (bi < 0) continue;
     const uint32_t* ptup = &probe.tuples[pr * pw];
@@ -1273,7 +1417,7 @@ void FuseJoinRange(const JoinBuild<Key>& jb, IndexRange range, HashFn hash,
 // Hash-table shape facts for the profile tree, filled only when someone
 // is recording (the occupancy sums cost a pass over the build input).
 struct JoinProfInfo {
-  size_t partitions = 1;
+  PartitionStats build;   // the build tables' fan-out
   size_t build_keys = 0;  // non-NULL build rows inserted into the tables
   size_t capacity = 0;    // total slots across partition tables
 };
@@ -1282,7 +1426,7 @@ template <typename Key>
 void FillJoinProfInfo(const JoinBuild<Key>& jb, size_t bn,
                       JoinProfInfo* info) {
   if (info == nullptr) return;
-  info->partitions = jb.partitions;
+  info->build = {jb.partitions, jb.partition_rows_max};
   size_t nulls = 0;
   for (size_t i = 0; i < bn; ++i) nulls += jb.bnull[i];
   info->build_keys = bn - nulls;
@@ -1303,12 +1447,13 @@ struct JoinSides {
 };
 
 // Materializes a counted join as concatenated (left, right) row-id tuples
-// in serial probe order, for every thread count and key type: partitions
-// scan build rows in ascending order (so per-key chains are ascending) and
-// probe ranges concatenate in index order. The exact per-range counts
-// place every range's matches directly into the final tuple vector — no
-// per-range buffers, no concatenation copy over the full output, and the
-// operator's memory peak is the output itself rather than twice it.
+// in serial probe order, for every thread count and key type: every
+// partition inserts its build rows in ascending order (so per-key chains
+// are ascending) and probe ranges concatenate in index order. The exact
+// per-range counts place every range's matches directly into the final
+// tuple vector — no per-range buffers, no concatenation copy over the full
+// output, and the operator's memory peak is the output itself rather than
+// twice it.
 template <typename Key, typename HashFn, typename ProbeKeyFn>
 std::vector<uint32_t> MaterializeJoin(const JoinBuild<Key>& jb, HashFn hash,
                                       ProbeKeyFn pkey, const JoinSides& s,
@@ -1353,13 +1498,14 @@ size_t FusedSetBytes(size_t n, size_t w) {
 // one morsel of un-deduplicated join output. The exact per-range counts
 // size each set's budget charge up front. Returns the surviving tuples in
 // the serial join's emission order — bit-identical to materializing the
-// join and running the classic DISTINCT over it.
+// join and running the classic DISTINCT over it — and records the fan-out
+// of the final dedup phase in `stats`.
 template <typename Key, typename HashFn, typename ProbeKeyFn>
 std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
                                        ProbeKeyFn pkey, const JoinSides& s,
                                        const std::vector<DistinctCol>& cols,
                                        size_t threads, const ExecContext& ctx,
-                                       AbortSlot& slot) {
+                                       AbortSlot& slot, PartitionStats* stats) {
   const size_t w = s.lw + s.rw;
   const bool poll = NeedsPoll(ctx);
   const size_t nranges = jb.ranges.size();
@@ -1378,34 +1524,37 @@ std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
   if (slot.Failed()) return {};
 
   if (nranges == 1) {
+    *stats = {1, jb.matches};
     return std::vector<uint32_t>(locals[0]->tuples(),
                                  locals[0]->tuples() + locals[0]->size() * w);
   }
   // A range's survivors are its in-range-first occurrences in emission
   // order, so merging ranges in index order keeps exactly the
   // globally-first occurrence of every key, in the serial join's
-  // emission order.
-  std::vector<size_t> bases(nranges + 1, 0);
-  for (size_t r = 0; r < nranges; ++r) {
-    bases[r + 1] = bases[r] + locals[r]->size();
+  // emission order. Range r's i-th survivor has stream ordinal
+  // stream[r].begin + i.
+  std::vector<IndexRange> stream(nranges);
+  for (size_t r = 0, base = 0; r < nranges; ++r) {
+    stream[r] = {base, base + locals[r]->size()};
+    base = stream[r].end;
   }
-  const size_t offered = bases.back();
+  const size_t offered = stream.back().end;
   const size_t merge_ways =
-      (threads > 1 && offered >= kParallelDistinctThreshold)
+      (threads > 1 && offered >= kParallelDistinctThreshold &&
+       offered <= std::numeric_limits<uint32_t>::max())
           ? std::min(threads, kMaxPartitions)
           : 1;
-  // The merge sets are scratch on top of the per-range sets, refunded
-  // once the survivors are copied out.
-  const size_t part_n = merge_ways == 1 ? offered : offered / merge_ways + 1;
+  // The merge's scratch sits on top of the per-range sets and is
+  // refunded once the survivors are copied out.
   ScopedCharge merge_charge;
-  if (Status st = merge_charge.Acquire(
-          ctx, merge_ways * FusedSetBytes(part_n, w),
-          "fused DISTINCT merge sets");
-      !st.ok()) {
-    slot.Fail(std::move(st));
-    return {};
-  }
   if (merge_ways == 1) {
+    *stats = {1, offered};
+    if (Status st = merge_charge.Acquire(ctx, FusedSetBytes(offered, w),
+                                         "fused DISTINCT merge sets");
+        !st.ok()) {
+      slot.Fail(std::move(st));
+      return {};
+    }
     FusedDistinctSet global(w, cols, offered);
     for (const auto& local : locals) {
       global.InsertBatch(local->tuples(), local->hashes(), local->size());
@@ -1416,49 +1565,75 @@ std::vector<uint32_t> FuseJoinDistinct(const JoinBuild<Key>& jb, HashFn hash,
   // Low-duplication joins leave most offers alive in every range, so
   // the concatenated survivor stream can approach the original match
   // count and a serial re-insert walk becomes the pipeline's wall.
-  // Keys land in exactly one hash partition, so each partition worker
-  // replays the whole stream for its keys independently; a bitmap over
-  // stream ordinals records who survived, and prefix popcount ranks
-  // place every survivor at its serial output position — the same
-  // tuples in the same order as the serial merge.
-  std::vector<uint64_t> bits((offered + 63) / 64, 0);
+  // Keys land in exactly one hash partition, so the stream is scattered
+  // by partition once and each partition worker replays only its own
+  // offers, in stream order; a bitmap over stream ordinals records who
+  // survived, and prefix popcount ranks place every survivor at its
+  // serial output position — the same tuples in the same order as the
+  // serial merge. Each partition's set is charged for its exact offer
+  // count, however skewed the keys.
+  const size_t words = (offered + 63) / 64;
+  if (Status st = merge_charge.Acquire(
+          ctx, offered * sizeof(uint32_t) + words * sizeof(uint64_t),
+          "fused DISTINCT merge scatter");
+      !st.ok()) {
+    slot.Fail(std::move(st));
+    return {};
+  }
+  const HashPartitions parts(stream, merge_ways, [&](size_t r, size_t o) {
+    return PartitionOf(locals[r]->hashes()[o - stream[r].begin], merge_ways);
+  });
+  *stats = {merge_ways, parts.MaxRows()};
+  size_t set_bytes = 0;
+  for (size_t p = 0; p < merge_ways; ++p) {
+    set_bytes += FusedSetBytes(parts.Rows(p).size(), w);
+  }
+  if (Status st = ctx.Charge(set_bytes, "fused DISTINCT merge sets");
+      !st.ok()) {
+    slot.Fail(std::move(st));
+    return {};
+  }
+  merge_charge.Grow(set_bytes);
+  std::vector<uint64_t> bits(words, 0);
   ParallelInvoke(merge_ways, [&](size_t p) {
-    FusedDistinctSet part(w, cols, part_n);
+    FusedDistinctSet part(w, cols, parts.Rows(p).size());
+    part.ReserveBatch(parts.Rows(p).size());
     for (size_t r = 0; r < nranges; ++r) {
+      const std::span<const uint32_t> mine = parts.Chunk(p, r);
       const uint32_t* lt = locals[r]->tuples();
       const uint64_t* lh = locals[r]->hashes();
-      const size_t ln = locals[r]->size();
-      for (size_t i = 0; i < ln; ++i) {
-        if (lh[i] % merge_ways != p) continue;
-        const size_t f = i + kProbePrefetchDist;
-        if (f < ln && lh[f] % merge_ways == p) part.PrefetchSlot(lh[f]);
-        part.ReserveBatch(1);
-        if (part.Insert(lt + i * w, lh[i])) {
-          const size_t o = bases[r] + i;
+      const size_t base = stream[r].begin;
+      for (size_t j = 0; j < mine.size(); ++j) {
+        if (j + 2 * kProbePrefetchDist < mine.size()) {
+          part.PrefetchSlot(lh[mine[j + 2 * kProbePrefetchDist] - base]);
+        }
+        if (j + kProbePrefetchDist < mine.size()) {
+          part.WarmProbe(lh[mine[j + kProbePrefetchDist] - base]);
+        }
+        const size_t o = mine[j];
+        if (part.Insert(lt + (o - base) * w, lh[o - base])) {
           std::atomic_ref<uint64_t>(bits[o >> 6])
               .fetch_or(uint64_t{1} << (o & 63), std::memory_order_relaxed);
         }
       }
     }
   });
-  std::vector<size_t> rank(bits.size() + 1, 0);
-  for (size_t i = 0; i < bits.size(); ++i) {
+  std::vector<size_t> rank(words + 1, 0);
+  for (size_t i = 0; i < words; ++i) {
     rank[i + 1] = rank[i] + static_cast<size_t>(std::popcount(bits[i]));
   }
   std::vector<uint32_t> out(rank.back() * w);
   ParallelInvoke(nranges, [&](size_t r) {
     const uint32_t* lt = locals[r]->tuples();
-    const size_t ln = locals[r]->size();
-    for (size_t i = 0; i < ln; ++i) {
-      const size_t o = bases[r] + i;
+    for (size_t o = stream[r].begin; o < stream[r].end; ++o) {
       const uint64_t word = bits[o >> 6];
       if ((word & (uint64_t{1} << (o & 63))) == 0) continue;
       const size_t pos =
           rank[o >> 6] +
           static_cast<size_t>(
               std::popcount(word & ((uint64_t{1} << (o & 63)) - 1)));
-      uint32_t* dst = out.data() + pos * w;
-      for (size_t j = 0; j < w; ++j) dst[j] = lt[i * w + j];
+      const uint32_t* src = lt + (o - stream[r].begin) * w;
+      std::copy(src, src + w, out.data() + pos * w);
     }
   });
   return out;
@@ -1621,9 +1796,11 @@ bool WithTypedJoinKeys(const RowIdResult& build, const RowIdResult& probe,
   }
 
   // Generic fallback (a mixed-encoding key column): owned Value keys with
-  // Value hashing/equality, same partitioned structure.
+  // Value hashing/equality, same partitioned structure. Value::Hash of an
+  // int64 is the identity, so it is mixed before its tag and partition
+  // bits are read.
   run(KeyTag<rel::Value>{},
-      [](const rel::Value& k) { return k.Hash(); },
+      [](const rel::Value& k) { return MixInt64(k.Hash()); },
       [&](size_t i, rel::Value* k) {
         rel::Value v = bcol.col->ValueAt(build.RowId(bcol, i));
         if (v.is_null()) return false;
@@ -1859,7 +2036,9 @@ Result<RowIdResult> Executor::RunHashJoin(const HashJoinNode& join,
     prof->rows = static_cast<int64_t>(matches);
     prof->AddStat("build_rows", static_cast<double>(sides.build.NumRows()));
     prof->AddStat("probe_rows", static_cast<double>(sides.probe.NumRows()));
-    prof->AddStat("partitions", static_cast<double>(info.partitions));
+    prof->AddStat("partitions", static_cast<double>(info.build.partitions));
+    prof->AddStat("partition_rows_max",
+                  static_cast<double>(info.build.rows_max));
     if (info.capacity > 0) {
       prof->AddStat("load_factor", static_cast<double>(info.build_keys) /
                                        static_cast<double>(info.capacity));
@@ -1892,6 +2071,7 @@ Result<RowIdResult> Executor::JoinDistinctColumnar(
   obs::Span span(prof);
   size_t matches = 0;
   size_t morsels = 0;
+  PartitionStats merge;
   std::optional<RowIdResult> fused;  // set iff the fused branch ran
   GRAPHGEN_ASSIGN_OR_RETURN(
       RowIdResult joined,
@@ -1923,7 +2103,7 @@ Result<RowIdResult> Executor::JoinDistinctColumnar(
             }
             out.tuples = FuseJoinDistinct(jb, hash, pkey, s, cols,
                                           options_.threads, options_.ctx,
-                                          slot);
+                                          slot, &merge);
             fused = std::move(out);
           }));
   (fused.has_value() ? Metrics().fused_pipelines : Metrics().unfused_pipelines)
@@ -1945,6 +2125,9 @@ Result<RowIdResult> Executor::JoinDistinctColumnar(
   if (prof != nullptr) {
     prof->rows = static_cast<int64_t>(fused->NumRows());
     prof->AddStat("morsels", static_cast<double>(morsels));
+    prof->AddStat("distinct_partitions", static_cast<double>(merge.partitions));
+    prof->AddStat("distinct_partition_rows_max",
+                  static_cast<double>(merge.rows_max));
   }
   return std::move(*fused);
 }
@@ -1978,10 +2161,11 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
   // DISTINCT: keep the first occurrence of every projected key, in input
   // order. Hashing and equality run on the typed base columns (raw int64
   // arrays, dictionary codes) — a row never materializes a Value. Parallel
-  // mode partitions rows by key hash; within a partition rows are visited
-  // in ascending index order, so each partition's survivors are exactly
-  // the globally-first occurrences of its keys, and the index merge
-  // reproduces the serial order bit for bit.
+  // mode scatters the rows by key hash once (HashPartitions); each
+  // partition worker visits its own rows in ascending index order, so its
+  // first occurrences are exactly the globally-first occurrences of its
+  // keys. Workers mark them in a per-row keep byte, and an in-order pass
+  // over the keep bytes reproduces the serial output bit for bit.
   const size_t n = child.NumRows();
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Status::Unsupported("DISTINCT input exceeds 2^32 rows");
@@ -1992,7 +2176,7 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
     cols.push_back(DistinctCol::Make(child.Bind(c)));
   }
 
-  const size_t w0 = child.Width();
+  const size_t w = child.Width();
   // Hash array + first-occurrence slot tables are DISTINCT scratch,
   // refunded when the operator returns; the poll stride keeps an armed
   // deadline responsive even on a single huge partition.
@@ -2013,19 +2197,21 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
                      for (size_t i = b; i < e; ++i) {
                        // FNV combine + final avalanche (the flat set masks
                        // low bits).
-                       hashes[i] = DistinctHash(cols, &child.tuples[i * w0]);
+                       hashes[i] = DistinctHash(cols, &child.tuples[i * w]);
                      }
                    });
       },
       options_.threads);
   GRAPHGEN_RETURN_NOT_OK(slot.Take());
 
-  std::vector<uint32_t> survivors;
-  const size_t partitions =
+  PartitionStats stats{
       (options_.threads > 1 && n >= kParallelDistinctThreshold)
           ? std::min(options_.threads, kMaxPartitions)
-          : 1;
-  if (partitions == 1) {
+          : 1,
+      n};
+  size_t kept = 0;
+  if (stats.partitions == 1) {
+    std::vector<uint32_t> survivors;
     FlatDistinctSet seen(n, hashes, child, cols);
     survivors.reserve(n);
     size_t tick = kCancelStrideRows;
@@ -2044,56 +2230,68 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
         survivors.push_back(static_cast<uint32_t>(i));
       }
     }
+    kept = survivors.size();
+    out.tuples.resize(kept * w);
+    ParallelFor(
+        kept,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            const uint32_t* src = &child.tuples[survivors[i] * w];
+            std::copy(src, src + w, &out.tuples[i * w]);
+          }
+        },
+        options_.threads);
   } else {
-    std::vector<std::vector<uint32_t>> parts(partitions);
-    ParallelInvoke(partitions, [&](size_t p) {
-      size_t mine = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (hashes[i] % partitions == p) ++mine;
-      }
-      FlatDistinctSet seen(mine, hashes, child, cols);
-      StridedRun(options_.ctx, slot, poll, 0, n, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) {
-          if (hashes[i] % partitions != p) continue;
-          // Only hint rows this partition will actually probe; a foreign
-          // row's slot in our table is never touched.
-          const size_t f = i + kProbePrefetchDist;
-          if (f < e && hashes[f] % partitions == p) {
-            seen.PrefetchSlot(static_cast<uint32_t>(f));
-          }
-          if (seen.Insert(static_cast<uint32_t>(i))) {
-            parts[p].push_back(static_cast<uint32_t>(i));
-          }
-        }
-      });
+    const size_t ways = stats.partitions;
+    // The scatter's row order and the keep bytes: 5 bytes a row.
+    GRAPHGEN_RETURN_NOT_OK(options_.ctx.Charge(
+        n * (sizeof(uint32_t) + sizeof(uint8_t)),
+        "DISTINCT partition scratch"));
+    scratch.Grow(n * (sizeof(uint32_t) + sizeof(uint8_t)));
+    const HashPartitions parts(
+        EqualRanges(n, ways), ways,
+        [&](size_t, size_t i) { return PartitionOf(hashes[i], ways); });
+    stats.rows_max = parts.MaxRows();
+    // Every row belongs to exactly one partition, so every keep byte is
+    // written once.
+    auto keep = std::make_unique_for_overwrite<uint8_t[]>(n);
+    ParallelInvoke(ways, [&](size_t p) {
+      const std::span<const uint32_t> mine = parts.Rows(p);
+      FlatDistinctSet seen(mine.size(), hashes, child, cols);
+      StridedRun(options_.ctx, slot, poll, 0, mine.size(),
+                 [&](size_t b, size_t e) {
+                   for (size_t j = b; j < e; ++j) {
+                     if (j + 2 * kProbePrefetchDist < mine.size()) {
+                       seen.PrefetchSlot(mine[j + 2 * kProbePrefetchDist]);
+                     }
+                     if (j + kProbePrefetchDist < mine.size()) {
+                       seen.WarmProbe(mine[j + kProbePrefetchDist]);
+                     }
+                     keep[mine[j]] = seen.Insert(mine[j]) ? 1 : 0;
+                   }
+                 });
     });
     GRAPHGEN_RETURN_NOT_OK(slot.Take());
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    survivors.reserve(total);
-    for (const auto& part : parts) {
-      survivors.insert(survivors.end(), part.begin(), part.end());
+    // Compact the input's tuples in place: survivors keep input order,
+    // and no output buffer is allocated. Row i moves to slot kept <= i,
+    // so no tuple is overwritten before it is read.
+    out.tuples = std::move(child.tuples);
+    uint32_t* tuples = out.tuples.data();
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < w; ++j) tuples[kept * w + j] = tuples[i * w + j];
+      kept += keep[i];
     }
-    std::sort(survivors.begin(), survivors.end());
+    out.tuples.resize(kept * w);
   }
 
-  const size_t w = child.Width();
-  out.tuples.resize(survivors.size() * w);
-  ParallelFor(
-      survivors.size(),
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          const uint32_t* src = &child.tuples[survivors[i] * w];
-          std::copy(src, src + w, &out.tuples[i * w]);
-        }
-      },
-      options_.threads);
   Metrics().distinct_rows_in->Add(n);
-  Metrics().distinct_rows_out->Add(survivors.size());
+  Metrics().distinct_rows_out->Add(kept);
   if (prof != nullptr) {
-    prof->rows = static_cast<int64_t>(survivors.size());
+    prof->rows = static_cast<int64_t>(kept);
     prof->AddStat("distinct_in", static_cast<double>(n));
-    prof->AddStat("distinct_partitions", static_cast<double>(partitions));
+    prof->AddStat("distinct_partitions", static_cast<double>(stats.partitions));
+    prof->AddStat("distinct_partition_rows_max",
+                  static_cast<double>(stats.rows_max));
   }
   return out;
 }

@@ -595,6 +595,10 @@ TEST(ExecutorTest, FusedMergeSetsAreCharged) {
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   const size_t peak = tracked.ctx.budget->peak();
 
+  ExecOptions exact = WithThreads(4);
+  exact.ctx.budget = std::make_shared<MemoryBudget>(peak);
+  EXPECT_TRUE(Executor(&db, exact).ExecuteColumnar(plan).ok());
+
   ExecOptions tight = WithThreads(4);
   tight.ctx.budget = std::make_shared<MemoryBudget>(peak - 1);
   auto refused = Executor(&db, tight).ExecuteColumnar(plan);
@@ -655,6 +659,306 @@ TEST(ExecutorTest, JoinDistinctEmptyAndImpossibleJoins) {
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(rs->NumRows(), 0u);
   EXPECT_EQ(rs->schema.NumColumns(), 2u);
+}
+
+// ------------------------------------------------- partition parity
+
+// Key shapes for the partitioned operators: every row one key (one
+// partition receives all of them), all keys distinct, an input of
+// exactly the parallel DISTINCT threshold (1 << 13 rows) with repeats
+// and NULLs, and all keys NULL.
+enum class KeyShape { kOneKey, kAllDistinct, kAtThreshold, kAllNull };
+using KeyEncoding = rel::ColumnVector::Encoding;
+
+constexpr size_t kShapeRows = 12000;
+constexpr size_t kDistinctThresholdRows = size_t{1} << 13;
+
+size_t ShapeRows(KeyShape shape) {
+  return shape == KeyShape::kAtThreshold ? kDistinctThresholdRows
+                                         : kShapeRows;
+}
+
+// Body row i's key, or nullopt for NULL.
+std::optional<int64_t> ShapeKey(KeyShape shape, size_t i) {
+  switch (shape) {
+    case KeyShape::kOneKey:
+      return 7;
+    case KeyShape::kAllDistinct:
+      return static_cast<int64_t>(i);
+    case KeyShape::kAtThreshold:
+      if (i % 13 == 0) return std::nullopt;
+      return static_cast<int64_t>((i * 7919) % 1000);
+    case KeyShape::kAllNull:
+      break;
+  }
+  return std::nullopt;
+}
+
+Value EncodeKey(KeyEncoding encoding, int64_t k) {
+  return encoding == KeyEncoding::kDictString ? Value("s" + std::to_string(k))
+                                              : Value(k);
+}
+
+// Table `name(k, v, id)`: two lead rows with v = -1 that fix the key
+// column's encoding (int64, dictionary strings, or mixed: one string,
+// then ints), then `rows` body rows with v = row index, id = v % 1000
+// and keys from key(row). The scans below drop the lead rows (v >= 0),
+// so even an all-NULL body keeps a typed key column and reaches the
+// partitioned join build.
+template <typename KeyFn>
+void PutShapeTable(Database& db, const std::string& name,
+                   KeyEncoding encoding, size_t rows, KeyFn key) {
+  Table t(name, Schema({{"k", encoding == KeyEncoding::kInt64
+                                  ? ValueType::kInt64
+                                  : ValueType::kString},
+                        {"v", ValueType::kInt64},
+                        {"id", ValueType::kInt64}}));
+  const Value lead = encoding == KeyEncoding::kInt64
+                         ? Value(int64_t{-1})
+                         : Value(std::string("lead"));
+  const Value minus_one(int64_t{-1});
+  t.AppendUnchecked({lead, minus_one, minus_one});
+  t.AppendUnchecked(
+      {encoding == KeyEncoding::kDictString ? Value(std::string("lead2"))
+                                            : Value(int64_t{-2}),
+       minus_one, minus_one});
+  for (size_t i = 0; i < rows; ++i) {
+    const std::optional<int64_t> k = key(i);
+    const auto v = static_cast<int64_t>(i);
+    t.AppendUnchecked({k.has_value() ? EncodeKey(encoding, *k) : Value(),
+                       Value(v), Value(v % 1000)});
+  }
+  db.PutTable(std::move(t));
+}
+
+std::unique_ptr<ScanNode> BodyScan(const std::string& table) {
+  return std::make_unique<ScanNode>(
+      table, std::vector<Predicate>{{1, CompareOp::kGe, Value(int64_t{0})}});
+}
+
+double StatOf(const obs::ProfileNode& node, std::string_view key) {
+  for (const auto& [k, v] : node.stats) {
+    if (k == key) return v;
+  }
+  ADD_FAILURE() << node.name << " has no stat " << key;
+  return -1;
+}
+
+// Forces the flight recorder on so operators fill their profile rows.
+class ObsOn {
+ public:
+  ObsOn() : prev_(obs::Enabled()) { obs::SetEnabled(true); }
+  ~ObsOn() { obs::SetEnabled(prev_); }
+
+ private:
+  bool prev_;
+};
+
+constexpr size_t kParityThreads[] = {2, 3, 4, 8, 16};
+
+// Runs `plan` at 1 thread and at every parity thread count; the tuples
+// must match the serial run bitwise. check(threads, op) then inspects
+// the operator's profile row of each run.
+template <typename Check>
+void ExpectPartitionParity(const Database& db, const PlanNode& plan,
+                           Check check) {
+  ObsOn obs_on;
+  obs::ProfileNode serial_root("root");
+  auto serial = Executor(&db, WithThreads(1)).ExecuteColumnar(plan,
+                                                              &serial_root);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial_root.children.size(), 1u);
+  check(size_t{1}, serial_root.children.front());
+  for (size_t threads : kParityThreads) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    obs::ProfileNode root("root");
+    auto got = Executor(&db, WithThreads(threads)).ExecuteColumnar(plan,
+                                                                   &root);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->tuples, serial->tuples);
+    ASSERT_EQ(root.children.size(), 1u);
+    check(threads, root.children.front());
+  }
+}
+
+struct ShapeCase {
+  KeyShape shape;
+  KeyEncoding encoding;
+  std::string name;
+};
+
+std::vector<ShapeCase> ShapeCases() {
+  std::vector<ShapeCase> cases;
+  for (KeyShape shape : {KeyShape::kOneKey, KeyShape::kAllDistinct,
+                         KeyShape::kAtThreshold, KeyShape::kAllNull}) {
+    for (KeyEncoding encoding : {KeyEncoding::kInt64, KeyEncoding::kDictString,
+                                 KeyEncoding::kMixed}) {
+      static const char* const kShapeNames[] = {"one-key", "distinct",
+                                                "threshold", "all-null"};
+      const char* encoding_name = encoding == KeyEncoding::kInt64 ? "int64"
+                                  : encoding == KeyEncoding::kDictString
+                                      ? "dict"
+                                      : "mixed";
+      cases.push_back({shape, encoding,
+                       std::string(kShapeNames[static_cast<int>(shape)]) +
+                           "/" + encoding_name});
+    }
+  }
+  return cases;
+}
+
+// The partitioned DISTINCT (a project_distinct over a scan) keeps the
+// serial survivors in the serial order at every partition count, and
+// its profile row reports the partition fan-out and the largest
+// partition: all rows when every key (or every NULL) hashes alike.
+TEST(PartitionParityTest, UnfusedDistinct) {
+  for (const ShapeCase& c : ShapeCases()) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    const size_t n = ShapeRows(c.shape);
+    PutShapeTable(db, "P", c.encoding, n,
+                  [&](size_t i) { return ShapeKey(c.shape, i); });
+    ASSERT_EQ((*db.GetTable("P"))->column(0).encoding(), c.encoding);
+    ProjectNode plan(BodyScan("P"), std::vector<size_t>{0},
+                     std::vector<std::string>{"k"}, /*distinct=*/true);
+    ExpectPartitionParity(db, plan, [&](size_t threads,
+                                        const obs::ProfileNode& op) {
+      EXPECT_EQ(op.name, "project_distinct");
+      EXPECT_EQ(StatOf(op, "distinct_in"), static_cast<double>(n));
+      const size_t parts = threads == 1 ? 1 : std::min<size_t>(threads, 16);
+      EXPECT_EQ(StatOf(op, "distinct_partitions"),
+                static_cast<double>(parts));
+      const double most = StatOf(op, "distinct_partition_rows_max");
+      if (c.shape == KeyShape::kOneKey || c.shape == KeyShape::kAllNull ||
+          parts == 1) {
+        EXPECT_EQ(most, static_cast<double>(n));
+      } else {
+        EXPECT_GE(most, static_cast<double>(n) / static_cast<double>(parts));
+        EXPECT_LT(most, static_cast<double>(n));
+      }
+    });
+  }
+}
+
+// The partitioned build of a materializing join: P (the build side, by
+// the tie rule) joins Q, whose every 256th row carries a P key and whose
+// other rows are NULL. Output follows probe order with ascending build
+// chains at every partition count; an all-NULL build scatters no row.
+TEST(PartitionParityTest, MaterializingJoin) {
+  for (const ShapeCase& c : ShapeCases()) {
+    SCOPED_TRACE(c.name);
+    Database db;
+    const size_t n = ShapeRows(c.shape);
+    auto key = [&](size_t i) { return ShapeKey(c.shape, i); };
+    PutShapeTable(db, "P", c.encoding, n, key);
+    PutShapeTable(db, "Q", c.encoding, n, [&](size_t j) {
+      return j % 256 == 0 ? key((j * 7919) % n) : std::nullopt;
+    });
+    size_t build_keys = 0;
+    for (size_t i = 0; i < n; ++i) build_keys += key(i).has_value() ? 1 : 0;
+    HashJoinNode plan(BodyScan("P"), BodyScan("Q"), 0, 0);
+    ExpectPartitionParity(db, plan, [&](size_t threads,
+                                        const obs::ProfileNode& op) {
+      EXPECT_EQ(op.name, "hash_join");
+      const size_t parts = threads == 1 ? 1 : std::min<size_t>(threads, 16);
+      EXPECT_EQ(StatOf(op, "partitions"), static_cast<double>(parts));
+      const double most = StatOf(op, "partition_rows_max");
+      if (c.shape == KeyShape::kOneKey || c.shape == KeyShape::kAllNull ||
+          parts == 1) {
+        EXPECT_EQ(most, static_cast<double>(build_keys));
+      } else {
+        EXPECT_LT(most, static_cast<double>(build_keys));
+      }
+    });
+  }
+}
+
+// The fused join→DISTINCT, for int64, dictionary and mixed keys with
+// NULLs, over two inputs of ~4.3M matches (past the fusion threshold):
+// - the Hub tables, whose (a, b) pairs repeat so much that the
+//   cross-range merge is partitioned only from 8 threads on;
+// - a self-join of 9000 rows in 16 key groups, every 13th key NULL,
+//   projecting (a.id, b.id): ~200K distinct pairs, so the merge is
+//   partitioned at every thread count above one.
+// Per-range sets and merge give the serial tuples at every thread count.
+TEST(PartitionParityTest, FusedJoinDistinct) {
+  obs::Counter* fused_runs =
+      obs::MetricsRegistry::Global().GetCounter("query.fused_pipelines");
+  using testing::HubKey;
+  const std::pair<KeyEncoding, HubKey> keys[] = {
+      {KeyEncoding::kInt64, HubKey::kInt64},
+      {KeyEncoding::kDictString, HubKey::kString},
+      {KeyEncoding::kMixed, HubKey::kMixed}};
+  for (const auto& [encoding, hub_key] : keys) {
+    SCOPED_TRACE(static_cast<int>(encoding));
+    Database db;
+    testing::PutHubTables(db, hub_key);
+    PutShapeTable(db, "F", encoding, 9000, [](size_t i) {
+      return i % 13 == 0 ? std::nullopt
+                         : std::optional<int64_t>(static_cast<int64_t>(i % 16));
+    });
+    ProjectNode hub(std::make_unique<HashJoinNode>(
+                        std::make_unique<ScanNode>("Hub"),
+                        std::make_unique<ScanNode>("Hub"), 1, 1),
+                    std::vector<size_t>{0, 2},
+                    std::vector<std::string>{"a", "b"}, /*distinct=*/true);
+    ProjectNode wide(std::make_unique<HashJoinNode>(BodyScan("F"),
+                                                    BodyScan("F"), 0, 0),
+                     std::vector<size_t>{2, 5},
+                     std::vector<std::string>{"a", "b"}, /*distinct=*/true);
+    const uint64_t before = fused_runs->Value();
+    ExpectPartitionParity(db, hub, [&](size_t threads,
+                                       const obs::ProfileNode& op) {
+      EXPECT_EQ(op.name, "join_distinct");
+      EXPECT_EQ(StatOf(op, "distinct_partitions"),
+                threads < 8 ? 1.0 : std::min<double>(threads, 16));
+    });
+    ExpectPartitionParity(db, wide, [&](size_t threads,
+                                        const obs::ProfileNode& op) {
+      EXPECT_EQ(op.name, "join_distinct");
+      const size_t parts = threads == 1 ? 1 : std::min<size_t>(threads, 16);
+      EXPECT_EQ(StatOf(op, "partitions"), static_cast<double>(parts));
+      EXPECT_EQ(StatOf(op, "distinct_partitions"),
+                static_cast<double>(parts));
+      EXPECT_GT(StatOf(op, "distinct_partition_rows_max"), 0.0);
+    });
+    EXPECT_EQ(fused_runs->Value(),
+              before + 2 * (1 + std::size(kParityThreads)));
+  }
+}
+
+// The partitioned DISTINCT charges its scatter order (4 bytes a row) and
+// keep bytes (1 a row) on top of the serial path's scratch, and the
+// measured peak is exactly what the operator needs: the peak passes, one
+// byte less is refused.
+TEST(ExecutorTest, PartitionScratchIsCharged) {
+  Database db;
+  PutShapeTable(db, "P", KeyEncoding::kInt64, kShapeRows,
+                [](size_t i) { return ShapeKey(KeyShape::kAtThreshold, i); });
+  ProjectNode plan(BodyScan("P"), std::vector<size_t>{0},
+                   std::vector<std::string>{"k"}, /*distinct=*/true);
+  auto peak_at = [&](size_t threads) {
+    ExecOptions tracked = WithThreads(threads);
+    tracked.ctx.budget = std::make_shared<MemoryBudget>(0);  // track only
+    EXPECT_TRUE(Executor(&db, tracked).ExecuteColumnar(plan).ok());
+    return tracked.ctx.budget->peak();
+  };
+  const size_t serial_peak = peak_at(1);
+  const size_t peak = peak_at(4);
+  EXPECT_EQ(peak - serial_peak, kShapeRows * (sizeof(uint32_t) + 1));
+
+  ExecOptions exact = WithThreads(4);
+  exact.ctx.budget = std::make_shared<MemoryBudget>(peak);
+  EXPECT_TRUE(Executor(&db, exact).ExecuteColumnar(plan).ok());
+
+  ExecOptions tight = WithThreads(4);
+  tight.ctx.budget = std::make_shared<MemoryBudget>(peak - 1);
+  auto refused = Executor(&db, tight).ExecuteColumnar(plan);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find("DISTINCT partition scratch"),
+            std::string::npos)
+      << refused.status().ToString();
 }
 
 TEST(PlanSqlTest, RendersReadableSql) {
