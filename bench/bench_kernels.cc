@@ -7,9 +7,8 @@
 // function_ms includes that snapshot), and once on the NeighborSpan fast
 // path, verifying both produce identical results. Also times the
 // ExpandCondensed CSR build (the cold-extraction component) and the
-// materialized-CSR adapter economics: what one ExpandGraph snapshot costs
-// on top of C-DUP, and what each subsequent kernel saves. The JSON keeps
-// its csr_* key names for that snapshot.
+// price of analyzing a condensed graph as it is served: PageRank on a
+// BITMAP-2 build of the same storage against EXP's, and their ratio.
 //
 // Writes a JSON summary (default BENCH_kernels.json, override with
 // --out=<path>). --smoke shrinks the dataset, runs one iteration of
@@ -36,8 +35,8 @@
 #include "algos/triangles.h"
 #include "bench_util.h"
 #include "common/timer.h"
+#include "dedup/bitmap_algorithms.h"
 #include "gen/condensed_generator.h"
-#include "repr/cdup_graph.h"
 #include "repr/expander.h"
 
 namespace {
@@ -360,28 +359,26 @@ int main(int argc, char** argv) {
                 r.function_ms, r.span_ms, r.Speedup(), r.match ? "yes" : "NO");
   }
 
-  // Adapter economics: C-DUP's on-the-fly dedup traversal vs one
-  // materialized CSR snapshot feeding span kernels.
-  CDupGraph cdup(storage);
-  double csr_build_ms = 0;
-  ExpandedGraph csr;
-  {
-    ScopedTimer timer(&csr_build_ms, ScopedTimer::Unit::kMillis);
-    csr = ExpandGraph(cdup);
+  // Condensed analytics: the same PageRank on BITMAP-2, which aggregates
+  // at virtual nodes, against EXP built from the same storage.
+  Result<BitmapGraph> bitmap2 = BuildBitmap2(storage);
+  if (!bitmap2.ok()) {
+    std::fprintf(stderr, "BITMAP-2: %s\n", bitmap2.status().ToString().c_str());
+    return 1;
   }
+  const size_t bitmap2_bytes = bitmap2->MemoryBytes();
+  const size_t exp_bytes = exp.MemoryBytes();
   PageRankOptions pr_opt{.iterations = 10};
-  double cdup_pagerank_ms =
-      MedianMs(iters, [&] { (void)PageRank(cdup, pr_opt); });
-  double csr_pagerank_ms =
-      MedianMs(iters, [&] { (void)PageRank(csr, pr_opt); });
-  const double per_run_saving = cdup_pagerank_ms - csr_pagerank_ms;
-  const double breakeven =
-      per_run_saving > 0 ? csr_build_ms / per_run_saving : -1;
+  const double bitmap2_pagerank_ms =
+      MedianMs(iters, [&] { (void)PageRank(*bitmap2, pr_opt); });
+  const double exp_pagerank_ms =
+      MedianMs(iters, [&] { (void)PageRank(exp, pr_opt); });
+  const double ratio =
+      exp_pagerank_ms > 0 ? bitmap2_pagerank_ms / exp_pagerank_ms : 0;
   std::printf(
-      "\nCSR adapter over C-DUP: build %.1fms | pagerank %.1fms -> %.1fms "
-      "(%.1fx) | breakeven after %.1f kernel runs\n",
-      csr_build_ms, cdup_pagerank_ms, csr_pagerank_ms,
-      csr_pagerank_ms > 0 ? cdup_pagerank_ms / csr_pagerank_ms : 0, breakeven);
+      "\nPageRank on BITMAP-2 (%zu B) vs EXP (%zu B): %.1fms vs %.1fms "
+      "(%.2fx)\n",
+      bitmap2_bytes, exp_bytes, bitmap2_pagerank_ms, exp_pagerank_ms, ratio);
 
   FILE* f = std::fopen(out_path.c_str(), "w");
   if (f != nullptr) {
@@ -400,10 +397,11 @@ int main(int argc, char** argv) {
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"csr_adapter\": {\"build_ms\": %.3f, "
-                 "\"cdup_pagerank_ms\": %.3f, \"csr_pagerank_ms\": %.3f, "
-                 "\"breakeven_runs\": %.2f}\n}\n",
-                 csr_build_ms, cdup_pagerank_ms, csr_pagerank_ms, breakeven);
+                 "  ],\n  \"condensed_pagerank\": {\"bitmap2_bytes\": %zu, "
+                 "\"exp_bytes\": %zu, \"bitmap2_ms\": %.3f, "
+                 "\"exp_ms\": %.3f, \"ratio\": %.2f}\n}\n",
+                 bitmap2_bytes, exp_bytes, bitmap2_pagerank_ms,
+                 exp_pagerank_ms, ratio);
     std::fclose(f);
     std::printf("\nJSON written to %s\n", out_path.c_str());
   }

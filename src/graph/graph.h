@@ -106,7 +106,8 @@ class Graph {
   /// ForEachNeighbor. EXP implements it natively (and reports false while
   /// lazy vertex deletions are pending, since stale targets would leak
   /// into the spans); ExpandGraph (repr/expander.h) snapshots any
-  /// representation into an EXP graph that has it.
+  /// representation into an EXP graph that has it, which only triangle
+  /// counting and clustering do.
   virtual bool HasFlatAdjacency() const { return false; }
 
   /// Sorted distinct live out-neighbors of u as a contiguous span. Only

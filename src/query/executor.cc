@@ -2164,8 +2164,9 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
   // mode scatters the rows by key hash once (HashPartitions); each
   // partition worker visits its own rows in ascending index order, so its
   // first occurrences are exactly the globally-first occurrences of its
-  // keys. Workers mark them in a per-row keep byte, and an in-order pass
-  // over the keep bytes reproduces the serial output bit for bit.
+  // keys. Both modes mark first occurrences in a per-row keep byte, and
+  // one in-order pass over the keep bytes compacts the input, so parallel
+  // output is the serial output bit for bit.
   const size_t n = child.NumRows();
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Status::Unsupported("DISTINCT input exceeds 2^32 rows");
@@ -2177,13 +2178,13 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
   }
 
   const size_t w = child.Width();
-  // Hash array + first-occurrence slot tables are DISTINCT scratch,
-  // refunded when the operator returns; the poll stride keeps an armed
-  // deadline responsive even on a single huge partition.
+  // Hash array, first-occurrence slot tables and per-row keep bytes are
+  // DISTINCT scratch, refunded when the operator returns; the poll stride
+  // keeps an armed deadline responsive even on a single huge partition.
   ScopedCharge scratch;
   GRAPHGEN_RETURN_NOT_OK(scratch.Acquire(
       options_.ctx,
-      n * sizeof(uint64_t) +
+      n * (sizeof(uint64_t) + sizeof(uint8_t)) +
           TableCapacity(n) * (sizeof(uint32_t) + sizeof(uint8_t)),
       "DISTINCT hash scratch"));
   const bool poll = NeedsPoll(options_.ctx);
@@ -2209,52 +2210,32 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
           ? std::min(options_.threads, kMaxPartitions)
           : 1,
       n};
-  size_t kept = 0;
+  // Every row's keep byte is written exactly once, by the one worker
+  // that owns the row.
+  auto keep = std::make_unique_for_overwrite<uint8_t[]>(n);
   if (stats.partitions == 1) {
-    std::vector<uint32_t> survivors;
     FlatDistinctSet seen(n, hashes, child, cols);
-    survivors.reserve(n);
-    size_t tick = kCancelStrideRows;
-    for (size_t i = 0; i < n; ++i) {
-      if (poll && --tick == 0) {
-        tick = kCancelStrideRows;
-        GRAPHGEN_RETURN_NOT_OK(options_.ctx.Check());
+    StridedRun(options_.ctx, slot, poll, 0, n, [&](size_t b, size_t e) {
+      for (size_t i = b; i < e; ++i) {
+        if (i + 2 * kProbePrefetchDist < n) {
+          seen.PrefetchSlot(static_cast<uint32_t>(i + 2 * kProbePrefetchDist));
+        }
+        if (i + kProbePrefetchDist < n) {
+          seen.WarmProbe(static_cast<uint32_t>(i + kProbePrefetchDist));
+        }
+        keep[i] = seen.Insert(static_cast<uint32_t>(i)) ? 1 : 0;
       }
-      if (i + 2 * kProbePrefetchDist < n) {
-        seen.PrefetchSlot(static_cast<uint32_t>(i + 2 * kProbePrefetchDist));
-      }
-      if (i + kProbePrefetchDist < n) {
-        seen.WarmProbe(static_cast<uint32_t>(i + kProbePrefetchDist));
-      }
-      if (seen.Insert(static_cast<uint32_t>(i))) {
-        survivors.push_back(static_cast<uint32_t>(i));
-      }
-    }
-    kept = survivors.size();
-    out.tuples.resize(kept * w);
-    ParallelFor(
-        kept,
-        [&](size_t begin, size_t end) {
-          for (size_t i = begin; i < end; ++i) {
-            const uint32_t* src = &child.tuples[survivors[i] * w];
-            std::copy(src, src + w, &out.tuples[i * w]);
-          }
-        },
-        options_.threads);
+    });
   } else {
     const size_t ways = stats.partitions;
-    // The scatter's row order and the keep bytes: 5 bytes a row.
-    GRAPHGEN_RETURN_NOT_OK(options_.ctx.Charge(
-        n * (sizeof(uint32_t) + sizeof(uint8_t)),
-        "DISTINCT partition scratch"));
-    scratch.Grow(n * (sizeof(uint32_t) + sizeof(uint8_t)));
+    // The scatter's row order: 4 bytes a row.
+    GRAPHGEN_RETURN_NOT_OK(options_.ctx.Charge(n * sizeof(uint32_t),
+                                               "DISTINCT partition scratch"));
+    scratch.Grow(n * sizeof(uint32_t));
     const HashPartitions parts(
         EqualRanges(n, ways), ways,
         [&](size_t, size_t i) { return PartitionOf(hashes[i], ways); });
     stats.rows_max = parts.MaxRows();
-    // Every row belongs to exactly one partition, so every keep byte is
-    // written once.
-    auto keep = std::make_unique_for_overwrite<uint8_t[]>(n);
     ParallelInvoke(ways, [&](size_t p) {
       const std::span<const uint32_t> mine = parts.Rows(p);
       FlatDistinctSet seen(mine.size(), hashes, child, cols);
@@ -2271,18 +2252,19 @@ Result<RowIdResult> Executor::ProjectFromChild(const ProjectNode& node,
                    }
                  });
     });
-    GRAPHGEN_RETURN_NOT_OK(slot.Take());
-    // Compact the input's tuples in place: survivors keep input order,
-    // and no output buffer is allocated. Row i moves to slot kept <= i,
-    // so no tuple is overwritten before it is read.
-    out.tuples = std::move(child.tuples);
-    uint32_t* tuples = out.tuples.data();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < w; ++j) tuples[kept * w + j] = tuples[i * w + j];
-      kept += keep[i];
-    }
-    out.tuples.resize(kept * w);
   }
+  GRAPHGEN_RETURN_NOT_OK(slot.Take());
+  // Compact the input's tuples in place: survivors keep input order,
+  // and no output buffer is allocated. Row i moves to slot kept <= i,
+  // so no tuple is overwritten before it is read.
+  size_t kept = 0;
+  out.tuples = std::move(child.tuples);
+  uint32_t* tuples = out.tuples.data();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < w; ++j) tuples[kept * w + j] = tuples[i * w + j];
+    kept += keep[i];
+  }
+  out.tuples.resize(kept * w);
 
   Metrics().distinct_rows_in->Add(n);
   Metrics().distinct_rows_out->Add(kept);

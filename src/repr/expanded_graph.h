@@ -18,8 +18,8 @@ namespace graphgen {
 /// Storage is one flat out-CSR: an offsets array plus one contiguous
 /// neighbors array, so traversal is pure pointer arithmetic and the whole
 /// adjacency lives in two cache-friendly allocations instead of one heap
-/// vector per vertex. Every reader (kernels, BSP, FlatView, serialization)
-/// walks out-edges, so no reverse adjacency is kept. Per-range neighbor
+/// vector per vertex. Every reader (kernels, BSP, serialization) walks
+/// out-edges, so no reverse adjacency is kept. Per-range neighbor
 /// lists are kept sorted, so ExistsEdge is a binary search and NeighborSpan
 /// feeds the sorted-span merge kernels directly.
 ///

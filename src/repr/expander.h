@@ -17,9 +17,9 @@ ExpandedGraph ExpandCondensed(const CondensedStorage& storage);
 
 /// Snapshots any representation's expanded view as an EXP graph with flat
 /// adjacency (live vertices, live targets, sorted ranges, no properties):
-/// the adapter behind the NeighborSpan fast path. GraphService::FlatView
-/// caches one per graph; CountTriangles and LocalClusteringCoefficients
-/// take one when handed a graph without flat adjacency. The cost is one
+/// the adapter behind the NeighborSpan fast path. CountTriangles and
+/// LocalClusteringCoefficients take one, for the length of the kernel,
+/// when handed a graph without flat adjacency. The cost is one
 /// ForEachNeighbor sweep per range plus a per-range sort; the footprint is
 /// EXP's, (n+1)·8 + 4·E + n bytes. The snapshot reflects `g` at build
 /// time; only const methods of `g` are called.

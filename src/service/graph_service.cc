@@ -6,7 +6,6 @@
 
 #include "common/faultpoints.h"
 #include "common/timer.h"
-#include "repr/expander.h"
 #include "service/cache_key.h"
 
 namespace graphgen::service {
@@ -51,7 +50,6 @@ GraphService::GraphService(const rel::Database* db, ServiceOptions options)
       coalesced_(registry_.GetCounter("service.coalesced")),
       failed_(registry_.GetCounter("service.failed")),
       uncacheable_(registry_.GetCounter("service.uncacheable")),
-      csr_builds_(registry_.GetCounter("service.csr_builds")),
       slow_requests_(registry_.GetCounter("service.slow_requests")),
       cancelled_(registry_.GetCounter("service.cancelled")),
       deadline_exceeded_(registry_.GetCounter("service.deadline_exceeded")),
@@ -63,7 +61,6 @@ GraphService::GraphService(const rel::Database* db, ServiceOptions options)
       cache_bytes_gauge_(registry_.GetGauge("service.cache_bytes")),
       cache_graphs_gauge_(registry_.GetGauge("service.cache_graphs")),
       cache_evictions_gauge_(registry_.GetGauge("service.cache_evictions")),
-      flat_views_gauge_(registry_.GetGauge("service.flat_views")),
       named_graphs_gauge_(registry_.GetGauge("service.named_graphs")),
       request_us_(registry_.GetHistogram("service.extract_us")),
       pool_(options_.worker_threads) {}
@@ -479,58 +476,15 @@ std::vector<NamedGraphInfo> GraphService::List() const {
   return out;
 }
 
-void GraphService::ClearCache() {
-  cache_.Clear();
-  MutexLock lock(mu_);
-  flat_views_.clear();
-}
+void GraphService::ClearCache() { cache_.Clear(); }
 
 void GraphService::SetCacheBudget(size_t budget_bytes) {
   cache_.SetBudget(budget_bytes);
-  // Shrinking is the memory-pressure lever, so release the CSR adapters
-  // of just-evicted graphs now rather than waiting for the next FlatView
-  // call to reap them — otherwise the bytes the shrink was meant to free
-  // can stay resident indefinitely.
-  MutexLock lock(mu_);
-  for (auto it = flat_views_.begin(); it != flat_views_.end();) {
-    it = it->second.owner.expired() ? flat_views_.erase(it) : std::next(it);
-  }
 }
 
 std::shared_ptr<const Graph> GraphService::FlatView(const GraphHandle& handle) {
-  if (handle == nullptr || handle->graph == nullptr) return nullptr;
-  const Graph* key = handle->graph.get();
-  if (key->HasFlatAdjacency()) {
-    // Already devirtualizable in place; alias the handle so the view keeps
-    // the ExtractedGraph alive.
-    return std::shared_ptr<const Graph>(handle, key);
-  }
-  {
-    MutexLock lock(mu_);
-    // Reap adapters whose source graphs have been released (eviction,
-    // Drop) so abandoned CSR snapshots don't accumulate between builds.
-    for (auto it = flat_views_.begin(); it != flat_views_.end();) {
-      it = it->second.owner.expired() ? flat_views_.erase(it) : std::next(it);
-    }
-    auto it = flat_views_.find(key);
-    if (it != flat_views_.end()) {
-      // Guard against a recycled Graph* address: the cached adapter is
-      // only valid while the same ExtractedGraph is still alive.
-      if (it->second.owner.lock() == handle) return it->second.view;
-      flat_views_.erase(it);
-    }
-  }
-  // Build outside the lock — materialization walks every edge of the
-  // condensed representation. Concurrent callers may race to build the
-  // same adapter; the first insert wins and the losers share it.
-  auto built = std::make_shared<const ExpandedGraph>(ExpandGraph(*key));
-  csr_builds_->Increment();
-  MutexLock lock(mu_);
-  auto [it, inserted] = flat_views_.try_emplace(key);
-  if (inserted || it->second.owner.lock() != handle) {
-    it->second = {handle, built};
-  }
-  return it->second.view;
+  if (handle == nullptr) return nullptr;
+  return std::shared_ptr<const Graph>(handle, handle->graph.get());
 }
 
 void GraphService::RecordExtractionLatency(std::string_view datalog,
@@ -567,7 +521,6 @@ std::vector<obs::MetricValue> GraphService::MetricsSnapshot() const {
   // from the source of truth so the snapshot is current.
   {
     MutexLock lock(mu_);
-    flat_views_gauge_->Set(static_cast<int64_t>(flat_views_.size()));
     named_graphs_gauge_->Set(static_cast<int64_t>(names_.size()));
   }
   {
@@ -595,7 +548,6 @@ ServiceStats GraphService::Stats() const {
   stats.coalesced = coalesced_->Value();
   stats.failed = failed_->Value();
   stats.uncacheable = uncacheable_->Value();
-  stats.csr_builds = csr_builds_->Value();
   stats.slow_requests = slow_requests_->Value();
   stats.cancelled = cancelled_->Value();
   stats.deadline_exceeded = deadline_exceeded_->Value();
@@ -604,7 +556,6 @@ ServiceStats GraphService::Stats() const {
   stats.stale_served = stale_served_->Value();
   {
     MutexLock lock(mu_);
-    stats.flat_views = flat_views_.size();
     stats.named_graphs = names_.size();
   }
   {

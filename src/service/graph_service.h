@@ -101,7 +101,6 @@ struct ServiceStats {
   uint64_t failed = 0;            // requests that returned a non-OK status
   uint64_t evictions = 0;         // cache entries dropped for the budget
   uint64_t uncacheable = 0;       // graphs larger than the whole budget
-  uint64_t csr_builds = 0;        // materialized-CSR adapters built
   uint64_t slow_requests = 0;     // cold extractions over the slow threshold
   uint64_t cancelled = 0;         // failures: caller cancelled
   uint64_t deadline_exceeded = 0;  // failures: deadline passed
@@ -110,7 +109,6 @@ struct ServiceStats {
   uint64_t stale_served = 0;      // failures answered from the stale store
   uint64_t inflight_extractions = 0;  // gauge: pipelines running now
   uint64_t admission_queued = 0;      // gauge: owners waiting for a slot
-  uint64_t flat_views = 0;        // gauge: resident CSR adapters
   uint64_t cache_bytes = 0;       // gauge: resident cache footprint
   uint64_t cache_graphs = 0;      // gauge: resident cache entries
   uint64_t named_graphs = 0;      // gauge: registry size
@@ -204,22 +202,15 @@ class GraphService {
   /// Registry contents sorted by name.
   std::vector<NamedGraphInfo> List() const;
 
-  /// Flat-adjacency analytics view of a handle's graph: the graph itself
-  /// when it already exposes NeighborSpan (EXP), else an EXP snapshot
-  /// (ExpandGraph) built once and cached alongside the graph, so repeated
-  /// kernels on a condensed representation share one adapter. The view is
-  /// const: a caller cannot mutate the shared snapshot.
-  /// The returned pointer keeps the adapter alive independently of the
-  /// cache. Adapters whose source graph has been released (evicted +
-  /// unpinned) are reaped on the next FlatView call or ClearCache; their
-  /// bytes are *not* charged against the extraction-cache budget — they
-  /// are working state of active analyses, reported via Stats()
-  /// (flat_views / csr_builds) rather than bounded by it.
+  /// The handle's graph as a `shared_ptr<const Graph>` that shares the
+  /// handle's ownership (an aliasing pointer), or null for a null handle.
+  /// Nothing is built or cached: kernels run on the representation the
+  /// service holds, condensed or not.
   std::shared_ptr<const Graph> FlatView(const GraphHandle& handle);
 
-  /// Drops every cached graph (named graphs stay pinned) and every
-  /// cached flat view. The stale store survives — it exists precisely to
-  /// answer allow_stale requests after the cache is gone.
+  /// Drops every cached graph (named graphs stay pinned). The stale
+  /// store survives — it exists precisely to answer allow_stale requests
+  /// after the cache is gone.
   void ClearCache();
 
   /// Re-budgets the extraction cache at runtime (ops lever: shrink under
@@ -235,8 +226,8 @@ class GraphService {
   /// registry); gauges are refreshed by MetricsSnapshot()/Stats().
   obs::MetricsRegistry& metrics() { return registry_; }
 
-  /// Registry snapshot with the gauge metrics (cache footprint, resident
-  /// views, registry size) refreshed first — the `stats` shell command
+  /// Registry snapshot with the gauge metrics (cache footprint, admission,
+  /// registry size) refreshed first — the `stats` shell command
   /// and JSON exports read this.
   std::vector<obs::MetricValue> MetricsSnapshot() const;
 
@@ -294,24 +285,16 @@ class GraphService {
   /// Deliberately not cleared by ClearCache.
   GraphCache stale_;
 
-  /// One cached flat view: the CSR adapter plus a weak reference to the
-  /// ExtractedGraph that owns the source Graph, so a recycled Graph*
-  /// address can never serve a stale adapter.
-  struct FlatViewEntry {
-    std::weak_ptr<const ExtractedGraph> owner;
-    std::shared_ptr<const Graph> view;
-  };
-
   /// Records one finished cold extraction: request-latency histogram plus
   /// slow-request retention. Takes mu_ internally.
   void RecordExtractionLatency(std::string_view datalog, double seconds,
                                const obs::QueryProfile& profile);
 
+  /// Guards the single-flight table, the registry and the slow log.
   mutable Mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight_
       GUARDED_BY(mu_);
   std::map<std::string, GraphHandle> names_ GUARDED_BY(mu_);
-  std::unordered_map<const Graph*, FlatViewEntry> flat_views_ GUARDED_BY(mu_);
 
   /// Per-instance registry so a service's counters are exact for that
   /// instance (tests assert precise values); engine-level metrics live in
@@ -329,7 +312,6 @@ class GraphService {
   obs::Counter* coalesced_;
   obs::Counter* failed_;
   obs::Counter* uncacheable_;
-  obs::Counter* csr_builds_;
   obs::Counter* slow_requests_;
   obs::Counter* cancelled_;
   obs::Counter* deadline_exceeded_;
@@ -341,7 +323,6 @@ class GraphService {
   obs::Gauge* cache_bytes_gauge_;
   obs::Gauge* cache_graphs_gauge_;
   obs::Gauge* cache_evictions_gauge_;
-  obs::Gauge* flat_views_gauge_;
   obs::Gauge* named_graphs_gauge_;
   obs::Histogram* request_us_;
 

@@ -927,8 +927,37 @@ TEST(PartitionParityTest, FusedJoinDistinct) {
   }
 }
 
-// The partitioned DISTINCT charges its scatter order (4 bytes a row) and
-// keep bytes (1 a row) on top of the serial path's scratch, and the
+// The serial DISTINCT charges its hash array, slot tables and keep bytes
+// in one piece, and the measured peak is exactly what the operator needs:
+// the peak passes, one byte less is refused.
+TEST(ExecutorTest, SerialDistinctScratchIsCharged) {
+  Database db;
+  PutShapeTable(db, "P", KeyEncoding::kInt64, kShapeRows,
+                [](size_t i) { return ShapeKey(KeyShape::kAtThreshold, i); });
+  ProjectNode plan(BodyScan("P"), std::vector<size_t>{0},
+                   std::vector<std::string>{"k"}, /*distinct=*/true);
+  ExecOptions tracked = WithThreads(1);
+  tracked.ctx.budget = std::make_shared<MemoryBudget>(0);  // track only
+  ASSERT_TRUE(Executor(&db, tracked).ExecuteColumnar(plan).ok());
+  const size_t peak = tracked.ctx.budget->peak();
+  EXPECT_GE(peak, kShapeRows * (sizeof(uint64_t) + 1));
+
+  ExecOptions exact = WithThreads(1);
+  exact.ctx.budget = std::make_shared<MemoryBudget>(peak);
+  EXPECT_TRUE(Executor(&db, exact).ExecuteColumnar(plan).ok());
+
+  ExecOptions tight = WithThreads(1);
+  tight.ctx.budget = std::make_shared<MemoryBudget>(peak - 1);
+  auto refused = Executor(&db, tight).ExecuteColumnar(plan);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(refused.status().message().find("DISTINCT hash scratch"),
+            std::string::npos)
+      << refused.status().ToString();
+}
+
+// The partitioned DISTINCT charges its scatter order (4 bytes a row) on
+// top of the serial path's scratch, keep bytes included, and the
 // measured peak is exactly what the operator needs: the peak passes, one
 // byte less is refused.
 TEST(ExecutorTest, PartitionScratchIsCharged) {
@@ -945,7 +974,7 @@ TEST(ExecutorTest, PartitionScratchIsCharged) {
   };
   const size_t serial_peak = peak_at(1);
   const size_t peak = peak_at(4);
-  EXPECT_EQ(peak - serial_peak, kShapeRows * (sizeof(uint32_t) + 1));
+  EXPECT_EQ(peak - serial_peak, kShapeRows * sizeof(uint32_t));
 
   ExecOptions exact = WithThreads(4);
   exact.ctx.budget = std::make_shared<MemoryBudget>(peak);

@@ -6,10 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "algos/pagerank.h"
 #include "common/cancel.h"
 #include "common/faultpoints.h"
 #include "gen/relational_generators.h"
-#include "repr/expanded_graph.h"
+#include "repr/expander.h"
 #include "service/cache_key.h"
 #include "service/graph_cache.h"
 #include "service/graph_service.h"
@@ -218,47 +219,37 @@ TEST_F(ServiceTest, AsyncExtractionDeliversThroughFutures) {
   EXPECT_EQ(stats.cache_hits + stats.coalesced, 1u);
 }
 
+// FlatView is the served graph itself, whatever the representation: it
+// builds and caches nothing, so the view outlives any cache operation,
+// and kernels on a condensed view agree with its expanded snapshot.
+TEST_F(ServiceTest, FlatViewIsTheServedGraph) {
+  service::GraphService svc(&data_.db);
+  for (Representation r : {Representation::kCDup, Representation::kBitmap2,
+                           Representation::kExp}) {
+    SCOPED_TRACE(std::string(RepresentationToString(r)));
+    GraphGenOptions o = CDupOptions();
+    o.representation = r;
+    auto handle = svc.Extract(kStudentQuery, o);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    std::shared_ptr<const Graph> view = svc.FlatView(*handle);
+    EXPECT_EQ(view.get(), (*handle)->graph.get());
+
+    const std::vector<double> expected =
+        PageRank(ExpandGraph(*(*handle)->graph));
+    handle->reset();  // the view alone keeps the graph alive
+    svc.SetCacheBudget(1);
+    svc.ClearCache();
+    const std::vector<double> ranks = PageRank(*view);
+    ASSERT_EQ(ranks.size(), expected.size());
+    for (size_t v = 0; v < ranks.size(); ++v) {
+      EXPECT_NEAR(ranks[v], expected[v], 1e-9) << "vertex " << v;
+    }
+  }
+}
+
 // N threads extract a mix of cached and uncached programs concurrently
 // through both the sync and async paths while names are rebound and
 // dropped. Run with -DGRAPHGEN_SANITIZE=thread to verify race freedom.
-TEST_F(ServiceTest, FlatViewMaterializesAndCachesCsrAdapter) {
-  service::GraphService svc(&data_.db);
-  auto handle = svc.Extract(kStudentQuery, CDupOptions());
-  ASSERT_TRUE(handle.ok());
-  ASSERT_FALSE((*handle)->graph->HasFlatAdjacency());  // C-DUP
-
-  auto flat = svc.FlatView(*handle);
-  ASSERT_NE(flat, nullptr);
-  EXPECT_TRUE(flat->HasFlatAdjacency());
-  EXPECT_EQ(flat->ExpandedEdgeSet(), (*handle)->graph->ExpandedEdgeSet());
-  EXPECT_EQ(svc.Stats().csr_builds, 1u);
-  EXPECT_EQ(svc.Stats().flat_views, 1u);
-
-  // Second request for the same graph shares the adapter.
-  auto again = svc.FlatView(*handle);
-  EXPECT_EQ(again.get(), flat.get());
-  EXPECT_EQ(svc.Stats().csr_builds, 1u);
-
-  // ClearCache drops the adapter cache too; the old view stays usable.
-  svc.ClearCache();
-  EXPECT_EQ(svc.Stats().flat_views, 0u);
-  EXPECT_EQ(flat->NumVertices(), (*handle)->graph->NumVertices());
-}
-
-TEST_F(ServiceTest, FlatViewAliasesGraphsWithNativeFlatAdjacency) {
-  service::GraphService svc(&data_.db);
-  GraphGenOptions exp_options = CDupOptions();
-  exp_options.representation = Representation::kExp;
-  auto handle = svc.Extract(kStudentQuery, exp_options);
-  ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE((*handle)->graph->HasFlatAdjacency());
-
-  auto flat = svc.FlatView(*handle);
-  // EXP is already CSR-backed: no adapter is built, the view is the graph.
-  EXPECT_EQ(flat.get(), (*handle)->graph.get());
-  EXPECT_EQ(svc.Stats().csr_builds, 0u);
-}
-
 TEST_F(ServiceTest, ConcurrentStress) {
   constexpr size_t kThreads = 8;
   constexpr int kItersPerThread = 25;

@@ -274,11 +274,8 @@ void CmdRun(ShellState& state, const std::vector<std::string>& args) {
     std::printf("%s\n", handle.status().ToString().c_str());
     return;
   }
-  // Analytics run on the service's flat view: the graph itself when it is
-  // already CSR-backed (EXP), else a cached materialized-CSR adapter, so
-  // every kernel below takes the devirtualized span path.
-  std::shared_ptr<const Graph> flat = state.svc->FlatView(*handle);
-  const Graph& g = flat ? *flat : *(*handle)->graph;
+  // Analytics run on the representation the service holds.
+  const Graph& g = *(*handle)->graph;
   const std::string& algo = args[1];
   WallTimer timer;
   if (algo == "degree") {
@@ -368,7 +365,6 @@ void CmdStats(const ShellState& state) {
       "cache               %llu graphs, %s / %s budget\n"
       "  evictions         %llu\n"
       "  uncacheable       %llu\n"
-      "flat views          %llu resident (%llu CSR builds)\n"
       "registry            %llu named graphs\n"
       "workers             %llu threads\n"
       "database            %s\n",
@@ -389,8 +385,6 @@ void CmdStats(const ShellState& state) {
                                 : FormatBytes(s.cache_budget_bytes).c_str(),
       static_cast<unsigned long long>(s.evictions),
       static_cast<unsigned long long>(s.uncacheable),
-      static_cast<unsigned long long>(s.flat_views),
-      static_cast<unsigned long long>(s.csr_builds),
       static_cast<unsigned long long>(s.named_graphs),
       static_cast<unsigned long long>(s.worker_threads),
       FormatBytes(state.db.MemoryBytes()).c_str());
