@@ -19,7 +19,9 @@ namespace {
 // and per bitmap at w, slot[k] reduces x over the live entries it
 // permits. Pass two gives every live real u the reduction of its live
 // direct entries other than u and, per virtual node w on its out-list,
-// slot[k] for u's bitmap at w, or total[w] when it has none.
+// slot[k] for u's bitmap at w, or total[w] when it has none. Which of
+// the two each virtual entry of u reads, and self_[u] below, are found
+// once, when the reduction is prepared, not once per pass.
 //
 // Why this is the walk's answer: a min cannot change when a neighbor is
 // met twice or when u meets itself (the min includes x[u] anyway). A sum
@@ -31,7 +33,8 @@ namespace {
 // A bitmap is read four bits at a time: per 4-entry block of w's
 // out-list, a 16-entry table holds the reduction of every subset of the
 // block, so each bitmap word costs 16 lookups, whatever its density. The
-// tables cost 4 ops per entry of w and are built once per pass. At the
+// tables cost 4 ops per entry of w and are built once per pass, at the
+// virtual nodes that hold bitmaps. At the
 // densities BITMAP-2 builds (36-79% of bits set on the benchmark's and
 // Table 4's graphs) this reads bitmaps 1.3-2.2x as fast as a set-bit
 // scan (README).
@@ -41,7 +44,7 @@ class AggregatedReduction : public NeighborReduction {
   AggregatedReduction(const CondensedGraph& g, const BitmapGraph* bitmaps,
                       std::unique_ptr<NeighborReduction> walk, size_t threads)
       : g_(g), bitmaps_(bitmaps), walk_(std::move(walk)), threads_(threads) {
-    if (walk_ == nullptr) CountSelfEntries();
+    PrepareReads();
   }
 
   void Sum(std::span<const double> x, std::span<double> out) const override {
@@ -60,67 +63,114 @@ class AggregatedReduction : public NeighborReduction {
   }
 
  private:
-  // self_[u]: per entry w of live u's out-list, the entries of w's
-  // out-list equal to u that u's read of w includes.
-  void CountSelfEntries() {
+  // Fills reads_: per virtual entry w of live u's out-list, in order, the
+  // index pass two reads, w (total[w]) or NumVirtualNodes() + k (slot[k]
+  // of u's bitmap at w). When sums aggregate, also self_[u]: per such
+  // entry, the entries of w's out-list equal to u that u's read includes,
+  // found by binary search in w's entries sorted by target.
+  void PrepareReads() {
     const size_t n = g_.NumVertices();
-    // (u << 32 | w) per virtual entry w of a live u, sorted, so the w
-    // side can count how often u reads w.
-    std::vector<uint64_t> reads;
+    const size_t nv = g_.NumVirtualNodes();
+    read_begin_.assign(n + 1, 0);
     for (NodeId u = 0; u < n; ++u) {
-      if (g_.IsDeleted(u)) continue;
-      for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) {
-        if (r.is_virtual()) reads.push_back(uint64_t{u} << 32 | r.index());
+      size_t count = 0;
+      if (!g_.IsDeleted(u)) {
+        for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) count += r.is_virtual();
       }
+      read_begin_[u + 1] = read_begin_[u] + count;
     }
-    std::sort(reads.begin(), reads.end());
-    self_.assign(n, 0);
-    for (uint32_t w = 0; w < g_.NumVirtualNodes(); ++w) {
-      const std::span<const NodeRef> out = g_.OutEdges(NodeRef::Virtual(w));
-      for (size_t i = 0; i < out.size(); ++i) {
-        const NodeId t = out[i].index();
-        const auto [lo, hi] =
-            std::equal_range(reads.begin(), reads.end(), uint64_t{t} << 32 | w);
-        if (lo == hi) continue;
-        const uint64_t* bits =
-            bitmaps_ == nullptr ? nullptr : bitmaps_->FindBitmap(w, t);
-        if (bits == nullptr || TestBit(bits, i)) {
-          self_[t] += static_cast<uint32_t>(hi - lo);
+    reads_.resize(read_begin_[n]);
+    // (target << 32 | position) per entry of every w, sorted within w.
+    std::vector<uint64_t> by_target;
+    std::vector<size_t> by_target_begin;
+    if (walk_ == nullptr) {
+      self_.assign(n, 0);
+      by_target_begin.assign(nv + 1, 0);
+      for (uint32_t w = 0; w < nv; ++w) {
+        by_target_begin[w + 1] =
+            by_target_begin[w] + g_.OutEdges(NodeRef::Virtual(w)).size();
+      }
+      by_target.resize(by_target_begin[nv]);
+      ParallelFor(nv, [&](size_t begin, size_t end) {
+        for (size_t w = begin; w < end; ++w) {
+          const std::span<const NodeRef> out =
+              g_.OutEdges(NodeRef::Virtual(static_cast<uint32_t>(w)));
+          uint64_t* keys = by_target.data() + by_target_begin[w];
+          for (size_t i = 0; i < out.size(); ++i) {
+            keys[i] = uint64_t{out[i].index()} << 32 | i;
+          }
+          std::sort(keys, keys + out.size());
+        }
+      }, threads_);
+    }
+    ParallelFor(n, [&](size_t begin, size_t end) {
+      for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
+        if (g_.IsDeleted(u)) continue;
+        size_t* read = reads_.data() + read_begin_[u];
+        for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) {
+          if (r.is_real()) continue;
+          const uint32_t w = r.index();
+          const auto [k, found] = bitmaps_ == nullptr
+                                      ? std::pair<size_t, bool>(0, false)
+                                      : bitmaps_->FindSlot(w, u);
+          *read++ = found ? nv + k : w;
+          if (walk_ != nullptr) continue;
+          const uint64_t* bits = found ? bitmaps_->SlotBitmap(w, k) : nullptr;
+          const auto [lo, hi] = std::equal_range(
+              by_target.begin() + by_target_begin[w],
+              by_target.begin() + by_target_begin[w + 1], uint64_t{u} << 32,
+              [](uint64_t a, uint64_t b) { return a >> 32 < b >> 32; });
+          for (auto it = lo; it != hi; ++it) {
+            if (bits == nullptr || TestBit(bits, *it & 0xFFFFFFFFu)) {
+              ++self_[u];
+            }
+          }
         }
       }
-    }
+    }, threads_);
   }
 
   // out[u] = finish(u, the op-fold of u's reads) for every live u.
   template <typename T, typename Op, typename Finish>
   void Reduce(std::span<const T> x, std::span<T> out, T identity, Op op,
               Finish finish) const {
-    std::vector<T> total(g_.NumVirtualNodes(), identity);
-    std::vector<T> slot(bitmaps_ == nullptr ? 0 : bitmaps_->NumBitmaps());
-    ParallelFor(total.size(), [&](size_t begin, size_t end) {
+    const size_t nv = g_.NumVirtualNodes();
+    // total[w] at w, slot[k] at nv + k: what reads_ indexes. Pass one
+    // writes every entry, so none is initialized here.
+    const std::unique_ptr<T[]> read_value = std::make_unique_for_overwrite<T[]>(
+        nv + (bitmaps_ == nullptr ? 0 : bitmaps_->NumBitmaps()));
+    T* const slot = read_value.get() + nv;
+    ParallelFor(nv, [&](size_t begin, size_t end) {
       std::vector<T> table;
       for (uint32_t w = static_cast<uint32_t>(begin); w < end; ++w) {
         const std::span<const NodeRef> vout = g_.OutEdges(NodeRef::Virtual(w));
-        table.assign(16 * ((vout.size() + 3) / 4), identity);
+        const size_t first =
+            bitmaps_ == nullptr ? 0 : bitmaps_->owner_begin()[w];
+        const size_t last =
+            bitmaps_ == nullptr ? 0 : bitmaps_->owner_begin()[w + 1];
+        table.resize(first == last ? 0 : 16 * ((vout.size() + 3) / 4));
         T acc = identity;
-        for (size_t i = 0; i < vout.size(); ++i) {
-          const NodeId t = vout[i].index();
-          if (g_.IsDeleted(t)) continue;
-          acc = op(acc, x[t]);
-          table[16 * (i / 4) + (1u << (i % 4))] = x[t];
-        }
-        total[w] = acc;
-        if (bitmaps_ == nullptr) continue;
-        const size_t first = bitmaps_->owner_begin()[w];
-        const size_t last = bitmaps_->owner_begin()[w + 1];
-        if (first == last) continue;
-        // A one-bit mask keeps its entry: op(identity, v) is v.
-        for (size_t b = 0; b < table.size(); b += 16) {
-          for (unsigned mask = 3; mask < 16; ++mask) {
-            table[b + mask] = op(table[b + (mask & (mask - 1))],
-                                 table[b + (mask & -mask)]);
+        for (size_t b = 0; b < vout.size(); b += 4) {
+          // The block's subsets, built in a local array so no entry waits
+          // on a store to the table; a one-bit mask keeps its entry, since
+          // op(identity, v) is v.
+          T subset[16];
+          std::fill_n(subset, 16, identity);
+          for (size_t i = b; i < std::min(b + 4, vout.size()); ++i) {
+            const NodeId t = vout[i].index();
+            if (g_.IsDeleted(t)) continue;
+            acc = op(acc, x[t]);
+            subset[1u << (i - b)] = x[t];
           }
+          if (table.empty()) continue;
+          for (unsigned mask = 3; mask < 16; ++mask) {
+            subset[mask] =
+                op(subset[mask & (mask - 1)], subset[mask & -mask]);
+          }
+          std::copy_n(subset, 16, table.data() + 4 * b);
         }
+        read_value[w] = acc;
+        if (first == last) continue;
         const size_t words = BitmapWords(vout.size());
         for (size_t k = first; k < last; ++k) {
           const uint64_t* bits = bitmaps_->SlotBitmap(w, k);
@@ -138,17 +188,15 @@ class AggregatedReduction : public NeighborReduction {
     ParallelFor(g_.NumVertices(), [&](size_t begin, size_t end) {
       for (NodeId u = static_cast<NodeId>(begin); u < end; ++u) {
         if (g_.IsDeleted(u)) continue;
+        const size_t* read = reads_.data() + read_begin_[u];
         T acc = identity;
         for (NodeRef r : g_.OutEdges(NodeRef::Real(u))) {
           const NodeId i = r.index();
-          if (r.is_real()) {
-            if (i != u && !g_.IsDeleted(i)) acc = op(acc, x[i]);
-            continue;
+          if (r.is_virtual()) {
+            acc = op(acc, read_value[*read++]);
+          } else if (i != u && !g_.IsDeleted(i)) {
+            acc = op(acc, x[i]);
           }
-          const auto [k, found] = bitmaps_ == nullptr
-                                      ? std::pair<size_t, bool>(0, false)
-                                      : bitmaps_->FindSlot(i, u);
-          acc = op(acc, found ? slot[k] : total[i]);
         }
         out[u] = finish(u, acc);
       }
@@ -159,6 +207,8 @@ class AggregatedReduction : public NeighborReduction {
   const BitmapGraph* bitmaps_;
   std::unique_ptr<NeighborReduction> walk_;
   size_t threads_;
+  std::vector<size_t> read_begin_;
+  std::vector<size_t> reads_;
   std::vector<uint32_t> self_;
 };
 

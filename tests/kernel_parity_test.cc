@@ -362,6 +362,29 @@ TEST(AggregatedReductionTest, MultiLayerBitmapWalks) {
   ExpectReferenceKernelsThroughMutations(*bm);
 }
 
+// Bitmaps that permit their owner's own entry, which BITMAP-2 never
+// builds but BitmapGraph accepts: the walk still skips u there, so the
+// sums must drop that entry's term too.
+TEST(AggregatedReductionTest, BitmapsThatPermitTheirOwner) {
+  CondensedStorage s;
+  s.AddRealNodes(6);
+  for (NodeId first : {0u, 3u}) {
+    const uint32_t v = s.AddVirtualNode();
+    for (NodeId x = first; x < first + 3; ++x) {
+      s.AddEdge(NodeRef::Virtual(v), NodeRef::Real(x));
+      s.AddEdge(NodeRef::Real(x), NodeRef::Virtual(v));
+    }
+  }
+  std::vector<BitmapArena> arenas(1);
+  const uint64_t zero[] = {0b011};   // 0 itself and 1
+  const uint64_t three[] = {0b101};  // 3 itself and 5
+  arenas[0].Add(0, 0, zero);
+  arenas[0].Add(1, 3, three);
+  const BitmapGraph g(s, arenas);
+  EXPECT_EQ(ComputeDegrees(g), (std::vector<uint64_t>{1, 2, 2, 1, 2, 2}));
+  ExpectReferenceKernels(g);
+}
+
 // Every output entry is computed on one thread in a fixed order, so the
 // aggregated PageRank does not depend on how the passes are split.
 TEST(AggregatedReductionTest, PageRankIsBitwiseIdenticalAcrossThreads) {

@@ -220,17 +220,20 @@ TEST_F(ServiceTest, AsyncExtractionDeliversThroughFutures) {
 }
 
 // FlatView is the served graph itself, whatever the representation: it
-// builds and caches nothing, so the view outlives any cache operation,
-// and kernels on a condensed view agree with its expanded snapshot.
+// builds and caches nothing, so the view outlives the eviction of the
+// cached graph, and kernels on a condensed view agree with its expanded
+// snapshot. Each representation gets a fresh service, so each is cached
+// before it is evicted.
 TEST_F(ServiceTest, FlatViewIsTheServedGraph) {
-  service::GraphService svc(&data_.db);
   for (Representation r : {Representation::kCDup, Representation::kBitmap2,
                            Representation::kExp}) {
     SCOPED_TRACE(std::string(RepresentationToString(r)));
+    service::GraphService svc(&data_.db);
     GraphGenOptions o = CDupOptions();
     o.representation = r;
     auto handle = svc.Extract(kStudentQuery, o);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ASSERT_EQ(svc.Stats().cache_graphs, 1u);
     std::shared_ptr<const Graph> view = svc.FlatView(*handle);
     EXPECT_EQ(view.get(), (*handle)->graph.get());
 
@@ -239,6 +242,7 @@ TEST_F(ServiceTest, FlatViewIsTheServedGraph) {
     handle->reset();  // the view alone keeps the graph alive
     svc.SetCacheBudget(1);
     svc.ClearCache();
+    ASSERT_EQ(svc.Stats().cache_graphs, 0u);
     const std::vector<double> ranks = PageRank(*view);
     ASSERT_EQ(ranks.size(), expected.size());
     for (size_t v = 0; v < ranks.size(); ++v) {
